@@ -7,7 +7,7 @@ pipeline).  Configuration comes from flags, optionally seeded from a
 key=value config file that explicit flags override.
 
 Exit codes: 0 success, 1 invalid configuration, 2 resource or convergence
-failure, 3 report criteria failed.
+failure (including running out of memory), 3 report criteria failed.
 """
 
 from __future__ import annotations
@@ -342,6 +342,10 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except (CapacityError, ConvergenceError, BufferExhaustedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        detail = str(exc) or "allocation failed"
+        print(f"error: out of memory: {detail}", file=sys.stderr)
         return 2
 
 

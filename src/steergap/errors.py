@@ -1,7 +1,8 @@
 """Error types shared across the package.
 
 The command-line driver maps these onto exit codes: configuration errors
-(plain ``ValueError``) exit 1, resource and convergence failures exit 2.
+(plain ``ValueError``) exit 1, resource and convergence failures exit 2, and
+so does running out of memory (the built-in ``MemoryError``).
 """
 
 

@@ -102,6 +102,18 @@ def ball_size(params: GroupParams, depth: int) -> int:
     return sum(count_words(params, k) for k in range(depth + 1))
 
 
+def capped_ball_size(
+    params: GroupParams, depth: int, cap: int = DEFAULT_WORD_CAP
+) -> int:
+    """Size of a ball about to be materialized; refuses more than ``cap`` words."""
+    if depth < 0:
+        raise ValueError("depth must be nonnegative")
+    size = ball_size(params, depth)
+    if size > cap:
+        raise CapacityError(f"ball of {size} words exceeds cap {cap}")
+    return size
+
+
 def enumerate_words(
     params: GroupParams, depth: int, *, cap: int = DEFAULT_WORD_CAP
 ) -> list[Word]:
@@ -111,13 +123,7 @@ def enumerate_words(
     depth-N list a prefix of the depth-(N+1) list.  Refuses to materialize
     more than ``cap`` words.
     """
-    if depth < 0:
-        raise ValueError("depth must be nonnegative")
-    predicted = ball_size(params, depth)
-    if predicted > cap:
-        raise CapacityError(
-            f"enumeration of {predicted} words exceeds cap {cap}"
-        )
+    capped_ball_size(params, depth, cap)
     words = [IDENTITY]
     shell = [IDENTITY]
     for _ in range(depth):

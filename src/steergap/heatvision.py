@@ -220,35 +220,27 @@ def pure_purity_series(
     shifts = _right_shifts(basis)
     # Branch vector for word w = l1 l2... is R_{l1} applied to the branch of
     # the suffix; (length, lex) order guarantees the suffix comes earlier.
+    first, parent = ball.first_letters(), ball.suffixes()
     vectors = np.zeros((nwords, basis.dimension))
     vectors[0] = state.amplitudes
-    for i, w in enumerate(ball.words[1:], start=1):
-        parent = ball._index[w.letters[1:]]
-        vectors[i] = shifts[w.letters[0] - 1] @ vectors[parent]
+    for i in range(1, nwords):
+        vectors[i] = shifts[first[i] - 1] @ vectors[parent[i]]
     gram = vectors @ vectors.T
     gram2 = gram * gram
-    # Left-multiplication neighbors inside the ball, for the weight walk.
-    neighbor: list[list[int]] = []
-    for w in ball.words:
-        lt = w.letters
-        nbr = []
-        for x in range(1, s + 1):
-            image = lt[1:] if lt and lt[0] == x else (x,) + lt
-            nbr.append(ball._index.get(image))
-        neighbor.append(nbr)
+    # Left-multiplication neighbors inside the ball, for the weight walk:
+    # row i lists the images of word i under g_1..g_s.
+    neighbor = np.stack([ball.left_images(x) for x in range(1, s + 1)], axis=1)
     weights = np.zeros(nwords)
     weights[0] = 1.0
     series = [float(weights @ gram2 @ weights)]
     for t in range(1, steps + 1):
         nxt = 0.5 * weights.copy()
-        for i, c in enumerate(weights):
-            if c != 0.0:
-                for j in neighbor[i]:
-                    if j is None:
-                        raise RuntimeError(
-                            f"weight walked off the ball at step {t}"
-                        )
-                    nxt[j] += c / (2.0 * s)
+        live = weights != 0.0
+        targets = neighbor[live]
+        if np.any(targets < 0):
+            raise RuntimeError(f"weight walked off the ball at step {t}")
+        # Unbuffered, in (word, generator) order: the same sums as a loop.
+        np.add.at(nxt, targets, (weights[live] / (2.0 * s))[:, None])
         weights = nxt
         series.append(float(weights @ gram2 @ weights))
     return series

@@ -12,6 +12,7 @@ downstream routine leans on.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -23,25 +24,50 @@ from .freegroup import (
     GroupParams,
     InvalidGeneratorError,
     Word,
+    capped_ball_size,
     count_words,
     enumerate_words,
 )
 
 
 class TruncatedBasis:
-    """Reduced words of length <= depth with O(1) index lookup per word."""
+    """Reduced words of length <= depth, indexed by mixed-radix arithmetic.
+
+    In (length, lex) order a word's index inside its shell is a mixed-radix
+    number: the first letter is a digit of radix s, each later letter a digit
+    of radix s-1 among the letters other than the one before it.  The basis
+    keeps only each word's first, second and last letter (0 where the word is
+    too short), built a shell at a time, and derives every index map from
+    them as an int64 array with -1 where the image leaves the ball.  Those
+    entries sit on the outermost shell, so a state that keeps the one-shell
+    buffer never meets them.  ``words`` is a lazy list of ``Word`` objects in
+    the same order, for callers that want them, such as the tests.
+    """
 
     def __init__(self, params: GroupParams, depth: int, *, cap: int = DEFAULT_WORD_CAP):
         self.params = params
         self.depth = depth
-        self.words = enumerate_words(params, depth, cap=cap)
-        self.dimension = len(self.words)
-        self._index = {w.letters: i for i, w in enumerate(self.words)}
+        self.dimension = capped_ball_size(params, depth, cap)
         offsets = [0]
         for k in range(depth + 1):
             offsets.append(offsets[-1] + count_words(params, k))
         self.depth_offsets = tuple(offsets)
-        self._first_letters: np.ndarray | None = None
+        s = params.s
+        # Row L - 1 lists, in increasing order, the letters that may follow L.
+        successors = np.array(
+            [[a for a in range(1, s + 1) if a != b] for b in range(1, s + 1)],
+            dtype=np.int64,
+        )
+        shells = [(np.zeros(1, np.int64),) * 3]
+        if depth >= 1:
+            letters = np.arange(1, s + 1, dtype=np.int64)
+            shells.append((letters, np.zeros(s, np.int64), letters))
+        for k in range(2, depth + 1):
+            first, second, last = shells[-1]
+            last = successors[last - 1].ravel()
+            second = last if k == 2 else np.repeat(second, s - 1)
+            shells.append((np.repeat(first, s - 1), second, last))
+        self._first, self._second, self._last = (np.concatenate(a) for a in zip(*shells))
 
     def __repr__(self) -> str:
         return (
@@ -49,14 +75,24 @@ class TruncatedBasis:
             f"dimension={self.dimension})"
         )
 
-    def index_of(self, word: Word) -> int:
-        try:
-            return self._index[word.letters]
-        except KeyError:
-            raise ValueError(f"word {word} is not in the depth-{self.depth} basis")
+    @cached_property
+    def words(self) -> list[Word]:
+        """The basis words in index order, enumerated on first use."""
+        return enumerate_words(self.params, self.depth, cap=self.dimension)
 
     def word_at(self, i: int) -> Word:
         return self.words[i]
+
+    def index_of(self, word: Word) -> int:
+        """Offset of the word's shell plus its mixed-radix rank inside it."""
+        s = self.params.s
+        if len(word) > self.depth or any(a > s for a in word.letters):
+            raise ValueError(f"word {word} is not in the depth-{self.depth} basis")
+        rank, prev = 0, 0
+        for a in word.letters:
+            rank = rank * (s - 1) + a - 1 - (0 < prev < a)
+            prev = a
+        return self.depth_offsets[len(word)] + rank
 
     def shell(self, k: int) -> range:
         """Index range of the words of length exactly k."""
@@ -67,12 +103,71 @@ class TruncatedBasis:
         return self.depth_offsets[k + 1]
 
     def first_letters(self) -> np.ndarray:
-        """First letter of each basis word (0 for the identity), cached."""
-        if self._first_letters is None:
-            self._first_letters = np.array(
-                [w.letters[0] if w.letters else 0 for w in self.words], dtype=np.int64
+        """First letter of each basis word (0 for the identity)."""
+        return self._first
+
+    def _coordinates(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Length and in-shell rank of every word, and the shell offsets."""
+        offsets = np.array(self.depth_offsets, dtype=np.int64)
+        length = np.repeat(np.arange(self.depth + 1), np.diff(offsets))
+        return length, np.arange(self.dimension) - offsets[length], offsets
+
+    def _check_generator(self, y: int) -> None:
+        if not 1 <= y <= self.params.s:
+            raise InvalidGeneratorError(
+                f"generator g{y} does not exist for s={self.params.s}"
             )
-        return self._first_letters
+
+    def suffixes(self) -> np.ndarray:
+        """Index of each word with its first letter dropped (-1 for the identity).
+
+        Dropping the first digit keeps the later ones; only the second letter
+        turns from a radix-(s-1) digit into a radix-s one, gaining 1 when it
+        is above the first letter.
+        """
+        length, rank, offsets = self._coordinates()
+        q = self.params.s - 1
+        out = (
+            offsets[length - 1]
+            + rank % q ** np.maximum(length - 1, 0)
+            + (self._second > self._first) * q ** np.maximum(length - 2, 0)
+        )
+        return np.where(length > 0, out, -1)
+
+    def left_images(self, y: int) -> np.ndarray:
+        """Index of g_y w for every basis word w; -1 past the cut.
+
+        Unless w starts with y, prepending y adds a leading digit y-1 of
+        weight (s-1)^len(w), and the old first letter becomes a radix-(s-1)
+        digit, one lower when it is above y.
+        """
+        self._check_generator(y)
+        length, rank, offsets = self._coordinates()
+        q = self.params.s - 1
+        grown = (
+            offsets[length + 1]
+            + (y - 1) * q**length
+            + rank
+            - (self._first > y) * q ** np.maximum(length - 1, 0)
+        )
+        grown = np.where(length < self.depth, grown, -1)
+        return np.where(self._first == y, self.suffixes(), grown)
+
+    def right_images(self, x: int) -> np.ndarray:
+        """Index of w g_x for every basis word w; -1 past the cut.
+
+        Dropping the last letter gives the word's parent in the enumeration;
+        appending x gives the child whose digit ranks x among the letters
+        other than the last one.
+        """
+        self._check_generator(x)
+        length, rank, offsets = self._coordinates()
+        s, last = self.params.s, self._last
+        shrunk = offsets[length - 1] + rank // np.where(length == 1, s, s - 1)
+        digit = x - 1 - ((last > 0) & (x > last))
+        grown = offsets[length + 1] + rank * (s - 1) + digit
+        grown = np.where(length < self.depth, grown, -1)
+        return np.where(last == x, shrunk, grown)
 
     def support_depth_of(self, amplitudes: np.ndarray, tol: float = 0.0) -> int:
         """Largest shell carrying weight above ``tol`` (0 for the zero vector)."""
@@ -102,49 +197,25 @@ class SparseSymmetricOperator:
     exactness_depth: int
 
 
-def _shift_matrix(basis: TruncatedBasis, images: list[int | None]) -> sp.csr_matrix:
-    rows, cols = [], []
-    for col, row in enumerate(images):
-        if row is not None:
-            rows.append(row)
-            cols.append(col)
+def _shift_operator(basis: TruncatedBasis, images: np.ndarray) -> SparseSymmetricOperator:
+    """The 0/1 operator sending each basis vector to its image (0 past the cut)."""
+    cols = np.flatnonzero(images >= 0)
     mat = sp.csr_matrix(
-        (np.ones(len(rows)), (rows, cols)),
+        (np.ones(len(cols)), (images[cols], cols)),
         shape=(basis.dimension, basis.dimension),
     )
     mat.sort_indices()
-    return mat
+    return SparseSymmetricOperator(basis, mat, basis.depth - 1)
 
 
 def left_regular(y: int, basis: TruncatedBasis) -> SparseSymmetricOperator:
     """Compression of left multiplication by generator y: |h> -> |g_y h>."""
-    s = basis.params.s
-    if not 1 <= y <= s:
-        raise InvalidGeneratorError(f"generator g{y} does not exist for s={s}")
-    images: list[int | None] = []
-    for w in basis.words:
-        lt = w.letters
-        if lt and lt[0] == y:
-            images.append(basis._index[lt[1:]])
-        else:
-            image = (y,) + lt
-            images.append(basis._index.get(image))  # None once past the cut
-    return SparseSymmetricOperator(basis, _shift_matrix(basis, images), basis.depth - 1)
+    return _shift_operator(basis, basis.left_images(y))
 
 
 def right_regular(x: int, basis: TruncatedBasis) -> SparseSymmetricOperator:
     """Compression of right multiplication by generator x: |h> -> |h g_x>."""
-    s = basis.params.s
-    if not 1 <= x <= s:
-        raise InvalidGeneratorError(f"generator g{x} does not exist for s={s}")
-    images: list[int | None] = []
-    for w in basis.words:
-        lt = w.letters
-        if lt and lt[-1] == x:
-            images.append(basis._index[lt[:-1]])
-        else:
-            images.append(basis._index.get(lt + (x,)))
-    return SparseSymmetricOperator(basis, _shift_matrix(basis, images), basis.depth - 1)
+    return _shift_operator(basis, basis.right_images(x))
 
 
 def generator_average(basis: TruncatedBasis) -> SparseSymmetricOperator:
@@ -270,70 +341,3 @@ def require_buffer(state_depth: int, basis_depth: int, steps: int) -> None:
             f"support depth {state_depth} at truncation depth {basis_depth} "
             f"leaves {max(remaining, 0)} exact steps; {steps} requested"
         )
-
-
-# --- plain-text coordinate serialization (debugging / interchange format) ---
-
-
-def _format_value(x: float) -> str:
-    return f"{x:.17g}"
-
-
-def save_operator_text(op: SparseSymmetricOperator, path) -> None:
-    """Write an operator as a header line "s N D" plus one triple per line."""
-    coo = op.matrix.tocoo()
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"{op.basis.params.s} {op.basis.depth} {op.basis.dimension}\n")
-        for r, c, v in zip(coo.row, coo.col, coo.data):
-            fh.write(f"{r} {c} {_format_value(v)}\n")
-
-
-def load_operator_text(
-    path, basis: TruncatedBasis | None = None, exactness_depth: int | None = None
-) -> SparseSymmetricOperator:
-    with open(path, encoding="ascii") as fh:
-        header = fh.readline().split()
-        if len(header) != 3:
-            raise ValueError("malformed operator header; expected 's N D'")
-        s, depth, dim = (int(t) for t in header)
-        if basis is None:
-            basis = build_basis(GroupParams(s), depth)
-        if (basis.params.s, basis.depth, basis.dimension) != (s, depth, dim):
-            raise ValueError("operator header does not match the supplied basis")
-        rows, cols, vals = [], [], []
-        for line in fh:
-            r, c, v = line.split()
-            rows.append(int(r))
-            cols.append(int(c))
-            vals.append(float(v))
-    mat = sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim))
-    mat.sort_indices()
-    if exactness_depth is None:
-        exactness_depth = depth - 1
-    return SparseSymmetricOperator(basis, mat, exactness_depth)
-
-
-def save_state_text(v: StateVector, path) -> None:
-    """Write a state as a header line "s N D" plus one "index value" per line."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"{v.basis.params.s} {v.basis.depth} {v.basis.dimension}\n")
-        for i, a in enumerate(v.amplitudes):
-            if a != 0.0:
-                fh.write(f"{i} {_format_value(a)}\n")
-
-
-def load_state_text(path, basis: TruncatedBasis | None = None) -> StateVector:
-    with open(path, encoding="ascii") as fh:
-        header = fh.readline().split()
-        if len(header) != 3:
-            raise ValueError("malformed state header; expected 's N D'")
-        s, depth, dim = (int(t) for t in header)
-        if basis is None:
-            basis = build_basis(GroupParams(s), depth)
-        if (basis.params.s, basis.depth, basis.dimension) != (s, depth, dim):
-            raise ValueError("state header does not match the supplied basis")
-        amps = np.zeros(dim)
-        for line in fh:
-            i, a = line.split()
-            amps[int(i)] = float(a)
-    return state_from_amplitudes(basis, amps)

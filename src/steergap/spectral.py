@@ -442,23 +442,15 @@ def matvec_walk_count(params: GroupParams, k: int, *, depth: int | None = None) 
         for _ in range(k):
             vec = adjacency @ vec
         return int(round(float(vec @ vec)))
-    neighbors: list[list[int]] = []
-    for w in basis.words:
-        lt = w.letters
-        nbr = []
-        for y in range(1, params.s + 1):
-            image = lt[1:] if lt and lt[0] == y else (y,) + lt
-            idx = basis._index.get(image)
-            if idx is not None:
-                nbr.append(idx)
-        neighbors.append(nbr)
-    vec_int = [0] * basis.dimension
+    # Exact big integers: object arrays, one scatter per generator.  Each
+    # left shift is injective, so no target repeats within a scatter.
+    images = [basis.left_images(y) for y in range(1, params.s + 1)]
+    vec_int = np.zeros(basis.dimension, dtype=object)
     vec_int[0] = 1
     for _ in range(k):
-        out = [0] * basis.dimension
-        for i, c in enumerate(vec_int):
-            if c:
-                for j in neighbors[i]:
-                    out[j] += c
+        out = np.zeros(basis.dimension, dtype=object)
+        for image in images:
+            inside = image >= 0
+            out[image[inside]] += vec_int[inside]
         vec_int = out
-    return sum(c * c for c in vec_int)
+    return int(np.dot(vec_int, vec_int))

@@ -468,11 +468,11 @@ def conjugation_identity_check(
     shifts = [left_regular(y, basis).matrix for y in range(1, s + 1)]
     # R_g for every basis word by peeling the first letter; the suffix of a
     # reduced word is reduced and shorter, hence already computed.
-    word_ops: list[np.ndarray] = [np.eye(d)]
-    for w in basis.words[1:]:
-        parent = basis._index[w.letters[1:]]
-        word_ops.append(strategy.observables[w.letters[0] - 1] @ word_ops[parent])
-    word_arr = np.stack(word_ops)  # (dim, d, d)
+    first, parent = basis.first_letters(), basis.suffixes()
+    word_arr = np.empty((dim, d, d))
+    word_arr[0] = np.eye(d)
+    for i in range(1, dim):
+        word_arr[i] = strategy.observables[first[i] - 1] @ word_arr[parent[i]]
 
     def conjugate(mat: np.ndarray, dagger: bool) -> np.ndarray:
         ops = word_arr if dagger else word_arr.transpose(0, 2, 1)

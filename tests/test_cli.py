@@ -1,8 +1,10 @@
 import json
 import math
+import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -124,6 +126,18 @@ def test_buffer_exhaustion_exits_2(capsys):
     _, err = run_lines(capsys)
     assert rc == 2
     assert "max exact steps: 4" in err
+
+
+def test_out_of_memory_exits_2(capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 1.2 GiB")
+
+    monkeypatch.setattr("steergap.cli.iterate_channel", exhausted)
+    rc = main(["heatvision", "--s", "3", "--depth", "4", "--steps", "2"])
+    _, err = run_lines(capsys)
+    assert rc == 2
+    assert err.startswith("error: ")
+    assert "out of memory" in err
 
 
 # --- steer ---
@@ -358,10 +372,14 @@ def test_zero_tolerance_negative_control(capsys):
 
 
 def test_console_entry_point():
+    # The child must import the package under test, installed or not.
+    src = str(Path(steergap.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "steergap", "--version"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert steergap.__version__ in proc.stdout

@@ -14,17 +14,14 @@ from steergap import (
     unit_state,
 )
 from steergap.errors import BufferExhaustedError, CapacityError
-from steergap.hilbert import (
-    StateVector,
-    load_operator_text,
-    load_state_text,
-    require_buffer,
-    save_operator_text,
-    save_state_text,
-    state_from_amplitudes,
-)
+from steergap.hilbert import StateVector, require_buffer, state_from_amplitudes
 
-from util import dense_left_shift, dense_right_shift, random_buffered_amplitudes
+from util import (
+    brute_words,
+    dense_left_shift,
+    dense_right_shift,
+    random_buffered_amplitudes,
+)
 
 
 @pytest.fixture(scope="module")
@@ -51,6 +48,26 @@ def test_basis_shells_and_lookup(basis3):
         basis3.index_of(Word((1, 2, 1, 2, 1)))
 
 
+@pytest.mark.parametrize("s", [2, 3, 4, 5])
+def test_index_arithmetic_matches_brute_order(s):
+    """Mixed-radix indices, suffixes and first letters against brute force."""
+    depth = 9 - s
+    basis = build_basis(GroupParams(s), depth)
+    words = sorted(brute_words(s, depth), key=lambda t: (len(t), t))
+    assert basis.dimension == len(words)
+    position = {t: i for i, t in enumerate(words)}
+    suffixes = basis.suffixes()
+    first = basis.first_letters()
+    assert (suffixes[0], first[0]) == (-1, 0)
+    for i, t in enumerate(words):
+        assert basis.index_of(Word(t)) == i
+        if t:
+            assert suffixes[i] == position[t[1:]]
+            assert first[i] == t[0]
+    with pytest.raises(ValueError):
+        basis.index_of(Word((s + 1,)))
+
+
 def test_basis_prefix_property():
     small = build_basis(GroupParams(3), 3)
     big = build_basis(GroupParams(3), 4)
@@ -62,7 +79,9 @@ def test_basis_cap():
         build_basis(GroupParams(5), 12, cap=10_000)
 
 
-@pytest.mark.parametrize("s,depth", [(2, 5), (3, 3), (4, 3)])
+@pytest.mark.parametrize(
+    "s,depth", [(2, 5), (2, 7), (3, 0), (3, 1), (3, 3), (4, 3), (5, 3)]
+)
 def test_left_shift_matches_definition(s, depth):
     basis = build_basis(GroupParams(s), depth)
     for y in range(1, s + 1):
@@ -71,7 +90,9 @@ def test_left_shift_matches_definition(s, depth):
         assert np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("s,depth", [(2, 5), (3, 3), (4, 3)])
+@pytest.mark.parametrize(
+    "s,depth", [(2, 5), (2, 7), (3, 0), (3, 1), (3, 3), (4, 3), (5, 3)]
+)
 def test_right_shift_matches_definition(s, depth):
     basis = build_basis(GroupParams(s), depth)
     for x in range(1, s + 1):
@@ -238,35 +259,3 @@ def test_density_uniform_mixture(basis3):
     rho.validate()
     assert rho.support_depth == 2
     assert rho.purity() == pytest.approx(1 / 3)
-
-
-def test_operator_text_roundtrip(tmp_path, basis3):
-    op = generator_average(basis3)
-    path = tmp_path / "omega.txt"
-    save_operator_text(op, path)
-    loaded = load_operator_text(path)
-    assert loaded.basis.dimension == basis3.dimension
-    assert loaded.exactness_depth == basis3.depth - 1
-    assert (loaded.matrix != op.matrix).nnz == 0
-    header = path.read_text().splitlines()[0]
-    assert header == f"3 4 {basis3.dimension}"
-
-
-def test_state_text_roundtrip(tmp_path, basis3):
-    rng = np.random.default_rng(3)
-    v = state_from_amplitudes(
-        basis3, random_buffered_amplitudes(rng, basis3, 3)
-    )
-    path = tmp_path / "state.txt"
-    save_state_text(v, path)
-    loaded = load_state_text(path, basis3)
-    assert np.array_equal(loaded.amplitudes, v.amplitudes)
-    assert loaded.support_depth == v.support_depth
-
-
-def test_operator_text_header_mismatch(tmp_path, basis3):
-    path = tmp_path / "omega.txt"
-    save_operator_text(generator_average(basis3), path)
-    other = build_basis(GroupParams(3), 3)
-    with pytest.raises(ValueError, match="header"):
-        load_operator_text(path, other)
