@@ -12,7 +12,7 @@ Usage:
 import argparse
 import pathlib
 
-from steergap import DensityMatrix, GroupParams, build_basis, iterate_channel, unit_state
+from steergap import IDENTITY, GroupParams, iterate_channel
 from steergap.serialize import csv_text
 
 
@@ -26,11 +26,7 @@ def main() -> None:
     args = ap.parse_args()
 
     depth = args.depth if args.depth is not None else args.steps + 1
-    params = GroupParams(args.s)
-    basis = build_basis(params, depth)
-    run = iterate_channel(
-        params, depth, args.steps, DensityMatrix.pure(unit_state(basis))
-    )
+    run = iterate_channel(GroupParams(args.s), depth, args.steps, [IDENTITY])
 
     print(f"s = {args.s}, truncation depth {depth}, envelope base "
           f"((1 + {run.fstar:.6f})/2)^2")

@@ -63,7 +63,6 @@ from .steering import (
 )
 from .heatvision import (
     ChannelRun,
-    channel_apply,
     iterate_channel,
     pure_purity_series,
     purity_bound,

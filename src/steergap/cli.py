@@ -19,7 +19,6 @@ from . import __version__
 from .errors import BufferExhaustedError, CapacityError, ConvergenceError
 from .freegroup import GroupParams, word_from_str
 from .heatvision import iterate_channel
-from .hilbert import DensityMatrix, build_basis, unit_state
 from .report import ReportSettings, run_report
 from .serialize import csv_text, json_dumps, run_meta, write_text
 from .spectral import analytic_norm, norm_sweep
@@ -260,16 +259,13 @@ def _cmd_steer_seesaw(args) -> int:
 
 
 def _cmd_heatvision(args) -> int:
-    params = GroupParams(args.s)
     words = [word_from_str(tok) for tok in args.state.split(",")]
-    basis = build_basis(params, args.depth)
     for w in words:
         if len(w) > args.depth:
             raise ValueError(
                 f"state word {w} has length {len(w)} beyond depth {args.depth}"
             )
-    rho0 = DensityMatrix.uniform_mixture([unit_state(basis, w) for w in words])
-    run = iterate_channel(params, args.depth, args.steps, rho0)
+    run = iterate_channel(GroupParams(args.s), args.depth, args.steps, words)
     if args.csv is not None:
         write_text(csv_text(["t", "purity", "bound", "ratio"], run.rows()), args.csv)
     if args.json is not None:

@@ -10,8 +10,11 @@ with per-step factor (1/2 + norm/2)^2 where norm = 2*sqrt(s-1)/s; at s = 2
 the factor is 1 and nothing is certified, which is exactly the boundary
 where the tensor/commuting separation closes.
 
-Everything here runs on the truncated word space, so each channel step
-consumes one shell of buffer; runs past the buffer raise instead of
+Right shifts permute basis words, so a mixture of basis words stays one:
+``iterate_channel`` runs its probability vector over the D words as a lazy
+walk (purity is the squared norm), limited by the word cap, not by D^2.
+``pure_purity_series`` walks left multipliers for a general pure input.
+Each step consumes one shell of buffer; runs past it raise instead of
 silently returning truncation artifacts.
 """
 
@@ -22,9 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BufferExhaustedError, CapacityError, ConvergenceError
-from .freegroup import GroupParams, ball_size
+from .freegroup import GroupParams, Word, ball_size
 from .hilbert import (
-    DensityMatrix,
     StateVector,
     TruncatedBasis,
     build_basis,
@@ -55,14 +57,23 @@ def _apply_once(matrix: np.ndarray, shifts: list, s: int) -> np.ndarray:
     return out
 
 
-def channel_apply(rho: DensityMatrix, params: GroupParams) -> DensityMatrix:
-    """One exact channel step; costs one shell of truncation buffer."""
-    if rho.basis.params != params:
-        raise ValueError("state and parameters disagree on s")
-    require_buffer(rho.support_depth, rho.basis.depth, 1)
-    shifts = _right_shifts(rho.basis)
-    out = _apply_once(rho.matrix, shifts, params.s)
-    return DensityMatrix(rho.basis, out, rho.support_depth + 1)
+def _lazy_walk(images: list[np.ndarray], weights: np.ndarray, steps: int):
+    """Yield the weights after each step: half stays, 1/(2s) goes to each image.
+
+    ``images[x - 1][i]`` is the image of word i under generator x, -1 past the
+    cut; reaching the cut means the buffer contract broke, so it raises.
+    """
+    neighbor = np.stack(images, axis=1)
+    for t in range(1, steps + 1):
+        nxt = 0.5 * weights
+        live = weights != 0.0
+        targets = neighbor[live]
+        if np.any(targets < 0):
+            raise RuntimeError(f"weight walked off the ball at step {t}")
+        # Unbuffered, in (word, generator) order: the same sums as a loop.
+        np.add.at(nxt, targets, (weights[live] / (2.0 * len(images)))[:, None])
+        weights = nxt
+        yield weights
 
 
 @dataclass
@@ -93,19 +104,23 @@ def iterate_channel(
     params: GroupParams,
     depth: int,
     steps: int,
-    rho0: DensityMatrix,
+    words: list[Word],
     fstar: float | None = None,
 ) -> ChannelRun:
     """Run ``steps`` exact channel applications, tracking purity vs bound.
 
-    Refuses to run past the truncation buffer.  Trace and symmetry are
-    checked every step; the purity envelope is checked as an internal
-    consistency invariant and a violation means the truncation contract
-    broke, so it raises rather than returning bad data.
+    The input is the uniform mixture of |w><w| over ``words``, a repeated
+    word counting with its multiplicity.  Refuses to run past the truncation
+    buffer.  The trace is checked every step; the purity envelope is checked
+    as an internal consistency invariant and a violation means the
+    truncation contract broke, so it raises rather than returning bad data.
     """
-    if rho0.basis.params != params or rho0.basis.depth != depth:
-        raise ValueError("initial state does not live on the requested space")
-    k0 = rho0.support_depth
+    if not words:
+        raise ValueError("mixture of zero states")
+    basis = build_basis(params, depth)
+    index = [basis.index_of(w) for w in words]
+    weights = np.bincount(index, minlength=basis.dimension) / len(words)
+    k0 = max(len(w) for w in words)
     exact_through = depth - k0
     if steps > exact_through:
         raise BufferExhaustedError(
@@ -114,19 +129,14 @@ def iterate_channel(
         )
     if fstar is None:
         fstar = analytic_norm(params.s)
-    shifts = _right_shifts(rho0.basis)
-    matrix = rho0.matrix
-    purities = [float(np.sum(matrix * matrix))]
+    purities = [float(weights @ weights)]
     bounds = [1.0]
-    for t in range(1, steps + 1):
-        matrix = _apply_once(matrix, shifts, params.s)
-        trace = float(np.trace(matrix))
+    images = [basis.right_images(x) for x in range(1, params.s + 1)]
+    for t, weights in enumerate(_lazy_walk(images, weights, steps), start=1):
+        trace = float(np.sum(weights))
         if abs(trace - 1.0) > 1e-10:
             raise RuntimeError(f"trace drifted to {trace!r} at step {t}")
-        asym = float(np.max(np.abs(matrix - matrix.T)))
-        if asym > 1e-10:
-            raise RuntimeError(f"symmetry broke by {asym!r} at step {t}")
-        p = float(np.sum(matrix * matrix))
+        p = float(weights @ weights)
         b = purity_bound(params.s, t, fstar=fstar)
         if p > b + 1e-9:
             raise RuntimeError(
@@ -207,8 +217,8 @@ def pure_purity_series(
     copies sum_w c_w(t) |R_w psi><R_w psi|, where the weights follow a lazy
     random walk on the ball of reduced words.  Purity is then a weighted sum
     of squared overlaps of the branch vectors.  Exact under the same buffer
-    condition as the dense route, but with memory D * ball(steps) instead of
-    D^2 — the cross-check that keeps the dense path honest at larger depths.
+    condition as ``iterate_channel``, with memory D * ball(steps); for a
+    mixture of basis words ``iterate_channel`` is the cheaper route.
     """
     if state.basis.params != params or state.basis.depth != depth:
         raise ValueError("state does not live on the requested space")
@@ -227,20 +237,10 @@ def pure_purity_series(
         vectors[i] = shifts[first[i] - 1] @ vectors[parent[i]]
     gram = vectors @ vectors.T
     gram2 = gram * gram
-    # Left-multiplication neighbors inside the ball, for the weight walk:
-    # row i lists the images of word i under g_1..g_s.
-    neighbor = np.stack([ball.left_images(x) for x in range(1, s + 1)], axis=1)
+    images = [ball.left_images(x) for x in range(1, s + 1)]
     weights = np.zeros(nwords)
     weights[0] = 1.0
     series = [float(weights @ gram2 @ weights)]
-    for t in range(1, steps + 1):
-        nxt = 0.5 * weights.copy()
-        live = weights != 0.0
-        targets = neighbor[live]
-        if np.any(targets < 0):
-            raise RuntimeError(f"weight walked off the ball at step {t}")
-        # Unbuffered, in (word, generator) order: the same sums as a loop.
-        np.add.at(nxt, targets, (weights[live] / (2.0 * s))[:, None])
-        weights = nxt
+    for weights in _lazy_walk(images, weights, steps):
         series.append(float(weights @ gram2 @ weights))
     return series

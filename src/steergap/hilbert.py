@@ -198,13 +198,16 @@ class SparseSymmetricOperator:
 
 
 def _shift_operator(basis: TruncatedBasis, images: np.ndarray) -> SparseSymmetricOperator:
-    """The 0/1 operator sending each basis vector to its image (0 past the cut)."""
-    cols = np.flatnonzero(images >= 0)
+    """The 0/1 operator sending each basis vector to its image (0 past the cut).
+
+    Shifts are symmetric partial permutations: row i is one 1 at images[i].
+    """
+    valid = images >= 0
+    indptr = np.concatenate(([0], np.cumsum(valid))).astype(np.int32)
     mat = sp.csr_matrix(
-        (np.ones(len(cols)), (images[cols], cols)),
+        (np.ones(int(indptr[-1])), images[valid].astype(np.int32), indptr),
         shape=(basis.dimension, basis.dimension),
     )
-    mat.sort_indices()
     return SparseSymmetricOperator(basis, mat, basis.depth - 1)
 
 

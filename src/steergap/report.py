@@ -14,13 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .freegroup import GroupParams
+from .freegroup import IDENTITY, GroupParams
 from .heatvision import (
     iterate_channel,
     purity_bound,
     superoperator_norm_estimate,
 )
-from .hilbert import DensityMatrix, StateVector, build_basis, unit_state
+from .hilbert import StateVector, build_basis
 from .spectral import (
     analytic_norm,
     closed_walk_moment,
@@ -342,9 +342,7 @@ def criterion_heat_vision(settings: ReportSettings) -> CriterionResult:
     """8: purity decays under its envelope; superoperator norm climbs to it."""
     scale = settings.tolerance_scale
     params = GroupParams(3)
-    basis = build_basis(params, settings.heat_depth)
-    rho0 = DensityMatrix.pure(unit_state(basis))
-    run = iterate_channel(params, settings.heat_depth, settings.heat_steps, rho0)
+    run = iterate_channel(params, settings.heat_depth, settings.heat_steps, [IDENTITY])
     problems = []
     for t, p in enumerate(run.purity_series):
         if p > purity_bound(3, t) + 1e-9 * scale:

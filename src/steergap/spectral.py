@@ -422,7 +422,9 @@ def matvec_walk_count(params: GroupParams, k: int, *, depth: int | None = None) 
     Uses the compressed shift operators on a depth-k basis, where the count
     is exact.  Float64 matvecs are exact integer arithmetic as long as every
     intermediate stays below 2^52; beyond that the routine falls back to
-    pure-Python big integers.
+    pure-Python big integers.  That route needs s^(2k) >= 2^52, so for
+    s >= 4 it starts at k >= 13, whose ball is over the word cap: only
+    s <= 3 ever reaches it, and larger s raise ``CapacityError``.
     """
     if k < 0:
         raise ValueError("half-length must be nonnegative")

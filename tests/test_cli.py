@@ -128,6 +128,14 @@ def test_buffer_exhaustion_exits_2(capsys):
     assert "max exact steps: 4" in err
 
 
+def test_heatvision_word_cap_exits_2(capsys):
+    # The depth-20 ball at s=3 holds 3 145 726 words, over the 2M word cap.
+    rc = main(["heatvision", "--s", "3", "--depth", "20", "--steps", "9", "--state", "e"])
+    _, err = run_lines(capsys)
+    assert rc == 2
+    assert "exceeds cap" in err
+
+
 def test_out_of_memory_exits_2(capsys, monkeypatch):
     def exhausted(*args, **kwargs):
         raise MemoryError("Unable to allocate 1.2 GiB")

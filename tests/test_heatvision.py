@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from steergap import (
+    IDENTITY,
     DensityMatrix,
     GroupParams,
     build_basis,
-    channel_apply,
     estimate_norm,
     iterate_channel,
     pure_purity_series,
@@ -16,6 +16,7 @@ from steergap import (
     superoperator_norm_estimate,
     tensor_bound,
     unit_state,
+    word_from_str,
 )
 from steergap.errors import BufferExhaustedError, CapacityError, ConvergenceError
 from steergap.hilbert import right_regular, state_from_amplitudes
@@ -44,28 +45,65 @@ def lazy_walk_second_moment(s: int, steps: int) -> Fraction:
     return sum(c * c for c in weights.values())
 
 
+def dense_step(matrix: np.ndarray, basis) -> np.ndarray:
+    """One channel step on a dense density matrix: the oracle for the engine."""
+    s = basis.params.s
+    out = 0.5 * matrix
+    for x in range(1, s + 1):
+        sh = right_regular(x, basis).matrix.toarray()
+        out = out + sh @ matrix @ sh.T / (2 * s)
+    return out
+
+
+def dense_purity_series(rho: DensityMatrix, steps: int) -> list[float]:
+    matrix = rho.matrix
+    series = [float(np.sum(matrix * matrix))]
+    for _ in range(steps):
+        matrix = dense_step(matrix, rho.basis)
+        series.append(float(np.sum(matrix * matrix)))
+    return series
+
+
 def test_step_one_purity_closed_form():
     for s in (2, 3, 5, 10):
         assert lazy_walk_second_moment(s, 1) == Fraction(s + 1, 4 * s)
-        run = iterate_channel(
-            GroupParams(s), 3, 1, DensityMatrix.pure(unit_state(build_basis(GroupParams(s), 3)))
-        )
+        run = iterate_channel(GroupParams(s), 3, 1, [IDENTITY])
         assert run.purity_series[1] == pytest.approx(0.25 + 1.0 / (4 * s), abs=1e-15)
 
 
 def test_dense_series_matches_exact_walk():
     params = GroupParams(3)
     basis = build_basis(params, 7)
-    run = iterate_channel(params, 7, 6, DensityMatrix.pure(unit_state(basis)))
-    for t, p in enumerate(run.purity_series):
+    run = iterate_channel(params, 7, 6, [IDENTITY])
+    dense = dense_purity_series(DensityMatrix.pure(unit_state(basis)), 6)
+    for t, (p, d) in enumerate(zip(run.purity_series, dense)):
         exact = float(lazy_walk_second_moment(3, t))
-        assert p == pytest.approx(exact, abs=1e-12)
+        assert p == pytest.approx(exact, abs=1e-15)
+        assert d == pytest.approx(exact, abs=1e-12)
+
+
+def test_deep_series_matches_exact_walk():
+    """Depth 13 at s = 3 has 24 574 words; a dense state would take 4.8 GB."""
+    run = iterate_channel(GroupParams(3), 13, 12, [IDENTITY])
+    for t, p in enumerate(run.purity_series):
+        assert abs(p - float(lazy_walk_second_moment(3, t))) <= 1e-15
+
+
+@pytest.mark.parametrize("s", [2, 3, 4, 5])
+def test_word_mixture_matches_dense_channel(s):
+    """Repeated words count with their multiplicity, as in the dense mixture."""
+    params = GroupParams(s)
+    basis = build_basis(params, 4)
+    for tokens in (["g1", "g1", "g2"], ["e", "g1.g2", f"g{s}", f"g{s}"]):
+        words = [word_from_str(tok) for tok in tokens]
+        run = iterate_channel(params, 4, 2, words)
+        rho = DensityMatrix.uniform_mixture([unit_state(basis, w) for w in words])
+        assert np.allclose(run.purity_series, dense_purity_series(rho, 2), rtol=0, atol=1e-15)
 
 
 def test_purity_strictly_decreasing_and_bounded():
     params = GroupParams(4)
-    basis = build_basis(params, 5)
-    run = iterate_channel(params, 5, 4, DensityMatrix.pure(unit_state(basis)))
+    run = iterate_channel(params, 5, 4, [IDENTITY])
     for a, b in zip(run.purity_series, run.purity_series[1:]):
         assert b < a
     for p, env in zip(run.purity_series, run.bound_series):
@@ -76,18 +114,13 @@ def test_purity_strictly_decreasing_and_bounded():
 
 def test_bound_series_is_geometric():
     factor = ((1.0 + tensor_bound(3)) / 2.0) ** 2
-    run = iterate_channel(
-        GroupParams(3), 5, 4, DensityMatrix.pure(unit_state(build_basis(GroupParams(3), 5)))
-    )
+    run = iterate_channel(GroupParams(3), 5, 4, [IDENTITY])
     for t, env in enumerate(run.bound_series):
         assert env == pytest.approx(factor**t, rel=1e-15)
 
 
 def test_s2_bound_is_vacuous_but_decay_still_happens():
-    params = GroupParams(2)
-    run = iterate_channel(
-        params, 6, 5, DensityMatrix.pure(unit_state(build_basis(params, 6)))
-    )
+    run = iterate_channel(GroupParams(2), 6, 5, [IDENTITY])
     assert all(env == 1.0 for env in run.bound_series)
     assert run.purity_series[-1] < 0.2
 
@@ -107,7 +140,7 @@ def test_kraus_form_matches_mixing_form():
     rng = np.random.default_rng(3)
     amps = random_buffered_amplitudes(rng, basis, 2)
     rho = DensityMatrix.pure(state_from_amplitudes(basis, amps))
-    out = channel_apply(rho, params).matrix
+    out = dense_step(rho.matrix, basis)
     shifts = [right_regular(x, basis).matrix.toarray() for x in range(1, 4)]
     via_kraus = np.zeros_like(out)
     for sh in shifts:
@@ -123,45 +156,32 @@ def test_channel_preserves_density_properties():
     rng = np.random.default_rng(9)
     for trial in range(20):
         amps = random_buffered_amplitudes(rng, basis, 2)
-        rho = DensityMatrix.pure(state_from_amplitudes(basis, amps))
+        matrix = DensityMatrix.pure(state_from_amplitudes(basis, amps)).matrix
         for _ in range(3):
-            rho = channel_apply(rho, params)
-        rho.validate(check_spectrum=True)
-        assert rho.support_depth == 5
-
-
-def test_channel_step_buffer_guard():
-    params = GroupParams(3)
-    basis = build_basis(params, 3)
-    rho = DensityMatrix.pure(unit_state(basis))
-    for _ in range(3):
-        rho = channel_apply(rho, params)
-    with pytest.raises(BufferExhaustedError, match="0 exact steps"):
-        channel_apply(rho, params)
+            matrix = dense_step(matrix, basis)
+        DensityMatrix(basis, matrix, 5).validate(check_spectrum=True)
 
 
 def test_iterate_channel_refuses_overlong_runs():
-    params = GroupParams(3)
-    basis = build_basis(params, 4)
-    rho = DensityMatrix.pure(unit_state(basis))
     with pytest.raises(BufferExhaustedError, match="max exact steps: 4"):
-        iterate_channel(params, 4, 5, rho)
+        iterate_channel(GroupParams(3), 4, 5, [IDENTITY])
+    with pytest.raises(BufferExhaustedError, match="max exact steps: 2"):
+        iterate_channel(GroupParams(3), 4, 3, [IDENTITY, word_from_str("g1.g2")])
 
 
 def test_iterate_channel_rejects_mismatched_state():
     params = GroupParams(3)
-    rho = DensityMatrix.pure(unit_state(build_basis(params, 4)))
-    with pytest.raises(ValueError, match="requested space"):
-        iterate_channel(params, 5, 2, rho)
-    with pytest.raises(ValueError, match="requested space"):
-        iterate_channel(GroupParams(4), 4, 2, rho)
+    with pytest.raises(ValueError, match="depth-4 basis"):
+        iterate_channel(params, 4, 0, [word_from_str("g1.g2.g3.g1.g2")])
+    with pytest.raises(ValueError, match="depth-4 basis"):
+        iterate_channel(params, 4, 2, [IDENTITY, word_from_str("g4")])
+    with pytest.raises(ValueError, match="zero states"):
+        iterate_channel(params, 4, 2, [])
 
 
 def test_run_rows_report_ratio():
     params = GroupParams(5)
-    run = iterate_channel(
-        params, 4, 3, DensityMatrix.pure(unit_state(build_basis(params, 4)))
-    )
+    run = iterate_channel(params, 4, 3, [IDENTITY])
     rows = list(run.rows())
     assert len(rows) == 4
     for t, p, env, ratio in rows:
@@ -177,8 +197,8 @@ def test_pure_series_matches_dense_channel():
         amps = random_buffered_amplitudes(rng, basis, 2)
         state = state_from_amplitudes(basis, amps)
         lean = pure_purity_series(params, 6, 4, state)
-        dense = iterate_channel(params, 6, 4, DensityMatrix.pure(state))
-        assert np.allclose(lean, dense.purity_series, atol=1e-12)
+        dense = dense_purity_series(DensityMatrix.pure(state), 4)
+        assert np.allclose(lean, dense, atol=1e-12)
 
 
 def test_pure_series_buffer_guard():

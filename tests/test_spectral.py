@@ -293,6 +293,13 @@ def test_matvec_count_bignum_fallback():
     assert got == closed_walk_moment(GroupParams(2), 26).walk_count
 
 
+def test_matvec_count_bignum_route_is_capped_for_s4():
+    # At s=4 the big-integer route starts at k=13, whose depth-13 ball of
+    # 3 188 645 words is over the word cap.
+    with pytest.raises(CapacityError, match="3188645 words exceeds cap"):
+        matvec_walk_count(GroupParams(4), 13)
+
+
 def test_moment_root_frozen_value():
     """24th root of the k=12 moment at s=3, pinned by the exact count."""
     rec = closed_walk_moment(GroupParams(3), 12)
