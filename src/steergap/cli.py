@@ -88,7 +88,6 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     seesaw.add_argument("--restarts", type=int, default=20)
     seesaw.add_argument("--max-iter", type=int, default=100)
     seesaw.add_argument("--tol", type=float, default=1e-11)
-    seesaw.add_argument("--dim-cap", type=int, default=4000)
     seesaw.add_argument("--seed", type=int, default=0)
     seesaw.add_argument("--json", default="-")
     seesaw.add_argument("--config", default=None)
@@ -187,10 +186,9 @@ def _config_echo(args: argparse.Namespace) -> dict:
     }
 
 
-def _document(args: argparse.Namespace, result: dict) -> str:
-    return json_dumps(
-        {"config": _config_echo(args), "result": result, "meta": run_meta(__version__)}
-    )
+def _document(args: argparse.Namespace, result: dict, **extra_meta) -> str:
+    meta = {**run_meta(__version__), **extra_meta}
+    return json_dumps({"config": _config_echo(args), "result": result, "meta": meta})
 
 
 def _cmd_norm(args) -> int:
@@ -252,9 +250,11 @@ def _cmd_steer_seesaw(args) -> int:
         max_iter=args.max_iter,
         tol=args.tol,
         seed=args.seed,
-        dim_cap=args.dim_cap,
     )
-    write_text(_document(args, result.to_json_dict()), args.json)
+    restarts = [{"f": h[-1], "iterations": len(h)} for h in result.restart_histories]
+    diagnostics = {"stationary": result.stationary, "restarts": restarts}
+    doc = _document(args, result.to_json_dict(), diagnostics=diagnostics)
+    write_text(doc, args.json)
     return 0
 
 

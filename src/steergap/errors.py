@@ -5,6 +5,10 @@ The command-line driver maps these onto exit codes: configuration errors
 so does running out of memory (the built-in ``MemoryError``).
 """
 
+#: Largest single allocation, checked before it is made.  It admits every
+#: Lanczos run within the word cap: 200 Krylov vectors of 2M words take 3.2 GB.
+MEMORY_BUDGET = 4 * 2**30
+
 
 class CapacityError(RuntimeError):
     """A requested computation exceeds a configured size cap."""
@@ -20,6 +24,15 @@ class ConvergenceError(RuntimeError):
     def __init__(self, message: str, residual: float | None = None):
         super().__init__(message)
         self.residual = residual
+
+
+def require_bytes(nbytes: int, what: str) -> None:
+    """Raise ``CapacityError`` if allocating ``nbytes`` for ``what`` is over budget."""
+    if nbytes > MEMORY_BUDGET:
+        raise CapacityError(
+            f"{what} needs {nbytes / 2**30:.1f} GiB, "
+            f"over the {MEMORY_BUDGET >> 30} GiB budget"
+        )
 
 
 class BufferExhaustedError(RuntimeError):

@@ -31,7 +31,7 @@ from fractions import Fraction
 import numpy as np
 import scipy.linalg
 
-from .errors import CapacityError, ConvergenceError
+from .errors import CapacityError, ConvergenceError, require_bytes
 from .freegroup import DEFAULT_WORD_CAP, GroupParams, ball_size, count_words
 from .hilbert import (
     SparseSymmetricOperator,
@@ -100,17 +100,20 @@ def _tridiagonal_matvec(b: np.ndarray):
     return matvec
 
 
-def _lanczos_extremal(matvec, dim, rng, tol, krylov):
+def _lanczos_extremal(matvec, dim, rng, tol, krylov=DEFAULT_KRYLOV, v0=None):
     """Extremal eigenpair by Lanczos with full reorthogonalization.
 
     Returns (most_positive_value, its_vector, extremal_abs_value,
     iterations, residual).  For the spectra handled here the most positive
     and largest-magnitude eigenvalues coincide, but both are reported so the
-    caller does not have to assume that.
+    caller does not have to assume that.  The start vector is ``v0`` if
+    given (then ``rng`` is unused), so the top Ritz value is at least its
+    Rayleigh quotient; otherwise it is random.
     """
     m = min(krylov, dim)
-    q = rng.standard_normal(dim)
-    q /= np.linalg.norm(q)
+    require_bytes(8 * m * dim, f"Lanczos Krylov basis of {m} x {dim} float64")
+    q = rng.standard_normal(dim) if v0 is None else np.asarray(v0, dtype=float)
+    q = q / np.linalg.norm(q)
     basis = np.zeros((m, dim))
     alphas: list[float] = []
     betas: list[float] = []

@@ -12,6 +12,10 @@ compared:
   no such strategy can beat 2*sqrt(s-1)/s, and an alternating seesaw
   optimizer saturates the compressed-operator value from below.
 
+Tables are built from the correlators <1>, <A_x>, <B_y>, <A_x B_y>, and
+Bob's shifts act only through the ``left_images`` index arrays: for a tensor
+state stored as a d_A x D array psi, psi S_y is a column gather.
+
 A strategy is "violating" when its f exceeds the tensor bound, which for
 s >= 3 certifies that no tensor-product model reproduces it.
 """
@@ -21,26 +25,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
-from .errors import CapacityError
 from .freegroup import DEFAULT_WORD_CAP, GroupParams
-from .hilbert import (
-    TruncatedBasis,
-    build_basis,
-    left_regular,
-    right_regular,
-    unit_state,
-)
-from .spectral import analytic_norm, extremal_eigenpair
+from .hilbert import TruncatedBasis, build_basis, unit_state
+from .spectral import _lanczos_extremal, analytic_norm, extremal_eigenpair
 
 OUTCOMES = (1, -1)
 
 #: A strategy "violates" when f exceeds the tensor bound by more than this.
 VIOLATION_TOL = 1e-9
-
-#: Default cap on the total dimension d_A * D handled densely.
-DEFAULT_DIM_CAP = 4000
 
 
 def tensor_bound(s: int) -> float:
@@ -104,24 +97,36 @@ def steering_functional(table: ProbabilityTable) -> float:
     return sum(table.correlator(y, y) for y in range(1, table.s + 1)) / table.s
 
 
-class BobMeasurements:
-    """The fixed projective effects (1 + b * left-shift_y)/2 on a basis."""
+def _table_from_correlators(norm, alice, bob, joint) -> ProbabilityTable:
+    """P(a,b|x,y) = (<1> + a<A_x> + b<B_y> + ab<A_x B_y>)/4.
 
-    def __init__(self, basis: TruncatedBasis):
-        self.basis = basis
-        self.shifts = [
-            left_regular(y, basis).matrix for y in range(1, basis.params.s + 1)
-        ]
-        self._identity = sp.identity(basis.dimension, format="csr")
-        self._effects: dict[tuple[int, int], sp.csr_matrix] = {}
+    ``norm`` is the state's own <1>, so ``validate`` rejects an unnormalized state.
+    """
+    a = np.array(OUTCOMES, dtype=float)[:, None, None, None]
+    b = a.reshape(1, 2, 1, 1)
+    values = 0.25 * (norm + a * alice[:, None] + b * bob[None, :] + a * b * joint)
+    return ProbabilityTable(s=len(alice), values=values)
 
-    def effect(self, y: int, b: int) -> sp.csr_matrix:
-        key = (y, b)
-        if key not in self._effects:
-            self._effects[key] = (
-                (self._identity + b * self.shifts[y - 1]) * 0.5
-            ).tocsr()
-        return self._effects[key]
+
+def _left_image_stack(basis: TruncatedBasis) -> np.ndarray:
+    """``left_images(y)`` for y = 1..s as rows of one (s, D) array."""
+    return np.stack([basis.left_images(y) for y in range(1, basis.params.s + 1)])
+
+
+def _shifted(psi: np.ndarray, images: np.ndarray) -> np.ndarray:
+    """psi S_y for a (d, D) array psi and each row of ``images``: (d, s, D).
+
+    A compressed shift is symmetric with row i holding a single 1 at
+    images[i], so column i of psi S_y is column images[i] of psi.  Index -1
+    (past the cut) lands on an appended zero column.
+    """
+    padded = np.concatenate([psi, np.zeros((psi.shape[0], 1))], axis=1)
+    return padded[:, images]
+
+
+def _bob_contractions(psi: np.ndarray, images: np.ndarray) -> np.ndarray:
+    """M_y = psi S_y psi^T = Tr_B((1 tensor S_y)|psi><psi|) for every y: (s, d, d)."""
+    return np.tensordot(_shifted(psi, images), psi, axes=([2], [1])).transpose(1, 0, 2)
 
 
 @dataclass(eq=False)
@@ -129,7 +134,7 @@ class StrategyResult:
     """Outcome of evaluating or optimizing one strategy.
 
     ``objective_history`` and ``restart_histories`` are diagnostics from the
-    seesaw optimizer; they are not part of the serialized record.
+    seesaw optimizer; they are not part of the serialized ``result``.
     """
 
     s: int
@@ -185,8 +190,6 @@ class CommutingStrategy:
     """Alice right-shifts, Bob left-shifts, shared state the identity word."""
 
     basis: TruncatedBasis
-    alice_shifts: list[sp.csr_matrix]
-    bob: BobMeasurements
 
     @classmethod
     def build(cls, params: GroupParams, depth: int = 2) -> "CommutingStrategy":
@@ -194,25 +197,24 @@ class CommutingStrategy:
             raise ValueError(
                 "depth must be ≥ 2 so one application per party stays exact"
             )
-        basis = build_basis(params, depth)
-        alice = [right_regular(x, basis).matrix for x in range(1, params.s + 1)]
-        return cls(basis=basis, alice_shifts=alice, bob=BobMeasurements(basis))
+        return cls(basis=build_basis(params, depth))
 
 
 def probability_table_commuting(strategy: CommutingStrategy) -> ProbabilityTable:
-    """P(a,b|x,y) = <e| (1 + a R_x)/2 (1 + b S_y)/2 |e> evaluated literally."""
+    """P(a,b|x,y) from <e| R_x S_y |e> and the marginals, applied literally.
+
+    (S_y v)[i] = v[left_images(y)[i]] and (R_x v)[i] = v[right_images(x)[i]];
+    a trailing pad (amplitude 0, index -1) makes images past the cut read 0.
+    """
     basis = strategy.basis
     s = basis.params.s
-    e = unit_state(basis).amplitudes
-    values = np.zeros((2, 2, s, s))
-    for y in range(1, s + 1):
-        for jb, b in enumerate(OUTCOMES):
-            w = strategy.bob.effect(y, b) @ e
-            for x in range(1, s + 1):
-                u = strategy.alice_shifts[x - 1] @ w
-                for ja, a in enumerate(OUTCOMES):
-                    values[ja, jb, x - 1, y - 1] = 0.5 * (e @ w + a * (e @ u))
-    return ProbabilityTable(s=s, values=values)
+    e = np.append(unit_state(basis).amplitudes, 0.0)
+    left = [np.append(basis.left_images(y), -1) for y in range(1, s + 1)]
+    right = [np.append(basis.right_images(x), -1) for x in range(1, s + 1)]
+    alice = np.array([e @ e[r] for r in right])
+    bob = np.array([e @ e[lt] for lt in left])
+    joint = np.array([[e @ e[lt][r] for lt in left] for r in right])
+    return _table_from_correlators(e @ e, alice, bob, joint)
 
 
 def commuting_strategy_result(
@@ -263,45 +265,36 @@ class TensorStrategy:
             raise ValueError("state must be a vector or a square matrix")
 
 
-def probability_table_tensor(
-    strategy: TensorStrategy, *, bob: BobMeasurements | None = None
-) -> ProbabilityTable:
-    """P(a,b|x,y) = <E^a_x tensor F^b_y> in the strategy's state."""
+def probability_table_tensor(strategy: TensorStrategy) -> ProbabilityTable:
+    """P(a,b|x,y) = <E^a_x tensor F^b_y> in the strategy's state.
+
+    Both state kinds reduce to G = Tr_B(rho) and K_y = Tr_B((1 tensor S_y) rho)
+    on Alice's side: <1> = tr G, <A_x> = <A_x, G>, <B_y> = tr K_y and
+    <A_x B_y> = <A_x, K_y>.  For a density matrix K_y sums the entries
+    rho[(a, images_y[j]), (b, j)] over the words j whose image is inside the cut.
+    """
     basis = strategy.basis
-    s = basis.params.s
     d = strategy.alice_dim
     dim = basis.dimension
-    if bob is None:
-        bob = BobMeasurements(basis)
-    elif bob.basis is not basis:
-        raise ValueError("basis mismatch between strategy and Bob measurements")
-    eye = np.eye(d)
-    values = np.zeros((2, 2, s, s))
+    images = _left_image_stack(basis)
     if strategy.state.ndim == 1:
         psi = strategy.state.reshape(d, dim)
-        for y in range(1, s + 1):
-            for jb, b in enumerate(OUTCOMES):
-                right = (bob.effect(y, b) @ psi.T).T  # psi (1 tensor F)
-                for x in range(1, s + 1):
-                    ex = 0.5 * (eye + strategy.observables[x - 1])
-                    full = float(np.sum(psi * (ex @ right)))
-                    comp = float(np.sum(psi * right)) - full
-                    values[0, jb, x - 1, y - 1] = full
-                    values[1, jb, x - 1, y - 1] = comp
+        gram = psi @ psi.T
+        bob_side = _bob_contractions(psi, images)
     else:
         sigma = strategy.state.reshape(d, dim, d, dim)
-        for x in range(1, s + 1):
-            for ja, a in enumerate(OUTCOMES):
-                ex = 0.5 * (eye + a * strategy.observables[x - 1])
-                # Partial trace of (E tensor 1) sigma over Alice.
-                reduced = np.einsum("ikjl,ji->kl", sigma, ex)
-                for y in range(1, s + 1):
-                    for jb, b in enumerate(OUTCOMES):
-                        f = bob.effect(y, b)
-                        values[ja, jb, x - 1, y - 1] = float(
-                            f.multiply(reduced).sum()
-                        )
-    return ProbabilityTable(s=s, values=values)
+        gram = np.einsum("ajbj->ab", sigma)
+        bob_side = np.empty((len(images), d, d))
+        for y, image in enumerate(images):
+            j = np.flatnonzero(image >= 0)
+            bob_side[y] = sigma[:, image[j], :, j].sum(axis=0)
+    alice_obs = np.stack(strategy.observables)
+    return _table_from_correlators(
+        np.trace(gram),
+        np.einsum("xab,ab->x", alice_obs, gram),
+        np.einsum("yaa->y", bob_side),
+        np.einsum("xab,yab->xy", alice_obs, bob_side),
+    )
 
 
 def lhs_optimal_strategy(
@@ -338,6 +331,13 @@ def random_dichotomic(rng: np.random.Generator, dim: int) -> np.ndarray:
     return (q * signs) @ q.T
 
 
+def _sign_observables(psi: np.ndarray, images: np.ndarray) -> np.ndarray:
+    """Best observables for a fixed state: the matrix sign of each M_y."""
+    m = _bob_contractions(psi, images)
+    w, u = np.linalg.eigh(0.5 * (m + m.transpose(0, 2, 1)))
+    return (u * np.where(w >= 0.0, 1.0, -1.0)[:, None, :]) @ u.transpose(0, 2, 1)
+
+
 def seesaw_tensor_optimize(
     params: GroupParams,
     alice_dim: int,
@@ -347,16 +347,24 @@ def seesaw_tensor_optimize(
     max_iter: int = 100,
     tol: float = 1e-11,
     seed: int = 0,
-    dim_cap: int = DEFAULT_DIM_CAP,
 ) -> StrategyResult:
     """Alternating optimization of f over tensor strategies.
 
-    Fix the observables and take the extremal eigenvector of
+    Fix the observables and take the top eigenvector of
     (1/s) sum_y R_y tensor S_y as the state; fix the state and set each
-    R_y to the matrix sign of its contraction with Bob's shift.  Both steps
-    can only increase the objective, so each run's history is monotone; the
-    best run over all restarts is returned.  Runs that fail to go
-    stationary within ``max_iter`` are flagged, not failed.
+    R_y to the matrix sign of its contraction with Bob's shift.  Each
+    R_y tensor S_y anticommutes with 1 tensor (-1)^|w|, so the spectrum is
+    symmetric about zero and the most positive eigenvalue is the extremal
+    one; no sign flip is needed.  The operator acts matrix-free on the state
+    as a d_A x D array, and each state step is a Lanczos run started from the
+    previous state, so its Ritz value is at least the objective the
+    observable step reached.  Both steps can only increase the objective, so
+    each run's history is monotone; the best run over all restarts is
+    returned.  The optimum is the compressed norm lambda_N for every d_A,
+    since the conjugation identity strips Alice out.  ``tol`` is both the
+    stationarity tolerance on the objective and the Lanczos residual
+    tolerance.  Runs that fail to go stationary within ``max_iter`` are
+    flagged, not failed.
     """
     if alice_dim < 1:
         raise ValueError("alice_dim must be ≥ 1")
@@ -365,45 +373,30 @@ def seesaw_tensor_optimize(
     basis = build_basis(params, bob_depth)
     s = params.s
     dim = basis.dimension
-    total = alice_dim * dim
-    if total > dim_cap:
-        raise CapacityError(
-            f"seesaw dimension {alice_dim} x {dim} = {total} exceeds cap {dim_cap}"
-        )
-    shifts = [left_regular(y, basis).matrix.toarray() for y in range(1, s + 1)]
+    images = _left_image_stack(basis)
+
+    def state_step(obs, rng, psi):
+        def matvec(v):  # (R_y tensor S_y) psi = R_y psi S_y
+            shifted = _shifted(v.reshape(alice_dim, dim), images)
+            return np.tensordot(obs, shifted, axes=([0, 2], [1, 0])).ravel() / s
+
+        v0 = None if psi is None else psi.ravel()
+        lam, vec, *_ = _lanczos_extremal(matvec, alice_dim * dim, rng, tol, v0=v0)
+        return lam, (vec / np.linalg.norm(vec)).reshape(alice_dim, dim)
+
     master = np.random.SeedSequence(seed)
-    best: tuple[float, list[np.ndarray], np.ndarray, list[float], bool] | None = None
+    best: tuple[float, np.ndarray, np.ndarray, list[float], bool] | None = None
     histories: list[list[float]] = []
     for child in master.spawn(restarts):
         rng = np.random.default_rng(child)
-        obs = [random_dichotomic(rng, alice_dim) for _ in range(s)]
+        obs = np.stack([random_dichotomic(rng, alice_dim) for _ in range(s)])
         history: list[float] = []
         psi = None
         stationary = False
         for _ in range(max_iter):
-            m = np.zeros((total, total))
-            for r, sh in zip(obs, shifts):
-                m += np.kron(r, sh)
-            m /= s
-            vals, vecs = np.linalg.eigh(m)
-            i_ext = int(np.argmax(np.abs(vals)))
-            lam = float(vals[i_ext])
-            if lam < 0.0:
-                # Flipping every observable negates the operator without
-                # changing the strategy class; the eigenvector carries over.
-                obs = [-r for r in obs]
-                lam = -lam
-            psi = vecs[:, i_ext]
+            lam, psi = state_step(obs, rng, psi)
             history.append(lam)
-            psi_mat = psi.reshape(alice_dim, dim)
-            new_obs = []
-            for sh in shifts:
-                my = psi_mat @ sh @ psi_mat.T
-                my = 0.5 * (my + my.T)
-                w, u = np.linalg.eigh(my)
-                signs = np.where(w >= 0.0, 1.0, -1.0)
-                new_obs.append((u * signs) @ u.T)
-            obs = new_obs
+            obs = _sign_observables(psi, images)
             if len(history) >= 3 and abs(history[-1] - history[-3]) < tol:
                 stationary = True
                 break
@@ -413,20 +406,10 @@ def seesaw_tensor_optimize(
     assert best is not None
     _, obs, psi, history, stationary = best
     # One final state step so the reported state matches the reported
-    # observables exactly.  The eigenvector from before the sign flip is
-    # kept: flipping every observable negates the operator, turning the
-    # extremal negative pair into the extremal positive one.
-    m = np.zeros((total, total))
-    for r, sh in zip(obs, shifts):
-        m += np.kron(r, sh)
-    m /= s
-    vals, vecs = np.linalg.eigh(m)
-    i_ext = int(np.argmax(np.abs(vals)))
-    if vals[i_ext] < 0.0:
-        obs = [-r for r in obs]
-    psi = vecs[:, i_ext]
+    # observables exactly.
+    _, psi = state_step(obs, None, psi)
     strategy = TensorStrategy(
-        alice_dim=alice_dim, observables=obs, basis=basis, state=psi
+        alice_dim=alice_dim, observables=list(obs), basis=basis, state=psi.ravel()
     )
     table = probability_table_tensor(strategy)
     return _result(
@@ -465,7 +448,7 @@ def conjugation_identity_check(
     d = strategy.alice_dim
     s = basis.params.s
     dim = basis.dimension
-    shifts = [left_regular(y, basis).matrix for y in range(1, s + 1)]
+    images = _left_image_stack(basis)
     # R_g for every basis word by peeling the first letter; the suffix of a
     # reduced word is reduced and shorter, hence already computed.
     first, parent = basis.first_letters(), basis.suffixes()
@@ -480,9 +463,9 @@ def conjugation_identity_check(
 
     def averaged(mat: np.ndarray, with_alice: bool) -> np.ndarray:
         acc = np.zeros_like(mat)
-        for r, sh in zip(strategy.observables, shifts):
-            term = (sh @ mat.T).T
-            acc += (r @ term) if with_alice else term
+        shifted = _shifted(mat, images)
+        for y, r in enumerate(strategy.observables):
+            acc += (r @ shifted[:, y]) if with_alice else shifted[:, y]
         return acc / s
 
     rng = np.random.default_rng(seed)

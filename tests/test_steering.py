@@ -21,12 +21,42 @@ from steergap import (
     tensor_bound,
 )
 from steergap.errors import CapacityError
+from steergap.hilbert import left_regular
 from steergap.steering import (
     VIOLATION_TOL,
-    BobMeasurements,
     random_dichotomic,
     random_tensor_strategy,
 )
+
+
+def dense_bob_effects(basis):
+    """Bob's effects (1 ± S_y)/2 as dense matrices, indexed [y - 1][b index]."""
+    eye = np.eye(basis.dimension)
+    effects = []
+    for y in range(1, basis.params.s + 1):
+        shift = left_regular(y, basis).matrix.toarray()
+        effects.append([0.5 * (eye + b * shift) for b in (1, -1)])
+    return effects
+
+
+def literal_table(strategy):
+    """P(a,b|x,y) = <E^a_x ⊗ F^b_y> with every effect a dense Kronecker product."""
+    s = strategy.basis.params.s
+    d = strategy.alice_dim
+    bob = dense_bob_effects(strategy.basis)
+    state = strategy.state
+    values = np.zeros((2, 2, s, s))
+    for x in range(1, s + 1):
+        for ja, a in enumerate((1, -1)):
+            alice = 0.5 * (np.eye(d) + a * strategy.observables[x - 1])
+            for y in range(1, s + 1):
+                for jb in range(2):
+                    op = np.kron(alice, bob[y - 1][jb])
+                    if state.ndim == 1:
+                        values[ja, jb, x - 1, y - 1] = state @ op @ state
+                    else:
+                        values[ja, jb, x - 1, y - 1] = np.sum(op * state.T)
+    return values
 
 
 def test_tensor_bound_values():
@@ -40,10 +70,7 @@ def test_bob_effects_are_buffered_projectors():
     on vectors supported one shell inside the truncation."""
     basis = build_basis(GroupParams(3), 3)
     inner = basis.prefix_dimension(basis.depth - 1)
-    bob = BobMeasurements(basis)
-    for y in (1, 2, 3):
-        plus = bob.effect(y, 1).toarray()
-        minus = bob.effect(y, -1).toarray()
+    for plus, minus in dense_bob_effects(basis):
         assert np.allclose(plus + minus, np.eye(basis.dimension))
         assert np.allclose((plus @ plus)[:, :inner], plus[:, :inner], atol=1e-15)
         assert np.allclose((plus @ minus)[:, :inner], 0.0, atol=1e-15)
@@ -146,12 +173,12 @@ def test_tensor_product_state_factorizes():
     strat.validate()
     table = probability_table_tensor(strat)
     table.validate(1e-12)
-    bobm = BobMeasurements(basis)
+    bob = dense_bob_effects(basis)
     for x in range(1, 4):
         ex = 0.5 * (np.eye(2) + obs[x - 1])
         pa = float(alice_vec @ ex @ alice_vec)
         for y in range(1, 4):
-            pb = float(bob_vec @ (bobm.effect(y, 1) @ bob_vec))
+            pb = float(bob_vec @ bob[y - 1][0] @ bob_vec)
             assert table.prob(1, 1, x, y) == pytest.approx(pa * pb, abs=1e-12)
 
 
@@ -169,6 +196,32 @@ def test_tensor_matrix_state_matches_vector_state():
     t1 = probability_table_tensor(pure)
     t2 = probability_table_tensor(dense)
     assert np.allclose(t1.values, t2.values, atol=1e-12)
+
+
+@pytest.mark.parametrize("s", [2, 3, 4, 5])
+@pytest.mark.parametrize("alice_dim", [1, 2, 3])
+@pytest.mark.parametrize("mixed", [False, True])
+def test_tensor_table_matches_literal_oracle(s, alice_dim, mixed):
+    rng = np.random.default_rng(100 * s + 10 * alice_dim + mixed)
+    for depth in (2, 3):
+        strat = random_tensor_strategy(
+            GroupParams(s), alice_dim, depth, rng, mixed=mixed
+        )
+        got = probability_table_tensor(strat).values
+        assert np.max(np.abs(got - literal_table(strat))) <= 1e-14
+
+
+def test_unnormalized_states_fail_validation():
+    """The <1> term is the state's own norm, so scaling the state shows."""
+    params = GroupParams(3)
+    rng = np.random.default_rng(5)
+    pure = random_tensor_strategy(params, 2, 2, rng)
+    pure.state = pure.state * math.sqrt(2.0)
+    mixed = random_tensor_strategy(params, 2, 2, rng, mixed=True)
+    mixed.state = 2.0 * mixed.state
+    for strat in (pure, mixed):
+        with pytest.raises(ValueError, match="total probability"):
+            probability_table_tensor(strat).validate()
 
 
 def test_tensor_strategy_validation():
@@ -241,9 +294,22 @@ def test_seesaw_deterministic_given_seed():
     assert np.array_equal(a.table.values, b.table.values)
 
 
+@pytest.mark.parametrize(
+    "s, alice_dim, depth", [(3, 1, 4), (3, 3, 3), (3, 8, 5), (4, 4, 4)]
+)
+def test_seesaw_value_is_compressed_norm(s, alice_dim, depth):
+    """Alice's dimension cannot help: the seesaw optimum is lambda_N."""
+    params = GroupParams(s)
+    res = seesaw_tensor_optimize(params, alice_dim, depth, restarts=3, seed=1)
+    target = estimate_norm(params, depth, representation="sparse").estimated_norm
+    assert abs(res.f_s - target) <= 1e-9
+
+
 def test_seesaw_dimension_cap():
-    with pytest.raises(CapacityError, match="exceeds cap"):
-        seesaw_tensor_optimize(GroupParams(3), 8, 5, dim_cap=500)
+    # d_A * D = 100 * 49 150 at s=3, N=14: a 200-vector Krylov basis would
+    # take 7.9 GB, so the byte guard refuses before anything is allocated.
+    with pytest.raises(CapacityError, match="Krylov basis"):
+        seesaw_tensor_optimize(GroupParams(3), 100, 14)
 
 
 def test_seesaw_trivial_alice_matches_lhs():
