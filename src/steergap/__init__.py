@@ -66,6 +66,6 @@ from .heatvision import (
     iterate_channel,
     pure_purity_series,
     purity_bound,
-    superoperator_norm_estimate,
+    superoperator_norm,
 )
 from .report import CriterionResult, ReportSettings, run_report

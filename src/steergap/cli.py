@@ -48,11 +48,6 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     norm.required_options = ["--s", "--depth-max"]
     norm.add_argument("--depth-min", type=int, default=1)
     norm.add_argument(
-        "--method",
-        choices=["lanczos", "power-on-square"],
-        default="lanczos",
-    )
-    norm.add_argument(
         "--representation", choices=["auto", "sparse", "radial"], default="auto"
     )
     norm.add_argument("--tol", type=float, default=1e-10)
@@ -200,7 +195,6 @@ def _cmd_norm(args) -> int:
         tol=args.tol,
         max_iter=args.max_iter,
         seed=args.seed,
-        method=args.method,
         representation=args.representation,
     )
     rows = [
@@ -215,7 +209,6 @@ def _cmd_norm(args) -> int:
     if args.json is not None:
         result = {
             "s": args.s,
-            "method": args.method,
             "analytic_bound": analytic_norm(args.s),
             "final_estimate": sweep[-1].estimated_norm,
             "final_gap": sweep[-1].gap,

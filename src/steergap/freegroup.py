@@ -98,8 +98,16 @@ def count_words(params: GroupParams, k: int) -> int:
 
 
 def ball_size(params: GroupParams, depth: int) -> int:
-    """Number of reduced words of length at most ``depth``."""
-    return sum(count_words(params, k) for k in range(depth + 1))
+    """Number of reduced words of length at most ``depth``, in closed form.
+
+    Summing ``count_words`` over the shells gives 1 + 2N at s = 2 and the
+    geometric sum 1 + s((s-1)^N - 1)/(s-2) otherwise.
+    """
+    count_words(params, depth)  # the same length checks and cap
+    s = params.s
+    if s == 2:
+        return 1 + 2 * depth
+    return 1 + s * ((s - 1) ** depth - 1) // (s - 2)
 
 
 def capped_ball_size(

@@ -16,6 +16,11 @@ walk (purity is the squared norm), limited by the word cap, not by D^2.
 ``pure_purity_series`` walks left multipliers for a general pure input.
 Each step consumes one shell of buffer; runs past it raise instead of
 silently returning truncation artifacts.
+
+The truncated channel, as a superoperator, acts as (1/2)I + (1/2s) sum_x
+R_x (x) R_x, and its top eigenvalue is (1 + lambda_N)/2 with lambda_N the
+compressed norm, so ``superoperator_norm`` reads it off the exact radial
+solve.
 """
 
 from __future__ import annotations
@@ -24,18 +29,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BufferExhaustedError, CapacityError, ConvergenceError
-from .freegroup import GroupParams, Word, ball_size
-from .hilbert import (
-    StateVector,
-    TruncatedBasis,
-    build_basis,
-    require_buffer,
-    right_regular,
-)
-from .spectral import analytic_norm
-
-DEFAULT_SUPEROP_DIM_CAP = 60
+from .errors import BufferExhaustedError
+from .freegroup import GroupParams, Word
+from .hilbert import StateVector, build_basis, require_buffer
+from .spectral import analytic_norm, radial_top_eigenvalue
 
 
 def purity_bound(s: int, steps: int, *, fstar: float | None = None) -> float:
@@ -43,18 +40,6 @@ def purity_bound(s: int, steps: int, *, fstar: float | None = None) -> float:
     if fstar is None:
         fstar = analytic_norm(s)
     return ((1.0 + fstar) / 2.0) ** (2 * steps)
-
-
-def _right_shifts(basis: TruncatedBasis) -> list:
-    return [right_regular(x, basis).matrix for x in range(1, basis.params.s + 1)]
-
-
-def _apply_once(matrix: np.ndarray, shifts: list, s: int) -> np.ndarray:
-    out = 0.5 * matrix
-    for sh in shifts:
-        half = sh @ matrix
-        out += (1.0 / (2.0 * s)) * (sh @ half.T).T
-    return out
 
 
 def _lazy_walk(images: list[np.ndarray], weights: np.ndarray, steps: int):
@@ -159,50 +144,15 @@ def iterate_channel(
     )
 
 
-def superoperator_norm_estimate(
-    params: GroupParams,
-    depth: int,
-    *,
-    tol: float = 1e-8,
-    max_iter: int = 50_000,
-    seed: int = 0,
-    dim_cap: int = DEFAULT_SUPEROP_DIM_CAP,
-) -> float:
-    """Largest singular value of the truncated channel superoperator.
+def superoperator_norm(params: GroupParams, depth: int) -> float:
+    """Top eigenvalue of the truncated channel superoperator: (1 + lambda_N)/2.
 
-    Power iteration on matrices under the Frobenius inner product.  The
-    superoperator is symmetric and positive semidefinite (each term is a
-    symmetric conjugation averaged with the identity), so plain power
-    iteration converges and the returned Rayleigh quotient approaches the
-    top value from below.  As the depth grows it climbs toward
-    (1 + 2*sqrt(s-1)/s)/2.
+    Conjugation by R_x acts on matrices as R_x (x) R_x, so the superoperator
+    is (1/2)I + (1/2s) sum_x R_x (x) R_x, whose top eigenvalue is half of one
+    plus that of the compressed average, the exact lambda_N of the shell
+    tridiagonal.  As the depth grows it climbs toward (1 + 2*sqrt(s-1)/s)/2.
     """
-    dim = ball_size(params, depth)
-    if dim > dim_cap:
-        raise CapacityError(
-            f"superoperator on a {dim}-dimensional space exceeds cap {dim_cap}"
-        )
-    basis = build_basis(params, depth)
-    shifts = _right_shifts(basis)
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal((dim, dim))
-    x /= np.linalg.norm(x)
-    residual = np.inf
-    for _ in range(max_iter):
-        y = _apply_once(x, shifts, params.s)
-        rayleigh = float(np.sum(x * y))
-        residual = float(np.linalg.norm(y - rayleigh * x))
-        nrm = float(np.linalg.norm(y))
-        if nrm == 0.0:
-            raise ConvergenceError("superoperator iteration collapsed", residual)
-        x = y / nrm
-        if residual <= tol:
-            return rayleigh
-    raise ConvergenceError(
-        f"superoperator iteration did not reach tolerance {tol:g} in "
-        f"{max_iter} iterations (residual {residual:.3g})",
-        residual=residual,
-    )
+    return (1.0 + radial_top_eigenvalue(params.s, depth)[0]) / 2.0
 
 
 def pure_purity_series(
@@ -227,14 +177,17 @@ def pure_purity_series(
     basis = state.basis
     ball = build_basis(params, steps)
     nwords = ball.dimension
-    shifts = _right_shifts(basis)
+    right = np.stack([basis.right_images(x) for x in range(1, s + 1)])
     # Branch vector for word w = l1 l2... is R_{l1} applied to the branch of
     # the suffix; (length, lex) order guarantees the suffix comes earlier.
+    # (R_x v)[i] = v[right_images(x)[i]], and index -1 (past the cut) reads
+    # the trailing zero column.
     first, parent = ball.first_letters(), ball.suffixes()
-    vectors = np.zeros((nwords, basis.dimension))
-    vectors[0] = state.amplitudes
+    padded = np.zeros((nwords, basis.dimension + 1))
+    padded[0, :-1] = state.amplitudes
     for i in range(1, nwords):
-        vectors[i] = shifts[first[i] - 1] @ vectors[parent[i]]
+        padded[i, :-1] = padded[parent[i], right[first[i] - 1]]
+    vectors = padded[:, :-1]
     gram = vectors @ vectors.T
     gram2 = gram * gram
     images = [ball.left_images(x) for x in range(1, s + 1)]

@@ -153,6 +153,13 @@ class TruncatedBasis:
         grown = np.where(length < self.depth, grown, -1)
         return np.where(self._first == y, self.suffixes(), grown)
 
+    @cached_property
+    def left_image_stack(self) -> np.ndarray:
+        """``left_images(y)`` for y = 1..s as rows of one read-only (s, D) array."""
+        stack = np.stack([self.left_images(y) for y in range(1, self.params.s + 1)])
+        stack.flags.writeable = False
+        return stack
+
     def right_images(self, x: int) -> np.ndarray:
         """Index of w g_x for every basis word w; -1 past the cut.
 

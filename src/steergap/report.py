@@ -18,7 +18,7 @@ from .freegroup import IDENTITY, GroupParams
 from .heatvision import (
     iterate_channel,
     purity_bound,
-    superoperator_norm_estimate,
+    superoperator_norm,
 )
 from .hilbert import StateVector, build_basis
 from .spectral import (
@@ -355,8 +355,7 @@ def criterion_heat_vision(settings: ReportSettings) -> CriterionResult:
             problems.append(f"t={t}: purity not strictly decreasing")
     target = 0.5 + analytic_norm(3) / 2.0
     sups = [
-        superoperator_norm_estimate(params, n, seed=settings.seed)
-        for n in range(1, settings.superop_depth_max + 1)
+        superoperator_norm(params, n) for n in range(1, settings.superop_depth_max + 1)
     ]
     for a, b in zip(sups, sups[1:]):
         if b < a:

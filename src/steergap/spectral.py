@@ -8,18 +8,14 @@ The target value is 2*sqrt(s-1)/s.  Two independent routes pin it down:
 * exact integer counts of closed walks on the s-regular tree, whose
   normalized 2k-th moments recover the same norm as a limit of 2k-th roots.
 
-The truncated ball is bipartite (words of even/odd length), so the spectrum
-is symmetric about zero and plain power iteration would oscillate between
-the +norm and -norm eigenvectors.  Power iteration therefore runs on the
-*square* of the operator; the Lanczos route handles the symmetry natively
-but needs full reorthogonalization to keep the Krylov basis honest.
-
-Large truncations never need the full word basis: the top eigenvector is
-constant on length shells (the operator commutes with the root-fixing tree
-automorphisms and is irreducible on nonnegative vectors), and on
-shell-constant vectors the operator acts as an (N+1)-point tridiagonal
-matrix.  The ``radial`` representation exploits this; ``sparse`` builds the
-full compressed matrix; ``auto`` switches on basis size.
+The top eigenvector of the compressed operator is constant on length
+shells (the operator commutes with the root-fixing tree automorphisms and is
+irreducible on nonnegative vectors), and on shell-constant vectors the
+operator acts as the (N+1)-point tridiagonal matrix T_N.  The ``radial``
+representation solves T_N exactly with LAPACK's tridiagonal eigensolver, at
+any depth; ``sparse`` builds the full compressed matrix and runs Lanczos
+with full reorthogonalization on it, which cross-checks the reduction;
+``auto`` switches on basis size.
 """
 
 from __future__ import annotations
@@ -51,7 +47,6 @@ RADIAL_THRESHOLD = 200_000
 MAX_WALK_HALF_LENGTH = 64
 
 DEFAULT_KRYLOV = 200
-DEFAULT_POWER_ITERATIONS = 50_000
 
 
 def analytic_norm(s: int) -> float:
@@ -69,7 +64,6 @@ class NormEstimate:
     analytic_bound: float
     iterations: int
     residual: float
-    method: str
     representation: str
 
     @property
@@ -90,14 +84,22 @@ def radial_offdiagonal(s: int, depth: int) -> np.ndarray:
     return b
 
 
-def _tridiagonal_matvec(b: np.ndarray):
-    def matvec(x: np.ndarray) -> np.ndarray:
-        y = np.zeros_like(x)
-        y[:-1] += b * x[1:]
-        y[1:] += b * x[:-1]
-        return y
+def radial_top_eigenvalue(s: int, depth: int) -> tuple[float, float]:
+    """Top eigenvalue lambda_N of the shell tridiagonal T_N, with its residual.
 
-    return matvec
+    Exact up to rounding at any depth: LAPACK bisection picks the largest of
+    the N+1 eigenvalues and inverse iteration gives its vector v, whose
+    residual ||T_N v - lambda_N v|| is returned alongside.
+    """
+    b = radial_offdiagonal(s, depth)
+    values, vectors = scipy.linalg.eigh_tridiagonal(
+        np.zeros(depth + 1), b, select="i", select_range=(depth, depth)
+    )
+    value, v = float(values[0]), vectors[:, 0]
+    tv = np.zeros_like(v)
+    tv[:-1] = b * v[1:]
+    tv[1:] += b * v[:-1]
+    return value, float(np.linalg.norm(tv - value * v))
 
 
 def _lanczos_extremal(matvec, dim, rng, tol, krylov=DEFAULT_KRYLOV, v0=None):
@@ -165,35 +167,9 @@ def _lanczos_extremal(matvec, dim, rng, tol, krylov=DEFAULT_KRYLOV, v0=None):
     )
 
 
-def _power_on_square(matvec, dim, rng, tol, max_iter):
-    """Largest |eigenvalue| via power iteration on the squared operator."""
-    v = rng.standard_normal(dim)
-    v /= np.linalg.norm(v)
-    estimate = 0.0
-    residual = math.inf
-    for it in range(1, max_iter + 1):
-        w = matvec(matvec(v))
-        theta = float(v @ w)
-        residual = float(np.linalg.norm(w - theta * v))
-        estimate = math.sqrt(max(theta, 0.0))
-        nrm = float(np.linalg.norm(w))
-        if nrm == 0.0:
-            raise ConvergenceError(
-                "power iteration collapsed to the null space", residual=residual
-            )
-        v = w / nrm
-        if residual <= tol:
-            return estimate, v, it, residual
-    raise ConvergenceError(
-        f"power iteration did not reach tolerance {tol:g} in {max_iter} "
-        f"iterations (residual {residual:.3g})",
-        residual=residual,
-    )
-
-
-def _resolve_representation(representation: str, dim: int, threshold: int) -> str:
+def _resolve_representation(representation: str, dim: int) -> str:
     if representation == "auto":
-        return "sparse" if dim <= threshold else "radial"
+        return "sparse" if dim <= RADIAL_THRESHOLD else "radial"
     if representation not in ("sparse", "radial"):
         raise ValueError(f"unknown representation {representation!r}")
     return representation
@@ -206,42 +182,29 @@ def estimate_norm(
     tol: float = 1e-10,
     max_iter: int | None = None,
     seed: int = 0,
-    method: str = "lanczos",
     representation: str = "auto",
     cap: int = DEFAULT_WORD_CAP,
-    radial_threshold: int = RADIAL_THRESHOLD,
 ) -> NormEstimate:
     """Estimate the norm of the averaged shift compressed to depth ``depth``.
 
-    The estimates are Rayleigh/Ritz values, so they approach the true
-    compressed eigenvalue from below and never exceed the analytic norm.
+    Exact on ``radial``, where ``iterations`` is the dimension N+1 of T_N.
+    On ``sparse`` the estimate is a Lanczos Ritz value with Krylov budget
+    ``max_iter``, so it approaches the compressed eigenvalue from below and
+    never exceeds the analytic norm.
     """
     if depth < 1:
         raise ValueError("depth must be ≥ 1")
-    dim = ball_size(params, depth)
-    rep = _resolve_representation(representation, dim, radial_threshold)
+    rep = _resolve_representation(representation, ball_size(params, depth))
     if rep == "sparse":
         basis = build_basis(params, depth, cap=cap)
         matrix = generator_average(basis).matrix
-        matvec = matrix.__matmul__
-        work_dim = basis.dimension
-    else:
-        b = radial_offdiagonal(params.s, depth)
-        matvec = _tridiagonal_matvec(b)
-        work_dim = depth + 1
-    rng = np.random.default_rng(seed)
-    if method == "lanczos":
         budget = DEFAULT_KRYLOV if max_iter is None else max_iter
         _, _, value, iterations, residual = _lanczos_extremal(
-            matvec, work_dim, rng, tol, budget
-        )
-    elif method == "power-on-square":
-        budget = DEFAULT_POWER_ITERATIONS if max_iter is None else max_iter
-        value, _, iterations, residual = _power_on_square(
-            matvec, work_dim, rng, tol, budget
+            matrix.__matmul__, basis.dimension, np.random.default_rng(seed), tol, budget
         )
     else:
-        raise ValueError(f"unknown method {method!r}")
+        value, residual = radial_top_eigenvalue(params.s, depth)
+        iterations = depth + 1
     return NormEstimate(
         s=params.s,
         depth=depth,
@@ -249,7 +212,6 @@ def estimate_norm(
         analytic_bound=analytic_norm(params.s),
         iterations=iterations,
         residual=residual,
-        method=method,
         representation=rep,
     )
 

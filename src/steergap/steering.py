@@ -59,12 +59,6 @@ class ProbabilityTable:
         v = self.values[:, :, x - 1, y - 1]
         return float(v[0, 0] - v[0, 1] - v[1, 0] + v[1, 1])
 
-    def alice_marginal(self, a: int, x: int, y: int) -> float:
-        return float(np.sum(self.values[OUTCOMES.index(a), :, x - 1, y - 1]))
-
-    def bob_marginal(self, b: int, x: int, y: int) -> float:
-        return float(np.sum(self.values[:, OUTCOMES.index(b), x - 1, y - 1]))
-
     def validate(self, tol: float = 1e-10) -> None:
         """Raise ValueError unless nonnegative, normalized, and no-signaling."""
         if self.values.shape != (2, 2, self.s, self.s):
@@ -106,11 +100,6 @@ def _table_from_correlators(norm, alice, bob, joint) -> ProbabilityTable:
     b = a.reshape(1, 2, 1, 1)
     values = 0.25 * (norm + a * alice[:, None] + b * bob[None, :] + a * b * joint)
     return ProbabilityTable(s=len(alice), values=values)
-
-
-def _left_image_stack(basis: TruncatedBasis) -> np.ndarray:
-    """``left_images(y)`` for y = 1..s as rows of one (s, D) array."""
-    return np.stack([basis.left_images(y) for y in range(1, basis.params.s + 1)])
 
 
 def _shifted(psi: np.ndarray, images: np.ndarray) -> np.ndarray:
@@ -276,7 +265,7 @@ def probability_table_tensor(strategy: TensorStrategy) -> ProbabilityTable:
     basis = strategy.basis
     d = strategy.alice_dim
     dim = basis.dimension
-    images = _left_image_stack(basis)
+    images = basis.left_image_stack
     if strategy.state.ndim == 1:
         psi = strategy.state.reshape(d, dim)
         gram = psi @ psi.T
@@ -373,7 +362,7 @@ def seesaw_tensor_optimize(
     basis = build_basis(params, bob_depth)
     s = params.s
     dim = basis.dimension
-    images = _left_image_stack(basis)
+    images = basis.left_image_stack
 
     def state_step(obs, rng, psi):
         def matvec(v):  # (R_y tensor S_y) psi = R_y psi S_y
@@ -448,7 +437,7 @@ def conjugation_identity_check(
     d = strategy.alice_dim
     s = basis.params.s
     dim = basis.dimension
-    images = _left_image_stack(basis)
+    images = basis.left_image_stack
     # R_g for every basis word by peeling the first letter; the suffix of a
     # reduced word is reduced and shorter, hence already computed.
     first, parent = basis.first_letters(), basis.suffixes()

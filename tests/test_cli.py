@@ -62,6 +62,7 @@ def test_norm_writes_csv_and_json(tmp_path):
         assert float(gap) == entry["gap"]
     assert doc["result"]["final_estimate"] == estimates[-1]["estimate"]
     assert doc["result"]["final_gap"] == estimates[-1]["gap"]
+    assert "method" not in doc["result"]
 
 
 def test_norm_defaults_to_stdout(capsys):
@@ -82,6 +83,17 @@ def test_norm_json_is_deterministic_outside_meta(tmp_path):
     second = path.read_text()
     # identical bytes through config and result; only meta carries a timestamp
     assert first.split('"meta"')[0] == second.split('"meta"')[0]
+
+
+def test_norm_radial_runs_past_the_krylov_budget(capsys):
+    # T_N has N + 1 = 201 points, more than the 200-vector Lanczos budget.
+    rc = main(["norm", "--s", "3", "--depth-min", "200", "--depth-max", "200",
+               "--representation", "radial"])
+    out, _ = run_lines(capsys)
+    assert rc == 0
+    n, _, _, gap, iters = out[1].split(",")
+    assert (int(n), int(iters)) == (200, 201)
+    assert float(gap) > 0.0
 
 
 # --- exit codes ---

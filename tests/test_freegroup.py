@@ -15,7 +15,7 @@ from steergap import (
     word_to_str,
 )
 from steergap.errors import CapacityError
-from steergap.freegroup import ball_size
+from steergap.freegroup import MAX_COUNT_LENGTH, ball_size
 
 from util import brute_words, stack_reduce
 
@@ -179,6 +179,12 @@ def test_ball_size_closed_form():
             assert ball_size(GroupParams(s), depth) == closed
     for depth in range(8):
         assert ball_size(GroupParams(2), depth) == 2 * depth + 1
+    for s in range(2, 7):
+        for depth in range(31):
+            shells = sum(count_words(GroupParams(s), k) for k in range(depth + 1))
+            assert ball_size(GroupParams(s), depth) == shells
+    with pytest.raises(CapacityError):
+        ball_size(GroupParams(3), MAX_COUNT_LENGTH + 1)
 
 
 def test_word_serialization_roundtrip():

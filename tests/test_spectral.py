@@ -19,6 +19,7 @@ from steergap import (
     tightness_vector,
     unit_state,
 )
+from steergap import spectral
 from steergap.errors import CapacityError, ConvergenceError
 from steergap.hilbert import StateVector, apply, right_regular
 from steergap.spectral import (
@@ -38,13 +39,12 @@ def test_analytic_norm_values():
         analytic_norm(1)
 
 
-@pytest.mark.parametrize("method", ["lanczos", "power-on-square"])
-def test_estimate_matches_dense_eigenvalue(method):
+def test_estimate_matches_dense_eigenvalue():
     params = GroupParams(3)
     basis = build_basis(params, 4)
     dense = generator_average(basis).matrix.toarray()
     top = float(np.max(np.abs(np.linalg.eigvalsh(dense))))
-    est = estimate_norm(params, 4, method=method, seed=5)
+    est = estimate_norm(params, 4, seed=5)
     assert est.estimated_norm == pytest.approx(top, abs=1e-8)
     assert est.representation == "sparse"
 
@@ -63,11 +63,29 @@ def test_radial_offdiagonal_values():
     assert np.allclose(b[1:], math.sqrt(2) / 3)
 
 
-def test_auto_representation_switches():
-    est = estimate_norm(GroupParams(3), 5, radial_threshold=10)
+def test_auto_representation_switches(monkeypatch):
+    monkeypatch.setattr(spectral, "RADIAL_THRESHOLD", 10)
+    est = estimate_norm(GroupParams(3), 5)
     assert est.representation == "radial"
-    est2 = estimate_norm(GroupParams(3), 5, radial_threshold=10**6)
+    monkeypatch.setattr(spectral, "RADIAL_THRESHOLD", 10**6)
+    est2 = estimate_norm(GroupParams(3), 5)
     assert est2.representation == "sparse"
+
+
+def test_radial_route_is_exact_at_any_depth():
+    # lambda_N approaches f* from below as f* - lambda_N ~ f* pi^2 / (2 N^2):
+    # the top eigenvector of T_N is a half-sine over the N+1 shells.
+    fstar = analytic_norm(3)
+    values = []
+    for depth in (200, 1000, 100_000):
+        est = estimate_norm(GroupParams(3), depth)
+        assert est.representation == "radial"
+        assert est.iterations == depth + 1
+        assert est.residual < 1e-12
+        values.append(est.estimated_norm)
+    assert values[0] < values[1] < values[2] < fstar
+    n = 100_000
+    assert abs(n * n * (fstar - values[2]) - fstar * math.pi**2 / 2) < 1e-2
 
 
 def test_sweep_monotone_and_below_bound():
@@ -93,13 +111,14 @@ def test_s2_deep_sweep_tight():
 
 def test_convergence_error_carries_residual():
     with pytest.raises(ConvergenceError) as err:
-        estimate_norm(GroupParams(3), 8, method="power-on-square", max_iter=2)
+        estimate_norm(GroupParams(3), 8, representation="sparse", max_iter=2)
     assert err.value.residual is not None and err.value.residual > 0.0
 
 
 def test_unknown_method_and_representation():
-    with pytest.raises(ValueError):
-        estimate_norm(GroupParams(3), 3, method="gradient")
+    # The radial solve is exact, so there is no method left to choose.
+    with pytest.raises(TypeError):
+        estimate_norm(GroupParams(3), 3, method="lanczos")
     with pytest.raises(ValueError):
         estimate_norm(GroupParams(3), 3, representation="dense")
 
