@@ -118,7 +118,12 @@ def capped_ball_size(
         raise ValueError("depth must be nonnegative")
     size = ball_size(params, depth)
     if size > cap:
-        raise CapacityError(f"ball of {size} words exceeds cap {cap}")
+        # Python refuses to print an int of more than 4300 digits, so a huge
+        # size is given as a power of two.
+        words = str(size) if size < 2**64 else f"at least 2^{size.bit_length() - 1}"
+        raise CapacityError(
+            f"depth-{depth} ball at s={params.s}: {words} words exceeds cap {cap}"
+        )
     return size
 
 

@@ -7,15 +7,18 @@ operators are 0/1 partial permutation matrices; they act exactly like their
 untruncated counterparts on any vector whose support stays at least one
 shell below the cut.  That one-shell buffer is the exactness contract every
 downstream routine leans on.
+
+scipy is imported by ``_shift_operator`` on first use, not with the module,
+so commands that never assemble a shift matrix start without it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import BufferExhaustedError
 from .freegroup import (
@@ -28,6 +31,9 @@ from .freegroup import (
     count_words,
     enumerate_words,
 )
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 
 class TruncatedBasis:
@@ -209,6 +215,11 @@ def _shift_operator(basis: TruncatedBasis, images: np.ndarray) -> SparseSymmetri
 
     Shifts are symmetric partial permutations: row i is one 1 at images[i].
     """
+    # scipy is imported here and in spectral's solvers, never at module level:
+    # the import costs about 0.3 s, and `heatvision`, `steer commuting` and
+    # `--version` never call it.
+    import scipy.sparse as sp
+
     valid = images >= 0
     indptr = np.concatenate(([0], np.cumsum(valid))).astype(np.int32)
     mat = sp.csr_matrix(

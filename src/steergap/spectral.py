@@ -15,7 +15,8 @@ operator acts as the (N+1)-point tridiagonal matrix T_N.  The ``radial``
 representation solves T_N exactly with LAPACK's tridiagonal eigensolver, at
 any depth; ``sparse`` builds the full compressed matrix and runs Lanczos
 with full reorthogonalization on it, which cross-checks the reduction;
-``auto`` switches on basis size.
+``auto`` switches on basis size.  Both solvers import scipy when they are
+first called, not with the module.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-import scipy.linalg
 
 from .errors import CapacityError, ConvergenceError, require_bytes
 from .freegroup import DEFAULT_WORD_CAP, GroupParams, ball_size, count_words
@@ -91,6 +91,8 @@ def radial_top_eigenvalue(s: int, depth: int) -> tuple[float, float]:
     the N+1 eigenvalues and inverse iteration gives its vector v, whose
     residual ||T_N v - lambda_N v|| is returned alongside.
     """
+    import scipy.linalg
+
     b = radial_offdiagonal(s, depth)
     values, vectors = scipy.linalg.eigh_tridiagonal(
         np.zeros(depth + 1), b, select="i", select_range=(depth, depth)
@@ -112,6 +114,8 @@ def _lanczos_extremal(matvec, dim, rng, tol, krylov=DEFAULT_KRYLOV, v0=None):
     given (then ``rng`` is unused), so the top Ritz value is at least its
     Rayleigh quotient; otherwise it is random.
     """
+    import scipy.linalg
+
     m = min(krylov, dim)
     require_bytes(8 * m * dim, f"Lanczos Krylov basis of {m} x {dim} float64")
     q = rng.standard_normal(dim) if v0 is None else np.asarray(v0, dtype=float)

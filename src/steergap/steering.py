@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import require_bytes
 from .freegroup import DEFAULT_WORD_CAP, GroupParams
 from .hilbert import TruncatedBasis, build_basis, unit_state
 from .spectral import _lanczos_extremal, analytic_norm, extremal_eigenpair
@@ -441,6 +442,9 @@ def conjugation_identity_check(
     # R_g for every basis word by peeling the first letter; the suffix of a
     # reduced word is reduced and shorter, hence already computed.
     first, parent = basis.first_letters(), basis.suffixes()
+    require_bytes(
+        8 * dim * d * d, f"conjugation word operators of {dim} x {d} x {d} float64"
+    )
     word_arr = np.empty((dim, d, d))
     word_arr[0] = np.eye(d)
     for i in range(1, dim):

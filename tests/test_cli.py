@@ -133,6 +133,26 @@ def test_capacity_exhaustion_exits_2(capsys):
     assert "error:" in err
 
 
+def test_capacity_exhaustion_at_huge_depth_exits_2(capsys):
+    # The depth-20000 ball has about 9500 digits, too many to format as an int.
+    rc = main(
+        [
+            "norm",
+            "--s",
+            "3",
+            "--depth-min",
+            "20000",
+            "--depth-max",
+            "20000",
+            "--representation",
+            "sparse",
+        ]
+    )
+    _, err = run_lines(capsys)
+    assert rc == 2
+    assert "exceeds cap" in err
+
+
 def test_buffer_exhaustion_exits_2(capsys):
     rc = main(["heatvision", "--s", "3", "--depth", "4", "--steps", "9"])
     _, err = run_lines(capsys)
@@ -417,15 +437,50 @@ def test_zero_tolerance_negative_control(capsys):
     assert len(fails) >= 4
 
 
-def test_console_entry_point():
+def run_child(*args):
     # The child must import the package under test, installed or not.
     src = str(Path(steergap.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "steergap", "--version"],
+    return subprocess.run(
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def test_console_entry_point():
+    proc = run_child("-m", "steergap", "--version")
     assert proc.returncode == 0
     assert steergap.__version__ in proc.stdout
+
+
+STARTUP_PROBE = """
+import json, sys
+from steergap import cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+codes = [
+    cli.main(["heatvision", "--s", "3", "--depth", "6", "--steps", "5"]),
+    cli.main(["steer", "commuting", "--s", "3"]),
+]
+before = scipy_modules()
+codes.append(
+    cli.main(["norm", "--s", "3", "--depth-max", "3", "--representation", "radial"])
+)
+print(json.dumps({"codes": codes, "before": before, "after": scipy_modules()}))
+"""
+
+
+def test_scipy_is_loaded_only_by_the_solvers():
+    """heatvision and steer commuting never import scipy; norm still does.
+
+    This process already holds scipy, so the check runs in a child."""
+    proc = run_child("-c", STARTUP_PROBE)
+    assert proc.returncode == 0, proc.stderr
+    probe = json.loads(proc.stdout.splitlines()[-1])
+    assert probe["codes"] == [0, 0, 0]
+    assert probe["before"] == []
+    assert "scipy.linalg" in probe["after"]

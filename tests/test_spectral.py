@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -278,6 +279,25 @@ def test_walk_count_s2_is_central_binomial():
     for k in range(0, 13):
         rec = closed_walk_moment(GroupParams(2), k)
         assert rec.walk_count == math.comb(2 * k, k)
+
+
+def mckay_walk_count(s, k):
+    """Closed walks of length 2k from the root of the s-regular tree (McKay 1981)."""
+    if k == 0:
+        return 1
+    total = sum(
+        Fraction(j, 2 * k - j) * math.comb(2 * k - j, k) * s**j * (s - 1) ** (k - j)
+        for j in range(1, k + 1)
+    )
+    assert total.denominator == 1
+    return total.numerator
+
+
+def test_walk_count_matches_mckay_closed_form():
+    for s in range(2, 8):
+        for k in range(40):
+            count = closed_walk_moment(GroupParams(s), k).walk_count
+            assert count == mckay_walk_count(s, k)
 
 
 def test_walk_cap():

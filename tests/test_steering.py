@@ -389,6 +389,19 @@ def test_conjugation_identity_random_buffered():
         assert dev < 1e-9
 
 
+def test_conjugation_word_operators_over_budget():
+    # 24 574 words x 200 x 200 float64 is 7.9 GB; the guard trips on the
+    # estimate, before anything of that size is allocated.
+    params = GroupParams(3)
+    basis = build_basis(params, 13)
+    d = 200
+    state = np.zeros(d * basis.dimension)
+    state[0] = 1.0
+    strat = TensorStrategy(d, [np.eye(d)] * 3, basis, state)
+    with pytest.raises(CapacityError, match="word operators of 24574 x 200 x 200"):
+        conjugation_identity_check(strat, basis)
+
+
 def test_conjugation_identity_needs_room():
     params = GroupParams(3)
     basis = build_basis(params, 1)
