@@ -8,15 +8,15 @@ untruncated counterparts on any vector whose support stays at least one
 shell below the cut.  That one-shell buffer is the exactness contract every
 downstream routine leans on.
 
-scipy is imported by ``_shift_operator`` on first use, not with the module,
-so commands that never assemble a shift matrix start without it.
+An operator is never stored as a matrix: ``SparseSymmetricOperator`` keeps
+the basis's own image index arrays and applies them as a gather, so the
+whole package runs on numpy alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -31,9 +31,6 @@ from .freegroup import (
     count_words,
     enumerate_words,
 )
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
 
 
 class TruncatedBasis:
@@ -166,6 +163,31 @@ class TruncatedBasis:
         stack.flags.writeable = False
         return stack
 
+    def prefix(self, depth: int) -> "TruncatedBasis":
+        """The depth-``depth`` basis, cut from this one's leading shells.
+
+        The depth-n basis is a prefix of every deeper one, so its letter
+        arrays are leading slices, and its left-image stack is the leading
+        D_n columns of this one's with every index >= D_n (past the shorter
+        cut) set to -1; nothing is recomputed.
+        """
+        if not 0 <= depth <= self.depth:
+            raise ValueError(f"depth {depth} is outside 0..{self.depth}")
+        if depth == self.depth:
+            return self
+        dim = self.depth_offsets[depth + 1]
+        sub = object.__new__(TruncatedBasis)
+        sub.params, sub.depth, sub.dimension = self.params, depth, dim
+        sub.depth_offsets = self.depth_offsets[: depth + 2]
+        sub._first, sub._second, sub._last = (
+            a[:dim] for a in (self._first, self._second, self._last)
+        )
+        stack = self.left_image_stack[:, :dim]
+        stack = np.where(stack < dim, stack, -1)
+        stack.flags.writeable = False
+        sub.__dict__["left_image_stack"] = stack
+        return sub
+
     def right_images(self, x: int) -> np.ndarray:
         """Index of w g_x for every basis word w; -1 past the cut.
 
@@ -199,34 +221,41 @@ def build_basis(
 
 @dataclass(eq=False)
 class SparseSymmetricOperator:
-    """A real symmetric operator on a truncated basis.
+    """``scale`` times the sum of the 0/1 shifts whose images are ``images``.
 
-    ``exactness_depth`` records through which support depth a single
-    application agrees with the untruncated operator.
+    ``images`` is a read-only (r, D) int64 array: row i of shift k has a
+    single 1 at column images[k, i], or none where that entry is -1 (past
+    the cut).  Every shift is a symmetric partial permutation, so
+    ``op @ v`` is a gather-sum over a copy of v padded with one trailing 0,
+    which index -1 reads.  ``exactness_depth`` records through which support
+    depth a single application agrees with the untruncated operator.
     """
 
     basis: TruncatedBasis
-    matrix: sp.csr_matrix
+    images: np.ndarray
+    scale: float
     exactness_depth: int
 
+    def __matmul__(self, v: np.ndarray) -> np.ndarray:
+        v = np.asarray(v, dtype=float)
+        padded = np.concatenate((v, np.zeros((1,) + v.shape[1:])))
+        return self.scale * padded[self.images].sum(axis=0)
 
-def _shift_operator(basis: TruncatedBasis, images: np.ndarray) -> SparseSymmetricOperator:
-    """The 0/1 operator sending each basis vector to its image (0 past the cut).
+    def toarray(self) -> np.ndarray:
+        """The dense D x D matrix, for tests and small checks."""
+        r, dim = self.images.shape
+        counts = np.zeros((dim, dim + 1))
+        # Index -1 lands in the extra last column, which is dropped.
+        np.add.at(counts, (np.broadcast_to(np.arange(dim), (r, dim)), self.images), 1.0)
+        return self.scale * counts[:, :dim]
 
-    Shifts are symmetric partial permutations: row i is one 1 at images[i].
-    """
-    # scipy is imported here and in spectral's solvers, never at module level:
-    # the import costs about 0.3 s, and `heatvision`, `steer commuting` and
-    # `--version` never call it.
-    import scipy.sparse as sp
 
-    valid = images >= 0
-    indptr = np.concatenate(([0], np.cumsum(valid))).astype(np.int32)
-    mat = sp.csr_matrix(
-        (np.ones(int(indptr[-1])), images[valid].astype(np.int32), indptr),
-        shape=(basis.dimension, basis.dimension),
-    )
-    return SparseSymmetricOperator(basis, mat, basis.depth - 1)
+def _shift_operator(
+    basis: TruncatedBasis, images: np.ndarray, scale: float = 1.0
+) -> SparseSymmetricOperator:
+    images = np.atleast_2d(images)
+    images.flags.writeable = False
+    return SparseSymmetricOperator(basis, images, scale, basis.depth - 1)
 
 
 def left_regular(y: int, basis: TruncatedBasis) -> SparseSymmetricOperator:
@@ -245,13 +274,7 @@ def generator_average(basis: TruncatedBasis) -> SparseSymmetricOperator:
     Equivalently the normalized adjacency operator of the radius-N ball of
     the s-regular tree rooted at the identity.
     """
-    s = basis.params.s
-    total = left_regular(1, basis).matrix
-    for y in range(2, s + 1):
-        total = total + left_regular(y, basis).matrix
-    mat = (total / s).tocsr()
-    mat.sort_indices()
-    return SparseSymmetricOperator(basis, mat, basis.depth - 1)
+    return _shift_operator(basis, basis.left_image_stack, 1.0 / basis.params.s)
 
 
 @dataclass(eq=False)
@@ -297,7 +320,7 @@ def apply(op: SparseSymmetricOperator, v: StateVector) -> StateVector:
     """Apply a compressed operator, advancing the support watermark one shell."""
     if op.basis is not v.basis:
         raise ValueError("basis mismatch between operator and state")
-    out = op.matrix @ v.amplitudes
+    out = op @ v.amplitudes
     return StateVector(v.basis, out, min(v.basis.depth, v.support_depth + 1))
 
 

@@ -12,11 +12,11 @@ The top eigenvector of the compressed operator is constant on length
 shells (the operator commutes with the root-fixing tree automorphisms and is
 irreducible on nonnegative vectors), and on shell-constant vectors the
 operator acts as the (N+1)-point tridiagonal matrix T_N.  The ``radial``
-representation solves T_N exactly with LAPACK's tridiagonal eigensolver, at
-any depth; ``sparse`` builds the full compressed matrix and runs Lanczos
-with full reorthogonalization on it, which cross-checks the reduction;
-``auto`` switches on basis size.  Both solvers import scipy when they are
-first called, not with the module.
+representation solves T_N exactly at any depth, by bisection on the scalar
+secular equation of its closed-form eigenvector; ``sparse`` runs Lanczos
+with full reorthogonalization on the gather form of the compressed
+operator, which cross-checks the reduction; ``auto`` switches on basis
+size.  Both run on numpy and ``math`` alone.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from .hilbert import (
     TruncatedBasis,
     build_basis,
     generator_average,
-    left_regular,
 )
 
 #: Above this ball size, representation="auto" abandons the explicit word
@@ -84,20 +83,47 @@ def radial_offdiagonal(s: int, depth: int) -> np.ndarray:
     return b
 
 
+def radial_secular(s: int, depth: int, theta: float) -> float:
+    """g(theta) = (2(s-1)/s) cos(theta) sin((N+1) theta) - sin(N theta)."""
+    head = 2.0 * (s - 1) / s * math.cos(theta) * math.sin((depth + 1) * theta)
+    return head - math.sin(depth * theta)
+
+
 def radial_top_eigenvalue(s: int, depth: int) -> tuple[float, float]:
     """Top eigenvalue lambda_N of the shell tridiagonal T_N, with its residual.
 
-    Exact up to rounding at any depth: LAPACK bisection picks the largest of
-    the N+1 eigenvalues and inverse iteration gives its vector v, whose
-    residual ||T_N v - lambda_N v|| is returned alongside.
+    Write lambda = f* cos(theta) with f* = 2 sqrt(s-1)/s.  Rows 1..N of
+    T_N v = lambda v are the free recurrence, solved by
+    v_k = sin((N+1-k) theta) for k >= 1 and
+    v_0 = (sqrt(s-1)/s) sqrt(s) sin((N+1) theta); row 0 then leaves the
+    secular equation g(theta) = 0 of ``radial_secular``.  On
+    (0, pi/(N+1)) the equation reads (2(s-1)/s) cos(theta) =
+    sin(N theta)/sin((N+1) theta), a falling left side against a rising
+    right one, so it has at most one root there.  It has one: g > 0 as
+    theta -> 0+, since 2(s-1)(N+1)/s > N for s >= 2, and
+    g(pi/(N+1)) = -sin(N pi/(N+1)) < 0.  A larger eigenvalue would need a
+    smaller root, so bisection on that bracket, in ``math`` floats down to
+    adjacent doubles, gives lambda_N; and theta > 0 means lambda_N < f* at
+    every N.  The O(N) residual ||T_N v - lambda_N v|| of the normalized v
+    is returned alongside.
     """
-    import scipy.linalg
-
+    if depth == 0:
+        return 0.0, 0.0
+    lo, hi = 0.0, math.pi / (depth + 1)
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if radial_secular(s, depth, mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    theta = lo
+    value = analytic_norm(s) * math.cos(theta)
+    v = np.sin((depth + 1 - np.arange(depth + 1)) * theta)
+    v[0] = math.sqrt(s - 1.0) / s * math.sqrt(s) * math.sin((depth + 1) * theta)
+    v /= np.linalg.norm(v)
     b = radial_offdiagonal(s, depth)
-    values, vectors = scipy.linalg.eigh_tridiagonal(
-        np.zeros(depth + 1), b, select="i", select_range=(depth, depth)
-    )
-    value, v = float(values[0]), vectors[:, 0]
     tv = np.zeros_like(v)
     tv[:-1] = b * v[1:]
     tv[1:] += b * v[:-1]
@@ -114,8 +140,6 @@ def _lanczos_extremal(matvec, dim, rng, tol, krylov=DEFAULT_KRYLOV, v0=None):
     given (then ``rng`` is unused), so the top Ritz value is at least its
     Rayleigh quotient; otherwise it is random.
     """
-    import scipy.linalg
-
     m = min(krylov, dim)
     require_bytes(8 * m * dim, f"Lanczos Krylov basis of {m} x {dim} float64")
     q = rng.standard_normal(dim) if v0 is None else np.asarray(v0, dtype=float)
@@ -144,9 +168,10 @@ def _lanczos_extremal(matvec, dim, rng, tol, krylov=DEFAULT_KRYLOV, v0=None):
         ran_out = j == m - 1
         breakdown = beta < 1e-14
         if (j + 1) % check_every == 0 or ran_out or breakdown:
-            vals, vecs = scipy.linalg.eigh_tridiagonal(
-                np.array(alphas), np.array(betas)
-            )
+            # The Ritz tridiagonal is at most krylov x krylov: a dense
+            # symmetric solve of it is cheap.
+            ritz = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
+            vals, vecs = np.linalg.eigh(ritz)
             i_abs = int(np.argmax(np.abs(vals)))
             theta_abs = float(abs(vals[i_abs]))
             theta_pos = float(vals[-1])
@@ -188,23 +213,32 @@ def estimate_norm(
     seed: int = 0,
     representation: str = "auto",
     cap: int = DEFAULT_WORD_CAP,
+    basis: TruncatedBasis | None = None,
 ) -> NormEstimate:
     """Estimate the norm of the averaged shift compressed to depth ``depth``.
 
     Exact on ``radial``, where ``iterations`` is the dimension N+1 of T_N.
     On ``sparse`` the estimate is a Lanczos Ritz value with Krylov budget
     ``max_iter``, so it approaches the compressed eigenvalue from below and
-    never exceeds the analytic norm.
+    never exceeds the analytic norm.  A ``basis`` at least ``depth`` deep
+    is cut down to its leading shells instead of building a new one.
     """
     if depth < 1:
         raise ValueError("depth must be ≥ 1")
     rep = _resolve_representation(representation, ball_size(params, depth))
     if rep == "sparse":
-        basis = build_basis(params, depth, cap=cap)
-        matrix = generator_average(basis).matrix
+        if basis is None:
+            basis = build_basis(params, depth, cap=cap)
+        elif basis.params != params:
+            raise ValueError("supplied basis is for a different s")
+        basis = basis.prefix(depth)
         budget = DEFAULT_KRYLOV if max_iter is None else max_iter
         _, _, value, iterations, residual = _lanczos_extremal(
-            matrix.__matmul__, basis.dimension, np.random.default_rng(seed), tol, budget
+            generator_average(basis).__matmul__,
+            basis.dimension,
+            np.random.default_rng(seed),
+            tol,
+            budget,
         )
     else:
         value, residual = radial_top_eigenvalue(params.s, depth)
@@ -221,12 +255,35 @@ def estimate_norm(
 
 
 def norm_sweep(
-    params: GroupParams, depth_max: int, *, depth_min: int = 1, **kwargs
+    params: GroupParams,
+    depth_max: int,
+    *,
+    depth_min: int = 1,
+    representation: str = "auto",
+    cap: int = DEFAULT_WORD_CAP,
+    **kwargs,
 ) -> list[NormEstimate]:
-    """Norm estimates for every depth in [depth_min, depth_max]."""
+    """Norm estimates for every depth in [depth_min, depth_max].
+
+    The depths on the sparse route share one basis, built at the deepest of
+    them; each estimate cuts it down to its own depth.
+    """
     if depth_min < 1 or depth_min > depth_max:
         raise ValueError("need 1 ≤ depth_min ≤ depth_max")
-    return [estimate_norm(params, n, **kwargs) for n in range(depth_min, depth_max + 1)]
+    depths = range(depth_min, depth_max + 1)
+    # Ball sizes grow with depth, so the sparse depths come first.
+    deepest = None
+    for n in depths:
+        if _resolve_representation(representation, ball_size(params, n)) != "sparse":
+            break
+        deepest = n
+    basis = None if deepest is None else build_basis(params, deepest, cap=cap)
+    return [
+        estimate_norm(
+            params, n, representation=representation, cap=cap, basis=basis, **kwargs
+        )
+        for n in depths
+    ]
 
 
 def extremal_eigenpair(
@@ -248,10 +305,9 @@ def extremal_eigenpair(
         basis = build_basis(params, depth, cap=cap)
     elif basis.depth != depth or basis.params != params:
         raise ValueError("supplied basis does not match the requested depth")
-    matrix = generator_average(basis).matrix
     rng = np.random.default_rng(seed)
     value, vec, _, _, _ = _lanczos_extremal(
-        matrix.__matmul__, basis.dimension, rng, tol, krylov
+        generator_average(basis).__matmul__, basis.dimension, rng, tol, krylov
     )
     vec = vec / np.linalg.norm(vec)
     return value, StateVector(basis, vec, basis.depth)
@@ -261,7 +317,7 @@ def quadratic_form(op: SparseSymmetricOperator, v: StateVector) -> float:
     """<v| op |v> without normalizing."""
     if op.basis is not v.basis:
         raise ValueError("basis mismatch between operator and state")
-    return float(v.amplitudes @ (op.matrix @ v.amplitudes))
+    return float(v.amplitudes @ (op @ v.amplitudes))
 
 
 def tightness_vector(params: GroupParams, n: int, basis: TruncatedBasis) -> StateVector:
@@ -403,11 +459,11 @@ def matvec_walk_count(params: GroupParams, k: int, *, depth: int | None = None) 
         raise ValueError(f"depth {depth} cannot hold walks of half-length {k}")
     basis = build_basis(params, depth)
     if params.s ** (2 * k) < 2**52:
-        # Sum of the 0/1 shift matrices: every entry is exactly 1.0, so the
-        # float64 matvecs below are exact integer arithmetic.
-        adjacency = left_regular(1, basis).matrix
-        for y in range(2, params.s + 1):
-            adjacency = adjacency + left_regular(y, basis).matrix
+        # Unscaled sum of the 0/1 left shifts: each matvec adds whole numbers
+        # below 2^52, so the float64 arithmetic below is exact.
+        adjacency = SparseSymmetricOperator(
+            basis, basis.left_image_stack, 1.0, basis.depth - 1
+        )
         vec = np.zeros(basis.dimension)
         vec[0] = 1.0
         for _ in range(k):
@@ -415,12 +471,11 @@ def matvec_walk_count(params: GroupParams, k: int, *, depth: int | None = None) 
         return int(round(float(vec @ vec)))
     # Exact big integers: object arrays, one scatter per generator.  Each
     # left shift is injective, so no target repeats within a scatter.
-    images = [basis.left_images(y) for y in range(1, params.s + 1)]
     vec_int = np.zeros(basis.dimension, dtype=object)
     vec_int[0] = 1
     for _ in range(k):
         out = np.zeros(basis.dimension, dtype=object)
-        for image in images:
+        for image in basis.left_image_stack:
             inside = image >= 0
             out[image[inside]] += vec_int[inside]
         vec_int = out

@@ -459,28 +459,25 @@ STARTUP_PROBE = """
 import json, sys
 from steergap import cli
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-
 codes = [
     cli.main(["heatvision", "--s", "3", "--depth", "6", "--steps", "5"]),
     cli.main(["steer", "commuting", "--s", "3"]),
+    cli.main(["norm", "--s", "3", "--depth-max", "3", "--representation", "radial"]),
+    cli.main(["norm", "--s", "3", "--depth-max", "3", "--representation", "sparse"]),
+    cli.main(["steer", "seesaw", "--s", "3", "--alice-dim", "2", "--bob-depth", "3"]),
+    cli.main(["report", "--quick"]),
 ]
-before = scipy_modules()
-codes.append(
-    cli.main(["norm", "--s", "3", "--depth-max", "3", "--representation", "radial"])
-)
-print(json.dumps({"codes": codes, "before": before, "after": scipy_modules()}))
+scipy = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+print(json.dumps({"codes": codes, "scipy": scipy}))
 """
 
 
-def test_scipy_is_loaded_only_by_the_solvers():
-    """heatvision and steer commuting never import scipy; norm still does.
+def test_no_command_loads_scipy():
+    """The package runs on numpy alone: no command imports any scipy module.
 
     This process already holds scipy, so the check runs in a child."""
     proc = run_child("-c", STARTUP_PROBE)
     assert proc.returncode == 0, proc.stderr
     probe = json.loads(proc.stdout.splitlines()[-1])
-    assert probe["codes"] == [0, 0, 0]
-    assert probe["before"] == []
-    assert "scipy.linalg" in probe["after"]
+    assert probe["codes"] == [0, 0, 0, 0, 0, 3]
+    assert probe["scipy"] == []

@@ -49,7 +49,7 @@ def dense_step(matrix: np.ndarray, basis) -> np.ndarray:
     s = basis.params.s
     out = 0.5 * matrix
     for x in range(1, s + 1):
-        sh = right_regular(x, basis).matrix.toarray()
+        sh = right_regular(x, basis).toarray()
         out = out + sh @ matrix @ sh.T / (2 * s)
     return out
 
@@ -69,7 +69,7 @@ def dense_superoperator_top(params: GroupParams, depth: int) -> float:
     s = params.s
     op = 0.5 * np.eye(basis.dimension**2)
     for x in range(1, s + 1):
-        sh = right_regular(x, basis).matrix.toarray()
+        sh = right_regular(x, basis).toarray()
         op += np.kron(sh, sh) / (2 * s)
     return float(np.linalg.eigvalsh(op)[-1])
 
@@ -151,7 +151,7 @@ def test_kraus_form_matches_mixing_form():
     amps = random_buffered_amplitudes(rng, basis, 2)
     rho = DensityMatrix.pure(state_from_amplitudes(basis, amps))
     out = dense_step(rho.matrix, basis)
-    shifts = [right_regular(x, basis).matrix.toarray() for x in range(1, 4)]
+    shifts = [right_regular(x, basis).toarray() for x in range(1, 4)]
     via_kraus = np.zeros_like(out)
     for sh in shifts:
         for sign in (1.0, -1.0):

@@ -85,7 +85,7 @@ def test_basis_cap():
 def test_left_shift_matches_definition(s, depth):
     basis = build_basis(GroupParams(s), depth)
     for y in range(1, s + 1):
-        got = left_regular(y, basis).matrix.toarray()
+        got = left_regular(y, basis).toarray()
         want = dense_left_shift(s, depth, y, basis.words)
         assert np.array_equal(got, want)
 
@@ -96,23 +96,46 @@ def test_left_shift_matches_definition(s, depth):
 def test_right_shift_matches_definition(s, depth):
     basis = build_basis(GroupParams(s), depth)
     for x in range(1, s + 1):
-        got = right_regular(x, basis).matrix.toarray()
+        got = right_regular(x, basis).toarray()
         want = dense_right_shift(s, depth, x, basis.words)
         assert np.array_equal(got, want)
 
 
 def test_shift_matrices_are_symmetric(basis3):
     for y in range(1, 4):
-        m = left_regular(y, basis3).matrix
-        assert (m - m.T).nnz == 0
-        m = right_regular(y, basis3).matrix
-        assert (m - m.T).nnz == 0
+        m = left_regular(y, basis3).toarray()
+        assert np.array_equal(m, m.T)
+        m = right_regular(y, basis3).toarray()
+        assert np.array_equal(m, m.T)
 
 
 def test_shift_norm_at_most_one(basis3):
     for y in range(1, 4):
-        dense = left_regular(y, basis3).matrix.toarray()
+        dense = left_regular(y, basis3).toarray()
         assert np.linalg.norm(dense, 2) <= 1.0 + 1e-12
+
+
+@pytest.mark.parametrize("s", [2, 3, 4, 5])
+def test_prefix_basis_matches_fresh_basis(s):
+    """Cutting a deep basis down gives the operators of a fresh shallow one."""
+    deep = build_basis(GroupParams(s), 6)
+    for n in range(1, 7):
+        cut, fresh = deep.prefix(n), build_basis(GroupParams(s), n)
+        assert cut.dimension == fresh.dimension
+        assert cut.depth_offsets == fresh.depth_offsets
+        assert np.array_equal(cut.left_image_stack, fresh.left_image_stack)
+        assert np.array_equal(cut.first_letters(), fresh.first_letters())
+        assert np.array_equal(cut.suffixes(), fresh.suffixes())
+        for y in range(1, s + 1):
+            assert np.array_equal(cut.right_images(y), fresh.right_images(y))
+        restricted, built = generator_average(cut), generator_average(fresh)
+        assert np.array_equal(restricted.images, built.images)
+        assert restricted.scale == built.scale
+        v = np.random.default_rng(n).standard_normal(cut.dimension)
+        assert np.array_equal(restricted @ v, built @ v)
+    assert deep.prefix(6) is deep
+    with pytest.raises(ValueError):
+        deep.prefix(7)
 
 
 def test_invalid_generator_rejected(basis3):
@@ -198,7 +221,7 @@ def test_generator_average_entries(basis3):
 
 def test_generator_average_interior_rows_s2():
     basis = build_basis(GroupParams(2), 6)
-    mat = generator_average(basis).matrix.toarray()
+    mat = generator_average(basis).toarray()
     for k in range(1, 6):
         for i in basis.shell(k):
             row = mat[i]

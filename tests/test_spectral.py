@@ -43,7 +43,7 @@ def test_analytic_norm_values():
 def test_estimate_matches_dense_eigenvalue():
     params = GroupParams(3)
     basis = build_basis(params, 4)
-    dense = generator_average(basis).matrix.toarray()
+    dense = generator_average(basis).toarray()
     top = float(np.max(np.abs(np.linalg.eigvalsh(dense))))
     est = estimate_norm(params, 4, seed=5)
     assert est.estimated_norm == pytest.approx(top, abs=1e-8)
@@ -89,6 +89,46 @@ def test_radial_route_is_exact_at_any_depth():
     assert abs(n * n * (fstar - values[2]) - fstar * math.pi**2 / 2) < 1e-2
 
 
+RADIAL_ORACLE_DEPTHS = [*range(1, 301), 1000, 10_000, 100_000]
+
+
+@pytest.mark.parametrize("s", range(2, 26))
+def test_radial_closed_form_matches_tridiagonal_oracle(s):
+    """The bisection root against LAPACK on the same T_N, and its bracket."""
+    from scipy.linalg import eigh_tridiagonal
+
+    for n in RADIAL_ORACLE_DEPTHS:
+        b = radial_offdiagonal(s, n)
+        want = eigh_tridiagonal(
+            np.zeros(n + 1), b, eigvals_only=True, select="i", select_range=(n, n)
+        )[0]
+        value, residual = spectral.radial_top_eigenvalue(s, n)
+        assert abs(value - want) <= 1e-14, (s, n)
+        assert value < analytic_norm(s)
+        assert residual < 1e-12
+        # g > 0 just above 0 (g'(0) = 2(s-1)(N+1)/s - N > 0) and g < 0 at
+        # the right end, so the bracket holds exactly one sign change.
+        assert spectral.radial_secular(s, n, 1e-9 / (n + 1)) > 0.0
+        assert spectral.radial_secular(s, n, math.pi / (n + 1)) < 0.0
+
+
+def test_sweep_shares_one_basis(monkeypatch):
+    params = GroupParams(3)
+    per_depth = [estimate_norm(params, n, seed=4) for n in range(2, 8)]
+    built = []
+    real_build = spectral.build_basis
+
+    def counting_build(*args, **kwargs):
+        built.append(args[1])
+        return real_build(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "build_basis", counting_build)
+    sweep = norm_sweep(params, 7, depth_min=2, seed=4)
+    assert built == [7]
+    assert [r.estimated_norm for r in sweep] == [r.estimated_norm for r in per_depth]
+    assert [r.iterations for r in sweep] == [r.iterations for r in per_depth]
+
+
 def test_sweep_monotone_and_below_bound():
     sweep = norm_sweep(GroupParams(3), 8)
     values = [r.estimated_norm for r in sweep]
@@ -128,7 +168,7 @@ def test_extremal_eigenpair_is_eigenvector():
     params = GroupParams(3)
     value, vec = extremal_eigenpair(params, 5, seed=3)
     om = generator_average(vec.basis)
-    image = om.matrix @ vec.amplitudes
+    image = om @ vec.amplitudes
     assert np.linalg.norm(image - value * vec.amplitudes) < 1e-8
     assert vec.norm() == pytest.approx(1.0, abs=1e-12)
     assert value == pytest.approx(estimate_norm(params, 5).estimated_norm, abs=1e-9)

@@ -34,7 +34,7 @@ def dense_bob_effects(basis):
     eye = np.eye(basis.dimension)
     effects = []
     for y in range(1, basis.params.s + 1):
-        shift = left_regular(y, basis).matrix.toarray()
+        shift = left_regular(y, basis).toarray()
         effects.append([0.5 * (eye + b * shift) for b in (1, -1)])
     return effects
 
@@ -359,7 +359,7 @@ def test_conjugation_identity_single_step_by_hand():
     for w in basis.words[1:]:
         parent = basis.index_of(Word(w.letters[1:]))
         word_ops.append(obs[w.letters[0] - 1] @ word_ops[parent])
-    shifts = [left_regular(y, basis).matrix.toarray() for y in range(1, 4)]
+    shifts = [left_regular(y, basis).toarray() for y in range(1, 4)]
     avg_with = np.zeros((3 * basis.dimension, 3 * basis.dimension))
     for r, sh in zip(obs, shifts):
         avg_with += np.kron(r, sh) / 3.0
