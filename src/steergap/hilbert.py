@@ -163,31 +163,6 @@ class TruncatedBasis:
         stack.flags.writeable = False
         return stack
 
-    def prefix(self, depth: int) -> "TruncatedBasis":
-        """The depth-``depth`` basis, cut from this one's leading shells.
-
-        The depth-n basis is a prefix of every deeper one, so its letter
-        arrays are leading slices, and its left-image stack is the leading
-        D_n columns of this one's with every index >= D_n (past the shorter
-        cut) set to -1; nothing is recomputed.
-        """
-        if not 0 <= depth <= self.depth:
-            raise ValueError(f"depth {depth} is outside 0..{self.depth}")
-        if depth == self.depth:
-            return self
-        dim = self.depth_offsets[depth + 1]
-        sub = object.__new__(TruncatedBasis)
-        sub.params, sub.depth, sub.dimension = self.params, depth, dim
-        sub.depth_offsets = self.depth_offsets[: depth + 2]
-        sub._first, sub._second, sub._last = (
-            a[:dim] for a in (self._first, self._second, self._last)
-        )
-        stack = self.left_image_stack[:, :dim]
-        stack = np.where(stack < dim, stack, -1)
-        stack.flags.writeable = False
-        sub.__dict__["left_image_stack"] = stack
-        return sub
-
     def right_images(self, x: int) -> np.ndarray:
         """Index of w g_x for every basis word w; -1 past the cut.
 

@@ -101,7 +101,12 @@ def radial_top_eigenvalue(s: int, depth: int) -> tuple[float, float]:
     sin(N theta)/sin((N+1) theta), a falling left side against a rising
     right one, so it has at most one root there.  It has one: g > 0 as
     theta -> 0+, since 2(s-1)(N+1)/s > N for s >= 2, and
-    g(pi/(N+1)) = -sin(N pi/(N+1)) < 0.  A larger eigenvalue would need a
+    g(pi/(N+1)) = -sin(N pi/(N+1)) < 0.  No eigenvalue is >= f*: with
+    lambda = f* cosh(t), t > 0, the same recurrence gives
+    v_k = sinh((N+1-k) t) and row 0 leaves
+    (2(s-1)/s) cosh(t) sinh((N+1) t) - sinh(N t) > 0, because
+    2(s-1)/s >= 1; at lambda = f* it gives v_k = N+1-k and
+    2(s-1)(N+1)/s - N > 0.  A larger eigenvalue below f* would need a
     smaller root, so bisection on that bracket, in ``math`` floats down to
     adjacent doubles, gives lambda_N; and theta > 0 means lambda_N < f* at
     every N.  The O(N) residual ||T_N v - lambda_N v|| of the normalized v
@@ -213,25 +218,19 @@ def estimate_norm(
     seed: int = 0,
     representation: str = "auto",
     cap: int = DEFAULT_WORD_CAP,
-    basis: TruncatedBasis | None = None,
 ) -> NormEstimate:
     """Estimate the norm of the averaged shift compressed to depth ``depth``.
 
     Exact on ``radial``, where ``iterations`` is the dimension N+1 of T_N.
     On ``sparse`` the estimate is a Lanczos Ritz value with Krylov budget
     ``max_iter``, so it approaches the compressed eigenvalue from below and
-    never exceeds the analytic norm.  A ``basis`` at least ``depth`` deep
-    is cut down to its leading shells instead of building a new one.
+    never exceeds the analytic norm.
     """
     if depth < 1:
         raise ValueError("depth must be ≥ 1")
     rep = _resolve_representation(representation, ball_size(params, depth))
     if rep == "sparse":
-        if basis is None:
-            basis = build_basis(params, depth, cap=cap)
-        elif basis.params != params:
-            raise ValueError("supplied basis is for a different s")
-        basis = basis.prefix(depth)
+        basis = build_basis(params, depth, cap=cap)
         budget = DEFAULT_KRYLOV if max_iter is None else max_iter
         _, _, value, iterations, residual = _lanczos_extremal(
             generator_average(basis).__matmul__,
@@ -255,35 +254,12 @@ def estimate_norm(
 
 
 def norm_sweep(
-    params: GroupParams,
-    depth_max: int,
-    *,
-    depth_min: int = 1,
-    representation: str = "auto",
-    cap: int = DEFAULT_WORD_CAP,
-    **kwargs,
+    params: GroupParams, depth_max: int, *, depth_min: int = 1, **kwargs
 ) -> list[NormEstimate]:
-    """Norm estimates for every depth in [depth_min, depth_max].
-
-    The depths on the sparse route share one basis, built at the deepest of
-    them; each estimate cuts it down to its own depth.
-    """
+    """Norm estimates for every depth in [depth_min, depth_max]."""
     if depth_min < 1 or depth_min > depth_max:
         raise ValueError("need 1 ≤ depth_min ≤ depth_max")
-    depths = range(depth_min, depth_max + 1)
-    # Ball sizes grow with depth, so the sparse depths come first.
-    deepest = None
-    for n in depths:
-        if _resolve_representation(representation, ball_size(params, n)) != "sparse":
-            break
-        deepest = n
-    basis = None if deepest is None else build_basis(params, deepest, cap=cap)
-    return [
-        estimate_norm(
-            params, n, representation=representation, cap=cap, basis=basis, **kwargs
-        )
-        for n in depths
-    ]
+    return [estimate_norm(params, n, **kwargs) for n in range(depth_min, depth_max + 1)]
 
 
 def extremal_eigenpair(

@@ -115,29 +115,6 @@ def test_shift_norm_at_most_one(basis3):
         assert np.linalg.norm(dense, 2) <= 1.0 + 1e-12
 
 
-@pytest.mark.parametrize("s", [2, 3, 4, 5])
-def test_prefix_basis_matches_fresh_basis(s):
-    """Cutting a deep basis down gives the operators of a fresh shallow one."""
-    deep = build_basis(GroupParams(s), 6)
-    for n in range(1, 7):
-        cut, fresh = deep.prefix(n), build_basis(GroupParams(s), n)
-        assert cut.dimension == fresh.dimension
-        assert cut.depth_offsets == fresh.depth_offsets
-        assert np.array_equal(cut.left_image_stack, fresh.left_image_stack)
-        assert np.array_equal(cut.first_letters(), fresh.first_letters())
-        assert np.array_equal(cut.suffixes(), fresh.suffixes())
-        for y in range(1, s + 1):
-            assert np.array_equal(cut.right_images(y), fresh.right_images(y))
-        restricted, built = generator_average(cut), generator_average(fresh)
-        assert np.array_equal(restricted.images, built.images)
-        assert restricted.scale == built.scale
-        v = np.random.default_rng(n).standard_normal(cut.dimension)
-        assert np.array_equal(restricted @ v, built @ v)
-    assert deep.prefix(6) is deep
-    with pytest.raises(ValueError):
-        deep.prefix(7)
-
-
 def test_invalid_generator_rejected(basis3):
     from steergap import InvalidGeneratorError
 

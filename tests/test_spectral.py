@@ -112,23 +112,6 @@ def test_radial_closed_form_matches_tridiagonal_oracle(s):
         assert spectral.radial_secular(s, n, math.pi / (n + 1)) < 0.0
 
 
-def test_sweep_shares_one_basis(monkeypatch):
-    params = GroupParams(3)
-    per_depth = [estimate_norm(params, n, seed=4) for n in range(2, 8)]
-    built = []
-    real_build = spectral.build_basis
-
-    def counting_build(*args, **kwargs):
-        built.append(args[1])
-        return real_build(*args, **kwargs)
-
-    monkeypatch.setattr(spectral, "build_basis", counting_build)
-    sweep = norm_sweep(params, 7, depth_min=2, seed=4)
-    assert built == [7]
-    assert [r.estimated_norm for r in sweep] == [r.estimated_norm for r in per_depth]
-    assert [r.iterations for r in sweep] == [r.iterations for r in per_depth]
-
-
 def test_sweep_monotone_and_below_bound():
     sweep = norm_sweep(GroupParams(3), 8)
     values = [r.estimated_norm for r in sweep]
