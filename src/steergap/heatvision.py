@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import BufferExhaustedError
 from .freegroup import GroupParams, Word
-from .hilbert import StateVector, build_basis, require_buffer
+from .hilbert import StateVector, build_basis, gather, require_buffer
 from .spectral import analytic_norm, radial_top_eigenvalue
 
 
@@ -102,6 +102,8 @@ def iterate_channel(
     """
     if not words:
         raise ValueError("mixture of zero states")
+    if steps < 0:
+        raise ValueError("steps must be ≥ 0")
     basis = build_basis(params, depth)
     index = [basis.index_of(w) for w in words]
     weights = np.bincount(index, minlength=basis.dimension) / len(words)
@@ -180,14 +182,11 @@ def pure_purity_series(
     right = np.stack([basis.right_images(x) for x in range(1, s + 1)])
     # Branch vector for word w = l1 l2... is R_{l1} applied to the branch of
     # the suffix; (length, lex) order guarantees the suffix comes earlier.
-    # (R_x v)[i] = v[right_images(x)[i]], and index -1 (past the cut) reads
-    # the trailing zero column.
     first, parent = ball.first_letters(), ball.suffixes()
-    padded = np.zeros((nwords, basis.dimension + 1))
-    padded[0, :-1] = state.amplitudes
+    vectors = np.empty((nwords, basis.dimension))
+    vectors[0] = state.amplitudes
     for i in range(1, nwords):
-        padded[i, :-1] = padded[parent[i], right[first[i] - 1]]
-    vectors = padded[:, :-1]
+        vectors[i] = gather(vectors[parent[i]], right[first[i] - 1])
     gram = vectors @ vectors.T
     gram2 = gram * gram
     images = [ball.left_images(x) for x in range(1, s + 1)]

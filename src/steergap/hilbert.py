@@ -10,7 +10,8 @@ downstream routine leans on.
 
 An operator is never stored as a matrix: ``SparseSymmetricOperator`` keeps
 the basis's own image index arrays and applies them as a gather, so the
-whole package runs on numpy alone.
+whole package runs on numpy alone.  Every shift action in the package goes
+through ``gather``, the one place that reads index -1 as a zero.
 """
 
 from __future__ import annotations
@@ -194,6 +195,17 @@ def build_basis(
     return TruncatedBasis(params, depth, cap=cap)
 
 
+def gather(v: np.ndarray, images: np.ndarray) -> np.ndarray:
+    """``v`` read at ``images`` along its first (word) axis; index -1 reads 0.
+
+    A zero of ``v``'s own dtype is appended along that axis, so an integer
+    ``object`` array stays exact.  An (r, D) ``images`` gives shape
+    (r, D) + v.shape[1:].
+    """
+    pad = np.zeros((1,) + v.shape[1:], dtype=v.dtype)
+    return np.concatenate((v, pad))[images]
+
+
 @dataclass(eq=False)
 class SparseSymmetricOperator:
     """``scale`` times the sum of the 0/1 shifts whose images are ``images``.
@@ -201,28 +213,24 @@ class SparseSymmetricOperator:
     ``images`` is a read-only (r, D) int64 array: row i of shift k has a
     single 1 at column images[k, i], or none where that entry is -1 (past
     the cut).  Every shift is a symmetric partial permutation, so
-    ``op @ v`` is a gather-sum over a copy of v padded with one trailing 0,
-    which index -1 reads.  ``exactness_depth`` records through which support
-    depth a single application agrees with the untruncated operator.
+    ``op @ v`` is a gather-sum.
     """
 
     basis: TruncatedBasis
     images: np.ndarray
     scale: float
-    exactness_depth: int
+
+    @property
+    def exactness_depth(self) -> int:
+        """Support depth through which one application is exact."""
+        return self.basis.depth - 1
 
     def __matmul__(self, v: np.ndarray) -> np.ndarray:
-        v = np.asarray(v, dtype=float)
-        padded = np.concatenate((v, np.zeros((1,) + v.shape[1:])))
-        return self.scale * padded[self.images].sum(axis=0)
+        return self.scale * gather(np.asarray(v, dtype=float), self.images).sum(axis=0)
 
     def toarray(self) -> np.ndarray:
         """The dense D x D matrix, for tests and small checks."""
-        r, dim = self.images.shape
-        counts = np.zeros((dim, dim + 1))
-        # Index -1 lands in the extra last column, which is dropped.
-        np.add.at(counts, (np.broadcast_to(np.arange(dim), (r, dim)), self.images), 1.0)
-        return self.scale * counts[:, :dim]
+        return self @ np.eye(self.basis.dimension)
 
 
 def _shift_operator(
@@ -230,7 +238,7 @@ def _shift_operator(
 ) -> SparseSymmetricOperator:
     images = np.atleast_2d(images)
     images.flags.writeable = False
-    return SparseSymmetricOperator(basis, images, scale, basis.depth - 1)
+    return SparseSymmetricOperator(basis, images, scale)
 
 
 def left_regular(y: int, basis: TruncatedBasis) -> SparseSymmetricOperator:

@@ -34,6 +34,7 @@ from .hilbert import (
     StateVector,
     TruncatedBasis,
     build_basis,
+    gather,
     generator_average,
 )
 
@@ -145,6 +146,8 @@ def _lanczos_extremal(matvec, dim, rng, tol, krylov=DEFAULT_KRYLOV, v0=None):
     given (then ``rng`` is unused), so the top Ritz value is at least its
     Rayleigh quotient; otherwise it is random.
     """
+    if krylov < 1:
+        raise ValueError(f"Krylov budget must be ≥ 1, got {krylov}")
     m = min(krylov, dim)
     require_bytes(8 * m * dim, f"Lanczos Krylov basis of {m} x {dim} float64")
     q = rng.standard_normal(dim) if v0 is None else np.asarray(v0, dtype=float)
@@ -420,10 +423,10 @@ def closed_walk_moment(
 def matvec_walk_count(params: GroupParams, k: int, *, depth: int | None = None) -> int:
     """The same closed-walk count via k applications of the adjacency matrix.
 
-    Uses the compressed shift operators on a depth-k basis, where the count
-    is exact.  Float64 matvecs are exact integer arithmetic as long as every
-    intermediate stays below 2^52; beyond that the routine falls back to
-    pure-Python big integers.  That route needs s^(2k) >= 2^52, so for
+    Sums the gathered left images on a depth-k basis, where the count is
+    exact.  Float64 matvecs are exact integer arithmetic as long as every
+    intermediate stays below 2^52; beyond that the same loop runs on an
+    object array of Python ints.  That route needs s^(2k) >= 2^52, so for
     s >= 4 it starts at k >= 13, whose ball is over the word cap: only
     s <= 3 ever reaches it, and larger s raise ``CapacityError``.
     """
@@ -434,25 +437,9 @@ def matvec_walk_count(params: GroupParams, k: int, *, depth: int | None = None) 
     if depth < k:
         raise ValueError(f"depth {depth} cannot hold walks of half-length {k}")
     basis = build_basis(params, depth)
-    if params.s ** (2 * k) < 2**52:
-        # Unscaled sum of the 0/1 left shifts: each matvec adds whole numbers
-        # below 2^52, so the float64 arithmetic below is exact.
-        adjacency = SparseSymmetricOperator(
-            basis, basis.left_image_stack, 1.0, basis.depth - 1
-        )
-        vec = np.zeros(basis.dimension)
-        vec[0] = 1.0
-        for _ in range(k):
-            vec = adjacency @ vec
-        return int(round(float(vec @ vec)))
-    # Exact big integers: object arrays, one scatter per generator.  Each
-    # left shift is injective, so no target repeats within a scatter.
-    vec_int = np.zeros(basis.dimension, dtype=object)
-    vec_int[0] = 1
+    exact_in_float = params.s ** (2 * k) < 2**52
+    vec = np.zeros(basis.dimension, dtype=float if exact_in_float else object)
+    vec[0] = 1
     for _ in range(k):
-        out = np.zeros(basis.dimension, dtype=object)
-        for image in basis.left_image_stack:
-            inside = image >= 0
-            out[image[inside]] += vec_int[inside]
-        vec_int = out
-    return int(np.dot(vec_int, vec_int))
+        vec = gather(vec, basis.left_image_stack).sum(axis=0)
+    return int(round(vec @ vec))

@@ -13,8 +13,9 @@ compared:
   optimizer saturates the compressed-operator value from below.
 
 Tables are built from the correlators <1>, <A_x>, <B_y>, <A_x B_y>, and
-Bob's shifts act only through the ``left_images`` index arrays: for a tensor
-state stored as a d_A x D array psi, psi S_y is a column gather.
+every shift acts through ``hilbert.gather`` on the basis's image arrays: for
+a tensor state stored as a d_A x D array psi, psi S_y is a gather of the
+columns of psi.
 
 A strategy is "violating" when its f exceeds the tensor bound, which for
 s >= 3 certifies that no tensor-product model reproduces it.
@@ -28,7 +29,7 @@ import numpy as np
 
 from .errors import require_bytes
 from .freegroup import DEFAULT_WORD_CAP, GroupParams
-from .hilbert import TruncatedBasis, build_basis, unit_state
+from .hilbert import TruncatedBasis, build_basis, gather, unit_state
 from .spectral import _lanczos_extremal, analytic_norm, extremal_eigenpair
 
 OUTCOMES = (1, -1)
@@ -103,20 +104,13 @@ def _table_from_correlators(norm, alice, bob, joint) -> ProbabilityTable:
     return ProbabilityTable(s=len(alice), values=values)
 
 
-def _shifted(psi: np.ndarray, images: np.ndarray) -> np.ndarray:
-    """psi S_y for a (d, D) array psi and each row of ``images``: (d, s, D).
-
-    A compressed shift is symmetric with row i holding a single 1 at
-    images[i], so column i of psi S_y is column images[i] of psi.  Index -1
-    (past the cut) lands on an appended zero column.
-    """
-    padded = np.concatenate([psi, np.zeros((psi.shape[0], 1))], axis=1)
-    return padded[:, images]
-
-
 def _bob_contractions(psi: np.ndarray, images: np.ndarray) -> np.ndarray:
-    """M_y = psi S_y psi^T = Tr_B((1 tensor S_y)|psi><psi|) for every y: (s, d, d)."""
-    return np.tensordot(_shifted(psi, images), psi, axes=([2], [1])).transpose(1, 0, 2)
+    """M_y = psi S_y psi^T = Tr_B((1 tensor S_y)|psi><psi|) for every y: (s, d, d).
+
+    S_y is symmetric with row i holding a single 1 at images[y, i], so
+    column i of psi S_y is column images[y, i] of psi.
+    """
+    return np.tensordot(gather(psi.T, images), psi, axes=([1], [1]))
 
 
 @dataclass(eq=False)
@@ -193,18 +187,15 @@ class CommutingStrategy:
 def probability_table_commuting(strategy: CommutingStrategy) -> ProbabilityTable:
     """P(a,b|x,y) from <e| R_x S_y |e> and the marginals, applied literally.
 
-    (S_y v)[i] = v[left_images(y)[i]] and (R_x v)[i] = v[right_images(x)[i]];
-    a trailing pad (amplitude 0, index -1) makes images past the cut read 0.
+    (S_y v)[i] = v[left_images(y)[i]] and (R_x v)[i] = v[right_images(x)[i]],
+    both read through ``gather``.
     """
     basis = strategy.basis
-    s = basis.params.s
-    e = np.append(unit_state(basis).amplitudes, 0.0)
-    left = [np.append(basis.left_images(y), -1) for y in range(1, s + 1)]
-    right = [np.append(basis.right_images(x), -1) for x in range(1, s + 1)]
-    alice = np.array([e @ e[r] for r in right])
-    bob = np.array([e @ e[lt] for lt in left])
-    joint = np.array([[e @ e[lt][r] for lt in left] for r in right])
-    return _table_from_correlators(e @ e, alice, bob, joint)
+    e = unit_state(basis).amplitudes
+    right = np.stack([basis.right_images(x) for x in range(1, basis.params.s + 1)])
+    bob_shifted = gather(e, basis.left_image_stack)  # row y is S_y e
+    joint = e @ gather(bob_shifted.T, right)  # [x, y] = <e| R_x S_y |e>
+    return _table_from_correlators(e @ e, gather(e, right) @ e, bob_shifted @ e, joint)
 
 
 def commuting_strategy_result(
@@ -360,6 +351,10 @@ def seesaw_tensor_optimize(
         raise ValueError("alice_dim must be ≥ 1")
     if bob_depth < 2:
         raise ValueError("bob_depth must be ≥ 2")
+    if restarts < 1:
+        raise ValueError("restarts must be ≥ 1")
+    if max_iter < 1:
+        raise ValueError("max_iter must be ≥ 1")
     basis = build_basis(params, bob_depth)
     s = params.s
     dim = basis.dimension
@@ -367,8 +362,8 @@ def seesaw_tensor_optimize(
 
     def state_step(obs, rng, psi):
         def matvec(v):  # (R_y tensor S_y) psi = R_y psi S_y
-            shifted = _shifted(v.reshape(alice_dim, dim), images)
-            return np.tensordot(obs, shifted, axes=([0, 2], [1, 0])).ravel() / s
+            shifted = gather(v.reshape(alice_dim, dim).T, images)
+            return np.tensordot(obs, shifted, axes=([0, 2], [0, 2])).ravel() / s
 
         v0 = None if psi is None else psi.ravel()
         lam, vec, *_ = _lanczos_extremal(matvec, alice_dim * dim, rng, tol, v0=v0)
@@ -456,9 +451,9 @@ def conjugation_identity_check(
 
     def averaged(mat: np.ndarray, with_alice: bool) -> np.ndarray:
         acc = np.zeros_like(mat)
-        shifted = _shifted(mat, images)
+        shifted = gather(mat.T, images).transpose(0, 2, 1)
         for y, r in enumerate(strategy.observables):
-            acc += (r @ shifted[:, y]) if with_alice else shifted[:, y]
+            acc += (r @ shifted[y]) if with_alice else shifted[y]
         return acc / s
 
     rng = np.random.default_rng(seed)

@@ -168,6 +168,26 @@ def test_heatvision_word_cap_exits_2(capsys):
     assert "exceeds cap" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["steer", "seesaw", "--s", "3", "--restarts", "0"],
+        ["report", "--quick", "--seesaw-restarts", "0"],
+        ["steer", "seesaw", "--s", "3", "--max-iter", "0"],
+        ["norm", "--s", "3", "--depth-max", "3", "--representation", "sparse",
+         "--max-iter", "0"],
+        ["heatvision", "--s", "3", "--depth", "3", "--steps", "-1"],
+    ],
+    ids=["seesaw-restarts", "report-restarts", "seesaw-max-iter", "norm-max-iter",
+         "heatvision-steps"],
+)
+def test_nonpositive_budgets_exit_1(capsys, argv):
+    rc = main(argv)
+    _, err = run_lines(capsys)
+    assert rc == 1
+    assert "error:" in err
+
+
 def test_out_of_memory_exits_2(capsys, monkeypatch):
     def exhausted(*args, **kwargs):
         raise MemoryError("Unable to allocate 1.2 GiB")

@@ -18,6 +18,7 @@ from steergap import (
     word_from_str,
 )
 from steergap.errors import BufferExhaustedError
+from steergap.heatvision import _lazy_walk
 from steergap.hilbert import right_regular, state_from_amplitudes
 
 from util import random_buffered_amplitudes
@@ -209,6 +210,15 @@ def test_pure_series_matches_dense_channel():
         lean = pure_purity_series(params, 6, 4, state)
         dense = dense_purity_series(DensityMatrix.pure(state), 4)
         assert np.allclose(lean, dense, atol=1e-12)
+
+
+def test_lazy_walk_raises_when_weight_reaches_the_cut():
+    basis = build_basis(GroupParams(3), 4)
+    images = [basis.right_images(x) for x in range(1, 4)]
+    weights = np.zeros(basis.dimension)
+    weights[basis.shell(4)[0]] = 1.0
+    with pytest.raises(RuntimeError, match="weight walked off the ball at step 1"):
+        list(_lazy_walk(images, weights, 1))
 
 
 def test_pure_series_buffer_guard():

@@ -14,7 +14,12 @@ from steergap import (
     unit_state,
 )
 from steergap.errors import BufferExhaustedError, CapacityError
-from steergap.hilbert import StateVector, require_buffer, state_from_amplitudes
+from steergap.hilbert import (
+    StateVector,
+    gather,
+    require_buffer,
+    state_from_amplitudes,
+)
 
 from util import (
     brute_words,
@@ -155,6 +160,19 @@ def test_left_and_right_shifts_commute(basis3):
             lr = apply(sy, apply(rx, v)).amplitudes
             rl = apply(rx, apply(sy, v)).amplitudes
             assert np.array_equal(lr, rl)
+
+
+def test_gather_reads_minus_one_as_a_zero_of_the_same_dtype():
+    images = np.array([[2, -1, 0], [-1, 1, 2]])
+    v = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+    got = gather(v, images)
+    assert got.shape == (2, 3, 2)
+    assert np.array_equal(got[0], [[5, 6], [0, 0], [1, 2]])
+    assert np.array_equal(got[1], [[0, 0], [3, 4], [5, 6]])
+    big = np.array([2**70, 1, 2], dtype=object)
+    summed = gather(big, images).sum(axis=0)
+    assert list(summed) == [2, 1, 2**70 + 2]
+    assert all(type(x) is int for x in summed)
 
 
 def test_exactness_depth_contract():

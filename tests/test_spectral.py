@@ -353,6 +353,9 @@ def test_matvec_count_bignum_fallback():
     got = matvec_walk_count(GroupParams(2), 26)
     assert got == math.comb(52, 26)
     assert got == closed_walk_moment(GroupParams(2), 26).walk_count
+    # Past 2^53 a float anywhere in the sum would round: this pins the
+    # zero that index -1 reads to an exact integer.
+    assert matvec_walk_count(GroupParams(2), 40) == math.comb(80, 40)
 
 
 def test_matvec_count_bignum_route_is_capped_for_s4():
