@@ -18,17 +18,13 @@ from .freegroup import (
     IDENTITY,
     count_words,
     enumerate_words,
-    inverse,
-    multiply,
     word_from_str,
     word_to_str,
 )
 from .hilbert import (
-    DensityMatrix,
     SparseSymmetricOperator,
     StateVector,
     TruncatedBasis,
-    apply,
     build_basis,
     generator_average,
     left_regular,
@@ -54,7 +50,6 @@ from .steering import (
     TensorStrategy,
     commuting_strategy_result,
     conjugation_identity_check,
-    lhs_optimal_strategy,
     probability_table_commuting,
     probability_table_tensor,
     seesaw_tensor_optimize,
@@ -64,7 +59,6 @@ from .steering import (
 from .heatvision import (
     ChannelRun,
     iterate_channel,
-    pure_purity_series,
     purity_bound,
     superoperator_norm,
 )

@@ -1,9 +1,9 @@
-"""Exact word arithmetic in the free product of s copies of the order-2 group.
+"""Reduced words in the free product of s copies of the order-2 group.
 
 Generators carry 1-based labels ``1..s`` and each squares to the identity,
 so a group element is a *reduced word*: a finite sequence of labels with no
-two equal adjacent letters.  All arithmetic here is exact (tuples of ints),
-and words are immutable value objects, safe to hash and share.
+two equal adjacent letters.  Words are immutable value objects (tuples of
+ints), safe to hash and share; counts are exact integers.
 """
 
 from __future__ import annotations
@@ -57,31 +57,6 @@ class Word:
 
 
 IDENTITY = Word()
-
-
-def _check_letters(w: Word, params: GroupParams) -> None:
-    for letter in w.letters:
-        if letter > params.s:
-            raise InvalidGeneratorError(
-                f"generator g{letter} does not exist for s={params.s}"
-            )
-
-
-def multiply(u: Word, v: Word, params: GroupParams) -> Word:
-    """Reduced product ``u v``; letters cancel in pairs at the junction."""
-    _check_letters(u, params)
-    _check_letters(v, params)
-    a, b = u.letters, v.letters
-    i, j = len(a), 0
-    while i > 0 and j < len(b) and a[i - 1] == b[j]:
-        i -= 1
-        j += 1
-    return Word(a[:i] + b[j:])
-
-
-def inverse(u: Word) -> Word:
-    """Each generator is its own inverse, so inversion reverses the letters."""
-    return Word(u.letters[::-1])
 
 
 def count_words(params: GroupParams, k: int) -> int:

@@ -13,7 +13,6 @@ where the tensor/commuting separation closes.
 Right shifts permute basis words, so a mixture of basis words stays one:
 ``iterate_channel`` runs its probability vector over the D words as a lazy
 walk (purity is the squared norm), limited by the word cap, not by D^2.
-``pure_purity_series`` walks left multipliers for a general pure input.
 Each step consumes one shell of buffer; runs past it raise instead of
 silently returning truncation artifacts.
 
@@ -31,7 +30,7 @@ import numpy as np
 
 from .errors import BufferExhaustedError
 from .freegroup import GroupParams, Word
-from .hilbert import StateVector, build_basis, gather, require_buffer
+from .hilbert import build_basis
 from .spectral import analytic_norm, radial_top_eigenvalue
 
 
@@ -156,43 +155,3 @@ def superoperator_norm(params: GroupParams, depth: int) -> float:
     """
     return (1.0 + radial_top_eigenvalue(params.s, depth)[0]) / 2.0
 
-
-def pure_purity_series(
-    params: GroupParams,
-    depth: int,
-    steps: int,
-    state: StateVector,
-) -> list[float]:
-    """Purity trajectory from a pure state without forming density matrices.
-
-    The channel maps a pure input to a word-indexed mixture of shifted
-    copies sum_w c_w(t) |R_w psi><R_w psi|, where the weights follow a lazy
-    random walk on the ball of reduced words.  Purity is then a weighted sum
-    of squared overlaps of the branch vectors.  Exact under the same buffer
-    condition as ``iterate_channel``, with memory D * ball(steps); for a
-    mixture of basis words ``iterate_channel`` is the cheaper route.
-    """
-    if state.basis.params != params or state.basis.depth != depth:
-        raise ValueError("state does not live on the requested space")
-    require_buffer(state.support_depth, depth, steps)
-    s = params.s
-    basis = state.basis
-    ball = build_basis(params, steps)
-    nwords = ball.dimension
-    right = np.stack([basis.right_images(x) for x in range(1, s + 1)])
-    # Branch vector for word w = l1 l2... is R_{l1} applied to the branch of
-    # the suffix; (length, lex) order guarantees the suffix comes earlier.
-    first, parent = ball.first_letters(), ball.suffixes()
-    vectors = np.empty((nwords, basis.dimension))
-    vectors[0] = state.amplitudes
-    for i in range(1, nwords):
-        vectors[i] = gather(vectors[parent[i]], right[first[i] - 1])
-    gram = vectors @ vectors.T
-    gram2 = gram * gram
-    images = [ball.left_images(x) for x in range(1, s + 1)]
-    weights = np.zeros(nwords)
-    weights[0] = 1.0
-    series = [float(weights @ gram2 @ weights)]
-    for weights in _lazy_walk(images, weights, steps):
-        series.append(float(weights @ gram2 @ weights))
-    return series

@@ -21,7 +21,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import BufferExhaustedError
 from .freegroup import (
     DEFAULT_WORD_CAP,
     IDENTITY,
@@ -30,7 +29,6 @@ from .freegroup import (
     Word,
     capped_ball_size,
     count_words,
-    enumerate_words,
 )
 
 
@@ -44,8 +42,7 @@ class TruncatedBasis:
     too short), built a shell at a time, and derives every index map from
     them as an int64 array with -1 where the image leaves the ball.  Those
     entries sit on the outermost shell, so a state that keeps the one-shell
-    buffer never meets them.  ``words`` is a lazy list of ``Word`` objects in
-    the same order, for callers that want them, such as the tests.
+    buffer never meets them.
     """
 
     def __init__(self, params: GroupParams, depth: int, *, cap: int = DEFAULT_WORD_CAP):
@@ -78,14 +75,6 @@ class TruncatedBasis:
             f"TruncatedBasis(s={self.params.s}, depth={self.depth}, "
             f"dimension={self.dimension})"
         )
-
-    @cached_property
-    def words(self) -> list[Word]:
-        """The basis words in index order, enumerated on first use."""
-        return enumerate_words(self.params, self.depth, cap=self.dimension)
-
-    def word_at(self, i: int) -> Word:
-        return self.words[i]
 
     def index_of(self, word: Word) -> int:
         """Offset of the word's shell plus its mixed-radix rank inside it."""
@@ -180,14 +169,6 @@ class TruncatedBasis:
         grown = np.where(length < self.depth, grown, -1)
         return np.where(last == x, shrunk, grown)
 
-    def support_depth_of(self, amplitudes: np.ndarray, tol: float = 0.0) -> int:
-        """Largest shell carrying weight above ``tol`` (0 for the zero vector)."""
-        for k in range(self.depth, 0, -1):
-            block = amplitudes[self.depth_offsets[k] : self.depth_offsets[k + 1]]
-            if np.max(np.abs(block), initial=0.0) > tol:
-                return k
-        return 0
-
 
 def build_basis(
     params: GroupParams, depth: int, *, cap: int = DEFAULT_WORD_CAP
@@ -219,11 +200,6 @@ class SparseSymmetricOperator:
     basis: TruncatedBasis
     images: np.ndarray
     scale: float
-
-    @property
-    def exactness_depth(self) -> int:
-        """Support depth through which one application is exact."""
-        return self.basis.depth - 1
 
     def __matmul__(self, v: np.ndarray) -> np.ndarray:
         return self.scale * gather(np.asarray(v, dtype=float), self.images).sum(axis=0)
@@ -276,95 +252,9 @@ class StateVector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
-    def copy(self) -> "StateVector":
-        return StateVector(self.basis, self.amplitudes.copy(), self.support_depth)
-
 
 def unit_state(basis: TruncatedBasis, word: Word = IDENTITY) -> StateVector:
     """The basis vector |word>."""
     amps = np.zeros(basis.dimension)
     amps[basis.index_of(word)] = 1.0
     return StateVector(basis, amps, len(word))
-
-
-def state_from_amplitudes(
-    basis: TruncatedBasis, amplitudes: np.ndarray, *, tol: float = 0.0
-) -> StateVector:
-    amplitudes = np.asarray(amplitudes, dtype=float)
-    if amplitudes.shape != (basis.dimension,):
-        raise ValueError(
-            f"amplitude vector has shape {amplitudes.shape}, "
-            f"expected ({basis.dimension},)"
-        )
-    return StateVector(basis, amplitudes, basis.support_depth_of(amplitudes, tol))
-
-
-def apply(op: SparseSymmetricOperator, v: StateVector) -> StateVector:
-    """Apply a compressed operator, advancing the support watermark one shell."""
-    if op.basis is not v.basis:
-        raise ValueError("basis mismatch between operator and state")
-    out = op @ v.amplitudes
-    return StateVector(v.basis, out, min(v.basis.depth, v.support_depth + 1))
-
-
-@dataclass(eq=False)
-class DensityMatrix:
-    """Real symmetric density operator over a truncated basis."""
-
-    basis: TruncatedBasis
-    matrix: np.ndarray
-    support_depth: int
-
-    @classmethod
-    def pure(cls, state: StateVector) -> "DensityMatrix":
-        a = state.amplitudes
-        return cls(state.basis, np.outer(a, a), state.support_depth)
-
-    @classmethod
-    def uniform_mixture(cls, states: list[StateVector]) -> "DensityMatrix":
-        if not states:
-            raise ValueError("mixture of zero states")
-        basis = states[0].basis
-        mat = np.zeros((basis.dimension, basis.dimension))
-        depth = 0
-        for st in states:
-            if st.basis is not basis:
-                raise ValueError("basis mismatch inside mixture")
-            mat += np.outer(st.amplitudes, st.amplitudes)
-            depth = max(depth, st.support_depth)
-        return cls(basis, mat / len(states), depth)
-
-    def trace(self) -> float:
-        return float(np.trace(self.matrix))
-
-    def purity(self) -> float:
-        return float(np.sum(self.matrix * self.matrix))
-
-    def validate(
-        self,
-        *,
-        trace_tol: float = 1e-12,
-        symmetry_tol: float = 1e-12,
-        eigenvalue_floor: float = -1e-10,
-        check_spectrum: bool = True,
-    ) -> None:
-        """Raise ValueError if the matrix is not a valid (real) state."""
-        if abs(self.trace() - 1.0) > trace_tol:
-            raise ValueError(f"trace {self.trace()!r} differs from 1")
-        asym = float(np.max(np.abs(self.matrix - self.matrix.T), initial=0.0))
-        if asym > symmetry_tol:
-            raise ValueError(f"matrix is asymmetric by {asym!r}")
-        if check_spectrum:
-            lo = float(np.min(np.linalg.eigvalsh(self.matrix)))
-            if lo < eigenvalue_floor:
-                raise ValueError(f"matrix has eigenvalue {lo!r} below 0")
-
-
-def require_buffer(state_depth: int, basis_depth: int, steps: int) -> None:
-    """Check that ``steps`` shell-advancing applications stay exact."""
-    remaining = basis_depth - state_depth
-    if steps > remaining:
-        raise BufferExhaustedError(
-            f"support depth {state_depth} at truncation depth {basis_depth} "
-            f"leaves {max(remaining, 0)} exact steps; {steps} requested"
-        )

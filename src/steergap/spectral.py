@@ -227,10 +227,12 @@ def estimate_norm(
     Exact on ``radial``, where ``iterations`` is the dimension N+1 of T_N.
     On ``sparse`` the estimate is a Lanczos Ritz value with Krylov budget
     ``max_iter``, so it approaches the compressed eigenvalue from below and
-    never exceeds the analytic norm.
+    never exceeds the analytic norm.  Either route refuses ``max_iter < 1``.
     """
     if depth < 1:
         raise ValueError("depth must be ≥ 1")
+    if max_iter is not None and max_iter < 1:
+        raise ValueError(f"Krylov budget must be ≥ 1, got {max_iter}")
     rep = _resolve_representation(representation, ball_size(params, depth))
     if rep == "sparse":
         basis = build_basis(params, depth, cap=cap)

@@ -28,9 +28,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import require_bytes
-from .freegroup import DEFAULT_WORD_CAP, GroupParams
+from .freegroup import GroupParams
 from .hilbert import TruncatedBasis, build_basis, gather, unit_state
-from .spectral import _lanczos_extremal, analytic_norm, extremal_eigenpair
+from .spectral import _lanczos_extremal, analytic_norm
 
 OUTCOMES = (1, -1)
 
@@ -276,33 +276,6 @@ def probability_table_tensor(strategy: TensorStrategy) -> ProbabilityTable:
         np.einsum("yaa->y", bob_side),
         np.einsum("xab,yab->xy", alice_obs, bob_side),
     )
-
-
-def lhs_optimal_strategy(
-    params: GroupParams,
-    depth: int,
-    *,
-    tol: float = 1e-10,
-    seed: int = 0,
-    cap: int = DEFAULT_WORD_CAP,
-) -> tuple[TensorStrategy, StrategyResult]:
-    """Best trivial-Alice tensor strategy at a given Bob depth.
-
-    With d_A = 1 and every Alice answer +1, f reduces to the quadratic form
-    of the averaged shift, maximized by its top eigenvector.  The value
-    approaches 1 as the depth grows at s = 2 but stalls at the tensor bound
-    for s >= 3.
-    """
-    value, vec = extremal_eigenpair(params, depth, tol=tol, seed=seed, cap=cap)
-    strategy = TensorStrategy(
-        alice_dim=1,
-        observables=[np.eye(1) for _ in range(params.s)],
-        basis=vec.basis,
-        state=vec.amplitudes.copy(),
-    )
-    table = probability_table_tensor(strategy)
-    result = _result(params, "tensor", table, depth, d_A=1, seed=seed)
-    return strategy, result
 
 
 def random_dichotomic(rng: np.random.Generator, dim: int) -> np.ndarray:

@@ -1,5 +1,4 @@
 import json
-import math
 import os
 import re
 import subprocess
@@ -176,10 +175,12 @@ def test_heatvision_word_cap_exits_2(capsys):
         ["steer", "seesaw", "--s", "3", "--max-iter", "0"],
         ["norm", "--s", "3", "--depth-max", "3", "--representation", "sparse",
          "--max-iter", "0"],
+        ["norm", "--s", "3", "--depth-max", "3", "--representation", "radial",
+         "--max-iter", "0"],
         ["heatvision", "--s", "3", "--depth", "3", "--steps", "-1"],
     ],
     ids=["seesaw-restarts", "report-restarts", "seesaw-max-iter", "norm-max-iter",
-         "heatvision-steps"],
+         "norm-radial-max-iter", "heatvision-steps"],
 )
 def test_nonpositive_budgets_exit_1(capsys, argv):
     rc = main(argv)
@@ -457,10 +458,15 @@ def test_zero_tolerance_negative_control(capsys):
     assert len(fails) >= 4
 
 
-def run_child(*args):
+REPO = Path(__file__).resolve().parents[1]
+
+
+def run_child(*args, extra_path=()):
     # The child must import the package under test, installed or not.
     src = str(Path(steergap.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    path = os.pathsep.join(
+        filter(None, [src, *extra_path, os.environ.get("PYTHONPATH")])
+    )
     return subprocess.run(
         [sys.executable, *args],
         capture_output=True,
@@ -501,3 +507,27 @@ def test_no_command_loads_scipy():
     probe = json.loads(proc.stdout.splitlines()[-1])
     assert probe["codes"] == [0, 0, 0, 0, 0, 3]
     assert probe["scipy"] == []
+
+
+def test_benchmark_tracer_finds_every_function_it_wraps():
+    """perfbench's tracer raises TracerError when a function it wraps is gone."""
+    proc = run_child(
+        "-c", "import tracer; tracer.install('t')", extra_path=[str(REPO / "perfbench")]
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize(
+    "script, args",
+    [
+        ("norm_convergence.py", ["--s", "3", "--depth-max", "4", "--out-dir", "{tmp}"]),
+        ("purity_decay.py", ["--s", "3", "--steps", "3"]),
+        ("separation_demo.py",
+         ["--s", "3", "--alice-dim", "2", "--bob-depth", "3", "--restarts", "2"]),
+    ],
+    ids=["norm_convergence", "purity_decay", "separation_demo"],
+)
+def test_script_runs(tmp_path, script, args):
+    args = [a.format(tmp=tmp_path) for a in args]
+    proc = run_child(str(REPO / "scripts" / script), *args)
+    assert proc.returncode == 0, proc.stderr

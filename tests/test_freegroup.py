@@ -1,30 +1,18 @@
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from steergap import (
     GroupParams,
     IDENTITY,
-    InvalidGeneratorError,
     Word,
     count_words,
     enumerate_words,
-    inverse,
-    multiply,
     word_from_str,
     word_to_str,
 )
 from steergap.errors import CapacityError
 from steergap.freegroup import MAX_COUNT_LENGTH, ball_size
 
-from util import brute_words, stack_reduce
-
-
-def letters_strategy(s: int, max_len: int = 8):
-    """Reduced letter tuples drawn by rejection-free construction."""
-    return st.lists(
-        st.integers(min_value=1, max_value=s), max_size=max_len
-    ).map(stack_reduce)
+from util import brute_words
 
 
 def test_params_validation():
@@ -47,69 +35,6 @@ def test_word_rejects_unreduced():
 def test_identity_and_len():
     assert len(IDENTITY) == 0
     assert len(Word((1, 2, 1))) == 3
-
-
-def test_multiply_examples():
-    p = GroupParams(3)
-    g1, g2 = Word((1,)), Word((2,))
-    assert multiply(g1, g1, p) == IDENTITY
-    assert multiply(g1, g2, p) == Word((1, 2))
-    # cancellation cascades through the junction
-    assert multiply(Word((1, 2)), Word((2, 1)), p) == IDENTITY
-    assert multiply(Word((1, 2, 3)), Word((3, 2)), p) == g1
-
-
-def test_multiply_rejects_out_of_range_generator():
-    p = GroupParams(2)
-    with pytest.raises(InvalidGeneratorError):
-        multiply(Word((3,)), IDENTITY, p)
-    with pytest.raises(InvalidGeneratorError):
-        multiply(IDENTITY, Word((1, 3)), p)
-
-
-@given(
-    u=letters_strategy(3),
-    v=letters_strategy(3),
-)
-def test_multiply_matches_stack_reduction(u, v):
-    p = GroupParams(3)
-    prod = multiply(Word(u), Word(v), p)
-    assert prod.letters == stack_reduce(u + v)
-
-
-@given(
-    u=letters_strategy(4, 6),
-    v=letters_strategy(4, 6),
-    w=letters_strategy(4, 6),
-)
-@settings(max_examples=60)
-def test_multiply_associative(u, v, w):
-    p = GroupParams(4)
-    a, b, c = Word(u), Word(v), Word(w)
-    assert multiply(multiply(a, b, p), c, p) == multiply(a, multiply(b, c, p), p)
-
-
-@given(u=letters_strategy(3))
-def test_inverse_cancels(u):
-    p = GroupParams(3)
-    w = Word(u)
-    assert multiply(w, inverse(w), p) == IDENTITY
-    assert multiply(inverse(w), w, p) == IDENTITY
-    assert inverse(inverse(w)) == w
-
-
-def test_bulk_random_closure():
-    """Products of random reduced words stay reduced and match the oracle."""
-    import numpy as np
-
-    rng = np.random.default_rng(12345)
-    p = GroupParams(4)
-    for _ in range(10_000):
-        la = stack_reduce(rng.integers(1, 5, size=rng.integers(0, 9)).tolist())
-        lb = stack_reduce(rng.integers(1, 5, size=rng.integers(0, 9)).tolist())
-        prod = multiply(Word(la), Word(lb), p)
-        assert prod.letters == stack_reduce(la + lb)
-        assert all(a != b for a, b in zip(prod.letters, prod.letters[1:]))
 
 
 @pytest.mark.parametrize(

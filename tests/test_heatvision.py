@@ -6,11 +6,9 @@ import pytest
 
 from steergap import (
     IDENTITY,
-    DensityMatrix,
     GroupParams,
     build_basis,
     iterate_channel,
-    pure_purity_series,
     purity_bound,
     superoperator_norm,
     tensor_bound,
@@ -19,7 +17,7 @@ from steergap import (
 )
 from steergap.errors import BufferExhaustedError
 from steergap.heatvision import _lazy_walk
-from steergap.hilbert import right_regular, state_from_amplitudes
+from steergap.hilbert import right_regular
 
 from util import random_buffered_amplitudes
 
@@ -55,13 +53,25 @@ def dense_step(matrix: np.ndarray, basis) -> np.ndarray:
     return out
 
 
-def dense_purity_series(rho: DensityMatrix, steps: int) -> list[float]:
-    matrix = rho.matrix
+def dense_mixture(basis, words) -> np.ndarray:
+    """The uniform mixture of |w><w| over ``words``, as a dense matrix."""
+    states = [unit_state(basis, w).amplitudes for w in words]
+    return sum(np.outer(a, a) for a in states) / len(states)
+
+
+def dense_purity_series(matrix: np.ndarray, basis, steps: int) -> list[float]:
     series = [float(np.sum(matrix * matrix))]
     for _ in range(steps):
-        matrix = dense_step(matrix, rho.basis)
+        matrix = dense_step(matrix, basis)
         series.append(float(np.sum(matrix * matrix)))
     return series
+
+
+def assert_density_matrix(matrix: np.ndarray) -> None:
+    """Trace one, symmetric, and no eigenvalue below -1e-10."""
+    assert abs(np.trace(matrix) - 1.0) <= 1e-12
+    assert np.max(np.abs(matrix - matrix.T), initial=0.0) <= 1e-12
+    assert np.min(np.linalg.eigvalsh(matrix)) >= -1e-10
 
 
 def dense_superoperator_top(params: GroupParams, depth: int) -> float:
@@ -86,7 +96,7 @@ def test_dense_series_matches_exact_walk():
     params = GroupParams(3)
     basis = build_basis(params, 7)
     run = iterate_channel(params, 7, 6, [IDENTITY])
-    dense = dense_purity_series(DensityMatrix.pure(unit_state(basis)), 6)
+    dense = dense_purity_series(dense_mixture(basis, [IDENTITY]), basis, 6)
     for t, (p, d) in enumerate(zip(run.purity_series, dense)):
         exact = float(lazy_walk_second_moment(3, t))
         assert p == pytest.approx(exact, abs=1e-15)
@@ -108,8 +118,10 @@ def test_word_mixture_matches_dense_channel(s):
     for tokens in (["g1", "g1", "g2"], ["e", "g1.g2", f"g{s}", f"g{s}"]):
         words = [word_from_str(tok) for tok in tokens]
         run = iterate_channel(params, 4, 2, words)
-        rho = DensityMatrix.uniform_mixture([unit_state(basis, w) for w in words])
-        assert np.allclose(run.purity_series, dense_purity_series(rho, 2), rtol=0, atol=1e-15)
+        rho = dense_mixture(basis, words)
+        assert np.allclose(
+            run.purity_series, dense_purity_series(rho, basis, 2), rtol=0, atol=1e-15
+        )
 
 
 def test_purity_strictly_decreasing_and_bounded():
@@ -150,14 +162,14 @@ def test_kraus_form_matches_mixing_form():
     basis = build_basis(params, 4)
     rng = np.random.default_rng(3)
     amps = random_buffered_amplitudes(rng, basis, 2)
-    rho = DensityMatrix.pure(state_from_amplitudes(basis, amps))
-    out = dense_step(rho.matrix, basis)
+    rho = np.outer(amps, amps)
+    out = dense_step(rho, basis)
     shifts = [right_regular(x, basis).toarray() for x in range(1, 4)]
     via_kraus = np.zeros_like(out)
     for sh in shifts:
         for sign in (1.0, -1.0):
             k = (np.eye(basis.dimension) + sign * sh) / (2.0 * np.sqrt(3.0))
-            via_kraus += k @ rho.matrix @ k.T
+            via_kraus += k @ rho @ k.T
     assert np.max(np.abs(via_kraus - out)) < 1e-12
 
 
@@ -167,10 +179,10 @@ def test_channel_preserves_density_properties():
     rng = np.random.default_rng(9)
     for trial in range(20):
         amps = random_buffered_amplitudes(rng, basis, 2)
-        matrix = DensityMatrix.pure(state_from_amplitudes(basis, amps)).matrix
+        matrix = np.outer(amps, amps)
         for _ in range(3):
             matrix = dense_step(matrix, basis)
-        DensityMatrix(basis, matrix, 5).validate(check_spectrum=True)
+        assert_density_matrix(matrix)
 
 
 def test_iterate_channel_refuses_overlong_runs():
@@ -200,18 +212,6 @@ def test_run_rows_report_ratio():
     assert rows[0][:3] == (0, 1.0, 1.0)
 
 
-def test_pure_series_matches_dense_channel():
-    params = GroupParams(3)
-    basis = build_basis(params, 6)
-    rng = np.random.default_rng(31)
-    for trial in range(4):
-        amps = random_buffered_amplitudes(rng, basis, 2)
-        state = state_from_amplitudes(basis, amps)
-        lean = pure_purity_series(params, 6, 4, state)
-        dense = dense_purity_series(DensityMatrix.pure(state), 4)
-        assert np.allclose(lean, dense, atol=1e-12)
-
-
 def test_lazy_walk_raises_when_weight_reaches_the_cut():
     basis = build_basis(GroupParams(3), 4)
     images = [basis.right_images(x) for x in range(1, 4)]
@@ -219,15 +219,6 @@ def test_lazy_walk_raises_when_weight_reaches_the_cut():
     weights[basis.shell(4)[0]] = 1.0
     with pytest.raises(RuntimeError, match="weight walked off the ball at step 1"):
         list(_lazy_walk(images, weights, 1))
-
-
-def test_pure_series_buffer_guard():
-    params = GroupParams(3)
-    basis = build_basis(params, 4)
-    with pytest.raises(BufferExhaustedError):
-        pure_purity_series(params, 4, 5, unit_state(basis))
-    with pytest.raises(ValueError, match="requested space"):
-        pure_purity_series(params, 5, 2, unit_state(basis))
 
 
 def test_superoperator_estimates_climb_toward_target():

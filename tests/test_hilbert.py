@@ -2,24 +2,17 @@ import numpy as np
 import pytest
 
 from steergap import (
-    DensityMatrix,
     GroupParams,
-    IDENTITY,
     Word,
-    apply,
     build_basis,
     generator_average,
     left_regular,
     right_regular,
     unit_state,
 )
-from steergap.errors import BufferExhaustedError, CapacityError
-from steergap.hilbert import (
-    StateVector,
-    gather,
-    require_buffer,
-    state_from_amplitudes,
-)
+from steergap.errors import CapacityError
+from steergap.hilbert import StateVector, gather
+from steergap.spectral import quadratic_form
 
 from util import (
     brute_words,
@@ -34,6 +27,11 @@ def basis3():
     return build_basis(GroupParams(3), 4)
 
 
+def brute_basis_words(s: int, depth: int) -> list[Word]:
+    """The reduced words of length <= depth in (length, lex) order."""
+    return [Word(t) for t in sorted(brute_words(s, depth), key=lambda t: (len(t), t))]
+
+
 def test_basis_dimensions():
     assert build_basis(GroupParams(3), 0).dimension == 1
     assert build_basis(GroupParams(3), 2).dimension == 10
@@ -45,10 +43,11 @@ def test_basis_shells_and_lookup(basis3):
     assert basis3.shell(0) == range(0, 1)
     assert basis3.shell(1) == range(1, 4)
     assert basis3.shell(2) == range(4, 10)
+    words = brute_basis_words(3, basis3.depth)
     for k in range(basis3.depth + 1):
         for i in basis3.shell(k):
-            assert len(basis3.word_at(i)) == k
-            assert basis3.index_of(basis3.word_at(i)) == i
+            assert len(words[i]) == k
+            assert basis3.index_of(words[i]) == i
     with pytest.raises(ValueError):
         basis3.index_of(Word((1, 2, 1, 2, 1)))
 
@@ -76,7 +75,8 @@ def test_index_arithmetic_matches_brute_order(s):
 def test_basis_prefix_property():
     small = build_basis(GroupParams(3), 3)
     big = build_basis(GroupParams(3), 4)
-    assert big.words[: small.dimension] == small.words
+    for w in brute_basis_words(3, small.depth):
+        assert big.index_of(w) == small.index_of(w) < small.dimension
 
 
 def test_basis_cap():
@@ -91,7 +91,7 @@ def test_left_shift_matches_definition(s, depth):
     basis = build_basis(GroupParams(s), depth)
     for y in range(1, s + 1):
         got = left_regular(y, basis).toarray()
-        want = dense_left_shift(s, depth, y, basis.words)
+        want = dense_left_shift(s, depth, y, brute_basis_words(s, depth))
         assert np.array_equal(got, want)
 
 
@@ -102,7 +102,7 @@ def test_right_shift_matches_definition(s, depth):
     basis = build_basis(GroupParams(s), depth)
     for x in range(1, s + 1):
         got = right_regular(x, basis).toarray()
-        want = dense_right_shift(s, depth, x, basis.words)
+        want = dense_right_shift(s, depth, x, brute_basis_words(s, depth))
         assert np.array_equal(got, want)
 
 
@@ -131,13 +131,14 @@ def test_invalid_generator_rejected(basis3):
 
 def test_apply_examples(basis3):
     e = unit_state(basis3)
-    g1 = apply(left_regular(1, basis3), e)
+    g1 = StateVector(basis3, left_regular(1, basis3) @ e.amplitudes, 1)
     assert g1.amplitudes[basis3.index_of(Word((1,)))] == 1.0
     assert g1.norm() == 1.0
-    assert g1.support_depth == 1
+    assert np.array_equal(g1.amplitudes, unit_state(basis3, Word((1,))).amplitudes)
+    assert unit_state(basis3, Word((1,))).support_depth == 1
     # right shift appends instead
-    h = apply(right_regular(2, basis3), g1)
-    assert h.amplitudes[basis3.index_of(Word((1, 2)))] == 1.0
+    h = right_regular(2, basis3) @ g1.amplitudes
+    assert h[basis3.index_of(Word((1, 2)))] == 1.0
 
 
 def test_left_shift_is_buffered_involution(basis3):
@@ -145,20 +146,18 @@ def test_left_shift_is_buffered_involution(basis3):
     for y in range(1, 4):
         op = left_regular(y, basis3)
         amps = random_buffered_amplitudes(rng, basis3, basis3.depth - 1)
-        v = StateVector(basis3, amps, basis3.depth - 1)
-        twice = apply(op, apply(op, v))
-        assert np.allclose(twice.amplitudes, amps, atol=1e-15)
+        twice = op @ (op @ amps)
+        assert np.allclose(twice, amps, atol=1e-15)
 
 
 def test_left_and_right_shifts_commute(basis3):
     rng = np.random.default_rng(1)
     amps = random_buffered_amplitudes(rng, basis3, basis3.depth - 2)
-    v = StateVector(basis3, amps, basis3.depth - 2)
     for y in range(1, 4):
         for x in range(1, 4):
             sy, rx = left_regular(y, basis3), right_regular(x, basis3)
-            lr = apply(sy, apply(rx, v)).amplitudes
-            rl = apply(rx, apply(sy, v)).amplitudes
+            lr = sy @ (rx @ amps)
+            rl = rx @ (sy @ amps)
             assert np.array_equal(lr, rl)
 
 
@@ -180,35 +179,31 @@ def test_exactness_depth_contract():
     small = build_basis(GroupParams(3), 3)
     big = build_basis(GroupParams(3), 5)
     rng = np.random.default_rng(2)
-    amps = random_buffered_amplitudes(rng, small, 2)
-    v_small = StateVector(small, amps, 2)
+    amps = random_buffered_amplitudes(rng, small, small.depth - 1)
     big_amps = np.zeros(big.dimension)
     big_amps[: small.dimension] = amps
-    v_big = StateVector(big, big_amps, 2)
     for y in range(1, 4):
-        out_small = apply(left_regular(y, small), v_small).amplitudes
-        out_big = apply(left_regular(y, big), v_big).amplitudes
+        out_small = left_regular(y, small) @ amps
+        out_big = left_regular(y, big) @ big_amps
         assert np.array_equal(out_big[: small.dimension], out_small)
         assert np.all(out_big[small.dimension :] == 0.0)
-    op = left_regular(1, small)
-    assert op.exactness_depth == small.depth - 1
 
 
 def test_truncation_loses_boundary_weight(basis3):
     """At the cut the compressed shift annihilates outward motion."""
-    boundary_word = basis3.word_at(basis3.dimension - 1)
+    boundary_word = brute_basis_words(3, basis3.depth)[basis3.dimension - 1]
     v = unit_state(basis3, boundary_word)
     y = next(
         g for g in range(1, 4) if g != boundary_word.letters[0]
     )
-    out = apply(left_regular(y, basis3), v)
-    assert out.norm() == 0.0
+    out = left_regular(y, basis3) @ v.amplitudes
+    assert np.linalg.norm(out) == 0.0
 
 
 def test_generator_average_entries(basis3):
     e = unit_state(basis3)
     om = generator_average(basis3)
-    oe = apply(om, e).amplitudes
+    oe = om @ e.amplitudes
     assert abs(e.amplitudes @ oe) < 1e-16
     for y in range(1, 4):
         assert oe[basis3.index_of(Word((y,)))] == pytest.approx(1 / 3)
@@ -225,55 +220,20 @@ def test_generator_average_interior_rows_s2():
 
 
 def test_support_depth_bookkeeping(basis3):
-    v = unit_state(basis3)
-    for expected in (1, 2, 3, 4, 4):
-        v = apply(generator_average(basis3), v)
-        assert v.support_depth == expected
+    """Each application of the average reaches one shell further, up to the cut.
 
-
-def test_state_from_amplitudes_measures_support(basis3):
-    amps = np.zeros(basis3.dimension)
-    amps[basis3.index_of(Word((1, 2)))] = 1.0
-    v = state_from_amplitudes(basis3, amps)
-    assert v.support_depth == 2
-    with pytest.raises(ValueError):
-        state_from_amplitudes(basis3, np.zeros(3))
+    Past the cut the outermost shell can only step inward, so the fifth
+    application at depth 4 ends on shell 3.
+    """
+    amps = unit_state(basis3).amplitudes
+    for expected in (1, 2, 3, 4, 3):
+        amps = generator_average(basis3) @ amps
+        reached = [k for k in range(basis3.depth + 1) if np.any(amps[basis3.shell(k)])]
+        assert max(reached) == expected
 
 
 def test_basis_mismatch_rejected(basis3):
     other = build_basis(GroupParams(3), 4)
     v = unit_state(other)
     with pytest.raises(ValueError, match="basis mismatch"):
-        apply(left_regular(1, basis3), v)
-
-
-def test_require_buffer():
-    require_buffer(2, 5, 3)
-    with pytest.raises(BufferExhaustedError, match="2 exact steps"):
-        require_buffer(3, 5, 3)
-
-
-def test_density_matrix_validate(basis3):
-    rho = DensityMatrix.pure(unit_state(basis3))
-    rho.validate()
-    assert rho.purity() == 1.0
-    assert rho.trace() == 1.0
-    bad = DensityMatrix(basis3, rho.matrix * 2.0, 0)
-    with pytest.raises(ValueError, match="trace"):
-        bad.validate()
-    asym = rho.matrix.copy()
-    asym[0, 1] = 0.5
-    with pytest.raises(ValueError, match="asymmetric"):
-        DensityMatrix(basis3, asym, 1).validate()
-    neg = np.diag(np.linspace(1.0, -0.1, basis3.dimension))
-    neg /= np.trace(neg)
-    with pytest.raises(ValueError, match="eigenvalue"):
-        DensityMatrix(basis3, neg, basis3.depth).validate()
-
-
-def test_density_uniform_mixture(basis3):
-    words = [IDENTITY, Word((1,)), Word((1, 2))]
-    rho = DensityMatrix.uniform_mixture([unit_state(basis3, w) for w in words])
-    rho.validate()
-    assert rho.support_depth == 2
-    assert rho.purity() == pytest.approx(1 / 3)
+        quadratic_form(left_regular(1, basis3), v)

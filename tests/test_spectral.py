@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from steergap import (
     GroupParams,
+    Word,
     analytic_norm,
     build_basis,
     closed_walk_moment,
@@ -22,7 +23,7 @@ from steergap import (
 )
 from steergap import spectral
 from steergap.errors import CapacityError, ConvergenceError
-from steergap.hilbert import StateVector, apply, right_regular
+from steergap.hilbert import StateVector, right_regular
 from steergap.spectral import (
     quadratic_form,
     radial_offdiagonal,
@@ -167,7 +168,7 @@ def test_rayleigh_quotient_right_translation_invariant():
     v = StateVector(basis, amps, 3)
     base = quadratic_form(om, v)
     for x in range(1, 4):
-        shifted = apply(right_regular(x, basis), v)
+        shifted = StateVector(basis, right_regular(x, basis) @ amps, 4)
         assert quadratic_form(om, shifted) == pytest.approx(base, abs=1e-12)
 
 
@@ -216,7 +217,7 @@ def test_tightness_quotient_increases_toward_norm():
 def test_bound_chain_single_word():
     params = GroupParams(3)
     basis = build_basis(params, 3)
-    v = unit_state(basis, basis.word_at(1))
+    v = unit_state(basis, Word((1,)))
     chain = first_letter_bound_chain(v)
     assert chain.lhs == 0.0  # <g1|Omega|g1> = 0, no closed length-1 walk
     assert chain.middle == 0.0  # p = (1,0,0) has zero variance term
@@ -246,7 +247,7 @@ def test_bound_chain_rejects_identity_overlap():
 def test_bound_chain_rejects_unbuffered():
     params = GroupParams(3)
     basis = build_basis(params, 3)
-    v = unit_state(basis, basis.word_at(basis.dimension - 1))
+    v = unit_state(basis, Word((3, 2, 3)))  # the last word of the ball
     with pytest.raises(ValueError, match="buffer|shell"):
         first_letter_bound_chain(v)
 
