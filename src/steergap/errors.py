@@ -6,7 +6,8 @@ so does running out of memory (the built-in ``MemoryError``).
 """
 
 #: Largest single allocation, checked before it is made.  It admits every
-#: Lanczos run within the word cap: 200 Krylov vectors of 2M words take 3.2 GB.
+#: Lanczos run within the word cap: 200 Krylov vectors of 2M words, held as two
+#: 100-row parity blocks, take 1.6 GB.
 MEMORY_BUDGET = 4 * 2**30
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,6 +31,24 @@ from .freegroup import (
     capped_ball_size,
     count_words,
 )
+
+
+class ParitySplit(NamedTuple):
+    """Words by length parity (class 0 even, 1 odd): ``indices[c]`` lists
+    class c's basis indices in order, and ``images[c]`` is the (s, D_c)
+    left-image stack on those words, as positions in the other class's list.
+    """
+
+    indices: tuple[np.ndarray, np.ndarray]
+    images: tuple[np.ndarray, np.ndarray]
+
+    def merge(self, parts) -> np.ndarray:
+        """One (..., D) array from the two class parts of shape (..., D_c)."""
+        dim = sum(len(idx) for idx in self.indices)
+        out = np.empty(parts[0].shape[:-1] + (dim,))
+        for idx, part in zip(self.indices, parts):
+            out[..., idx] = part
+        return out
 
 
 class TruncatedBasis:
@@ -112,46 +131,52 @@ class TruncatedBasis:
             )
 
     def suffixes(self) -> np.ndarray:
-        """Index of each word with its first letter dropped (-1 for the identity).
-
-        Dropping the first digit keeps the later ones; only the second letter
-        turns from a radix-(s-1) digit into a radix-s one, gaining 1 when it
-        is above the first letter.
-        """
-        length, rank, offsets = self._coordinates()
-        q = self.params.s - 1
-        out = (
-            offsets[length - 1]
-            + rank % q ** np.maximum(length - 1, 0)
-            + (self._second > self._first) * q ** np.maximum(length - 2, 0)
-        )
-        return np.where(length > 0, out, -1)
+        """g_a w for each word w with first letter a: w without it (-1 for e)."""
+        first = self._first
+        dropped = self.left_image_stack[first - 1, np.arange(self.dimension)]
+        return np.where(first > 0, dropped, -1)
 
     def left_images(self, y: int) -> np.ndarray:
-        """Index of g_y w for every basis word w; -1 past the cut.
-
-        Unless w starts with y, prepending y adds a leading digit y-1 of
-        weight (s-1)^len(w), and the old first letter becomes a radix-(s-1)
-        digit, one lower when it is above y.
-        """
+        """Index of g_y w for every basis word w; -1 past the cut."""
         self._check_generator(y)
-        length, rank, offsets = self._coordinates()
-        q = self.params.s - 1
-        grown = (
-            offsets[length + 1]
-            + (y - 1) * q**length
-            + rank
-            - (self._first > y) * q ** np.maximum(length - 1, 0)
-        )
-        grown = np.where(length < self.depth, grown, -1)
-        return np.where(self._first == y, self.suffixes(), grown)
+        return self.left_image_stack[y - 1]
 
     @cached_property
     def left_image_stack(self) -> np.ndarray:
-        """``left_images(y)`` for y = 1..s as rows of one read-only (s, D) array."""
-        stack = np.stack([self.left_images(y) for y in range(1, self.params.s + 1)])
+        """Index of g_y w for y = 1..s (rows) and every word w: read-only (s, D).
+
+        If w starts with y, g_y w drops the first letter: the later digits
+        stay, and only the second letter turns from a radix-(s-1) digit into
+        a radix-s one, gaining 1 when it is above the first letter.
+        Otherwise prepending y adds a leading digit y-1 of weight
+        (s-1)^len(w), and the old first letter becomes a radix-(s-1) digit,
+        one lower when it is above y; -1 where that leaves the ball.
+        """
+        length, rank, offsets = self._coordinates()
+        q = self.params.s - 1
+        below = q ** np.maximum(length - 1, 0)
+        dropped = (
+            offsets[length - 1]
+            + rank % below
+            + (self._second > self._first) * q ** np.maximum(length - 2, 0)
+        )
+        y = np.arange(1, self.params.s + 1)[:, None]
+        grown = offsets[length + 1] + (y - 1) * q**length + rank
+        grown = np.where(length < self.depth, grown - (self._first > y) * below, -1)
+        stack = np.where(self._first == y, dropped, grown)
         stack.flags.writeable = False
         return stack
+
+    @cached_property
+    def parity_split(self) -> ParitySplit:
+        """Every left shift changes the length by one: it swaps the classes."""
+        length = self._coordinates()[0]
+        indices = tuple(np.flatnonzero(length % 2 == c) for c in (0, 1))
+        local = np.full(self.dimension + 1, -1, dtype=np.int64)
+        for idx in indices:
+            local[idx] = np.arange(len(idx))
+        images = tuple(local[self.left_image_stack[:, idx]] for idx in indices)
+        return ParitySplit(indices, images)
 
     def right_images(self, x: int) -> np.ndarray:
         """Index of w g_x for every basis word w; -1 past the cut.

@@ -17,6 +17,8 @@ secular equation of its closed-form eigenvector; ``sparse`` runs Lanczos
 with full reorthogonalization on the gather form of the compressed
 operator, which cross-checks the reduction; ``auto`` switches on basis
 size.  Both run on numpy and ``math`` alone.
+The operator maps even-length words to odd-length ones and back, so the
+one Lanczos solver, shared with the seesaw, works on that parity split.
 """
 
 from __future__ import annotations
@@ -136,72 +138,80 @@ def radial_top_eigenvalue(s: int, depth: int) -> tuple[float, float]:
     return value, float(np.linalg.norm(tv - value * v))
 
 
-def _lanczos_extremal(matvec, dim, rng, tol, krylov=DEFAULT_KRYLOV, v0=None):
-    """Extremal eigenpair by Lanczos with full reorthogonalization.
+def _lanczos_extremal(apply, sizes, rng, tol, krylov=DEFAULT_KRYLOV, v0=None):
+    """Top eigenpair, by Lanczos, of an operator that swaps two classes.
 
-    Returns (most_positive_value, its_vector, extremal_abs_value,
-    iterations, residual).  For the spectra handled here the most positive
-    and largest-magnitude eigenvalues coincide, but both are reported so the
-    caller does not have to assume that.  The start vector is ``v0`` if
-    given (then ``rng`` is unused), so the top Ritz value is at least its
-    Rayleigh quotient; otherwise it is random.
+    ``apply(v, c)`` maps a class-c vector (length ``sizes[c]``) to the other
+    class.  From a start in one class the Krylov vectors alternate classes
+    and every alpha is 0 (Golub-Kahan bidiagonalization of the class-0 ->
+    class-1 block), so each new vector is reorthogonalized, twice, against
+    its own class only.  The Ritz values come in +/- pairs, so the top one
+    is also the largest in magnitude.  Returns (value, the class parts of
+    its unit Ritz vector, iterations, residual).  The start is random in
+    class 0, or the class-0 part of the pair ``v0``, or its class-1 part if
+    the class-0 one is zero; then the top Ritz value is at least
+    ||A v||/||v|| for that part v.
     """
     if krylov < 1:
         raise ValueError(f"Krylov budget must be ≥ 1, got {krylov}")
+    dim = sum(sizes)
     m = min(krylov, dim)
-    require_bytes(8 * m * dim, f"Lanczos Krylov basis of {m} x {dim} float64")
-    q = rng.standard_normal(dim) if v0 is None else np.asarray(v0, dtype=float)
-    q = q / np.linalg.norm(q)
-    basis = np.zeros((m, dim))
-    alphas: list[float] = []
+    half = (m + 1) // 2
+    require_bytes(8 * half * dim, f"Lanczos Krylov basis of {half} x {dim} float64")
+    if v0 is None:
+        start, q = 0, rng.standard_normal(sizes[0])
+    else:
+        start = 0 if np.any(v0[0]) else 1
+        q = np.asarray(v0[start], dtype=float)
+    # Vector j lies in class (start + j) % 2, as row j // 2 of that block.
+    blocks = [np.zeros((half, n)) for n in sizes]
+    blocks[start][0] = q / np.linalg.norm(q)
     betas: list[float] = []
-    basis[0] = q
-    check_every = 5
-    theta_pos = theta_abs = 0.0
-    vec_pos = q
-    residual = math.inf
     for j in range(m):
-        w = matvec(basis[j])
-        alpha = float(basis[j] @ w)
-        alphas.append(alpha)
-        w -= alpha * basis[j]
+        c = (start + j) % 2
+        w = apply(blocks[c][j // 2], c)
+        own = blocks[1 - c][: (j + 1) // 2]
         if j > 0:
-            w -= betas[-1] * basis[j - 1]
-        # Two reorthogonalization passes against the whole Krylov basis;
-        # classical Gram-Schmidt alone loses orthogonality long before the
-        # Ritz values settle.
+            w -= betas[-1] * own[-1]
+        # Two classical Gram-Schmidt passes against the own-class block; one
+        # alone loses orthogonality long before the Ritz values settle.
         for _ in range(2):
-            w -= basis[: j + 1].T @ (basis[: j + 1] @ w)
+            w -= own.T @ (own @ w)
         beta = float(np.linalg.norm(w))
         ran_out = j == m - 1
         breakdown = beta < 1e-14
-        if (j + 1) % check_every == 0 or ran_out or breakdown:
+        if (j + 1) % 5 == 0 or ran_out or breakdown:
             # The Ritz tridiagonal is at most krylov x krylov: a dense
             # symmetric solve of it is cheap.
-            ritz = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
-            vals, vecs = np.linalg.eigh(ritz)
-            i_abs = int(np.argmax(np.abs(vals)))
-            theta_abs = float(abs(vals[i_abs]))
-            theta_pos = float(vals[-1])
-            vec_pos = vecs[:, -1] @ basis[: j + 1]
-            residual = beta * float(abs(vecs[-1, i_abs]))
-            if breakdown:
-                # Krylov space is invariant: the Ritz pairs are exact.
-                residual = beta
+            vals, vecs = np.linalg.eigh(np.diag(betas, 1) + np.diag(betas, -1))
+            # On breakdown the Krylov space is invariant: the Ritz pairs are exact.
+            residual = beta if breakdown else beta * float(abs(vecs[-1, -1]))
             if residual <= tol or breakdown:
-                return theta_pos, vec_pos, theta_abs, j + 1, residual
-        if ran_out:
-            break
-        betas.append(beta)
-        basis[j + 1] = w / beta
-    if m == dim:
-        # Exhausted the whole space: the tridiagonal problem is exact.
-        return theta_pos, vec_pos, theta_abs, m, residual
-    raise ConvergenceError(
-        f"Lanczos did not reach tolerance {tol:g} within Krylov dimension {m} "
-        f"(residual {residual:.3g})",
-        residual=residual,
-    )
+                break
+            if ran_out and m < dim:
+                raise ConvergenceError(
+                    f"Lanczos did not reach tolerance {tol:g} within Krylov "
+                    f"dimension {m} (residual {residual:.3g})",
+                    residual=residual,
+                )
+        if not ran_out:
+            betas.append(beta)
+            blocks[1 - c][(j + 1) // 2] = w / beta
+    # Exhausting the whole space (m == dim) also leaves the exact answer.
+    coefs = [vecs[(c - start) % 2 :: 2, -1] for c in (0, 1)]
+    parts = tuple(a @ block[: len(a)] for a, block in zip(coefs, blocks))
+    return float(vals[-1]), parts, j + 1, residual
+
+
+def _split_average(basis: TruncatedBasis):
+    """The averaged shift as ``(apply, sizes)`` on the length-parity classes."""
+    split = basis.parity_split
+    scale = 1.0 / basis.params.s
+
+    def apply(v, c):
+        return scale * gather(v, split.images[1 - c]).sum(axis=0)
+
+    return apply, tuple(len(idx) for idx in split.indices)
 
 
 def _resolve_representation(representation: str, dim: int) -> str:
@@ -237,12 +247,8 @@ def estimate_norm(
     if rep == "sparse":
         basis = build_basis(params, depth, cap=cap)
         budget = DEFAULT_KRYLOV if max_iter is None else max_iter
-        _, _, value, iterations, residual = _lanczos_extremal(
-            generator_average(basis).__matmul__,
-            basis.dimension,
-            np.random.default_rng(seed),
-            tol,
-            budget,
+        value, _, iterations, residual = _lanczos_extremal(
+            *_split_average(basis), np.random.default_rng(seed), tol, budget
         )
     else:
         value, residual = radial_top_eigenvalue(params.s, depth)
@@ -287,10 +293,9 @@ def extremal_eigenpair(
     elif basis.depth != depth or basis.params != params:
         raise ValueError("supplied basis does not match the requested depth")
     rng = np.random.default_rng(seed)
-    value, vec, _, _, _ = _lanczos_extremal(
-        generator_average(basis).__matmul__, basis.dimension, rng, tol, krylov
-    )
-    vec = vec / np.linalg.norm(vec)
+    value, parts, _, _ = _lanczos_extremal(*_split_average(basis), rng, tol, krylov)
+    vec = basis.parity_split.merge(parts)
+    vec /= np.linalg.norm(vec)
     return value, StateVector(basis, vec, basis.depth)
 
 

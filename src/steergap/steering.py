@@ -310,11 +310,14 @@ def seesaw_tensor_optimize(
     R_y tensor S_y anticommutes with 1 tensor (-1)^|w|, so the spectrum is
     symmetric about zero and the most positive eigenvalue is the extremal
     one; no sign flip is needed.  The operator acts matrix-free on the state
-    as a d_A x D array, and each state step is a Lanczos run started from the
-    previous state, so its Ritz value is at least the objective the
-    observable step reached.  Both steps can only increase the objective, so
-    each run's history is monotone; the best run over all restarts is
-    returned.  The optimum is the compressed norm lambda_N for every d_A,
+    as a d_A x D array and maps the columns of Bob's even-length words to
+    the odd-length ones and back, so each state step is a parity-split
+    Lanczos run.  It starts from the previous state's even columns psi_e
+    (its odd ones if those are zero), whose two-vector Krylov space already
+    has Ritz value ||A psi_e||/||psi_e|| >= <psi, A psi> for unit psi; so
+    the step's value is at least the objective the observable step reached.
+    Both steps can only increase the objective, so each run's history is
+    monotone; the best run over all restarts is returned.  The optimum is the compressed norm lambda_N for every d_A,
     since the conjugation identity strips Alice out.  ``tol`` is both the
     stationarity tolerance on the objective and the Lanczos residual
     tolerance.  Runs that fail to go stationary within ``max_iter`` are
@@ -330,17 +333,19 @@ def seesaw_tensor_optimize(
         raise ValueError("max_iter must be ≥ 1")
     basis = build_basis(params, bob_depth)
     s = params.s
-    dim = basis.dimension
     images = basis.left_image_stack
+    split = basis.parity_split
 
     def state_step(obs, rng, psi):
-        def matvec(v):  # (R_y tensor S_y) psi = R_y psi S_y
-            shifted = gather(v.reshape(alice_dim, dim).T, images)
+        def apply(v, c):  # (R_y tensor S_y) psi = R_y psi S_y, class c -> 1 - c
+            shifted = gather(v.reshape(alice_dim, -1).T, split.images[1 - c])
             return np.tensordot(obs, shifted, axes=([0, 2], [0, 2])).ravel() / s
 
-        v0 = None if psi is None else psi.ravel()
-        lam, vec, *_ = _lanczos_extremal(matvec, alice_dim * dim, rng, tol, v0=v0)
-        return lam, (vec / np.linalg.norm(vec)).reshape(alice_dim, dim)
+        sizes = tuple(alice_dim * len(idx) for idx in split.indices)
+        v0 = None if psi is None else [psi[:, idx].ravel() for idx in split.indices]
+        lam, parts, *_ = _lanczos_extremal(apply, sizes, rng, tol, v0=v0)
+        psi = split.merge([part.reshape(alice_dim, -1) for part in parts])
+        return lam, psi / np.linalg.norm(psi)
 
     master = np.random.SeedSequence(seed)
     best: tuple[float, np.ndarray, np.ndarray, list[float], bool] | None = None

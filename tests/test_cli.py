@@ -292,10 +292,11 @@ def test_seesaw_readme_example_runs(capsys):
 
 
 def test_seesaw_dim_cap_exits_2(capsys):
-    # 100 x 49 150 states at s=3, N=14: the Krylov basis estimate (7.9 GB)
-    # is over the byte budget, so the run stops before allocating it.
+    # 200 x 49 150 states at s=3, N=14: the Krylov basis estimate, two
+    # 100-row parity blocks (7.9 GB), is over the byte budget, so the run
+    # stops before allocating it.
     rc = main(
-        ["steer", "seesaw", "--s", "3", "--alice-dim", "100", "--bob-depth", "14"]
+        ["steer", "seesaw", "--s", "3", "--alice-dim", "200", "--bob-depth", "14"]
     )
     _, err = run_lines(capsys)
     assert rc == 2

@@ -19,6 +19,7 @@ from util import (
     dense_left_shift,
     dense_right_shift,
     random_buffered_amplitudes,
+    stack_reduce,
 )
 
 
@@ -70,6 +71,29 @@ def test_index_arithmetic_matches_brute_order(s):
             assert first[i] == t[0]
     with pytest.raises(ValueError):
         basis.index_of(Word((s + 1,)))
+
+
+@pytest.mark.parametrize("s", [2, 3, 4, 5])
+def test_parity_split_matches_brute_order(s):
+    """Each left image of an even word is odd and the reverse, -1 only past the cut."""
+    depth = 9 - s
+    basis = build_basis(GroupParams(s), depth)
+    words = sorted(brute_words(s, depth), key=lambda t: (len(t), t))
+    split = basis.parity_split
+    assert sorted(np.concatenate(split.indices)) == list(range(len(words)))
+    for c in (0, 1):
+        idx, other, images = split.indices[c], split.indices[1 - c], split.images[c]
+        assert all(len(words[i]) % 2 == c for i in idx)
+        assert images.shape == (s, len(idx))
+        back = np.where(images >= 0, other[images], -1)
+        assert np.array_equal(back, basis.left_image_stack[:, idx])
+        for y in range(1, s + 1):
+            for i, j in zip(idx, images[y - 1]):
+                image = stack_reduce((y,) + words[i])
+                if j < 0:
+                    assert len(words[i]) == depth and len(image) == depth + 1
+                else:
+                    assert words[other[j]] == image and len(image) % 2 == 1 - c
 
 
 def test_basis_prefix_property():

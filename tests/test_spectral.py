@@ -23,12 +23,15 @@ from steergap import (
 )
 from steergap import spectral
 from steergap.errors import CapacityError, ConvergenceError
-from steergap.hilbert import StateVector, right_regular
+from steergap.hilbert import StateVector, gather, left_regular, right_regular
 from steergap.spectral import (
+    _lanczos_extremal,
     quadratic_form,
     radial_offdiagonal,
     tightness_quadratic_form,
 )
+
+from steergap.steering import random_dichotomic
 
 from util import random_buffered_amplitudes
 
@@ -52,11 +55,39 @@ def test_estimate_matches_dense_eigenvalue():
 
 
 def test_radial_reduction_matches_sparse():
-    for s, depth in [(2, 9), (3, 7), (4, 5), (5, 4)]:
+    # Every (s, N) of the quick report's sweep, and s=3 to its reference depth.
+    quick = [(s, n) for s in (2, 3, 4, 5) for n in range(1, 9)]
+    for s, depth in quick + [(3, n) for n in range(9, 15)]:
         params = GroupParams(s)
         sparse = estimate_norm(params, depth, representation="sparse")
         radial = estimate_norm(params, depth, representation="radial")
-        assert abs(sparse.estimated_norm - radial.estimated_norm) < 1e-9
+        assert abs(sparse.estimated_norm - radial.estimated_norm) < 1e-14, (s, depth)
+
+
+def test_lanczos_odd_start_matches_even_start():
+    """The seesaw operator from psi's odd columns alone gives the even-start value."""
+    s, alice_dim, depth = 3, 2, 4
+    basis = build_basis(GroupParams(s), depth)
+    split = basis.parity_split
+    rng = np.random.default_rng(4)
+    obs = np.stack([random_dichotomic(rng, alice_dim) for _ in range(s)])
+
+    def apply(v, c):
+        shifted = gather(v.reshape(alice_dim, -1).T, split.images[1 - c])
+        return np.tensordot(obs, shifted, axes=([0, 2], [0, 2])).ravel() / s
+
+    sizes = tuple(alice_dim * len(idx) for idx in split.indices)
+    even = (rng.standard_normal(sizes[0]), np.zeros(sizes[1]))
+    odd = (np.zeros(sizes[0]), rng.standard_normal(sizes[1]))
+    lam_even, _, _, _ = _lanczos_extremal(apply, sizes, None, 1e-12, v0=even)
+    lam_odd, parts, _, _ = _lanczos_extremal(apply, sizes, None, 1e-12, v0=odd)
+    assert abs(lam_odd - lam_even) < 1e-12
+    dense = sum(
+        np.kron(r, left_regular(y + 1, basis).toarray()) for y, r in enumerate(obs)
+    ) / s
+    assert abs(lam_odd - np.linalg.eigvalsh(dense)[-1]) < 1e-12
+    psi = split.merge([part.reshape(alice_dim, -1) for part in parts])
+    assert np.linalg.norm(dense @ psi.ravel() - lam_odd * psi.ravel()) < 1e-10
 
 
 def test_radial_offdiagonal_values():

@@ -290,10 +290,11 @@ def test_seesaw_value_is_compressed_norm(s, alice_dim, depth):
 
 
 def test_seesaw_dimension_cap():
-    # d_A * D = 100 * 49 150 at s=3, N=14: a 200-vector Krylov basis would
-    # take 7.9 GB, so the byte guard refuses before anything is allocated.
+    # d_A * D = 200 * 49 150 at s=3, N=14: the two 100-row parity blocks of a
+    # 200-vector Krylov basis would take 7.9 GB, so the byte guard refuses
+    # before anything is allocated.
     with pytest.raises(CapacityError, match="Krylov basis"):
-        seesaw_tensor_optimize(GroupParams(3), 100, 14)
+        seesaw_tensor_optimize(GroupParams(3), 200, 14)
 
 
 def test_violation_flag_threshold():
