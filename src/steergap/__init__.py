@@ -44,7 +44,6 @@ from .spectral import (
     tightness_vector,
 )
 from .steering import (
-    CommutingStrategy,
     ProbabilityTable,
     StrategyResult,
     TensorStrategy,

@@ -34,20 +34,18 @@ from .hilbert import build_basis
 from .spectral import analytic_norm, radial_top_eigenvalue
 
 
-def purity_bound(s: int, steps: int, *, fstar: float | None = None) -> float:
-    """Purity envelope after ``steps`` applications: ((1 + f)/2)^(2*steps)."""
-    if fstar is None:
-        fstar = analytic_norm(s)
-    return ((1.0 + fstar) / 2.0) ** (2 * steps)
+def purity_bound(s: int, steps: int) -> float:
+    """Purity envelope after ``steps`` applications: ((1 + f*)/2)^(2*steps)."""
+    return ((1.0 + analytic_norm(s)) / 2.0) ** (2 * steps)
 
 
-def _lazy_walk(images: list[np.ndarray], weights: np.ndarray, steps: int):
+def _lazy_walk(images: np.ndarray, weights: np.ndarray, steps: int):
     """Yield the weights after each step: half stays, 1/(2s) goes to each image.
 
-    ``images[x - 1][i]`` is the image of word i under generator x, -1 past the
+    ``images[x - 1, i]`` is the image of word i under generator x, -1 past the
     cut; reaching the cut means the buffer contract broke, so it raises.
     """
-    neighbor = np.stack(images, axis=1)
+    neighbor = images.T
     for t in range(1, steps + 1):
         nxt = 0.5 * weights
         live = weights != 0.0
@@ -89,7 +87,6 @@ def iterate_channel(
     depth: int,
     steps: int,
     words: list[Word],
-    fstar: float | None = None,
 ) -> ChannelRun:
     """Run ``steps`` exact channel applications, tracking purity vs bound.
 
@@ -113,17 +110,15 @@ def iterate_channel(
             f"requested {steps} steps from support depth {k0} at truncation "
             f"depth {depth}; max exact steps: {max(exact_through, 0)}"
         )
-    if fstar is None:
-        fstar = analytic_norm(params.s)
     purities = [float(weights @ weights)]
     bounds = [1.0]
-    images = [basis.right_images(x) for x in range(1, params.s + 1)]
-    for t, weights in enumerate(_lazy_walk(images, weights, steps), start=1):
+    walk = _lazy_walk(basis.right_image_stack, weights, steps)
+    for t, weights in enumerate(walk, start=1):
         trace = float(np.sum(weights))
         if abs(trace - 1.0) > 1e-10:
             raise RuntimeError(f"trace drifted to {trace!r} at step {t}")
         p = float(weights @ weights)
-        b = purity_bound(params.s, t, fstar=fstar)
+        b = purity_bound(params.s, t)
         if p > b + 1e-9:
             raise RuntimeError(
                 f"purity {p!r} exceeded its envelope {b!r} at step {t}; "
@@ -138,7 +133,7 @@ def iterate_channel(
         depth=depth,
         steps=steps,
         initial_support_depth=k0,
-        fstar=fstar,
+        fstar=analytic_norm(params.s),
         purity_series=purities,
         bound_series=bounds,
         exact_through=exact_through,

@@ -179,20 +179,33 @@ class TruncatedBasis:
         return ParitySplit(indices, images)
 
     def right_images(self, x: int) -> np.ndarray:
-        """Index of w g_x for every basis word w; -1 past the cut.
+        """Index of w g_x for every basis word w; -1 past the cut."""
+        self._check_generator(x)
+        return self.right_image_stack[x - 1]
+
+    @cached_property
+    def right_image_stack(self) -> np.ndarray:
+        """Index of w g_x for x = 1..s (rows) and every word w: read-only (s, D).
 
         Dropping the last letter gives the word's parent in the enumeration;
         appending x gives the child whose digit ranks x among the letters
         other than the last one.
         """
-        self._check_generator(x)
         length, rank, offsets = self._coordinates()
         s, last = self.params.s, self._last
         shrunk = offsets[length - 1] + rank // np.where(length == 1, s, s - 1)
-        digit = x - 1 - ((last > 0) & (x > last))
-        grown = offsets[length + 1] + rank * (s - 1) + digit
-        grown = np.where(length < self.depth, grown, -1)
-        return np.where(last == x, shrunk, grown)
+        grown = offsets[length + 1] + rank * (s - 1)
+        past = length == self.depth
+        # Filled a row at a time, in place, after freeing the coordinates, so
+        # only the stack and a few D-long arrays are alive at once.
+        del length, rank
+        stack = np.empty((s, self.dimension), dtype=np.int64)
+        for x, row in enumerate(stack, start=1):
+            np.subtract(grown + (x - 1), (last > 0) & (x > last), out=row)
+            row[past] = -1
+            np.copyto(row, shrunk, where=last == x)
+        stack.flags.writeable = False
+        return stack
 
 
 def build_basis(

@@ -20,12 +20,11 @@ from .heatvision import (
     purity_bound,
     superoperator_norm,
 )
-from .hilbert import StateVector, build_basis
+from .hilbert import StateVector, build_basis, generator_average
 from .spectral import (
     analytic_norm,
     closed_walk_moment,
     first_letter_bound_chain,
-    generator_average,
     matvec_walk_count,
     norm_sweep,
     quadratic_form,
@@ -33,7 +32,6 @@ from .spectral import (
     tightness_vector,
 )
 from .steering import (
-    TensorStrategy,
     commuting_strategy_result,
     conjugation_identity_check,
     probability_table_commuting,
@@ -41,7 +39,6 @@ from .steering import (
     random_dichotomic,
     random_tensor_strategy,
     seesaw_tensor_optimize,
-    CommutingStrategy,
 )
 
 
@@ -317,20 +314,11 @@ def criterion_conjugation(settings: ReportSettings) -> CriterionResult:
     basis = build_basis(params, settings.conjugation_depth)
     rng = np.random.default_rng(settings.seed)
     worst = 0.0
-    d_a = 4
-    total = d_a * basis.dimension
     for i in range(settings.conjugation_draws):
-        obs = [random_dichotomic(rng, d_a) for _ in range(3)]
-        state = np.zeros(total)
-        state[0] = 1.0
-        strat = TensorStrategy(
-            alice_dim=d_a, observables=obs, basis=basis, state=state
-        )
+        obs = [random_dichotomic(rng, 4) for _ in range(3)]
         worst = max(
             worst,
-            conjugation_identity_check(
-                strat, basis, probes=2, seed=settings.seed + i
-            ),
+            conjugation_identity_check(obs, basis, probes=2, seed=settings.seed + i),
         )
     tol = 1e-9 * scale
     passed = worst <= tol
@@ -389,9 +377,7 @@ def criterion_table_sanity(settings: ReportSettings) -> CriterionResult:
         key = (s, depth)
         if key not in cached_bases:
             cached_bases[key] = build_basis(GroupParams(s), depth)
-        strat = random_tensor_strategy(
-            GroupParams(s), d_a, depth, rng, mixed=mixed, basis=cached_bases[key]
-        )
+        strat = random_tensor_strategy(cached_bases[key], d_a, rng, mixed=mixed)
         table = probability_table_tensor(strat)
         checked += 1
         try:
@@ -399,9 +385,7 @@ def criterion_table_sanity(settings: ReportSettings) -> CriterionResult:
         except ValueError:
             failures += 1
     for s in (2, 3, 4, 5):
-        table = probability_table_commuting(
-            CommutingStrategy.build(GroupParams(s))
-        )
+        table = probability_table_commuting(GroupParams(s))
         checked += 1
         try:
             table.validate(tol)

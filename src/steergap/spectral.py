@@ -30,7 +30,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import CapacityError, ConvergenceError, require_bytes
-from .freegroup import DEFAULT_WORD_CAP, GroupParams, ball_size, count_words
+from .freegroup import GroupParams, ball_size, count_words
 from .hilbert import (
     SparseSymmetricOperator,
     StateVector,
@@ -230,7 +230,6 @@ def estimate_norm(
     max_iter: int | None = None,
     seed: int = 0,
     representation: str = "auto",
-    cap: int = DEFAULT_WORD_CAP,
 ) -> NormEstimate:
     """Estimate the norm of the averaged shift compressed to depth ``depth``.
 
@@ -245,7 +244,7 @@ def estimate_norm(
         raise ValueError(f"Krylov budget must be ≥ 1, got {max_iter}")
     rep = _resolve_representation(representation, ball_size(params, depth))
     if rep == "sparse":
-        basis = build_basis(params, depth, cap=cap)
+        basis = build_basis(params, depth)
         budget = DEFAULT_KRYLOV if max_iter is None else max_iter
         value, _, iterations, residual = _lanczos_extremal(
             *_split_average(basis), np.random.default_rng(seed), tol, budget
@@ -279,21 +278,15 @@ def extremal_eigenpair(
     *,
     tol: float = 1e-10,
     seed: int = 0,
-    krylov: int = DEFAULT_KRYLOV,
-    cap: int = DEFAULT_WORD_CAP,
-    basis: TruncatedBasis | None = None,
 ) -> tuple[float, StateVector]:
     """Most positive eigenvalue of the compressed averaged shift, with vector.
 
     Always works in the explicit word basis because callers want the
     eigenvector as a state.
     """
-    if basis is None:
-        basis = build_basis(params, depth, cap=cap)
-    elif basis.depth != depth or basis.params != params:
-        raise ValueError("supplied basis does not match the requested depth")
+    basis = build_basis(params, depth)
     rng = np.random.default_rng(seed)
-    value, parts, _, _ = _lanczos_extremal(*_split_average(basis), rng, tol, krylov)
+    value, parts, _, _ = _lanczos_extremal(*_split_average(basis), rng, tol)
     vec = basis.parity_split.merge(parts)
     vec /= np.linalg.norm(vec)
     return value, StateVector(basis, vec, basis.depth)
@@ -352,7 +345,6 @@ def first_letter_bound_chain(
     v: StateVector,
     *,
     omega: SparseSymmetricOperator | None = None,
-    overlap_tol: float = 1e-12,
 ) -> BoundChain:
     """Evaluate the norm-bound chain on a unit vector orthogonal to |e>.
 
@@ -364,7 +356,7 @@ def first_letter_bound_chain(
     basis = v.basis
     s = basis.params.s
     amps = v.amplitudes
-    if abs(amps[0]) > overlap_tol:
+    if abs(amps[0]) > 1e-12:
         raise ValueError(
             f"vector overlaps the identity by {amps[0]!r}; the chain needs <e|v> = 0"
         )
@@ -397,9 +389,7 @@ class MomentRecord:
     moment: float
 
 
-def closed_walk_moment(
-    params: GroupParams, k: int, *, max_half_length: int = MAX_WALK_HALF_LENGTH
-) -> MomentRecord:
+def closed_walk_moment(params: GroupParams, k: int) -> MomentRecord:
     """Count closed walks of length 2k from the root of the s-regular tree.
 
     Integer dynamic program over the distance from the root; wholly
@@ -408,10 +398,8 @@ def closed_walk_moment(
     """
     if k < 0:
         raise ValueError("half-length must be nonnegative")
-    if k > max_half_length:
-        raise CapacityError(
-            f"walk half-length {k} exceeds cap {max_half_length}"
-        )
+    if k > MAX_WALK_HALF_LENGTH:
+        raise CapacityError(f"walk half-length {k} exceeds cap {MAX_WALK_HALF_LENGTH}")
     s = params.s
     counts = {0: 1}
     for _ in range(2 * k):

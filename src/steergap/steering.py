@@ -14,8 +14,8 @@ compared:
 
 Tables are built from the correlators <1>, <A_x>, <B_y>, <A_x B_y>, and
 every shift acts through ``hilbert.gather`` on the basis's image arrays: for
-a tensor state stored as a d_A x D array psi, psi S_y is a gather of the
-columns of psi.
+a tensor state component stored as a d_A x D array psi, psi S_y is a gather
+of the columns of psi.  A mixed state is a stack of such pure components.
 
 A strategy is "violating" when its f exceeds the tensor bound, which for
 s >= 3 certifies that no tensor-product model reproduces it.
@@ -24,6 +24,7 @@ s >= 3 certifies that no tensor-product model reproduces it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -62,11 +63,13 @@ class ProbabilityTable:
         return float(v[0, 0] - v[0, 1] - v[1, 0] + v[1, 1])
 
     def validate(self, tol: float = 1e-10) -> None:
-        """Raise ValueError unless nonnegative, normalized, and no-signaling."""
+        """Raise ValueError unless finite, nonnegative, normalized, no-signaling."""
         if self.values.shape != (2, 2, self.s, self.s):
             raise ValueError(
                 f"table has shape {self.values.shape}, expected (2, 2, s, s)"
             )
+        if not np.all(np.isfinite(self.values)):
+            raise ValueError("table has a non-finite entry")
         low = float(np.min(self.values))
         if low < -tol:
             raise ValueError(f"negative probability {low!r}")
@@ -169,30 +172,20 @@ def _result(
     )
 
 
-@dataclass(eq=False)
-class CommutingStrategy:
-    """Alice right-shifts, Bob left-shifts, shared state the identity word."""
-
-    basis: TruncatedBasis
-
-    @classmethod
-    def build(cls, params: GroupParams, depth: int = 2) -> "CommutingStrategy":
-        if depth < 2:
-            raise ValueError(
-                "depth must be ≥ 2 so one application per party stays exact"
-            )
-        return cls(basis=build_basis(params, depth))
-
-
-def probability_table_commuting(strategy: CommutingStrategy) -> ProbabilityTable:
+def probability_table_commuting(
+    params: GroupParams, depth: int = 2
+) -> ProbabilityTable:
     """P(a,b|x,y) from <e| R_x S_y |e> and the marginals, applied literally.
 
-    (S_y v)[i] = v[left_images(y)[i]] and (R_x v)[i] = v[right_images(x)[i]],
-    both read through ``gather``.
+    Alice right-shifts, Bob left-shifts, and the shared state is the
+    identity word: (S_y v)[i] = v[left_images(y)[i]] and
+    (R_x v)[i] = v[right_images(x)[i]], both read through ``gather``.
     """
-    basis = strategy.basis
+    if depth < 2:
+        raise ValueError("depth must be ≥ 2 so one application per party stays exact")
+    basis = build_basis(params, depth)
     e = unit_state(basis).amplitudes
-    right = np.stack([basis.right_images(x) for x in range(1, basis.params.s + 1)])
+    right = basis.right_image_stack
     bob_shifted = gather(e, basis.left_image_stack)  # row y is S_y e
     joint = e @ gather(bob_shifted.T, right)  # [x, y] = <e| R_x S_y |e>
     return _table_from_correlators(e @ e, gather(e, right) @ e, bob_shifted @ e, joint)
@@ -201,17 +194,32 @@ def probability_table_commuting(strategy: CommutingStrategy) -> ProbabilityTable
 def commuting_strategy_result(
     params: GroupParams, depth: int = 2
 ) -> StrategyResult:
-    strategy = CommutingStrategy.build(params, depth)
-    table = probability_table_commuting(strategy)
+    table = probability_table_commuting(params, depth)
     return _result(params, "commuting", table, depth)
+
+
+def _check_observables(observables, s: int, d: int, tol: float) -> None:
+    """Raise ValueError unless there are s finite symmetric d x d involutions."""
+    if len(observables) != s:
+        raise ValueError("need one Alice observable per input")
+    eye = np.eye(d)
+    for i, r in enumerate(observables, start=1):
+        if r.shape != (d, d):
+            raise ValueError(f"observable {i} has shape {r.shape}")
+        if not np.all(np.isfinite(r)):
+            raise ValueError(f"observable {i} has a non-finite entry")
+        if np.max(np.abs(r - r.T)) > tol:
+            raise ValueError(f"observable {i} is not symmetric")
+        if np.max(np.abs(r @ r - eye)) > tol:
+            raise ValueError(f"observable {i} does not square to identity")
 
 
 @dataclass(eq=False)
 class TensorStrategy:
     """Alice observables on her own d_A-dimensional space, Bob on a basis.
 
-    ``state`` is either a unit vector of length d_A * D (pure) or a density
-    matrix of shape (d_A * D, d_A * D).
+    ``state`` is an (r, d_A * D) stack of pure components c_i, the state
+    rho = sum_i c_i c_i^T; a unit vector of length d_A * D is the r = 1 case.
     """
 
     alice_dim: int
@@ -220,55 +228,29 @@ class TensorStrategy:
     state: np.ndarray
 
     def validate(self, tol: float = 1e-10) -> None:
-        d = self.alice_dim
-        if len(self.observables) != self.basis.params.s:
-            raise ValueError("need one Alice observable per input")
-        eye = np.eye(d)
-        for i, r in enumerate(self.observables):
-            if r.shape != (d, d):
-                raise ValueError(f"observable {i + 1} has shape {r.shape}")
-            if np.max(np.abs(r - r.T)) > tol:
-                raise ValueError(f"observable {i + 1} is not symmetric")
-            if np.max(np.abs(r @ r - eye)) > tol:
-                raise ValueError(f"observable {i + 1} does not square to identity")
-        total = d * self.basis.dimension
-        if self.state.ndim == 1:
-            if self.state.shape != (total,):
-                raise ValueError(f"state vector has length {self.state.shape}")
-            if abs(np.linalg.norm(self.state) - 1.0) > tol:
-                raise ValueError("state vector is not normalized")
-        elif self.state.ndim == 2:
-            if self.state.shape != (total, total):
-                raise ValueError(f"state matrix has shape {self.state.shape}")
-            if abs(np.trace(self.state) - 1.0) > tol:
-                raise ValueError("state matrix does not have unit trace")
-        else:
-            raise ValueError("state must be a vector or a square matrix")
+        _check_observables(self.observables, self.basis.params.s, self.alice_dim, tol)
+        total = self.alice_dim * self.basis.dimension
+        if self.state.ndim not in (1, 2) or self.state.shape[-1] != total:
+            raise ValueError(f"state has shape {self.state.shape}, not (r, {total})")
+        if not np.all(np.isfinite(self.state)):
+            raise ValueError("state has a non-finite entry")
+        if abs(np.linalg.norm(self.state) - 1.0) > tol:
+            raise ValueError("state is not normalized")
 
 
 def probability_table_tensor(strategy: TensorStrategy) -> ProbabilityTable:
     """P(a,b|x,y) = <E^a_x tensor F^b_y> in the strategy's state.
 
-    Both state kinds reduce to G = Tr_B(rho) and K_y = Tr_B((1 tensor S_y) rho)
-    on Alice's side: <1> = tr G, <A_x> = <A_x, G>, <B_y> = tr K_y and
-    <A_x B_y> = <A_x, K_y>.  For a density matrix K_y sums the entries
-    rho[(a, images_y[j]), (b, j)] over the words j whose image is inside the cut.
+    The state reduces to G = Tr_B(rho) and K_y = Tr_B((1 tensor S_y) rho) on
+    Alice's side: <1> = tr G, <A_x> = <A_x, G>, <B_y> = tr K_y and
+    <A_x B_y> = <A_x, K_y>.  Both are sums over the pure components psi
+    (each a d_A x D array) of psi psi^T and psi S_y psi^T.
     """
     basis = strategy.basis
-    d = strategy.alice_dim
-    dim = basis.dimension
     images = basis.left_image_stack
-    if strategy.state.ndim == 1:
-        psi = strategy.state.reshape(d, dim)
-        gram = psi @ psi.T
-        bob_side = _bob_contractions(psi, images)
-    else:
-        sigma = strategy.state.reshape(d, dim, d, dim)
-        gram = np.einsum("ajbj->ab", sigma)
-        bob_side = np.empty((len(images), d, d))
-        for y, image in enumerate(images):
-            j = np.flatnonzero(image >= 0)
-            bob_side[y] = sigma[:, image[j], :, j].sum(axis=0)
+    components = np.reshape(strategy.state, (-1, strategy.alice_dim, basis.dimension))
+    gram = reduce(np.add, (psi @ psi.T for psi in components))
+    bob_side = reduce(np.add, (_bob_contractions(psi, images) for psi in components))
     alice_obs = np.stack(strategy.observables)
     return _table_from_correlators(
         np.trace(gram),
@@ -389,7 +371,7 @@ def seesaw_tensor_optimize(
 
 
 def conjugation_identity_check(
-    strategy: TensorStrategy,
+    observables: list[np.ndarray],
     basis: TruncatedBasis,
     *,
     probes: int = 50,
@@ -399,17 +381,17 @@ def conjugation_identity_check(
 
     Conjugating (1/s) sum_y R_y tensor S_y by U = sum_g R_g^{-1} tensor
     |g><g| must equal (1/s) sum_y 1 tensor S_y on vectors supported two
-    shells below the cut (one shell for U, one for the shift).  Returns the
-    largest 2-norm deviation over random buffered probes; values at machine
-    precision certify that Alice's dimension cannot matter.
+    shells below the cut (one shell for U, one for the shift).  The
+    ``observables`` R_1..R_s are checked as ``TensorStrategy.validate``
+    checks them.  Returns the largest 2-norm deviation over random buffered
+    probes; values at machine precision certify that Alice's dimension
+    cannot matter.
     """
     if basis.depth < 2:
         raise ValueError("depth must be ≥ 2 to leave room for buffered probes")
-    if basis.params.s != len(strategy.observables):
-        raise ValueError("strategy and basis disagree on s")
-    strategy.validate()
-    d = strategy.alice_dim
     s = basis.params.s
+    d = len(observables[0]) if len(observables) else 0
+    _check_observables(observables, s, d, 1e-10)
     dim = basis.dimension
     images = basis.left_image_stack
     # R_g for every basis word by peeling the first letter; the suffix of a
@@ -421,7 +403,7 @@ def conjugation_identity_check(
     word_arr = np.empty((dim, d, d))
     word_arr[0] = np.eye(d)
     for i in range(1, dim):
-        word_arr[i] = strategy.observables[first[i] - 1] @ word_arr[parent[i]]
+        word_arr[i] = observables[first[i] - 1] @ word_arr[parent[i]]
 
     def conjugate(mat: np.ndarray, dagger: bool) -> np.ndarray:
         ops = word_arr if dagger else word_arr.transpose(0, 2, 1)
@@ -430,7 +412,7 @@ def conjugation_identity_check(
     def averaged(mat: np.ndarray, with_alice: bool) -> np.ndarray:
         acc = np.zeros_like(mat)
         shifted = gather(mat.T, images).transpose(0, 2, 1)
-        for y, r in enumerate(strategy.observables):
+        for y, r in enumerate(observables):
             acc += (r @ shifted[y]) if with_alice else shifted[y]
         return acc / s
 
@@ -449,25 +431,22 @@ def conjugation_identity_check(
 
 
 def random_tensor_strategy(
-    params: GroupParams,
+    basis: TruncatedBasis,
     alice_dim: int,
-    bob_depth: int,
     rng: np.random.Generator,
     *,
     mixed: bool = False,
-    basis: TruncatedBasis | None = None,
 ) -> TensorStrategy:
-    """A random valid tensor strategy, for table-validity sweeps."""
-    if basis is None:
-        basis = build_basis(params, bob_depth)
-    elif basis.depth != bob_depth or basis.params != params:
-        raise ValueError("supplied basis does not match the requested depth")
-    obs = [random_dichotomic(rng, alice_dim) for _ in range(params.s)]
+    """A random valid tensor strategy, for table-validity sweeps.
+
+    A mixed state has rank at most 4: its components are the columns of a
+    Gaussian (d_A * D) x 4 matrix a, scaled by 1/||a||_F for unit trace.
+    """
+    obs = [random_dichotomic(rng, alice_dim) for _ in range(basis.params.s)]
     total = alice_dim * basis.dimension
     if mixed:
         a = rng.standard_normal((total, min(total, 4)))
-        rho = a @ a.T
-        state = rho / np.trace(rho)
+        state = a.T / np.linalg.norm(a)
     else:
         state = rng.standard_normal(total)
         state /= np.linalg.norm(state)

@@ -449,6 +449,18 @@ def test_quick_report_json_document(tmp_path, capsys):
     assert doc["config"]["quick"] is True
 
 
+def test_quick_report_json_is_deterministic_outside_meta(tmp_path, capsys):
+    path = tmp_path / "report.json"
+    argv = ["report", "--quick", "--seed", "7", "--json", str(path)]
+    assert main(argv) == 3
+    first = path.read_text()
+    assert main(argv) == 3
+    second = path.read_text()
+    capsys.readouterr()
+    assert list(json.loads(first)) == ["config", "result", "meta"]
+    assert first.split('"meta"')[0] == second.split('"meta"')[0]
+
+
 def test_zero_tolerance_negative_control(capsys):
     """Collapsing every tolerance to zero must flip several criteria to FAIL,
     which shows the tolerances are actually consulted."""

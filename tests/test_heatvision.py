@@ -152,7 +152,6 @@ def test_purity_bound_function():
     assert purity_bound(2, 7) == 1.0
     assert purity_bound(5, 0) == 1.0
     assert purity_bound(5, 1) == pytest.approx(0.81)
-    assert purity_bound(5, 1, fstar=0.5) == pytest.approx(0.5625)
 
 
 def test_kraus_form_matches_mixing_form():
@@ -214,7 +213,7 @@ def test_run_rows_report_ratio():
 
 def test_lazy_walk_raises_when_weight_reaches_the_cut():
     basis = build_basis(GroupParams(3), 4)
-    images = [basis.right_images(x) for x in range(1, 4)]
+    images = basis.right_image_stack
     weights = np.zeros(basis.dimension)
     weights[basis.shell(4)[0]] = 1.0
     with pytest.raises(RuntimeError, match="weight walked off the ball at step 1"):

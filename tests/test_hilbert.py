@@ -130,6 +130,14 @@ def test_right_shift_matches_definition(s, depth):
         assert np.array_equal(got, want)
 
 
+def test_right_image_stack_is_cached_and_read_only(basis3):
+    stack = basis3.right_image_stack
+    assert stack is basis3.right_image_stack
+    assert stack.shape == (3, basis3.dimension) and not stack.flags.writeable
+    for x in range(1, 4):
+        assert np.shares_memory(basis3.right_images(x), stack)
+
+
 def test_shift_matrices_are_symmetric(basis3):
     for y in range(1, 4):
         m = left_regular(y, basis3).toarray()

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from steergap import (
-    CommutingStrategy,
     GroupParams,
     Word,
     ProbabilityTable,
@@ -41,11 +40,15 @@ def dense_bob_effects(basis):
 
 
 def literal_table(strategy):
-    """P(a,b|x,y) = <E^a_x ⊗ F^b_y> with every effect a dense Kronecker product."""
+    """P(a,b|x,y) = Tr(rho E^a_x ⊗ F^b_y), every effect a dense Kronecker product.
+
+    rho = C^T C is formed densely from the state's component rows C.
+    """
     s = strategy.basis.params.s
     d = strategy.alice_dim
     bob = dense_bob_effects(strategy.basis)
-    state = strategy.state
+    components = np.atleast_2d(strategy.state)
+    rho = components.T @ components
     values = np.zeros((2, 2, s, s))
     for x in range(1, s + 1):
         for ja, a in enumerate((1, -1)):
@@ -53,10 +56,7 @@ def literal_table(strategy):
             for y in range(1, s + 1):
                 for jb in range(2):
                     op = np.kron(alice, bob[y - 1][jb])
-                    if state.ndim == 1:
-                        values[ja, jb, x - 1, y - 1] = state @ op @ state
-                    else:
-                        values[ja, jb, x - 1, y - 1] = np.sum(op * state.T)
+                    values[ja, jb, x - 1, y - 1] = np.sum(op * rho.T)
     return values
 
 
@@ -80,9 +80,7 @@ def test_bob_effects_are_buffered_projectors():
 def test_commuting_table_closed_form():
     """P(a,b|x,y) = (1 + ab when x == y else 1)/4."""
     for s in (2, 3, 5):
-        table = probability_table_commuting(
-            CommutingStrategy.build(GroupParams(s))
-        )
+        table = probability_table_commuting(GroupParams(s))
         table.validate(1e-15)
         for x in range(1, s + 1):
             for y in range(1, s + 1):
@@ -104,7 +102,7 @@ def test_commuting_functional_is_exactly_one():
 
 def test_commuting_depth_guard():
     with pytest.raises(ValueError, match="depth"):
-        CommutingStrategy.build(GroupParams(3), depth=1)
+        probability_table_commuting(GroupParams(3), depth=1)
 
 
 def test_commuting_result_serialization_schema():
@@ -139,7 +137,7 @@ def test_correlator_and_functional():
 
 
 def test_table_validation_rejects_bad_tables():
-    good = probability_table_commuting(CommutingStrategy.build(GroupParams(2)))
+    good = probability_table_commuting(GroupParams(2))
     bad = ProbabilityTable(2, good.values * 0.9)
     with pytest.raises(ValueError, match="total probability"):
         bad.validate()
@@ -184,19 +182,25 @@ def test_tensor_product_state_factorizes():
 
 
 def test_tensor_matrix_state_matches_vector_state():
+    """Only rho = C^T C matters: a split vector and a rotated stack agree."""
     params = GroupParams(3)
     basis = build_basis(params, 2)
     rng = np.random.default_rng(13)
     obs = [random_dichotomic(rng, 2) for _ in range(3)]
     vec = rng.standard_normal(2 * basis.dimension)
     vec /= np.linalg.norm(vec)
-    pure = TensorStrategy(alice_dim=2, observables=obs, basis=basis, state=vec)
-    dense = TensorStrategy(
-        alice_dim=2, observables=obs, basis=basis, state=np.outer(vec, vec)
-    )
-    t1 = probability_table_tensor(pure)
-    t2 = probability_table_tensor(dense)
-    assert np.allclose(t1.values, t2.values, atol=1e-12)
+    comps = rng.standard_normal((3, 2 * basis.dimension))
+    comps /= np.linalg.norm(comps)
+    rotation, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+
+    def table(state):
+        strat = TensorStrategy(alice_dim=2, observables=obs, basis=basis, state=state)
+        strat.validate()
+        return probability_table_tensor(strat).values
+
+    split = np.stack([vec, vec]) / math.sqrt(2.0)
+    assert np.allclose(table(split), table(vec), atol=1e-14, rtol=0)
+    assert np.allclose(table(rotation @ comps), table(comps), atol=1e-14, rtol=0)
 
 
 @pytest.mark.parametrize("s", [2, 3, 4, 5])
@@ -205,20 +209,19 @@ def test_tensor_matrix_state_matches_vector_state():
 def test_tensor_table_matches_literal_oracle(s, alice_dim, mixed):
     rng = np.random.default_rng(100 * s + 10 * alice_dim + mixed)
     for depth in (2, 3):
-        strat = random_tensor_strategy(
-            GroupParams(s), alice_dim, depth, rng, mixed=mixed
-        )
+        basis = build_basis(GroupParams(s), depth)
+        strat = random_tensor_strategy(basis, alice_dim, rng, mixed=mixed)
         got = probability_table_tensor(strat).values
         assert np.max(np.abs(got - literal_table(strat))) <= 1e-14
 
 
 def test_unnormalized_states_fail_validation():
     """The <1> term is the state's own norm, so scaling the state shows."""
-    params = GroupParams(3)
+    basis = build_basis(GroupParams(3), 2)
     rng = np.random.default_rng(5)
-    pure = random_tensor_strategy(params, 2, 2, rng)
+    pure = random_tensor_strategy(basis, 2, rng)
     pure.state = pure.state * math.sqrt(2.0)
-    mixed = random_tensor_strategy(params, 2, 2, rng, mixed=True)
+    mixed = random_tensor_strategy(basis, 2, rng, mixed=True)
     mixed.state = 2.0 * mixed.state
     for strat in (pure, mixed):
         with pytest.raises(ValueError, match="total probability"):
@@ -241,12 +244,42 @@ def test_tensor_strategy_validation():
         TensorStrategy(2, obs[:1], basis, good).validate()
 
 
+def test_density_matrix_state_fails_validation():
+    """A (d_A D)^2 density matrix reads as d_A D components of total weight
+    Tr(rho^2) < 1, so a mixed one is refused."""
+    basis = build_basis(GroupParams(3), 2)
+    strat = random_tensor_strategy(basis, 2, np.random.default_rng(9), mixed=True)
+    strat.validate()
+    strat.state = strat.state.T @ strat.state
+    with pytest.raises(ValueError, match="normalized"):
+        strat.validate()
+
+
+def test_validators_reject_non_finite_entries():
+    basis = build_basis(GroupParams(3), 2)
+    rng = np.random.default_rng(4)
+    obs = [random_dichotomic(rng, 2) for _ in range(3)]
+    nan_state = np.full(2 * basis.dimension, np.nan)
+    strat = TensorStrategy(2, obs, basis, nan_state)
+    with pytest.raises(ValueError, match="non-finite"):
+        strat.validate()
+    with pytest.raises(ValueError, match="non-finite"):
+        probability_table_tensor(strat).validate()
+    good = np.zeros(2 * basis.dimension)
+    good[0] = 1.0
+    bad_obs = [obs[0], np.full((2, 2), np.nan), obs[2]]
+    with pytest.raises(ValueError, match="observable 2 has a non-finite"):
+        TensorStrategy(2, bad_obs, basis, good).validate()
+    with pytest.raises(ValueError, match="non-finite"):
+        conjugation_identity_check(bad_obs, basis)
+
+
 def test_random_tables_are_valid():
     rng = np.random.default_rng(21)
     for _ in range(25):
         s = int(rng.integers(2, 5))
         strat = random_tensor_strategy(
-            GroupParams(s), int(rng.integers(1, 4)), 2, rng,
+            build_basis(GroupParams(s), 2), int(rng.integers(1, 4)), rng,
             mixed=bool(rng.integers(0, 2)),
         )
         strat.validate()
@@ -311,15 +344,8 @@ def test_conjugation_identity_trivial_observables():
     """With all observables the identity, U is the identity map."""
     params = GroupParams(3)
     basis = build_basis(params, 4)
-    state = np.zeros(2 * basis.dimension)
-    state[0] = 1.0
-    strat = TensorStrategy(
-        alice_dim=2,
-        observables=[np.eye(2) for _ in range(3)],
-        basis=basis,
-        state=state,
-    )
-    assert conjugation_identity_check(strat, basis, probes=3, seed=0) < 1e-15
+    obs = [np.eye(2) for _ in range(3)]
+    assert conjugation_identity_check(obs, basis, probes=3, seed=0) < 1e-15
 
 
 def test_conjugation_identity_single_step_by_hand():
@@ -361,10 +387,7 @@ def test_conjugation_identity_random_buffered():
     rng = np.random.default_rng(23)
     for trial in range(5):
         obs = [random_dichotomic(rng, 4) for _ in range(3)]
-        state = np.zeros(4 * basis.dimension)
-        state[0] = 1.0
-        strat = TensorStrategy(4, obs, basis, state)
-        dev = conjugation_identity_check(strat, basis, probes=4, seed=trial)
+        dev = conjugation_identity_check(obs, basis, probes=4, seed=trial)
         assert dev < 1e-9
 
 
@@ -373,19 +396,12 @@ def test_conjugation_word_operators_over_budget():
     # estimate, before anything of that size is allocated.
     params = GroupParams(3)
     basis = build_basis(params, 13)
-    d = 200
-    state = np.zeros(d * basis.dimension)
-    state[0] = 1.0
-    strat = TensorStrategy(d, [np.eye(d)] * 3, basis, state)
     with pytest.raises(CapacityError, match="word operators of 24574 x 200 x 200"):
-        conjugation_identity_check(strat, basis)
+        conjugation_identity_check([np.eye(200)] * 3, basis)
 
 
 def test_conjugation_identity_needs_room():
     params = GroupParams(3)
     basis = build_basis(params, 1)
-    strat = TensorStrategy(
-        1, [np.eye(1)] * 3, basis, np.eye(basis.dimension)[0]
-    )
     with pytest.raises(ValueError, match="depth"):
-        conjugation_identity_check(strat, basis)
+        conjugation_identity_check([np.eye(1)] * 3, basis)
