@@ -13,8 +13,9 @@ where the tensor/commuting separation closes.
 Right shifts permute basis words, so a mixture of basis words stays one:
 ``iterate_channel`` runs its probability vector over the D words as a lazy
 walk (purity is the squared norm), limited by the word cap, not by D^2.
-Each step consumes one shell of buffer; runs past it raise instead of
-silently returning truncation artifacts.
+Each step is one ``hilbert.gather`` over the live prefix, the words that
+the walk can have reached, and consumes one shell of buffer; runs past it
+raise instead of silently returning truncation artifacts.
 
 The truncated channel, as a superoperator, acts as (1/2)I + (1/2s) sum_x
 R_x (x) R_x, and its top eigenvalue is (1 + lambda_N)/2 with lambda_N the
@@ -30,7 +31,7 @@ import numpy as np
 
 from .errors import BufferExhaustedError
 from .freegroup import GroupParams, Word
-from .hilbert import build_basis
+from .hilbert import TruncatedBasis, build_basis, gather
 from .spectral import analytic_norm, radial_top_eigenvalue
 
 
@@ -39,22 +40,25 @@ def purity_bound(s: int, steps: int) -> float:
     return ((1.0 + analytic_norm(s)) / 2.0) ** (2 * steps)
 
 
-def _lazy_walk(images: np.ndarray, weights: np.ndarray, steps: int):
-    """Yield the weights after each step: half stays, 1/(2s) goes to each image.
+def _lazy_walk(basis: TruncatedBasis, weights: np.ndarray, support: int, steps: int):
+    """Yield ``weights``, updated in place, after each step of the lazy walk.
 
-    ``images[x - 1, i]`` is the image of word i under generator x, -1 past the
-    cut; reaching the cut means the buffer contract broke, so it raises.
+    Half the weight stays and 1/(2s) goes to each right image.  Each R_x is
+    a symmetric partial permutation, so that is also what each word gathers
+    from its images.  After t steps the weight lies on words of length at
+    most ``support + t``, a prefix of the (length, lex) order, and only that
+    prefix is updated.  A word has an image past the cut exactly when it is
+    on the outermost shell, so weight there means the buffer contract broke
+    and the walk raises.
     """
-    neighbor = images.T
+    images = basis.right_image_stack
+    outer = basis.depth_offsets[-2]
     for t in range(1, steps + 1):
-        nxt = 0.5 * weights
-        live = weights != 0.0
-        targets = neighbor[live]
-        if np.any(targets < 0):
+        n = basis.prefix_dimension(min(support + t, basis.depth))
+        if np.any(weights[outer:n]):
             raise RuntimeError(f"weight walked off the ball at step {t}")
-        # Unbuffered, in (word, generator) order: the same sums as a loop.
-        np.add.at(nxt, targets, (weights[live] / (2.0 * len(images)))[:, None])
-        weights = nxt
+        gathered = gather(weights, images[:, :n]).sum(axis=0)
+        weights[:n] = 0.5 * (weights[:n] + gathered / len(images))
         yield weights
 
 
@@ -63,8 +67,7 @@ class ChannelRun:
     """Purity trajectory of an iterated channel, with its analytic envelope.
 
     ``purity_series[t]`` is the purity after t steps (index 0 is the input
-    state); ``exact_through`` records how many steps the truncation buffer
-    covered.
+    state).
     """
 
     s: int
@@ -74,7 +77,6 @@ class ChannelRun:
     fstar: float
     purity_series: list[float]
     bound_series: list[float]
-    exact_through: int
 
     def rows(self):
         """(t, purity, bound, ratio) per step, ready for CSV emission."""
@@ -104,15 +106,15 @@ def iterate_channel(
     index = [basis.index_of(w) for w in words]
     weights = np.bincount(index, minlength=basis.dimension) / len(words)
     k0 = max(len(w) for w in words)
-    exact_through = depth - k0
-    if steps > exact_through:
+    max_steps = depth - k0
+    if steps > max_steps:
         raise BufferExhaustedError(
             f"requested {steps} steps from support depth {k0} at truncation "
-            f"depth {depth}; max exact steps: {max(exact_through, 0)}"
+            f"depth {depth}; max exact steps: {max(max_steps, 0)}"
         )
     purities = [float(weights @ weights)]
     bounds = [1.0]
-    walk = _lazy_walk(basis.right_image_stack, weights, steps)
+    walk = _lazy_walk(basis, weights, k0, steps)
     for t, weights in enumerate(walk, start=1):
         trace = float(np.sum(weights))
         if abs(trace - 1.0) > 1e-10:
@@ -136,7 +138,6 @@ def iterate_channel(
         fstar=analytic_norm(params.s),
         purity_series=purities,
         bound_series=bounds,
-        exact_through=exact_through,
     )
 
 

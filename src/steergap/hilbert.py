@@ -124,22 +124,11 @@ class TruncatedBasis:
         length = np.repeat(np.arange(self.depth + 1), np.diff(offsets))
         return length, np.arange(self.dimension) - offsets[length], offsets
 
-    def _check_generator(self, y: int) -> None:
-        if not 1 <= y <= self.params.s:
-            raise InvalidGeneratorError(
-                f"generator g{y} does not exist for s={self.params.s}"
-            )
-
     def suffixes(self) -> np.ndarray:
         """g_a w for each word w with first letter a: w without it (-1 for e)."""
         first = self._first
         dropped = self.left_image_stack[first - 1, np.arange(self.dimension)]
         return np.where(first > 0, dropped, -1)
-
-    def left_images(self, y: int) -> np.ndarray:
-        """Index of g_y w for every basis word w; -1 past the cut."""
-        self._check_generator(y)
-        return self.left_image_stack[y - 1]
 
     @cached_property
     def left_image_stack(self) -> np.ndarray:
@@ -153,17 +142,27 @@ class TruncatedBasis:
         one lower when it is above y; -1 where that leaves the ball.
         """
         length, rank, offsets = self._coordinates()
-        q = self.params.s - 1
+        s, first = self.params.s, self._first
+        q = s - 1
         below = q ** np.maximum(length - 1, 0)
         dropped = (
             offsets[length - 1]
             + rank % below
-            + (self._second > self._first) * q ** np.maximum(length - 2, 0)
+            + (self._second > first) * q ** np.maximum(length - 2, 0)
         )
-        y = np.arange(1, self.params.s + 1)[:, None]
-        grown = offsets[length + 1] + (y - 1) * q**length + rank
-        grown = np.where(length < self.depth, grown - (self._first > y) * below, -1)
-        stack = np.where(self._first == y, dropped, grown)
+        grown = offsets[length + 1] + rank
+        weight = q**length
+        past = length == self.depth
+        # Filled a row at a time, in place, after freeing the coordinates, so
+        # only the stack and a few D-long arrays are alive at once.
+        del length, rank
+        stack = np.empty((s, self.dimension), dtype=np.int64)
+        for y, row in enumerate(stack, start=1):
+            np.multiply(weight, y - 1, out=row)
+            row += grown
+            np.subtract(row, below, out=row, where=first > y)
+            row[past] = -1
+            np.copyto(row, dropped, where=first == y)
         stack.flags.writeable = False
         return stack
 
@@ -178,11 +177,6 @@ class TruncatedBasis:
         images = tuple(local[self.left_image_stack[:, idx]] for idx in indices)
         return ParitySplit(indices, images)
 
-    def right_images(self, x: int) -> np.ndarray:
-        """Index of w g_x for every basis word w; -1 past the cut."""
-        self._check_generator(x)
-        return self.right_image_stack[x - 1]
-
     @cached_property
     def right_image_stack(self) -> np.ndarray:
         """Index of w g_x for x = 1..s (rows) and every word w: read-only (s, D).
@@ -196,9 +190,7 @@ class TruncatedBasis:
         shrunk = offsets[length - 1] + rank // np.where(length == 1, s, s - 1)
         grown = offsets[length + 1] + rank * (s - 1)
         past = length == self.depth
-        # Filled a row at a time, in place, after freeing the coordinates, so
-        # only the stack and a few D-long arrays are alive at once.
-        del length, rank
+        del length, rank  # filled a row at a time, as the left-image stack is
         stack = np.empty((s, self.dimension), dtype=np.int64)
         for x, row in enumerate(stack, start=1):
             np.subtract(grown + (x - 1), (last > 0) & (x > last), out=row)
@@ -237,7 +229,7 @@ class SparseSymmetricOperator:
 
     basis: TruncatedBasis
     images: np.ndarray
-    scale: float
+    scale: float = 1.0
 
     def __matmul__(self, v: np.ndarray) -> np.ndarray:
         return self.scale * gather(np.asarray(v, dtype=float), self.images).sum(axis=0)
@@ -247,22 +239,23 @@ class SparseSymmetricOperator:
         return self @ np.eye(self.basis.dimension)
 
 
-def _shift_operator(
-    basis: TruncatedBasis, images: np.ndarray, scale: float = 1.0
-) -> SparseSymmetricOperator:
-    images = np.atleast_2d(images)
-    images.flags.writeable = False
-    return SparseSymmetricOperator(basis, images, scale)
+def _check_generator(g: int, basis: TruncatedBasis) -> None:
+    if not 1 <= g <= basis.params.s:
+        raise InvalidGeneratorError(
+            f"generator g{g} does not exist for s={basis.params.s}"
+        )
 
 
 def left_regular(y: int, basis: TruncatedBasis) -> SparseSymmetricOperator:
     """Compression of left multiplication by generator y: |h> -> |g_y h>."""
-    return _shift_operator(basis, basis.left_images(y))
+    _check_generator(y, basis)
+    return SparseSymmetricOperator(basis, basis.left_image_stack[y - 1 : y])
 
 
 def right_regular(x: int, basis: TruncatedBasis) -> SparseSymmetricOperator:
     """Compression of right multiplication by generator x: |h> -> |h g_x>."""
-    return _shift_operator(basis, basis.right_images(x))
+    _check_generator(x, basis)
+    return SparseSymmetricOperator(basis, basis.right_image_stack[x - 1 : x])
 
 
 def generator_average(basis: TruncatedBasis) -> SparseSymmetricOperator:
@@ -271,7 +264,7 @@ def generator_average(basis: TruncatedBasis) -> SparseSymmetricOperator:
     Equivalently the normalized adjacency operator of the radius-N ball of
     the s-regular tree rooted at the identity.
     """
-    return _shift_operator(basis, basis.left_image_stack, 1.0 / basis.params.s)
+    return SparseSymmetricOperator(basis, basis.left_image_stack, 1.0 / basis.params.s)
 
 
 @dataclass(eq=False)

@@ -356,6 +356,8 @@ def first_letter_bound_chain(
     basis = v.basis
     s = basis.params.s
     amps = v.amplitudes
+    if not np.all(np.isfinite(amps)):
+        raise ValueError("vector has a non-finite amplitude")
     if abs(amps[0]) > 1e-12:
         raise ValueError(
             f"vector overlaps the identity by {amps[0]!r}; the chain needs <e|v> = 0"

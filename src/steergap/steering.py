@@ -178,8 +178,8 @@ def probability_table_commuting(
     """P(a,b|x,y) from <e| R_x S_y |e> and the marginals, applied literally.
 
     Alice right-shifts, Bob left-shifts, and the shared state is the
-    identity word: (S_y v)[i] = v[left_images(y)[i]] and
-    (R_x v)[i] = v[right_images(x)[i]], both read through ``gather``.
+    identity word: (S_y v)[i] = v[left_image_stack[y-1, i]] and
+    (R_x v)[i] = v[right_image_stack[x-1, i]], both read through ``gather``.
     """
     if depth < 2:
         raise ValueError("depth must be ≥ 2 so one application per party stays exact")

@@ -213,11 +213,10 @@ def test_run_rows_report_ratio():
 
 def test_lazy_walk_raises_when_weight_reaches_the_cut():
     basis = build_basis(GroupParams(3), 4)
-    images = basis.right_image_stack
     weights = np.zeros(basis.dimension)
     weights[basis.shell(4)[0]] = 1.0
     with pytest.raises(RuntimeError, match="weight walked off the ball at step 1"):
-        list(_lazy_walk(images, weights, 1))
+        list(_lazy_walk(basis, weights, 4, 1))
 
 
 def test_superoperator_estimates_climb_toward_target():

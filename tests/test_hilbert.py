@@ -130,12 +130,27 @@ def test_right_shift_matches_definition(s, depth):
         assert np.array_equal(got, want)
 
 
-def test_right_image_stack_is_cached_and_read_only(basis3):
-    stack = basis3.right_image_stack
-    assert stack is basis3.right_image_stack
+@pytest.mark.parametrize(
+    "name,regular",
+    [("left_image_stack", left_regular), ("right_image_stack", right_regular)],
+    ids=("left", "right"),
+)
+def test_image_stack_is_cached_and_read_only(basis3, name, regular):
+    stack = getattr(basis3, name)
+    assert stack is getattr(basis3, name)
     assert stack.shape == (3, basis3.dimension) and not stack.flags.writeable
     for x in range(1, 4):
-        assert np.shares_memory(basis3.right_images(x), stack)
+        assert np.shares_memory(regular(x, basis3).images, stack)
+
+
+@pytest.mark.parametrize("s", [2, 3, 4, 5])
+@pytest.mark.parametrize("depth", range(7))
+def test_image_past_the_cut_exactly_on_outer_shell(s, depth):
+    """The channel's walk-off guard watches the outermost shell alone."""
+    basis = build_basis(GroupParams(s), depth)
+    for stack in (basis.left_image_stack, basis.right_image_stack):
+        cut = np.flatnonzero(np.any(stack < 0, axis=0))
+        assert np.array_equal(cut, basis.shell(depth))
 
 
 def test_shift_matrices_are_symmetric(basis3):

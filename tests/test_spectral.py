@@ -283,6 +283,15 @@ def test_bound_chain_rejects_unbuffered():
         first_letter_bound_chain(v)
 
 
+def test_bound_chain_rejects_non_finite():
+    """NaN fails every ``x > tol`` guard, so it must be refused up front."""
+    basis = build_basis(GroupParams(3), 4)
+    for bad in (np.nan, np.inf):
+        amps = np.full(basis.dimension, bad)
+        with pytest.raises(ValueError, match="non-finite"):
+            first_letter_bound_chain(StateVector(basis, amps, 3))
+
+
 @given(seed=st.integers(min_value=0, max_value=10**6))
 @settings(max_examples=40, deadline=None)
 def test_bound_chain_holds_on_random_vectors(seed):
