@@ -35,8 +35,8 @@ from .freegroup import (
 
 class ParitySplit(NamedTuple):
     """Words by length parity (class 0 even, 1 odd): ``indices[c]`` lists
-    class c's basis indices in order, and ``images[c]`` is the (s, D_c)
-    left-image stack on those words, as positions in the other class's list.
+    class c's basis indices in order; ``images[c]``, a read-only C-ordered
+    (s, D_c) left-image stack, indexes their images in the other class's list.
     """
 
     indices: tuple[np.ndarray, np.ndarray]
@@ -174,7 +174,10 @@ class TruncatedBasis:
         local = np.full(self.dimension + 1, -1, dtype=np.int64)
         for idx in indices:
             local[idx] = np.arange(len(idx))
-        images = tuple(local[self.left_image_stack[:, idx]] for idx in indices)
+        # take() keeps the (s, D_c) result C-ordered, so a matvec gathers rows.
+        images = tuple(local[self.left_image_stack.take(idx, axis=1)] for idx in indices)
+        for im in images:
+            im.flags.writeable = False
         return ParitySplit(indices, images)
 
     @cached_property

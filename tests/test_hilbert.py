@@ -85,6 +85,7 @@ def test_parity_split_matches_brute_order(s):
         idx, other, images = split.indices[c], split.indices[1 - c], split.images[c]
         assert all(len(words[i]) % 2 == c for i in idx)
         assert images.shape == (s, len(idx))
+        assert images.flags.c_contiguous and not images.flags.writeable
         back = np.where(images >= 0, other[images], -1)
         assert np.array_equal(back, basis.left_image_stack[:, idx])
         for y in range(1, s + 1):
@@ -139,6 +140,7 @@ def test_image_stack_is_cached_and_read_only(basis3, name, regular):
     stack = getattr(basis3, name)
     assert stack is getattr(basis3, name)
     assert stack.shape == (3, basis3.dimension) and not stack.flags.writeable
+    assert stack.flags.c_contiguous
     for x in range(1, 4):
         assert np.shares_memory(regular(x, basis3).images, stack)
 
