@@ -22,14 +22,11 @@ from .freegroup import (
     word_to_str,
 )
 from .hilbert import (
-    SparseSymmetricOperator,
-    StateVector,
     TruncatedBasis,
     build_basis,
     generator_average,
     left_regular,
     right_regular,
-    unit_state,
 )
 from .spectral import (
     MomentRecord,

@@ -109,7 +109,9 @@ def enumerate_words(
 
     The ordering makes each length shell a contiguous block and makes the
     depth-N list a prefix of the depth-(N+1) list.  Refuses to materialize
-    more than ``cap`` words.
+    more than ``cap`` words.  The package indexes words arithmetically
+    instead; this stays public only because the benchmark tracer,
+    ``perfbench/tracer.py``, wraps it by name.
     """
     capped_ball_size(params, depth, cap)
     words = [IDENTITY]

@@ -8,15 +8,15 @@ untruncated counterparts on any vector whose support stays at least one
 shell below the cut.  That one-shell buffer is the exactness contract every
 downstream routine leans on.
 
-An operator is never stored as a matrix: ``SparseSymmetricOperator`` keeps
-the basis's own image index arrays and applies them as a gather, so the
-whole package runs on numpy alone.  Every shift action in the package goes
-through ``gather``, the one place that reads index -1 as a zero.
+An operator is never stored as a matrix: a shift is a row of the basis's
+own image index stacks, applied as a gather, so the whole package runs on
+numpy alone.  Every shift action in the package goes through ``gather``,
+the one place that reads index -1 as a zero.  States are plain amplitude
+arrays over the basis.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -24,7 +24,6 @@ import numpy as np
 
 from .freegroup import (
     DEFAULT_WORD_CAP,
-    IDENTITY,
     GroupParams,
     InvalidGeneratorError,
     Word,
@@ -220,28 +219,6 @@ def gather(v: np.ndarray, images: np.ndarray) -> np.ndarray:
     return np.concatenate((v, pad))[images]
 
 
-@dataclass(eq=False)
-class SparseSymmetricOperator:
-    """``scale`` times the sum of the 0/1 shifts whose images are ``images``.
-
-    ``images`` is a read-only (r, D) int64 array: row i of shift k has a
-    single 1 at column images[k, i], or none where that entry is -1 (past
-    the cut).  Every shift is a symmetric partial permutation, so
-    ``op @ v`` is a gather-sum.
-    """
-
-    basis: TruncatedBasis
-    images: np.ndarray
-    scale: float = 1.0
-
-    def __matmul__(self, v: np.ndarray) -> np.ndarray:
-        return self.scale * gather(np.asarray(v, dtype=float), self.images).sum(axis=0)
-
-    def toarray(self) -> np.ndarray:
-        """The dense D x D matrix, for tests and small checks."""
-        return self @ np.eye(self.basis.dimension)
-
-
 def _check_generator(g: int, basis: TruncatedBasis) -> None:
     if not 1 <= g <= basis.params.s:
         raise InvalidGeneratorError(
@@ -249,46 +226,41 @@ def _check_generator(g: int, basis: TruncatedBasis) -> None:
         )
 
 
-def left_regular(y: int, basis: TruncatedBasis) -> SparseSymmetricOperator:
-    """Compression of left multiplication by generator y: |h> -> |g_y h>."""
+def left_regular(y: int, basis: TruncatedBasis) -> np.ndarray:
+    """Compression of left multiplication by generator y: |h> -> |g_y h>.
+
+    Returns the read-only image row ``basis.left_image_stack[y - 1]``;
+    ``gather(v, row)`` applies the shift.  Public only because the benchmark
+    tracer, ``perfbench/tracer.py``, wraps it by name.
+    """
     _check_generator(y, basis)
-    return SparseSymmetricOperator(basis, basis.left_image_stack[y - 1 : y])
+    return basis.left_image_stack[y - 1]
 
 
-def right_regular(x: int, basis: TruncatedBasis) -> SparseSymmetricOperator:
-    """Compression of right multiplication by generator x: |h> -> |h g_x>."""
+def right_regular(x: int, basis: TruncatedBasis) -> np.ndarray:
+    """Compression of right multiplication by generator x: |h> -> |h g_x>.
+
+    Returns the read-only image row ``basis.right_image_stack[x - 1]``, as
+    ``left_regular`` does, and is public for the same reason.
+    """
     _check_generator(x, basis)
-    return SparseSymmetricOperator(basis, basis.right_image_stack[x - 1 : x])
+    return basis.right_image_stack[x - 1]
 
 
-def generator_average(basis: TruncatedBasis) -> SparseSymmetricOperator:
-    """Average of the s left shifts; its norm is the quantity being certified.
+def generator_average(basis: TruncatedBasis):
+    """The average of the s left shifts, as ``(apply, sizes)`` on the parity split.
 
-    Equivalently the normalized adjacency operator of the radius-N ball of
-    the s-regular tree rooted at the identity.
+    Its norm is the quantity being certified: it is the normalized adjacency
+    operator of the radius-N ball of the s-regular tree rooted at the
+    identity.  Each shift changes the length by one, so ``apply(v, c)`` maps
+    a class-c part (length ``sizes[c]``, or shape (sizes[c], ...)) to the
+    other class.  The one form of the averaged shift in the package; its
+    name stays public because the benchmark tracer wraps it.
     """
-    return SparseSymmetricOperator(basis, basis.left_image_stack, 1.0 / basis.params.s)
+    split = basis.parity_split
+    scale = 1.0 / basis.params.s
 
+    def apply(v, c):
+        return scale * gather(v, split.images[1 - c]).sum(axis=0)
 
-@dataclass(eq=False)
-class StateVector:
-    """Real amplitudes over a truncated basis plus a support-depth watermark.
-
-    ``support_depth`` is bookkeeping, not measurement: it may overestimate
-    the true support but never underestimates it, which is what the
-    exactness contract needs.
-    """
-
-    basis: TruncatedBasis
-    amplitudes: np.ndarray
-    support_depth: int
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-
-def unit_state(basis: TruncatedBasis, word: Word = IDENTITY) -> StateVector:
-    """The basis vector |word>."""
-    amps = np.zeros(basis.dimension)
-    amps[basis.index_of(word)] = 1.0
-    return StateVector(basis, amps, len(word))
+    return apply, tuple(len(idx) for idx in split.indices)

@@ -20,15 +20,15 @@ from .heatvision import (
     purity_bound,
     superoperator_norm,
 )
-from .hilbert import StateVector, build_basis, generator_average
+from .hilbert import build_basis
 from .spectral import (
+    _average_form,
     analytic_norm,
     closed_walk_moment,
     first_letter_bound_chain,
     matvec_walk_count,
     norm_sweep,
-    quadratic_form,
-    tightness_quadratic_form,
+    tightness_quotient,
     tightness_vector,
 )
 from .steering import (
@@ -193,7 +193,6 @@ def criterion_bound_chain(settings: ReportSettings) -> CriterionResult:
     tol = 1e-9 * scale
     params = GroupParams(3)
     basis = build_basis(params, settings.chain_depth)
-    omega = generator_average(basis)
     rng = np.random.default_rng(settings.seed)
     keep = basis.prefix_dimension(settings.chain_depth - 1)
     violations = 0
@@ -202,8 +201,7 @@ def criterion_bound_chain(settings: ReportSettings) -> CriterionResult:
         amps = np.zeros(basis.dimension)
         amps[1:keep] = rng.standard_normal(keep - 1)
         amps /= np.linalg.norm(amps)
-        v = StateVector(basis, amps, settings.chain_depth - 1)
-        chain = first_letter_bound_chain(v, omega=omega)
+        chain = first_letter_bound_chain(basis, amps)
         if chain.lhs > chain.middle + tol or chain.middle > chain.rhs + tol:
             violations += 1
         slack = min(slack, chain.middle - chain.lhs, chain.rhs - chain.middle)
@@ -220,20 +218,18 @@ def criterion_tightness(settings: ReportSettings) -> CriterionResult:
     problems = []
     norm_err = 0.0
     for s in (2, 3, 4, 5):
-        params = GroupParams(s)
-        basis = build_basis(params, 7)
+        basis = build_basis(GroupParams(s), 7)
         for n in range(0, 7):
-            v = tightness_vector(params, n, basis)
-            norm_err = max(norm_err, abs(v.norm() - 1.0))
+            v = tightness_vector(n, basis)
+            norm_err = max(norm_err, abs(np.linalg.norm(v) - 1.0))
     if norm_err > 1e-12 * scale:
         problems.append(f"norm deviates from 1 by {norm_err:.3g}")
     params = GroupParams(3)
     quotients = []
     for n in range(2, settings.tightness_depth_max + 1):
         basis = build_basis(params, n + 1)
-        v = tightness_vector(params, n, basis)
-        q = quadratic_form(generator_average(basis), v)
-        closed = tightness_quadratic_form(3, n)
+        q = _average_form(basis, tightness_vector(n, basis))
+        closed = tightness_quotient(3, n)
         if abs(q - closed) > 1e-10:
             problems.append(f"n={n}: quotient {q!r} far from closed form {closed!r}")
         quotients.append(q)

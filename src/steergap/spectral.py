@@ -14,11 +14,12 @@ irreducible on nonnegative vectors), and on shell-constant vectors the
 operator acts as the (N+1)-point tridiagonal matrix T_N.  The ``radial``
 representation solves T_N exactly at any depth, by bisection on the scalar
 secular equation of its closed-form eigenvector; ``sparse`` runs Lanczos
-with full reorthogonalization on the gather form of the compressed
-operator, which cross-checks the reduction; ``auto`` switches on basis
-size.  Both run on numpy and ``math`` alone.
-The operator maps even-length words to odd-length ones and back, so the
-one Lanczos solver, shared with the seesaw, works on that parity split.
+on the gather form of the compressed operator, which cross-checks the
+reduction; ``auto`` switches on basis size.  Both run on numpy and
+``math`` alone.
+The operator maps even-length words to odd-length ones and back, so its
+one form, ``hilbert.generator_average``, acts on that parity split, and so
+does the one Lanczos solver, shared with the seesaw.
 """
 
 from __future__ import annotations
@@ -30,15 +31,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import CapacityError, ConvergenceError, require_bytes
-from .freegroup import GroupParams, ball_size, count_words
-from .hilbert import (
-    SparseSymmetricOperator,
-    StateVector,
-    TruncatedBasis,
-    build_basis,
-    gather,
-    generator_average,
-)
+from .freegroup import GroupParams, ball_size
+from .hilbert import TruncatedBasis, build_basis, gather, generator_average
 
 #: Above this ball size, representation="auto" abandons the explicit word
 #: basis for the shell-tridiagonal reduction.
@@ -203,17 +197,6 @@ def _lanczos_extremal(apply, sizes, rng, tol, krylov=DEFAULT_KRYLOV, v0=None):
     return float(vals[-1]), parts, j + 1, residual
 
 
-def _split_average(basis: TruncatedBasis):
-    """The averaged shift as ``(apply, sizes)`` on the length-parity classes."""
-    split = basis.parity_split
-    scale = 1.0 / basis.params.s
-
-    def apply(v, c):
-        return scale * gather(v, split.images[1 - c]).sum(axis=0)
-
-    return apply, tuple(len(idx) for idx in split.indices)
-
-
 def _resolve_representation(representation: str, dim: int) -> str:
     if representation == "auto":
         return "sparse" if dim <= RADIAL_THRESHOLD else "radial"
@@ -247,7 +230,7 @@ def estimate_norm(
         basis = build_basis(params, depth)
         budget = DEFAULT_KRYLOV if max_iter is None else max_iter
         value, _, iterations, residual = _lanczos_extremal(
-            *_split_average(basis), np.random.default_rng(seed), tol, budget
+            *generator_average(basis), np.random.default_rng(seed), tol, budget
         )
     else:
         value, residual = radial_top_eigenvalue(params.s, depth)
@@ -278,28 +261,32 @@ def extremal_eigenpair(
     *,
     tol: float = 1e-10,
     seed: int = 0,
-) -> tuple[float, StateVector]:
-    """Most positive eigenvalue of the compressed averaged shift, with vector.
+) -> tuple[float, np.ndarray]:
+    """Most positive eigenvalue of the compressed averaged shift, with unit vector.
 
-    Always works in the explicit word basis because callers want the
-    eigenvector as a state.
+    Always works in the explicit word basis, since the vector is over its
+    words.  Public only because the benchmark tracer, ``perfbench/tracer.py``,
+    wraps it by name.
     """
     basis = build_basis(params, depth)
     rng = np.random.default_rng(seed)
-    value, parts, _, _ = _lanczos_extremal(*_split_average(basis), rng, tol)
+    value, parts, _, _ = _lanczos_extremal(*generator_average(basis), rng, tol)
     vec = basis.parity_split.merge(parts)
-    vec /= np.linalg.norm(vec)
-    return value, StateVector(basis, vec, basis.depth)
+    return value, vec / np.linalg.norm(vec)
 
 
-def quadratic_form(op: SparseSymmetricOperator, v: StateVector) -> float:
-    """<v| op |v> without normalizing."""
-    if op.basis is not v.basis:
-        raise ValueError("basis mismatch between operator and state")
-    return float(v.amplitudes @ (op @ v.amplitudes))
+def _average_form(basis: TruncatedBasis, amps: np.ndarray) -> float:
+    """<v| averaged shift |v> without normalizing.
+
+    The shift is symmetric and swaps the parity classes, so the form is
+    twice the odd part against the image of the even part.
+    """
+    apply, _ = generator_average(basis)
+    even, odd = (amps[idx] for idx in basis.parity_split.indices)
+    return 2.0 * float(odd @ apply(even, 0))
 
 
-def tightness_vector(params: GroupParams, n: int, basis: TruncatedBasis) -> StateVector:
+def tightness_vector(n: int, basis: TruncatedBasis) -> np.ndarray:
     """Unit vector spreading weight evenly over shells 0..n.
 
     Shell k holds total weight 1/(n+1) split equally over its words, which
@@ -314,14 +301,14 @@ def tightness_vector(params: GroupParams, n: int, basis: TruncatedBasis) -> Stat
             f"basis too shallow: depth {basis.depth} but depth ≥ {n + 1} needed"
         )
     amps = np.zeros(basis.dimension)
+    offsets = basis.depth_offsets
     for k in range(n + 1):
-        amps[basis.depth_offsets[k] : basis.depth_offsets[k + 1]] = 1.0 / math.sqrt(
-            (n + 1) * count_words(params, k)
-        )
-    return StateVector(basis, amps, n)
+        size = offsets[k + 1] - offsets[k]
+        amps[offsets[k] : offsets[k + 1]] = 1.0 / math.sqrt((n + 1) * size)
+    return amps
 
 
-def tightness_quadratic_form(s: int, n: int) -> float:
+def tightness_quotient(s: int, n: int) -> float:
     """Closed form of <v| averaged-shift |v> for the even-spread vector.
 
     Each adjacent shell pair (k, k+1) contributes 2*b_k/(n+1) where b_k is
@@ -341,21 +328,20 @@ class BoundChain:
     rhs: float
 
 
-def first_letter_bound_chain(
-    v: StateVector,
-    *,
-    omega: SparseSymmetricOperator | None = None,
-) -> BoundChain:
+def first_letter_bound_chain(basis: TruncatedBasis, amps: np.ndarray) -> BoundChain:
     """Evaluate the norm-bound chain on a unit vector orthogonal to |e>.
 
     Splitting v by first letter into pieces of weight p_y, the s-scaled
     quadratic form of the averaged shift is at most 2*sum_y
     sqrt(p_y(1-p_y)), which Cauchy-Schwarz caps at 2*sqrt(s-1).  Exact only
-    while v keeps the one-shell buffer, so that is enforced.
+    while v keeps the one-shell buffer, so a vector with any nonzero
+    amplitude on the outermost shell is refused.
     """
-    basis = v.basis
     s = basis.params.s
-    amps = v.amplitudes
+    if amps.shape != (basis.dimension,):
+        raise ValueError(
+            f"vector has shape {amps.shape}, the basis needs ({basis.dimension},)"
+        )
     if not np.all(np.isfinite(amps)):
         raise ValueError("vector has a non-finite amplitude")
     if abs(amps[0]) > 1e-12:
@@ -364,15 +350,11 @@ def first_letter_bound_chain(
         )
     if abs(np.linalg.norm(amps) - 1.0) > 1e-9:
         raise ValueError("vector must be normalized")
-    if v.support_depth > basis.depth - 1:
+    if np.any(amps[basis.depth_offsets[basis.depth] :]):
         raise ValueError(
             "vector support must stay one shell below the truncation depth"
         )
-    if omega is None:
-        omega = generator_average(basis)
-    elif omega.basis is not basis:
-        raise ValueError("basis mismatch between operator and state")
-    lhs = s * abs(quadratic_form(omega, v))
+    lhs = s * abs(_average_form(basis, amps))
     first = basis.first_letters()
     weights = np.bincount(first, weights=amps * amps, minlength=s + 1)[1:]
     weights = np.clip(weights, 0.0, 1.0)

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import require_bytes
 from .freegroup import GroupParams
-from .hilbert import TruncatedBasis, build_basis, gather, unit_state
+from .hilbert import TruncatedBasis, build_basis, gather
 from .spectral import _lanczos_extremal, analytic_norm
 
 OUTCOMES = (1, -1)
@@ -184,7 +184,8 @@ def probability_table_commuting(
     if depth < 2:
         raise ValueError("depth must be ≥ 2 so one application per party stays exact")
     basis = build_basis(params, depth)
-    e = unit_state(basis).amplitudes
+    e = np.zeros(basis.dimension)
+    e[0] = 1.0  # the identity word
     right = basis.right_image_stack
     bob_shifted = gather(e, basis.left_image_stack)  # row y is S_y e
     joint = e @ gather(bob_shifted.T, right)  # [x, y] = <e| R_x S_y |e>

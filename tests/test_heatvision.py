@@ -12,12 +12,11 @@ from steergap import (
     purity_bound,
     superoperator_norm,
     tensor_bound,
-    unit_state,
     word_from_str,
 )
 from steergap.errors import BufferExhaustedError
 from steergap.heatvision import _lazy_walk
-from steergap.hilbert import right_regular
+from steergap.hilbert import gather, right_regular
 
 from util import random_buffered_amplitudes
 
@@ -43,20 +42,24 @@ def lazy_walk_second_moment(s: int, steps: int) -> Fraction:
     return sum(c * c for c in weights.values())
 
 
+def dense_shift(x: int, basis) -> np.ndarray:
+    return gather(np.eye(basis.dimension), right_regular(x, basis))
+
+
 def dense_step(matrix: np.ndarray, basis) -> np.ndarray:
     """One channel step on a dense density matrix: the oracle for the engine."""
     s = basis.params.s
     out = 0.5 * matrix
     for x in range(1, s + 1):
-        sh = right_regular(x, basis).toarray()
+        sh = dense_shift(x, basis)
         out = out + sh @ matrix @ sh.T / (2 * s)
     return out
 
 
 def dense_mixture(basis, words) -> np.ndarray:
     """The uniform mixture of |w><w| over ``words``, as a dense matrix."""
-    states = [unit_state(basis, w).amplitudes for w in words]
-    return sum(np.outer(a, a) for a in states) / len(states)
+    rows = np.eye(basis.dimension)[[basis.index_of(w) for w in words]]
+    return rows.T @ rows / len(words)
 
 
 def dense_purity_series(matrix: np.ndarray, basis, steps: int) -> list[float]:
@@ -80,7 +83,7 @@ def dense_superoperator_top(params: GroupParams, depth: int) -> float:
     s = params.s
     op = 0.5 * np.eye(basis.dimension**2)
     for x in range(1, s + 1):
-        sh = right_regular(x, basis).toarray()
+        sh = dense_shift(x, basis)
         op += np.kron(sh, sh) / (2 * s)
     return float(np.linalg.eigvalsh(op)[-1])
 
@@ -163,7 +166,7 @@ def test_kraus_form_matches_mixing_form():
     amps = random_buffered_amplitudes(rng, basis, 2)
     rho = np.outer(amps, amps)
     out = dense_step(rho, basis)
-    shifts = [right_regular(x, basis).toarray() for x in range(1, 4)]
+    shifts = [dense_shift(x, basis) for x in range(1, 4)]
     via_kraus = np.zeros_like(out)
     for sh in shifts:
         for sign in (1.0, -1.0):

@@ -2,17 +2,16 @@ import numpy as np
 import pytest
 
 from steergap import (
+    IDENTITY,
     GroupParams,
     Word,
     build_basis,
     generator_average,
     left_regular,
     right_regular,
-    unit_state,
 )
 from steergap.errors import CapacityError
-from steergap.hilbert import StateVector, gather
-from steergap.spectral import quadratic_form
+from steergap.hilbert import gather
 
 from util import (
     brute_words,
@@ -26,6 +25,25 @@ from util import (
 @pytest.fixture(scope="module")
 def basis3():
     return build_basis(GroupParams(3), 4)
+
+
+def dense(row, basis):
+    """The D x D matrix of the shift whose image row is ``row``."""
+    return gather(np.eye(basis.dimension), row)
+
+
+def basis_vector(basis, word=IDENTITY):
+    return np.eye(basis.dimension)[basis.index_of(word)]
+
+
+def dense_average(basis):
+    """The D x D matrix of the averaged shift, one parity block at a time."""
+    apply, sizes = generator_average(basis)
+    indices = basis.parity_split.indices
+    mat = np.zeros((basis.dimension, basis.dimension))
+    for c in (0, 1):
+        mat[np.ix_(indices[1 - c], indices[c])] = apply(np.eye(sizes[c]), c)
+    return mat
 
 
 def brute_basis_words(s: int, depth: int) -> list[Word]:
@@ -115,7 +133,7 @@ def test_basis_cap():
 def test_left_shift_matches_definition(s, depth):
     basis = build_basis(GroupParams(s), depth)
     for y in range(1, s + 1):
-        got = left_regular(y, basis).toarray()
+        got = dense(left_regular(y, basis), basis)
         want = dense_left_shift(s, depth, y, brute_basis_words(s, depth))
         assert np.array_equal(got, want)
 
@@ -126,7 +144,7 @@ def test_left_shift_matches_definition(s, depth):
 def test_right_shift_matches_definition(s, depth):
     basis = build_basis(GroupParams(s), depth)
     for x in range(1, s + 1):
-        got = right_regular(x, basis).toarray()
+        got = dense(right_regular(x, basis), basis)
         want = dense_right_shift(s, depth, x, brute_basis_words(s, depth))
         assert np.array_equal(got, want)
 
@@ -142,7 +160,8 @@ def test_image_stack_is_cached_and_read_only(basis3, name, regular):
     assert stack.shape == (3, basis3.dimension) and not stack.flags.writeable
     assert stack.flags.c_contiguous
     for x in range(1, 4):
-        assert np.shares_memory(regular(x, basis3).images, stack)
+        row = regular(x, basis3)
+        assert np.shares_memory(row, stack) and not row.flags.writeable
 
 
 @pytest.mark.parametrize("s", [2, 3, 4, 5])
@@ -157,16 +176,16 @@ def test_image_past_the_cut_exactly_on_outer_shell(s, depth):
 
 def test_shift_matrices_are_symmetric(basis3):
     for y in range(1, 4):
-        m = left_regular(y, basis3).toarray()
+        m = dense(left_regular(y, basis3), basis3)
         assert np.array_equal(m, m.T)
-        m = right_regular(y, basis3).toarray()
+        m = dense(right_regular(y, basis3), basis3)
         assert np.array_equal(m, m.T)
 
 
 def test_shift_norm_at_most_one(basis3):
     for y in range(1, 4):
-        dense = left_regular(y, basis3).toarray()
-        assert np.linalg.norm(dense, 2) <= 1.0 + 1e-12
+        m = dense(left_regular(y, basis3), basis3)
+        assert np.linalg.norm(m, 2) <= 1.0 + 1e-12
 
 
 def test_invalid_generator_rejected(basis3):
@@ -179,23 +198,21 @@ def test_invalid_generator_rejected(basis3):
 
 
 def test_apply_examples(basis3):
-    e = unit_state(basis3)
-    g1 = StateVector(basis3, left_regular(1, basis3) @ e.amplitudes, 1)
-    assert g1.amplitudes[basis3.index_of(Word((1,)))] == 1.0
-    assert g1.norm() == 1.0
-    assert np.array_equal(g1.amplitudes, unit_state(basis3, Word((1,))).amplitudes)
-    assert unit_state(basis3, Word((1,))).support_depth == 1
+    g1 = gather(basis_vector(basis3), left_regular(1, basis3))
+    assert g1[basis3.index_of(Word((1,)))] == 1.0
+    assert np.linalg.norm(g1) == 1.0
+    assert np.array_equal(g1, basis_vector(basis3, Word((1,))))
     # right shift appends instead
-    h = right_regular(2, basis3) @ g1.amplitudes
+    h = gather(g1, right_regular(2, basis3))
     assert h[basis3.index_of(Word((1, 2)))] == 1.0
 
 
 def test_left_shift_is_buffered_involution(basis3):
     rng = np.random.default_rng(0)
     for y in range(1, 4):
-        op = left_regular(y, basis3)
+        row = left_regular(y, basis3)
         amps = random_buffered_amplitudes(rng, basis3, basis3.depth - 1)
-        twice = op @ (op @ amps)
+        twice = gather(gather(amps, row), row)
         assert np.allclose(twice, amps, atol=1e-15)
 
 
@@ -205,8 +222,8 @@ def test_left_and_right_shifts_commute(basis3):
     for y in range(1, 4):
         for x in range(1, 4):
             sy, rx = left_regular(y, basis3), right_regular(x, basis3)
-            lr = sy @ (rx @ amps)
-            rl = rx @ (sy @ amps)
+            lr = gather(gather(amps, rx), sy)
+            rl = gather(gather(amps, sy), rx)
             assert np.array_equal(lr, rl)
 
 
@@ -232,8 +249,8 @@ def test_exactness_depth_contract():
     big_amps = np.zeros(big.dimension)
     big_amps[: small.dimension] = amps
     for y in range(1, 4):
-        out_small = left_regular(y, small) @ amps
-        out_big = left_regular(y, big) @ big_amps
+        out_small = gather(amps, left_regular(y, small))
+        out_big = gather(big_amps, left_regular(y, big))
         assert np.array_equal(out_big[: small.dimension], out_small)
         assert np.all(out_big[small.dimension :] == 0.0)
 
@@ -241,26 +258,33 @@ def test_exactness_depth_contract():
 def test_truncation_loses_boundary_weight(basis3):
     """At the cut the compressed shift annihilates outward motion."""
     boundary_word = brute_basis_words(3, basis3.depth)[basis3.dimension - 1]
-    v = unit_state(basis3, boundary_word)
+    v = basis_vector(basis3, boundary_word)
     y = next(
         g for g in range(1, 4) if g != boundary_word.letters[0]
     )
-    out = left_regular(y, basis3) @ v.amplitudes
+    out = gather(v, left_regular(y, basis3))
     assert np.linalg.norm(out) == 0.0
 
 
 def test_generator_average_entries(basis3):
-    e = unit_state(basis3)
-    om = generator_average(basis3)
-    oe = om @ e.amplitudes
-    assert abs(e.amplitudes @ oe) < 1e-16
+    e = basis_vector(basis3)
+    oe = dense_average(basis3) @ e
+    assert abs(e @ oe) < 1e-16
     for y in range(1, 4):
         assert oe[basis3.index_of(Word((y,)))] == pytest.approx(1 / 3)
 
 
+@pytest.mark.parametrize("s,depth", [(2, 6), (3, 0), (3, 3), (4, 3), (5, 2)])
+def test_generator_average_matches_definition(s, depth):
+    basis = build_basis(GroupParams(s), depth)
+    words = brute_basis_words(s, depth)
+    want = sum(dense_left_shift(s, depth, y, words) for y in range(1, s + 1)) / s
+    assert np.array_equal(dense_average(basis), want)
+
+
 def test_generator_average_interior_rows_s2():
     basis = build_basis(GroupParams(2), 6)
-    mat = generator_average(basis).toarray()
+    mat = dense_average(basis)
     for k in range(1, 6):
         for i in basis.shell(k):
             row = mat[i]
@@ -268,21 +292,18 @@ def test_generator_average_interior_rows_s2():
             assert np.allclose(row[row != 0], 0.5)
 
 
-def test_support_depth_bookkeeping(basis3):
+def test_average_reaches_one_shell_further_per_application(basis3):
     """Each application of the average reaches one shell further, up to the cut.
 
     Past the cut the outermost shell can only step inward, so the fifth
     application at depth 4 ends on shell 3.
     """
-    amps = unit_state(basis3).amplitudes
+    apply, sizes = generator_average(basis3)
+    indices = basis3.parity_split.indices
+    part, c = np.eye(sizes[0])[0], 0  # the identity is the first even word
     for expected in (1, 2, 3, 4, 3):
-        amps = generator_average(basis3) @ amps
+        part, c = apply(part, c), 1 - c
+        amps = np.zeros(basis3.dimension)
+        amps[indices[c]] = part
         reached = [k for k in range(basis3.depth + 1) if np.any(amps[basis3.shell(k)])]
         assert max(reached) == expected
-
-
-def test_basis_mismatch_rejected(basis3):
-    other = build_basis(GroupParams(3), 4)
-    v = unit_state(other)
-    with pytest.raises(ValueError, match="basis mismatch"):
-        quadratic_form(left_regular(1, basis3), v)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from steergap import (
+    IDENTITY,
     GroupParams,
     Word,
     analytic_norm,
@@ -15,25 +16,32 @@ from steergap import (
     estimate_norm,
     extremal_eigenpair,
     first_letter_bound_chain,
-    generator_average,
     matvec_walk_count,
     norm_sweep,
     tightness_vector,
-    unit_state,
 )
 from steergap import spectral
 from steergap.errors import CapacityError, ConvergenceError
-from steergap.hilbert import StateVector, gather, left_regular, right_regular
+from steergap.hilbert import gather, left_regular, right_regular
 from steergap.spectral import (
+    _average_form,
     _lanczos_extremal,
-    quadratic_form,
     radial_offdiagonal,
-    tightness_quadratic_form,
+    tightness_quotient,
 )
 
 from steergap.steering import random_dichotomic
 
 from util import random_buffered_amplitudes
+
+
+def full_average(v, basis):
+    """The averaged shift through the full left-image stack, not the split."""
+    return gather(v, basis.left_image_stack).sum(axis=0) / basis.params.s
+
+
+def basis_vector(basis, word=IDENTITY):
+    return np.eye(basis.dimension)[basis.index_of(word)]
 
 
 def test_analytic_norm_values():
@@ -47,7 +55,7 @@ def test_analytic_norm_values():
 def test_estimate_matches_dense_eigenvalue():
     params = GroupParams(3)
     basis = build_basis(params, 4)
-    dense = generator_average(basis).toarray()
+    dense = full_average(np.eye(basis.dimension), basis)
     top = float(np.max(np.abs(np.linalg.eigvalsh(dense))))
     est = estimate_norm(params, 4, seed=5)
     assert est.estimated_norm == pytest.approx(top, abs=1e-8)
@@ -83,7 +91,8 @@ def test_lanczos_odd_start_matches_even_start():
     lam_odd, parts, _, _ = _lanczos_extremal(apply, sizes, None, 1e-12, v0=odd)
     assert abs(lam_odd - lam_even) < 1e-12
     dense = sum(
-        np.kron(r, left_regular(y + 1, basis).toarray()) for y, r in enumerate(obs)
+        np.kron(r, gather(np.eye(basis.dimension), left_regular(y + 1, basis)))
+        for y, r in enumerate(obs)
     ) / s
     assert abs(lam_odd - np.linalg.eigvalsh(dense)[-1]) < 1e-12
     psi = split.merge([part.reshape(alice_dim, -1) for part in parts])
@@ -182,25 +191,38 @@ def test_unknown_method_and_representation():
 def test_extremal_eigenpair_is_eigenvector():
     params = GroupParams(3)
     value, vec = extremal_eigenpair(params, 5, seed=3)
-    om = generator_average(vec.basis)
-    image = om @ vec.amplitudes
-    assert np.linalg.norm(image - value * vec.amplitudes) < 1e-8
-    assert vec.norm() == pytest.approx(1.0, abs=1e-12)
+    image = full_average(vec, build_basis(params, 5))
+    assert np.linalg.norm(image - value * vec) < 1e-8
+    assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
     assert value == pytest.approx(estimate_norm(params, 5).estimated_norm, abs=1e-9)
+
+
+@pytest.mark.parametrize("s,depth", [(3, 16), (5, 8)])
+def test_ritz_vector_true_residual_within_tolerance(s, depth):
+    """The returned vector is an eigenvector to within the solver's tolerance.
+
+    The residual is taken through the full left-image stack, not the parity
+    split the solver runs on, so it also checks the split and the merge.
+    """
+    tol = 1e-10
+    params = GroupParams(s)
+    value, vec = extremal_eigenpair(params, depth, tol=tol)
+    image = full_average(vec, build_basis(params, depth))
+    residual = np.linalg.norm(image - value * vec)
+    assert residual <= 10 * tol
 
 
 def test_rayleigh_quotient_right_translation_invariant():
     """Right translations commute with the averaged left shift."""
     params = GroupParams(3)
     basis = build_basis(params, 6)
-    om = generator_average(basis)
     rng = np.random.default_rng(7)
     amps = random_buffered_amplitudes(rng, basis, 3)
-    v = StateVector(basis, amps, 3)
-    base = quadratic_form(om, v)
+    base = _average_form(basis, amps)
+    assert base == pytest.approx(amps @ full_average(amps, basis), abs=1e-15)
     for x in range(1, 4):
-        shifted = StateVector(basis, right_regular(x, basis) @ amps, 4)
-        assert quadratic_form(om, shifted) == pytest.approx(base, abs=1e-12)
+        shifted = gather(amps, right_regular(x, basis))
+        assert _average_form(basis, shifted) == pytest.approx(base, abs=1e-12)
 
 
 # --- tightness family ---
@@ -211,16 +233,17 @@ def test_tightness_vector_unit_norm_exact():
         params = GroupParams(s)
         basis = build_basis(params, 7)
         for n in range(7):
-            v = tightness_vector(params, n, basis)
-            assert abs(v.norm() - 1.0) < 1e-14
-            assert v.support_depth == n
+            v = tightness_vector(n, basis)
+            assert abs(np.linalg.norm(v) - 1.0) < 1e-14
+            assert np.all(v[: basis.prefix_dimension(n)] > 0)
+            assert not np.any(v[basis.prefix_dimension(n) :])
 
 
 def test_tightness_vector_needs_buffer():
     params = GroupParams(3)
     basis = build_basis(params, 4)
     with pytest.raises(ValueError, match="too shallow"):
-        tightness_vector(params, 4, basis)
+        tightness_vector(4, basis)
 
 
 def test_tightness_quotient_matches_closed_form():
@@ -228,13 +251,12 @@ def test_tightness_quotient_matches_closed_form():
         params = GroupParams(s)
         basis = build_basis(params, 9)
         for n in range(0, 8):
-            v = tightness_vector(params, n, basis)
-            q = quadratic_form(generator_average(basis), v)
-            assert q == pytest.approx(tightness_quadratic_form(s, n), abs=1e-13)
+            q = _average_form(basis, tightness_vector(n, basis))
+            assert q == pytest.approx(tightness_quotient(s, n), abs=1e-13)
 
 
 def test_tightness_quotient_increases_toward_norm():
-    qs = [tightness_quadratic_form(3, n) for n in range(2, 13)]
+    qs = [tightness_quotient(3, n) for n in range(2, 13)]
     assert all(b > a for a, b in zip(qs, qs[1:]))
     assert analytic_norm(3) - qs[-1] < 0.08
     assert qs[-1] == pytest.approx(0.8865846150601501, abs=1e-14)
@@ -248,8 +270,7 @@ def test_tightness_quotient_increases_toward_norm():
 def test_bound_chain_single_word():
     params = GroupParams(3)
     basis = build_basis(params, 3)
-    v = unit_state(basis, Word((1,)))
-    chain = first_letter_bound_chain(v)
+    chain = first_letter_bound_chain(basis, basis_vector(basis, Word((1,))))
     assert chain.lhs == 0.0  # <g1|Omega|g1> = 0, no closed length-1 walk
     assert chain.middle == 0.0  # p = (1,0,0) has zero variance term
     assert chain.rhs == pytest.approx(2.0 * math.sqrt(2.0))
@@ -260,8 +281,7 @@ def test_bound_chain_two_letter_spread_s2():
     basis = build_basis(params, 3)
     amps = np.zeros(basis.dimension)
     amps[1] = amps[2] = 1.0 / math.sqrt(2.0)
-    v = StateVector(basis, amps, 1)
-    chain = first_letter_bound_chain(v)
+    chain = first_letter_bound_chain(basis, amps)
     # p = (1/2, 1/2) saturates the middle term at the rhs value 2
     assert chain.middle == pytest.approx(2.0)
     assert chain.rhs == pytest.approx(2.0)
@@ -272,15 +292,38 @@ def test_bound_chain_rejects_identity_overlap():
     params = GroupParams(3)
     basis = build_basis(params, 3)
     with pytest.raises(ValueError, match="identity"):
-        first_letter_bound_chain(unit_state(basis))
+        first_letter_bound_chain(basis, basis_vector(basis))
 
 
 def test_bound_chain_rejects_unbuffered():
     params = GroupParams(3)
     basis = build_basis(params, 3)
-    v = unit_state(basis, Word((3, 2, 3)))  # the last word of the ball
+    v = basis_vector(basis, Word((3, 2, 3)))  # the last word of the ball
     with pytest.raises(ValueError, match="buffer|shell"):
-        first_letter_bound_chain(v)
+        first_letter_bound_chain(basis, v)
+
+
+def test_bound_chain_buffer_check_is_exact():
+    """One tiny amplitude on the outermost shell is refused; shell depth-1 is fine."""
+    basis = build_basis(GroupParams(3), 4)
+    rng = np.random.default_rng(5)
+    amps = random_buffered_amplitudes(rng, basis, basis.depth - 1)
+    amps[0] = 0.0
+    amps /= np.linalg.norm(amps)
+    assert np.any(amps[basis.shell(basis.depth - 1)])
+    chain = first_letter_bound_chain(basis, amps)
+    assert chain.lhs <= chain.middle + 1e-12
+    leaky = amps.copy()
+    leaky[basis.shell(basis.depth).start] = 1e-300
+    with pytest.raises(ValueError, match="shell"):
+        first_letter_bound_chain(basis, leaky)
+
+
+def test_bound_chain_rejects_wrong_length():
+    basis = build_basis(GroupParams(3), 4)
+    amps = basis_vector(build_basis(GroupParams(3), 3), Word((1,)))
+    with pytest.raises(ValueError, match="shape"):
+        first_letter_bound_chain(basis, amps)
 
 
 def test_bound_chain_rejects_non_finite():
@@ -289,7 +332,7 @@ def test_bound_chain_rejects_non_finite():
     for bad in (np.nan, np.inf):
         amps = np.full(basis.dimension, bad)
         with pytest.raises(ValueError, match="non-finite"):
-            first_letter_bound_chain(StateVector(basis, amps, 3))
+            first_letter_bound_chain(basis, amps)
 
 
 @given(seed=st.integers(min_value=0, max_value=10**6))
@@ -302,7 +345,7 @@ def test_bound_chain_holds_on_random_vectors(seed):
     amps = np.zeros(basis.dimension)
     amps[1:keep] = rng.standard_normal(keep - 1)
     amps /= np.linalg.norm(amps)
-    chain = first_letter_bound_chain(StateVector(basis, amps, 4))
+    chain = first_letter_bound_chain(basis, amps)
     assert chain.lhs <= chain.middle + 1e-9
     assert chain.middle <= chain.rhs + 1e-9
 
@@ -311,11 +354,10 @@ def test_bound_chain_near_saturation():
     """The even-spread family pushes the first inequality toward equality."""
     params = GroupParams(3)
     basis = build_basis(params, 9)
-    v = tightness_vector(params, 8, basis)
-    amps = v.amplitudes.copy()
+    amps = tightness_vector(8, basis)
     amps[0] = 0.0
     amps /= np.linalg.norm(amps)
-    chain = first_letter_bound_chain(StateVector(basis, amps, 8))
+    chain = first_letter_bound_chain(basis, amps)
     assert chain.lhs > 0.85 * chain.rhs
 
 

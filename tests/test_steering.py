@@ -19,7 +19,7 @@ from steergap import (
     tensor_bound,
 )
 from steergap.errors import CapacityError
-from steergap.hilbert import left_regular
+from steergap.hilbert import gather, left_regular
 from steergap.steering import (
     VIOLATION_TOL,
     random_dichotomic,
@@ -34,7 +34,7 @@ def dense_bob_effects(basis):
     eye = np.eye(basis.dimension)
     effects = []
     for y in range(1, basis.params.s + 1):
-        shift = left_regular(y, basis).toarray()
+        shift = gather(eye, left_regular(y, basis))
         effects.append([0.5 * (eye + b * shift) for b in (1, -1)])
     return effects
 
@@ -354,8 +354,6 @@ def test_conjugation_identity_single_step_by_hand():
     basis = build_basis(params, 3)
     rng = np.random.default_rng(17)
     obs = [random_dichotomic(rng, 3) for _ in range(3)]
-    from steergap.hilbert import left_regular
-
     alpha = rng.standard_normal(3)
     alpha /= np.linalg.norm(alpha)
     # build U explicitly from word operators and compare one application
@@ -364,7 +362,8 @@ def test_conjugation_identity_single_step_by_hand():
     for w in words[1:]:
         parent = basis.index_of(Word(w.letters[1:]))
         word_ops.append(obs[w.letters[0] - 1] @ word_ops[parent])
-    shifts = [left_regular(y, basis).toarray() for y in range(1, 4)]
+    eye = np.eye(basis.dimension)
+    shifts = [gather(eye, left_regular(y, basis)) for y in range(1, 4)]
     avg_with = np.zeros((3 * basis.dimension, 3 * basis.dimension))
     for r, sh in zip(obs, shifts):
         avg_with += np.kron(r, sh) / 3.0
