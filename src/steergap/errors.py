@@ -6,8 +6,9 @@ so does running out of memory (the built-in ``MemoryError``).
 """
 
 #: Largest single allocation, checked before it is made.  It admits every
-#: Lanczos run within the word cap: 200 Krylov vectors of 2M words, held as two
-#: 100-row parity blocks, take 1.6 GB.
+#: Lanczos run within the word cap.  A run that keeps its vectors (the seesaw,
+#: ``extremal_eigenpair``) holds 200 Krylov vectors of 2M words as two 100-row
+#: parity blocks, 1.6 GB; a value-only norm solve holds three, 48 MB.
 MEMORY_BUDGET = 4 * 2**30
 
 

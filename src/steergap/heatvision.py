@@ -47,9 +47,10 @@ def _lazy_walk(basis: TruncatedBasis, weights: np.ndarray, support: int, steps: 
     a symmetric partial permutation, so that is also what each word gathers
     from its images.  After t steps the weight lies on words of length at
     most ``support + t``, a prefix of the (length, lex) order, and only that
-    prefix is updated.  A word has an image past the cut exactly when it is
-    on the outermost shell, so weight there means the buffer contract broke
-    and the walk raises.
+    prefix is updated; its images lie one shell further out, so only that
+    longer prefix is gathered from.  A word has an image past the cut exactly
+    when it is on the outermost shell, so weight there means the buffer
+    contract broke and the walk raises.
     """
     images = basis.right_image_stack
     outer = basis.depth_offsets[-2]
@@ -57,7 +58,8 @@ def _lazy_walk(basis: TruncatedBasis, weights: np.ndarray, support: int, steps: 
         n = basis.prefix_dimension(min(support + t, basis.depth))
         if np.any(weights[outer:n]):
             raise RuntimeError(f"weight walked off the ball at step {t}")
-        gathered = gather(weights, images[:, :n]).sum(axis=0)
+        reach = basis.prefix_dimension(min(support + t + 1, basis.depth))
+        gathered = gather(weights[:reach], images[:, :n]).sum(axis=0)
         weights[:n] = 0.5 * (weights[:n] + gathered / len(images))
         yield weights
 

@@ -19,7 +19,9 @@ reduction; ``auto`` switches on basis size.  Both run on numpy and
 ``math`` alone.
 The operator maps even-length words to odd-length ones and back, so its
 one form, ``hilbert.generator_average``, acts on that parity split, and so
-does the one Lanczos solver, shared with the seesaw.
+does the one Lanczos solver, shared with the seesaw: a plain three-term
+recurrence, where the norm estimates hold two vectors and the callers that
+need the Ritz vector keep them all.
 """
 
 from __future__ import annotations
@@ -132,47 +134,57 @@ def radial_top_eigenvalue(s: int, depth: int) -> tuple[float, float]:
     return value, float(np.linalg.norm(tv - value * v))
 
 
-def _lanczos_extremal(apply, sizes, rng, tol, krylov=DEFAULT_KRYLOV, v0=None):
-    """Top eigenpair, by Lanczos, of an operator that swaps two classes.
+def _lanczos_extremal(
+    apply, sizes, rng, tol, krylov=DEFAULT_KRYLOV, v0=None, *, vectors=True
+):
+    """Top eigenpair, by three-term Lanczos, of an operator that swaps two classes.
 
     ``apply(v, c)`` maps a class-c vector (length ``sizes[c]``) to the other
-    class.  From a start in one class the Krylov vectors alternate classes
+    class.  From a start in one class the Lanczos vectors alternate classes
     and every alpha is 0 (Golub-Kahan bidiagonalization of the class-0 ->
-    class-1 block), so each new vector is reorthogonalized, twice, against
-    its own class only.  The Ritz values come in +/- pairs, so the top one
-    is also the largest in magnitude.  Returns (value, the class parts of
-    its unit Ritz vector, iterations, residual).  The start is random in
-    class 0, or the class-0 part of the pair ``v0``, or its class-1 part if
-    the class-0 one is zero; then the top Ritz value is at least
-    ||A v||/||v|| for that part v.
+    class-1 block).  The plain recurrence runs with no reorthogonalization:
+    in floating point the vectors lose orthogonality only along Ritz vectors
+    that have converged, whose extra copies repeat converged Ritz values, and
+    no Ritz value leaves the spectrum by more than rounding (Paige, J. Inst.
+    Math. Appl. 18, 1976).  The Ritz values come in +/- pairs, so the top
+    one is also the largest in magnitude.
+
+    With ``vectors`` false only the last two Lanczos vectors are held, O(D)
+    memory, and only the value is returned; otherwise the vectors are kept
+    in two parity blocks and the Ritz vector is formed from them at exit.
+    Returns (value, the class parts of its Ritz vector, or None, iterations,
+    residual); the vector is unit up to the lost orthogonality, so callers
+    normalize it.  The start is random in class 0, or the class-0 part of
+    the pair ``v0``, or its class-1 part if the class-0 one is zero; then
+    the top Ritz value is at least ||A v||/||v|| for that part v, since the
+    leading 2 x 2 block of the tridiagonal has that top eigenvalue.
     """
     if krylov < 1:
         raise ValueError(f"Krylov budget must be ≥ 1, got {krylov}")
     dim = sum(sizes)
-    m = min(krylov, dim)
-    half = (m + 1) // 2
-    require_bytes(8 * half * dim, f"Lanczos Krylov basis of {half} x {dim} float64")
+    half = (krylov + 1) // 2
+    if vectors:
+        require_bytes(8 * half * dim, f"Lanczos Krylov basis of {half} x {dim} float64")
+    else:
+        require_bytes(8 * 3 * dim, f"Lanczos recurrence of 3 x {dim} float64")
     if v0 is None:
         start, q = 0, rng.standard_normal(sizes[0])
     else:
         start = 0 if np.any(v0[0]) else 1
         q = np.asarray(v0[start], dtype=float)
-    # Vector j lies in class (start + j) % 2, as row j // 2 of that block.
-    blocks = [np.zeros((half, n)) for n in sizes]
-    blocks[start][0] = q / np.linalg.norm(q)
+    q = q / np.linalg.norm(q)
+    if vectors:
+        # Vector j lies in class (start + j) % 2, as row j // 2 of that block.
+        blocks = [np.zeros((half, n)) for n in sizes]
+        blocks[start][0] = q
     betas: list[float] = []
-    for j in range(m):
+    for j in range(krylov):
         c = (start + j) % 2
-        w = apply(blocks[c][j // 2], c)
-        own = blocks[1 - c][: (j + 1) // 2]
+        w = apply(q, c)
         if j > 0:
-            w -= betas[-1] * own[-1]
-        # Two classical Gram-Schmidt passes against the own-class block: one kept
-        # |QᵀQ - I| <= 2.2e-15 too, up to s = 3, N = 16, but only two guarantee it.
-        for _ in range(2):
-            w -= own.T @ (own @ w)
+            w -= betas[-1] * prev
         beta = float(np.linalg.norm(w))
-        ran_out = j == m - 1
+        ran_out = j == krylov - 1
         breakdown = beta < 1e-14
         if (j + 1) % 5 == 0 or ran_out or breakdown:
             # The Ritz tridiagonal is at most krylov x krylov: a dense
@@ -182,18 +194,21 @@ def _lanczos_extremal(apply, sizes, rng, tol, krylov=DEFAULT_KRYLOV, v0=None):
             residual = beta if breakdown else beta * float(abs(vecs[-1, -1]))
             if residual <= tol or breakdown:
                 break
-            if ran_out and m < dim:
+            if ran_out:
                 raise ConvergenceError(
                     f"Lanczos did not reach tolerance {tol:g} within Krylov "
-                    f"dimension {m} (residual {residual:.3g})",
+                    f"dimension {krylov} (residual {residual:.3g})",
                     residual=residual,
                 )
-        if not ran_out:
-            betas.append(beta)
-            blocks[1 - c][(j + 1) // 2] = w / beta
-    # Exhausting the whole space (m == dim) also leaves the exact answer.
-    coefs = [vecs[(c - start) % 2 :: 2, -1] for c in (0, 1)]
-    parts = tuple(a @ block[: len(a)] for a, block in zip(coefs, blocks))
+        betas.append(beta)
+        w /= beta
+        prev, q = q, w
+        if vectors:
+            blocks[1 - c][(j + 1) // 2] = w
+    parts = None
+    if vectors:
+        coefs = [vecs[(c - start) % 2 :: 2, -1] for c in (0, 1)]
+        parts = tuple(a @ block[: len(a)] for a, block in zip(coefs, blocks))
     return float(vals[-1]), parts, j + 1, residual
 
 
@@ -230,7 +245,11 @@ def estimate_norm(
         basis = build_basis(params, depth)
         budget = DEFAULT_KRYLOV if max_iter is None else max_iter
         value, _, iterations, residual = _lanczos_extremal(
-            *generator_average(basis), np.random.default_rng(seed), tol, budget
+            *generator_average(basis),
+            np.random.default_rng(seed),
+            tol,
+            budget,
+            vectors=False,
         )
     else:
         value, residual = radial_top_eigenvalue(params.s, depth)

@@ -222,6 +222,24 @@ def test_lazy_walk_raises_when_weight_reaches_the_cut():
         list(_lazy_walk(basis, weights, 4, 1))
 
 
+@pytest.mark.parametrize("s, depth, support", [(2, 9, 0), (3, 8, 1), (5, 5, 2)])
+def test_lazy_walk_prefix_gather_is_bit_identical_to_full_gather(s, depth, support):
+    """Gathering from the reachable prefix changes no bit of the weights."""
+    basis = build_basis(GroupParams(s), depth)
+    rng = np.random.default_rng(s)
+    weights = np.zeros(basis.dimension)
+    live = basis.prefix_dimension(support)
+    weights[:live] = rng.random(live)
+    weights /= weights.sum()
+    reference = weights.copy()
+    images = basis.right_image_stack
+    for t, stepped in enumerate(_lazy_walk(basis, weights, support, depth - support), 1):
+        n = basis.prefix_dimension(min(support + t, depth))
+        gathered = gather(reference, images[:, :n]).sum(axis=0)
+        reference[:n] = 0.5 * (reference[:n] + gathered / s)
+        assert np.array_equal(stepped, reference), t
+
+
 def test_superoperator_estimates_climb_toward_target():
     params = GroupParams(3)
     target = (1.0 + tensor_bound(3)) / 2.0

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -20,8 +21,9 @@ from steergap import (
     norm_sweep,
     tightness_vector,
 )
-from steergap import spectral
+from steergap import errors, spectral
 from steergap.errors import CapacityError, ConvergenceError
+from steergap.freegroup import ball_size
 from steergap.hilbert import gather, left_regular, right_regular
 from steergap.spectral import (
     _average_form,
@@ -72,6 +74,18 @@ def test_radial_reduction_matches_sparse():
         assert abs(sparse.estimated_norm - radial.estimated_norm) < 1e-14, (s, depth)
 
 
+def seesaw_split_operator(basis, obs):
+    """The seesaw state step's operator on the parity split, as the seesaw builds it."""
+    s, alice_dim = basis.params.s, len(obs[0])
+    split = basis.parity_split
+
+    def apply(v, c):
+        shifted = gather(v.reshape(alice_dim, -1).T, split.images[1 - c])
+        return np.tensordot(obs, shifted, axes=([0, 2], [0, 2])).ravel() / s
+
+    return apply, tuple(alice_dim * len(idx) for idx in split.indices)
+
+
 def test_lanczos_odd_start_matches_even_start():
     """The seesaw operator from psi's odd columns alone gives the even-start value."""
     s, alice_dim, depth = 3, 2, 4
@@ -79,12 +93,7 @@ def test_lanczos_odd_start_matches_even_start():
     split = basis.parity_split
     rng = np.random.default_rng(4)
     obs = np.stack([random_dichotomic(rng, alice_dim) for _ in range(s)])
-
-    def apply(v, c):
-        shifted = gather(v.reshape(alice_dim, -1).T, split.images[1 - c])
-        return np.tensordot(obs, shifted, axes=([0, 2], [0, 2])).ravel() / s
-
-    sizes = tuple(alice_dim * len(idx) for idx in split.indices)
+    apply, sizes = seesaw_split_operator(basis, obs)
     even = (rng.standard_normal(sizes[0]), np.zeros(sizes[1]))
     odd = (np.zeros(sizes[0]), rng.standard_normal(sizes[1]))
     lam_even, _, _, _ = _lanczos_extremal(apply, sizes, None, 1e-12, v0=even)
@@ -210,6 +219,55 @@ def test_ritz_vector_true_residual_within_tolerance(s, depth):
     image = full_average(vec, build_basis(params, depth))
     residual = np.linalg.norm(image - value * vec)
     assert residual <= 10 * tol
+
+
+def test_value_only_lanczos_holds_order_d_memory():
+    """The sparse norm keeps two Lanczos vectors, not 100-row Krylov blocks.
+
+    The traced peak covers the basis build too; the old parity blocks alone
+    took 8 * 100 * D bytes.
+    """
+    params = GroupParams(3)
+    dim = ball_size(params, 14)
+    tracemalloc.start()
+    try:
+        estimate_norm(params, 14, representation="sparse")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 25 * dim
+
+
+def test_byte_guard_estimates_each_lanczos_route(monkeypatch):
+    """A budget below the Krylov blocks refuses the vector route only."""
+    params = GroupParams(3)
+    dim = ball_size(params, 8)
+    monkeypatch.setattr(errors, "MEMORY_BUDGET", 8 * 10 * dim)
+    estimate_norm(params, 8, representation="sparse")
+    with pytest.raises(CapacityError, match="Krylov basis"):
+        extremal_eigenpair(params, 8)
+
+
+def test_seesaw_state_step_ritz_vector_true_residual_within_tolerance():
+    """A seesaw state step's vector, checked through the full left-image stack.
+
+    The step starts from a previous state, as every seesaw step after the
+    first does; the residual of (1/s) sum_y R_y psi S_y is taken on the
+    whole d_A x D state, not on the parity split the solver runs on.
+    """
+    s, alice_dim, depth, tol = 3, 3, 8, 1e-10
+    basis = build_basis(GroupParams(s), depth)
+    split = basis.parity_split
+    rng = np.random.default_rng(2)
+    obs = np.stack([random_dichotomic(rng, alice_dim) for _ in range(s)])
+    apply, sizes = seesaw_split_operator(basis, obs)
+    v0 = [rng.standard_normal(n) for n in sizes]
+    value, parts, _, _ = _lanczos_extremal(apply, sizes, None, tol, v0=v0)
+    psi = split.merge([part.reshape(alice_dim, -1) for part in parts])
+    psi /= np.linalg.norm(psi)
+    shifted = gather(psi.T, basis.left_image_stack)
+    image = np.einsum("yab,ywb->aw", obs, shifted) / s
+    assert np.linalg.norm(image - value * psi) <= 10 * tol
 
 
 def test_rayleigh_quotient_right_translation_invariant():
