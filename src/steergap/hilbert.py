@@ -8,16 +8,19 @@ untruncated counterparts on any vector whose support stays at least one
 shell below the cut.  That one-shell buffer is the exactness contract every
 downstream routine leans on.
 
-An operator is never stored as a matrix: a shift is a row of the basis's
-own image index stacks, applied as a gather, so the whole package runs on
-numpy alone.  Every shift action in the package goes through ``gather``,
-the one place that reads index -1 as a zero.  States are plain amplitude
+An operator is never stored as a matrix, so the whole package runs on
+numpy alone.  A single shift is a row of the basis's own image index
+stacks, applied as a gather; ``gather`` is the one place that reads index
+-1 as a zero.  The averaged shift, ``generator_average``, needs no index
+array: in (length, lex) order the left images of a whole shell are a block
+gather of the neighbouring shells by two s x (s-1) letter tables, so it
+reads no image stack and never meets the cut.  States are plain amplitude
 arrays over the basis.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -40,14 +43,6 @@ class ParitySplit(NamedTuple):
 
     indices: tuple[np.ndarray, np.ndarray]
     images: tuple[np.ndarray, np.ndarray]
-
-    def merge(self, parts) -> np.ndarray:
-        """One (..., D) array from the two class parts of shape (..., D_c)."""
-        dim = sum(len(idx) for idx in self.indices)
-        out = np.empty(parts[0].shape[:-1] + (dim,))
-        for idx, part in zip(self.indices, parts):
-            out[..., idx] = part
-        return out
 
 
 class TruncatedBasis:
@@ -166,10 +161,26 @@ class TruncatedBasis:
         return stack
 
     @cached_property
+    def parity_indices(self) -> tuple[np.ndarray, np.ndarray]:
+        """Basis indices of the even-length words, then of the odd-length ones.
+
+        Each class lists its shells end to end, the order in which
+        ``generator_average`` lays out a class part.
+        """
+        length = self._coordinates()[0]
+        return tuple(np.flatnonzero(length % 2 == c) for c in (0, 1))
+
+    def merge_parity(self, parts) -> np.ndarray:
+        """One (..., D) array from the two class parts of shape (..., D_c)."""
+        out = np.empty(parts[0].shape[:-1] + (self.dimension,))
+        for idx, part in zip(self.parity_indices, parts):
+            out[..., idx] = part
+        return out
+
+    @cached_property
     def parity_split(self) -> ParitySplit:
         """Every left shift changes the length by one: it swaps the classes."""
-        length = self._coordinates()[0]
-        indices = tuple(np.flatnonzero(length % 2 == c) for c in (0, 1))
+        indices = self.parity_indices
         local = np.full(self.dimension + 1, -1, dtype=np.int64)
         for idx in indices:
             local[idx] = np.arange(len(idx))
@@ -247,20 +258,89 @@ def right_regular(x: int, basis: TruncatedBasis) -> np.ndarray:
     return basis.right_image_stack[x - 1]
 
 
-def generator_average(basis: TruncatedBasis):
-    """The average of the s left shifts, as ``(apply, sizes)`` on the parity split.
+@lru_cache(maxsize=64)
+def _shell_plan(params: GroupParams, depth: int):
+    """Class sizes and, per output class, one step per shell of the average.
+
+    A shell-k word [a, r] has in-shell rank (a-1)(s-1)^(k-1) + j, j the rank
+    of its rest r.  So shell k reads as an (s, (s-1)^(k-1)) array, and
+    shell k+1 as an (s, s-1, (s-1)^(k-1)) one whose entry [y, a - (a > y), j]
+    (0-based letters) is the child y a r.  The children g_y w, y != a, of
+    row a of shell k are then rows ``child_rows[a]`` of shell k+1 read as
+    (s(s-1), (s-1)^(k-1)), and the parents of shell k+1 are rows
+    ``parent_rows[y]`` of shell k.  The identity's children are shell 1
+    read as (s, 1), and it is the parent of each word of shell 1.  A class
+    part lists its shells end to end; the step of output shell k holds its
+    slice, then the slices of shells k+1 and k-1 in the input part (None
+    past either end of the ball), each with its row table.
+    """
+    capped_ball_size(params, depth)
+    s = params.s
+    letter = np.arange(s)[:, None]
+    parent_rows = np.array([[b for b in range(s) if b != y] for y in range(s)])
+    child_rows = parent_rows * (s - 1) + letter - (letter > parent_rows)
+    root_rows, shell1_rows = letter.T, np.zeros((s, 1), dtype=np.int64)
+    for table in (parent_rows, child_rows, root_rows, shell1_rows):
+        table.flags.writeable = False
+    shells: list[list[slice]] = [[], []]
+    sizes = [0, 0]
+    for k in range(depth + 1):
+        n = count_words(params, k)
+        shells[k % 2].append(slice(sizes[k % 2], sizes[k % 2] + n))
+        sizes[k % 2] += n
+
+    def step(k):
+        above = shells[1 - k % 2][(k + 1) // 2] if k < depth else None
+        below = shells[1 - k % 2][(k - 1) // 2] if k > 0 else None
+        return (
+            shells[k % 2][k // 2],
+            above,
+            root_rows if k == 0 else child_rows,
+            below,
+            shell1_rows if k == 1 else parent_rows,
+        )
+
+    steps = tuple(tuple(step(k) for k in range(c, depth + 1, 2)) for c in (0, 1))
+    return tuple(sizes), steps
+
+
+def generator_average(params: GroupParams, depth: int):
+    """The average of the s left shifts on a ball, as ``(apply, sizes)``.
 
     Its norm is the quantity being certified: it is the normalized adjacency
-    operator of the radius-N ball of the s-regular tree rooted at the
+    operator of the radius-``depth`` ball of the s-regular tree rooted at the
     identity.  Each shift changes the length by one, so ``apply(v, c)`` maps
     a class-c part (length ``sizes[c]``, or shape (sizes[c], ...)) to the
-    other class.  The one form of the averaged shift in the package; its
-    name stays public because the benchmark tracer wraps it.
+    other class; a class part lists the class's words in basis order,
+    ``TruncatedBasis.parity_indices``.  A word's image sums its parent and
+    its children, block gathers of the neighbouring shells by two letter
+    tables (``_shell_plan``, built once per (s, depth)), so no index array
+    is read and nothing meets the cut: the outermost shell has no children.
+    A ball over the word cap raises ``CapacityError`` before anything is
+    allocated.  The one form of the averaged shift in the package; its name
+    stays public because the benchmark tracer wraps it.
     """
-    split = basis.parity_split
-    scale = 1.0 / basis.params.s
+    sizes, steps = _shell_plan(params, depth)
+    scale = 1.0 / params.s
 
     def apply(v, c):
-        return scale * gather(v, split.images[1 - c]).sum(axis=0)
+        tail = v.shape[1:]
+        out = np.zeros((sizes[1 - c],) + tail)
+        for dst, children, child_rows, parent, parent_rows in steps[1 - c]:
+            if children is not None:
+                o = out[dst].reshape((len(child_rows), -1) + tail)
+                src = v[children].reshape((-1, o.shape[1]) + tail)
+                np.add.reduce(src.take(child_rows, axis=0), axis=1, out=o)
+            if parent is not None:
+                o = out[dst].reshape(parent_rows.shape + (-1,) + tail)
+                src = v[parent].reshape((-1, o.shape[2]) + tail)
+                if children is None:
+                    # Every row index is in range; "clip" only lets take
+                    # write straight into out, unbuffered.
+                    src.take(parent_rows, axis=0, out=o, mode="clip")
+                else:
+                    o += src.take(parent_rows, axis=0)
+        out *= scale
+        return out
 
-    return apply, tuple(len(idx) for idx in split.indices)
+    return apply, sizes

@@ -14,9 +14,9 @@ irreducible on nonnegative vectors), and on shell-constant vectors the
 operator acts as the (N+1)-point tridiagonal matrix T_N.  The ``radial``
 representation solves T_N exactly at any depth, by bisection on the scalar
 secular equation of its closed-form eigenvector; ``sparse`` runs Lanczos
-on the gather form of the compressed operator, which cross-checks the
-reduction; ``auto`` switches on basis size.  Both run on numpy and
-``math`` alone.
+on the shell-block form of the compressed operator, with no word basis
+or index array, which cross-checks the reduction; ``auto`` switches on
+ball size.  Both run on numpy and ``math`` alone.
 The operator maps even-length words to odd-length ones and back, so its
 one form, ``hilbert.generator_average``, acts on that parity split, and so
 does the one Lanczos solver, shared with the seesaw: a plain three-term
@@ -36,8 +36,8 @@ from .errors import CapacityError, ConvergenceError, require_bytes
 from .freegroup import GroupParams, ball_size
 from .hilbert import TruncatedBasis, build_basis, gather, generator_average
 
-#: Above this ball size, representation="auto" abandons the explicit word
-#: basis for the shell-tridiagonal reduction.
+#: Above this ball size, representation="auto" leaves Lanczos on the
+#: averaged shift for the shell-tridiagonal reduction.
 RADIAL_THRESHOLD = 200_000
 
 #: Cap on the closed-walk half-length; the integer dynamic program is
@@ -234,7 +234,9 @@ def estimate_norm(
     Exact on ``radial``, where ``iterations`` is the dimension N+1 of T_N.
     On ``sparse`` the estimate is a Lanczos Ritz value with Krylov budget
     ``max_iter``, so it approaches the compressed eigenvalue from below and
-    never exceeds the analytic norm.  Either route refuses ``max_iter < 1``.
+    never exceeds the analytic norm; a ball over the word cap raises
+    ``CapacityError`` before anything is allocated.  Either route refuses
+    ``max_iter < 1``.
     """
     if depth < 1:
         raise ValueError("depth must be ≥ 1")
@@ -242,10 +244,9 @@ def estimate_norm(
         raise ValueError(f"Krylov budget must be ≥ 1, got {max_iter}")
     rep = _resolve_representation(representation, ball_size(params, depth))
     if rep == "sparse":
-        basis = build_basis(params, depth)
         budget = DEFAULT_KRYLOV if max_iter is None else max_iter
         value, _, iterations, residual = _lanczos_extremal(
-            *generator_average(basis),
+            *generator_average(params, depth),
             np.random.default_rng(seed),
             tol,
             budget,
@@ -283,14 +284,15 @@ def extremal_eigenpair(
 ) -> tuple[float, np.ndarray]:
     """Most positive eigenvalue of the compressed averaged shift, with unit vector.
 
-    Always works in the explicit word basis, since the vector is over its
-    words.  Public only because the benchmark tracer, ``perfbench/tracer.py``,
-    wraps it by name.
+    The vector is over the words of the explicit basis, in its order.
+    Public only because the benchmark tracer, ``perfbench/tracer.py``, wraps
+    it by name.
     """
     basis = build_basis(params, depth)
     rng = np.random.default_rng(seed)
-    value, parts, _, _ = _lanczos_extremal(*generator_average(basis), rng, tol)
-    vec = basis.parity_split.merge(parts)
+    apply, sizes = generator_average(params, depth)
+    value, parts, _, _ = _lanczos_extremal(apply, sizes, rng, tol)
+    vec = basis.merge_parity(parts)
     return value, vec / np.linalg.norm(vec)
 
 
@@ -300,8 +302,8 @@ def _average_form(basis: TruncatedBasis, amps: np.ndarray) -> float:
     The shift is symmetric and swaps the parity classes, so the form is
     twice the odd part against the image of the even part.
     """
-    apply, _ = generator_average(basis)
-    even, odd = (amps[idx] for idx in basis.parity_split.indices)
+    apply, _ = generator_average(basis.params, basis.depth)
+    even, odd = (amps[idx] for idx in basis.parity_indices)
     return 2.0 * float(odd @ apply(even, 0))
 
 

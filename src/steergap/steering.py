@@ -327,7 +327,7 @@ def seesaw_tensor_optimize(
         sizes = tuple(alice_dim * len(idx) for idx in split.indices)
         v0 = None if psi is None else [psi[:, idx].ravel() for idx in split.indices]
         lam, parts, *_ = _lanczos_extremal(apply, sizes, rng, tol, v0=v0)
-        psi = split.merge([part.reshape(alice_dim, -1) for part in parts])
+        psi = basis.merge_parity([part.reshape(alice_dim, -1) for part in parts])
         return lam, psi / np.linalg.norm(psi)
 
     master = np.random.SeedSequence(seed)

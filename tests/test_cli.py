@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -150,6 +151,32 @@ def test_capacity_exhaustion_at_huge_depth_exits_2(capsys):
     _, err = run_lines(capsys)
     assert rc == 2
     assert "exceeds cap" in err
+
+
+def test_sparse_norm_over_the_word_cap_exits_2_before_allocating(capsys):
+    # The depth-20 ball at s=3 holds 3 145 726 words, over the 2M word cap.
+    tracemalloc.start()
+    try:
+        rc = main(
+            [
+                "norm",
+                "--s",
+                "3",
+                "--depth-min",
+                "20",
+                "--depth-max",
+                "20",
+                "--representation",
+                "sparse",
+            ]
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    _, err = run_lines(capsys)
+    assert rc == 2
+    assert "exceeds cap" in err
+    assert peak < 1_000_000  # one float64 vector of the ball is 25 MB
 
 
 def test_buffer_exhaustion_exits_2(capsys):

@@ -38,8 +38,8 @@ def basis_vector(basis, word=IDENTITY):
 
 def dense_average(basis):
     """The D x D matrix of the averaged shift, one parity block at a time."""
-    apply, sizes = generator_average(basis)
-    indices = basis.parity_split.indices
+    apply, sizes = generator_average(basis.params, basis.depth)
+    indices = basis.parity_indices
     mat = np.zeros((basis.dimension, basis.dimension))
     for c in (0, 1):
         mat[np.ix_(indices[1 - c], indices[c])] = apply(np.eye(sizes[c]), c)
@@ -274,12 +274,26 @@ def test_generator_average_entries(basis3):
         assert oe[basis3.index_of(Word((y,)))] == pytest.approx(1 / 3)
 
 
-@pytest.mark.parametrize("s,depth", [(2, 6), (3, 0), (3, 3), (4, 3), (5, 2)])
+@pytest.mark.parametrize(
+    "s,depth",
+    [(2, 1), (2, 6), (3, 0), (3, 1), (3, 2), (3, 3), (4, 2), (4, 3), (5, 2), (5, 4)],
+)
 def test_generator_average_matches_definition(s, depth):
     basis = build_basis(GroupParams(s), depth)
     words = brute_basis_words(s, depth)
     want = sum(dense_left_shift(s, depth, y, words) for y in range(1, s + 1)) / s
     assert np.array_equal(dense_average(basis), want)
+
+
+@pytest.mark.parametrize("s,depth", [(2, 5), (3, 4), (5, 3)])
+def test_generator_average_block_input_is_columnwise(s, depth):
+    """A (sizes[c], r) block is mapped as r separate columns."""
+    apply, sizes = generator_average(GroupParams(s), depth)
+    rng = np.random.default_rng(s + depth)
+    for c in (0, 1):
+        block = rng.standard_normal((sizes[c], 3))
+        want = np.stack([apply(col, c) for col in block.T], axis=1)
+        assert np.array_equal(apply(block, c), want)
 
 
 def test_generator_average_interior_rows_s2():
@@ -298,8 +312,8 @@ def test_average_reaches_one_shell_further_per_application(basis3):
     Past the cut the outermost shell can only step inward, so the fifth
     application at depth 4 ends on shell 3.
     """
-    apply, sizes = generator_average(basis3)
-    indices = basis3.parity_split.indices
+    apply, sizes = generator_average(basis3.params, basis3.depth)
+    indices = basis3.parity_indices
     part, c = np.eye(sizes[0])[0], 0  # the identity is the first even word
     for expected in (1, 2, 3, 4, 3):
         part, c = apply(part, c), 1 - c

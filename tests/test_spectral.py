@@ -90,7 +90,6 @@ def test_lanczos_odd_start_matches_even_start():
     """The seesaw operator from psi's odd columns alone gives the even-start value."""
     s, alice_dim, depth = 3, 2, 4
     basis = build_basis(GroupParams(s), depth)
-    split = basis.parity_split
     rng = np.random.default_rng(4)
     obs = np.stack([random_dichotomic(rng, alice_dim) for _ in range(s)])
     apply, sizes = seesaw_split_operator(basis, obs)
@@ -104,7 +103,7 @@ def test_lanczos_odd_start_matches_even_start():
         for y, r in enumerate(obs)
     ) / s
     assert abs(lam_odd - np.linalg.eigvalsh(dense)[-1]) < 1e-12
-    psi = split.merge([part.reshape(alice_dim, -1) for part in parts])
+    psi = basis.merge_parity([part.reshape(alice_dim, -1) for part in parts])
     assert np.linalg.norm(dense @ psi.ravel() - lam_odd * psi.ravel()) < 1e-10
 
 
@@ -224,7 +223,7 @@ def test_ritz_vector_true_residual_within_tolerance(s, depth):
 def test_value_only_lanczos_holds_order_d_memory():
     """The sparse norm keeps two Lanczos vectors, not 100-row Krylov blocks.
 
-    The traced peak covers the basis build too; the old parity blocks alone
+    The traced peak covers the whole solve; the old parity blocks alone
     took 8 * 100 * D bytes.
     """
     params = GroupParams(3)
@@ -236,6 +235,24 @@ def test_value_only_lanczos_holds_order_d_memory():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 25 * dim
+
+
+def test_sparse_norm_builds_no_basis_or_index_stack():
+    """The sparse norm holds a few class vectors and no (s, D) index array.
+
+    The int64 left-image stack alone is 8 * 3 * D bytes at s = 3.
+    """
+    params = GroupParams(3)
+    dim = ball_size(params, 14)
+    # A first solve imports modules (about 0.7 MB traced in a fresh process).
+    estimate_norm(params, 3, representation="sparse")
+    tracemalloc.start()
+    try:
+        estimate_norm(params, 14, representation="sparse")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 4 * dim
 
 
 def test_byte_guard_estimates_each_lanczos_route(monkeypatch):
@@ -257,13 +274,12 @@ def test_seesaw_state_step_ritz_vector_true_residual_within_tolerance():
     """
     s, alice_dim, depth, tol = 3, 3, 8, 1e-10
     basis = build_basis(GroupParams(s), depth)
-    split = basis.parity_split
     rng = np.random.default_rng(2)
     obs = np.stack([random_dichotomic(rng, alice_dim) for _ in range(s)])
     apply, sizes = seesaw_split_operator(basis, obs)
     v0 = [rng.standard_normal(n) for n in sizes]
     value, parts, _, _ = _lanczos_extremal(apply, sizes, None, tol, v0=v0)
-    psi = split.merge([part.reshape(alice_dim, -1) for part in parts])
+    psi = basis.merge_parity([part.reshape(alice_dim, -1) for part in parts])
     psi /= np.linalg.norm(psi)
     shifted = gather(psi.T, basis.left_image_stack)
     image = np.einsum("yab,ywb->aw", obs, shifted) / s
