@@ -9,18 +9,18 @@ shell below the cut.  That one-shell buffer is the exactness contract every
 downstream routine leans on.
 
 An operator is never stored as a matrix, so the whole package runs on
-numpy alone.  A single shift is a row of the basis's own image index
-stacks, applied as a gather; ``gather`` is the one place that reads index
--1 as a zero.  The averaged shift, ``generator_average``, needs no index
-array: in (length, lex) order the left images of a whole shell are a block
-gather of the neighbouring shells by two s x (s-1) letter tables, so it
-reads no image stack and never meets the cut.  States are plain amplitude
-arrays over the basis.
+numpy alone.  Every index map is a block gather or scatter of whole shells
+by one cached letter table, ``_others``.  A single shift is a row of the
+basis's image stacks, applied as a gather; ``gather`` is the one place that
+reads index -1 as a zero.  The averaged shift, ``generator_average``,
+gathers the shell blocks directly, so it reads no image stack and never
+meets the cut.  States are plain amplitude arrays over the basis.
 """
 
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -45,17 +45,33 @@ class ParitySplit(NamedTuple):
     images: tuple[np.ndarray, np.ndarray]
 
 
-class TruncatedBasis:
-    """Reduced words of length <= depth, indexed by mixed-radix arithmetic.
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
-    In (length, lex) order a word's index inside its shell is a mixed-radix
-    number: the first letter is a digit of radix s, each later letter a digit
-    of radix s-1 among the letters other than the one before it.  The basis
-    keeps only each word's first, second and last letter (0 where the word is
-    too short), built a shell at a time, and derives every index map from
-    them as an int64 array with -1 where the image leaves the ball.  Those
-    entries sit on the outermost shell, so a state that keeps the one-shell
-    buffer never meets them.
+
+@lru_cache(maxsize=64)
+def _others(s: int) -> np.ndarray:
+    """Row y lists, in increasing order, the 0-based letters other than y.
+
+    In (length, lex) order shell k reads as an (s, (s-1)^(k-1)) array whose
+    row a holds the words that start with a, and shell k+1 as an
+    (s, s-1, (s-1)^(k-1)) one whose entry [y, i, j] is the child y a r of
+    entry [a, j] of shell k, a = ``_others(s)[y, i]``.
+    """
+    return _frozen(np.array([[b for b in range(s) if b != y] for y in range(s)]))
+
+
+class TruncatedBasis:
+    """Reduced words of length <= depth, in (length, lex) order.
+
+    In that order a word's index inside its shell is a mixed-radix number:
+    the first letter is a digit of radix s, each later letter a digit of
+    radix s-1 among the letters other than the one before it.  The basis
+    stores only its shell offsets.  Every index map is built shell by shell
+    from the one letter table ``_others(s)``, as an int64 array with -1
+    where the image leaves the ball.  Those entries sit on the outermost
+    shell, so a state that keeps the one-shell buffer never meets them.
     """
 
     def __init__(self, params: GroupParams, depth: int, *, cap: int = DEFAULT_WORD_CAP):
@@ -66,22 +82,6 @@ class TruncatedBasis:
         for k in range(depth + 1):
             offsets.append(offsets[-1] + count_words(params, k))
         self.depth_offsets = tuple(offsets)
-        s = params.s
-        # Row L - 1 lists, in increasing order, the letters that may follow L.
-        successors = np.array(
-            [[a for a in range(1, s + 1) if a != b] for b in range(1, s + 1)],
-            dtype=np.int64,
-        )
-        shells = [(np.zeros(1, np.int64),) * 3]
-        if depth >= 1:
-            letters = np.arange(1, s + 1, dtype=np.int64)
-            shells.append((letters, np.zeros(s, np.int64), letters))
-        for k in range(2, depth + 1):
-            first, second, last = shells[-1]
-            last = successors[last - 1].ravel()
-            second = last if k == 2 else np.repeat(second, s - 1)
-            shells.append((np.repeat(first, s - 1), second, last))
-        self._first, self._second, self._last = (np.concatenate(a) for a in zip(*shells))
 
     def __repr__(self) -> str:
         return (
@@ -108,19 +108,23 @@ class TruncatedBasis:
         """Dimension of the subspace spanned by words of length <= k."""
         return self.depth_offsets[k + 1]
 
-    def first_letters(self) -> np.ndarray:
-        """First letter of each basis word (0 for the identity)."""
-        return self._first
+    def _shell_indices(self, k: int) -> np.ndarray:
+        return np.arange(self.depth_offsets[k], self.depth_offsets[k + 1])
 
-    def _coordinates(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Length and in-shell rank of every word, and the shell offsets."""
-        offsets = np.array(self.depth_offsets, dtype=np.int64)
-        length = np.repeat(np.arange(self.depth + 1), np.diff(offsets))
-        return length, np.arange(self.dimension) - offsets[length], offsets
+    def first_letters(self) -> np.ndarray:
+        """First letter of each basis word (0 for the identity): cached, read-only."""
+        return self._first_letters
+
+    @cached_property
+    def _first_letters(self) -> np.ndarray:
+        s, first = self.params.s, [np.zeros(1, dtype=np.int64)]
+        for k in range(1, self.depth + 1):
+            first.append(np.repeat(np.arange(1, s + 1), (s - 1) ** (k - 1)))
+        return _frozen(np.concatenate(first))
 
     def suffixes(self) -> np.ndarray:
         """g_a w for each word w with first letter a: w without it (-1 for e)."""
-        first = self._first
+        first = self.first_letters()
         dropped = self.left_image_stack[first - 1, np.arange(self.dimension)]
         return np.where(first > 0, dropped, -1)
 
@@ -128,47 +132,28 @@ class TruncatedBasis:
     def left_image_stack(self) -> np.ndarray:
         """Index of g_y w for y = 1..s (rows) and every word w: read-only (s, D).
 
-        If w starts with y, g_y w drops the first letter: the later digits
-        stay, and only the second letter turns from a radix-(s-1) digit into
-        a radix-s one, gaining 1 when it is above the first letter.
-        Otherwise prepending y adds a leading digit y-1 of weight
-        (s-1)^len(w), and the old first letter becomes a radix-(s-1) digit,
-        one lower when it is above y; -1 where that leaves the ball.
+        With the shells read as in ``_others``, g_y pairs row y of shell k+1
+        with shell k at rows ``_others(s)[y]``.
         """
-        length, rank, offsets = self._coordinates()
-        s, first = self.params.s, self._first
-        q = s - 1
-        below = q ** np.maximum(length - 1, 0)
-        dropped = (
-            offsets[length - 1]
-            + rank % below
-            + (self._second > first) * q ** np.maximum(length - 2, 0)
-        )
-        grown = offsets[length + 1] + rank
-        weight = q**length
-        past = length == self.depth
-        # Filled a row at a time, in place, after freeing the coordinates, so
-        # only the stack and a few D-long arrays are alive at once.
-        del length, rank
-        stack = np.empty((s, self.dimension), dtype=np.int64)
-        for y, row in enumerate(stack, start=1):
-            np.multiply(weight, y - 1, out=row)
-            row += grown
-            np.subtract(row, below, out=row, where=first > y)
-            row[past] = -1
-            np.copyto(row, dropped, where=first == y)
-        stack.flags.writeable = False
-        return stack
+        s, others = self.params.s, _others(self.params.s)
+        letters = np.arange(s)[:, None, None]
+
+        def edge(k):
+            words = self._shell_indices(k).reshape(s, -1)[others]
+            return letters, words, self._shell_indices(k + 1).reshape(s, s - 1, -1)
+
+        return self._pairing(map(edge, range(1, self.depth)))
 
     @cached_property
     def parity_indices(self) -> tuple[np.ndarray, np.ndarray]:
         """Basis indices of the even-length words, then of the odd-length ones.
 
         Each class lists its shells end to end, the order in which
-        ``generator_average`` lays out a class part.
+        ``generator_average`` lays out a class part.  Read-only.
         """
-        length = self._coordinates()[0]
-        return tuple(np.flatnonzero(length % 2 == c) for c in (0, 1))
+        shells = [self._shell_indices(k) for k in range(self.depth + 1)]
+        empty = [np.arange(0)]
+        return tuple(_frozen(np.concatenate(shells[c::2] or empty)) for c in (0, 1))
 
     def merge_parity(self, parts) -> np.ndarray:
         """One (..., D) array from the two class parts of shape (..., D_c)."""
@@ -185,32 +170,47 @@ class TruncatedBasis:
         for idx in indices:
             local[idx] = np.arange(len(idx))
         # take() keeps the (s, D_c) result C-ordered, so a matvec gathers rows.
-        images = tuple(local[self.left_image_stack.take(idx, axis=1)] for idx in indices)
-        for im in images:
-            im.flags.writeable = False
+        images = tuple(
+            _frozen(local[self.left_image_stack.take(idx, axis=1)]) for idx in indices
+        )
         return ParitySplit(indices, images)
 
     @cached_property
     def right_image_stack(self) -> np.ndarray:
         """Index of w g_x for x = 1..s (rows) and every word w: read-only (s, D).
 
-        Dropping the last letter gives the word's parent in the enumeration;
-        appending x gives the child whose digit ranks x among the letters
-        other than the last one.
+        The children w x of a shell-k word w are consecutive in shell k+1,
+        one for each letter x other than w's last, in ``_others(s)[last]``
+        order; raveled, those rows are the last letters of shell k+1.
         """
-        length, rank, offsets = self._coordinates()
-        s, last = self.params.s, self._last
-        shrunk = offsets[length - 1] + rank // np.where(length == 1, s, s - 1)
-        grown = offsets[length + 1] + rank * (s - 1)
-        past = length == self.depth
-        del length, rank  # filled a row at a time, as the left-image stack is
-        stack = np.empty((s, self.dimension), dtype=np.int64)
-        for x, row in enumerate(stack, start=1):
-            np.subtract(grown + (x - 1), (last > 0) & (x > last), out=row)
-            row[past] = -1
-            np.copyto(row, shrunk, where=last == x)
-        stack.flags.writeable = False
-        return stack
+        s, others = self.params.s, _others(self.params.s)
+
+        def edges():
+            last = np.arange(s)
+            for k in range(1, self.depth):
+                letters = others[last]
+                children = self._shell_indices(k + 1).reshape(-1, s - 1)
+                yield letters, self._shell_indices(k)[:, None], children
+                last = letters.ravel()
+
+        return self._pairing(edges())
+
+    def _pairing(self, edges) -> np.ndarray:
+        """The read-only (s, D) image stack of a shift, from its shell edges.
+
+        A shift is an involution pairing each word with a child one shell
+        further out.  ``edges`` yields, for shells 1..depth-1, broadcastable
+        index arrays ``(letters, words, children)``; the identity's edge, the
+        same for both shifts, is added here.  Images past the cut stay -1.
+        """
+        s = self.params.s
+        stack = np.full((s, self.dimension), -1, dtype=np.int64)
+        if self.depth:
+            edges = chain([(np.arange(s), 0, self._shell_indices(1))], edges)
+        for letters, words, children in edges:
+            stack[letters, words] = children
+            stack[letters, children] = words
+        return _frozen(stack)
 
 
 def build_basis(
@@ -262,26 +262,22 @@ def right_regular(x: int, basis: TruncatedBasis) -> np.ndarray:
 def _shell_plan(params: GroupParams, depth: int):
     """Class sizes and, per output class, one step per shell of the average.
 
-    A shell-k word [a, r] has in-shell rank (a-1)(s-1)^(k-1) + j, j the rank
-    of its rest r.  So shell k reads as an (s, (s-1)^(k-1)) array, and
-    shell k+1 as an (s, s-1, (s-1)^(k-1)) one whose entry [y, a - (a > y), j]
-    (0-based letters) is the child y a r.  The children g_y w, y != a, of
-    row a of shell k are then rows ``child_rows[a]`` of shell k+1 read as
-    (s(s-1), (s-1)^(k-1)), and the parents of shell k+1 are rows
-    ``parent_rows[y]`` of shell k.  The identity's children are shell 1
-    read as (s, 1), and it is the parent of each word of shell 1.  A class
-    part lists its shells end to end; the step of output shell k holds its
-    slice, then the slices of shells k+1 and k-1 in the input part (None
-    past either end of the ball), each with its row table.
+    With the shells read as in ``_others``, the parents of row y of shell
+    k+1 are rows ``parent_rows[y] = _others(s)[y]`` of shell k, and the
+    children g_y w, y != a, of row a of shell k are rows ``child_rows[a]``,
+    y(s-1) + a - (a > y), of shell k+1 read as (s(s-1), (s-1)^(k-1)).  The
+    identity's children are shell 1 read as (s, 1), and it is the parent of
+    each word of shell 1.  A class part lists its shells end to end; the
+    step of output shell k holds its slice, then the slices of shells k+1
+    and k-1 in the input part (None past either end of the ball), each with
+    its row table.
     """
     capped_ball_size(params, depth)
     s = params.s
-    letter = np.arange(s)[:, None]
-    parent_rows = np.array([[b for b in range(s) if b != y] for y in range(s)])
-    child_rows = parent_rows * (s - 1) + letter - (letter > parent_rows)
-    root_rows, shell1_rows = letter.T, np.zeros((s, 1), dtype=np.int64)
-    for table in (parent_rows, child_rows, root_rows, shell1_rows):
-        table.flags.writeable = False
+    letter, parent_rows = np.arange(s)[:, None], _others(s)
+    child_rows = _frozen(parent_rows * (s - 1) + letter - (letter > parent_rows))
+    root_rows = _frozen(letter.T)
+    shell1_rows = _frozen(np.zeros((s, 1), dtype=np.int64))
     shells: list[list[slice]] = [[], []]
     sizes = [0, 0]
     for k in range(depth + 1):

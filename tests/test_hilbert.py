@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -127,9 +129,13 @@ def test_basis_cap():
         build_basis(GroupParams(5), 12, cap=10_000)
 
 
-@pytest.mark.parametrize(
-    "s,depth", [(2, 5), (2, 7), (3, 0), (3, 1), (3, 3), (4, 3), (5, 3)]
-)
+SHIFT_CASES = [
+    (2, 0), (2, 1), (2, 5), (2, 7), (3, 0), (3, 1), (3, 3),
+    (4, 1), (4, 3), (5, 1), (5, 2), (5, 3),
+]
+
+
+@pytest.mark.parametrize("s,depth", SHIFT_CASES)
 def test_left_shift_matches_definition(s, depth):
     basis = build_basis(GroupParams(s), depth)
     for y in range(1, s + 1):
@@ -138,9 +144,7 @@ def test_left_shift_matches_definition(s, depth):
         assert np.array_equal(got, want)
 
 
-@pytest.mark.parametrize(
-    "s,depth", [(2, 5), (2, 7), (3, 0), (3, 1), (3, 3), (4, 3), (5, 3)]
-)
+@pytest.mark.parametrize("s,depth", SHIFT_CASES)
 def test_right_shift_matches_definition(s, depth):
     basis = build_basis(GroupParams(s), depth)
     for x in range(1, s + 1):
@@ -162,6 +166,32 @@ def test_image_stack_is_cached_and_read_only(basis3, name, regular):
     for x in range(1, 4):
         row = regular(x, basis3)
         assert np.shares_memory(row, stack) and not row.flags.writeable
+
+
+def test_index_arrays_are_cached_and_read_only(basis3):
+    first = basis3.first_letters()
+    assert first is basis3.first_letters()
+    assert basis3.parity_indices is basis3.parity_indices
+    for arr in (first, *basis3.parity_indices):
+        with pytest.raises(ValueError):
+            arr[1] = 2
+
+
+def test_basis_and_stack_memory():
+    """The basis holds only its shell offsets; a stack build at most one more stack."""
+    tracemalloc.start()
+    try:
+        build_basis(GroupParams(3), 19)
+        basis_peak = tracemalloc.get_traced_memory()[1]
+        basis = build_basis(GroupParams(3), 16)
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        basis.right_image_stack
+        stack_peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert basis_peak < 2**20
+    assert stack_peak < 2 * 8 * 3 * basis.dimension
 
 
 @pytest.mark.parametrize("s", [2, 3, 4, 5])
