@@ -111,23 +111,6 @@ class TruncatedBasis:
     def _shell_indices(self, k: int) -> np.ndarray:
         return np.arange(self.depth_offsets[k], self.depth_offsets[k + 1])
 
-    def first_letters(self) -> np.ndarray:
-        """First letter of each basis word (0 for the identity): cached, read-only."""
-        return self._first_letters
-
-    @cached_property
-    def _first_letters(self) -> np.ndarray:
-        s, first = self.params.s, [np.zeros(1, dtype=np.int64)]
-        for k in range(1, self.depth + 1):
-            first.append(np.repeat(np.arange(1, s + 1), (s - 1) ** (k - 1)))
-        return _frozen(np.concatenate(first))
-
-    def suffixes(self) -> np.ndarray:
-        """g_a w for each word w with first letter a: w without it (-1 for e)."""
-        first = self.first_letters()
-        dropped = self.left_image_stack[first - 1, np.arange(self.dimension)]
-        return np.where(first > 0, dropped, -1)
-
     @cached_property
     def left_image_stack(self) -> np.ndarray:
         """Index of g_y w for y = 1..s (rows) and every word w: read-only (s, D).
@@ -148,12 +131,14 @@ class TruncatedBasis:
     def parity_indices(self) -> tuple[np.ndarray, np.ndarray]:
         """Basis indices of the even-length words, then of the odd-length ones.
 
-        Each class lists its shells end to end, the order in which
+        Each class lists its shells end to end, at the class slices by which
         ``generator_average`` lays out a class part.  Read-only.
         """
-        shells = [self._shell_indices(k) for k in range(self.depth + 1)]
-        empty = [np.arange(0)]
-        return tuple(_frozen(np.concatenate(shells[c::2] or empty)) for c in (0, 1))
+        sizes, shells, _ = _shell_plan(self.params, self.depth)
+        parts = tuple(np.empty(n, dtype=np.int64) for n in sizes)
+        for k, part in enumerate(shells):
+            parts[k % 2][part] = self._shell_indices(k)
+        return tuple(map(_frozen, parts))
 
     def merge_parity(self, parts) -> np.ndarray:
         """One (..., D) array from the two class parts of shape (..., D_c)."""
@@ -260,44 +245,40 @@ def right_regular(x: int, basis: TruncatedBasis) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def _shell_plan(params: GroupParams, depth: int):
-    """Class sizes and, per output class, one step per shell of the average.
+    """Class sizes, each shell's class slice, and per class the average's steps.
 
-    With the shells read as in ``_others``, the parents of row y of shell
-    k+1 are rows ``parent_rows[y] = _others(s)[y]`` of shell k, and the
-    children g_y w, y != a, of row a of shell k are rows ``child_rows[a]``,
-    y(s-1) + a - (a > y), of shell k+1 read as (s(s-1), (s-1)^(k-1)).  The
-    identity's children are shell 1 read as (s, 1), and it is the parent of
-    each word of shell 1.  A class part lists its shells end to end; the
-    step of output shell k holds its slice, then the slices of shells k+1
-    and k-1 in the input part (None past either end of the ball), each with
-    its row table.
+    A class part lists its shells end to end, shell k at ``shells[k]`` of
+    class k % 2.  With the shells read as in ``_others``, the parents of
+    row y of shell k+1 are rows ``parent_rows[y] = _others(s)[y]`` of shell
+    k, and the children g_y w, y != a, of row a of shell k are rows
+    ``child_rows[a]``, y(s-1) + a - (a > y), of shell k+1 read as
+    (s(s-1), (s-1)^(k-1)).  The identity's children are shell 1 read as
+    (s, 1), and it is the parent of each word of shell 1.  The step of
+    output shell k holds ``shells[k]``, then ``shells[k ± 1]`` (None past
+    either end of the ball), each with its row table.
     """
-    capped_ball_size(params, depth)
     s = params.s
     letter, parent_rows = np.arange(s)[:, None], _others(s)
     child_rows = _frozen(parent_rows * (s - 1) + letter - (letter > parent_rows))
     root_rows = _frozen(letter.T)
     shell1_rows = _frozen(np.zeros((s, 1), dtype=np.int64))
-    shells: list[list[slice]] = [[], []]
-    sizes = [0, 0]
+    sizes, shells = [0, 0], []
     for k in range(depth + 1):
         n = count_words(params, k)
-        shells[k % 2].append(slice(sizes[k % 2], sizes[k % 2] + n))
+        shells.append(slice(sizes[k % 2], sizes[k % 2] + n))
         sizes[k % 2] += n
 
     def step(k):
-        above = shells[1 - k % 2][(k + 1) // 2] if k < depth else None
-        below = shells[1 - k % 2][(k - 1) // 2] if k > 0 else None
         return (
-            shells[k % 2][k // 2],
-            above,
+            shells[k],
+            shells[k + 1] if k < depth else None,
             root_rows if k == 0 else child_rows,
-            below,
+            shells[k - 1] if k > 0 else None,
             shell1_rows if k == 1 else parent_rows,
         )
 
     steps = tuple(tuple(step(k) for k in range(c, depth + 1, 2)) for c in (0, 1))
-    return tuple(sizes), steps
+    return tuple(sizes), tuple(shells), steps
 
 
 def generator_average(params: GroupParams, depth: int):
@@ -316,12 +297,15 @@ def generator_average(params: GroupParams, depth: int):
     allocated.  The one form of the averaged shift in the package; its name
     stays public because the benchmark tracer wraps it.
     """
-    sizes, steps = _shell_plan(params, depth)
+    capped_ball_size(params, depth)
+    sizes, _, steps = _shell_plan(params, depth)
     scale = 1.0 / params.s
 
     def apply(v, c):
         tail = v.shape[1:]
         out = np.zeros((sizes[1 - c],) + tail)
+        if not out.size:  # reshape cannot infer a -1 width from size 0
+            return out
         for dst, children, child_rows, parent, parent_rows in steps[1 - c]:
             if children is not None:
                 o = out[dst].reshape((len(child_rows), -1) + tail)

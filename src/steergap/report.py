@@ -42,6 +42,13 @@ from .steering import (
 )
 
 
+#: Settings that both profiles share.
+NORM_S_VALUES = (2, 3, 4, 5)
+MOMENT_ROOT_HALF_LENGTH = 12
+CHAIN_DEPTH = 8
+VIOLATION_S_VALUES = (3, 4, 5, 10)
+
+
 @dataclass
 class CriterionResult:
     number: int
@@ -69,21 +76,16 @@ class ReportSettings:
     tolerance_scale: float = 1.0
     seed: int = 7
 
-    norm_s_values: tuple[int, ...] = (2, 3, 4, 5)
     norm_depth_max: int = 14
     norm_gap_allowance: float = 0.03
 
     moment_k_max: int = 8
     moment_s_max: int = 5
-    moment_root_half_length: int = 12
 
     chain_samples: int = 1000
-    chain_depth: int = 8
 
     tightness_depth_max: int = 12
     tightness_gap_allowance: float = 0.08
-
-    violation_s_values: tuple[int, ...] = (3, 4, 5, 10)
 
     seesaw_restarts: int = 20
     seesaw_alice_dim: int = 8
@@ -130,7 +132,7 @@ def criterion_norm_sweep(settings: ReportSettings) -> CriterionResult:
     scale = settings.tolerance_scale
     worst_gap = -math.inf
     problems = []
-    for s in settings.norm_s_values:
+    for s in NORM_S_VALUES:
         params = GroupParams(s)
         sweep = norm_sweep(params, settings.norm_depth_max, seed=settings.seed)
         bound = analytic_norm(s)
@@ -169,7 +171,7 @@ def criterion_moment_oracle(settings: ReportSettings) -> CriterionResult:
             checked += 1
             if dp != mv:
                 problems.append(f"s={s}, k={k}: walk count {dp} != matvec {mv}")
-    k12 = settings.moment_root_half_length
+    k12 = MOMENT_ROOT_HALF_LENGTH
     rec = closed_walk_moment(GroupParams(3), k12)
     root = rec.moment ** (1.0 / (2 * k12))
     diff = abs(root - analytic_norm(3))
@@ -191,25 +193,23 @@ def criterion_bound_chain(settings: ReportSettings) -> CriterionResult:
     """3: the two-step norm bound holds on random vectors orthogonal to |e>."""
     scale = settings.tolerance_scale
     tol = 1e-9 * scale
-    params = GroupParams(3)
-    basis = build_basis(params, settings.chain_depth)
+    basis = build_basis(GroupParams(3), CHAIN_DEPTH)
     rng = np.random.default_rng(settings.seed)
-    keep = basis.prefix_dimension(settings.chain_depth - 1)
-    violations = 0
-    slack = math.inf
-    for _ in range(settings.chain_samples):
-        amps = np.zeros(basis.dimension)
-        amps[1:keep] = rng.standard_normal(keep - 1)
-        amps /= np.linalg.norm(amps)
-        chain = first_letter_bound_chain(basis, amps)
-        if chain.lhs > chain.middle + tol or chain.middle > chain.rhs + tol:
-            violations += 1
-        slack = min(slack, chain.middle - chain.lhs, chain.rhs - chain.middle)
+    keep = basis.prefix_dimension(CHAIN_DEPTH - 1)
+    n = settings.chain_samples
+    # One row per sample; a count below one draws none, as a loop would.
+    amps = np.zeros((max(n, 0), basis.dimension))
+    amps[:, 1:keep] = rng.standard_normal(amps[:, 1:keep].shape)
+    amps /= np.linalg.norm(amps, axis=1, keepdims=True)
+    chain = first_letter_bound_chain(basis, amps)
+    bad = (chain.lhs > chain.middle + tol) | (chain.middle > chain.rhs + tol)
+    lower, upper = chain.middle - chain.lhs, chain.rhs - chain.middle
+    slack = float(min(lower.min(initial=math.inf), upper.min(initial=math.inf)))
     details = (
-        f"{settings.chain_samples} samples, {violations} violations, "
+        f"{n} samples, {np.count_nonzero(bad)} violations, "
         f"minimum slack {slack:.3g}"
     )
-    return CriterionResult(3, "first-letter bound chain", violations == 0, details)
+    return CriterionResult(3, "first-letter bound chain", not bad.any(), details)
 
 
 def criterion_tightness(settings: ReportSettings) -> CriterionResult:
@@ -228,7 +228,7 @@ def criterion_tightness(settings: ReportSettings) -> CriterionResult:
     quotients = []
     for n in range(2, settings.tightness_depth_max + 1):
         basis = build_basis(params, n + 1)
-        q = _average_form(basis, tightness_vector(n, basis))
+        q = float(_average_form(basis, tightness_vector(n, basis)))
         closed = tightness_quotient(3, n)
         if abs(q - closed) > 1e-10:
             problems.append(f"n={n}: quotient {q!r} far from closed form {closed!r}")
@@ -255,7 +255,7 @@ def criterion_commuting_violation(settings: ReportSettings) -> CriterionResult:
     scale = settings.tolerance_scale
     problems = []
     worst = 0.0
-    for s in settings.violation_s_values:
+    for s in VIOLATION_S_VALUES:
         res = commuting_strategy_result(GroupParams(s))
         worst = max(worst, abs(res.f_s - 1.0))
         if abs(res.f_s - 1.0) > 1e-12 * scale:

@@ -296,15 +296,15 @@ def extremal_eigenpair(
     return value, vec / np.linalg.norm(vec)
 
 
-def _average_form(basis: TruncatedBasis, amps: np.ndarray) -> float:
-    """<v| averaged shift |v> without normalizing.
+def _average_form(basis: TruncatedBasis, amps: np.ndarray) -> np.ndarray:
+    """<v| averaged shift |v> without normalizing, for a vector or each block row.
 
     The shift is symmetric and swaps the parity classes, so the form is
     twice the odd part against the image of the even part.
     """
     apply, _ = generator_average(basis.params, basis.depth)
-    even, odd = (amps[idx] for idx in basis.parity_indices)
-    return 2.0 * float(odd @ apply(even, 0))
+    even, odd = (amps.T[idx] for idx in basis.parity_indices)
+    return 2.0 * np.einsum("i...,i...->...", odd, apply(even, 0))
 
 
 def tightness_vector(n: int, basis: TruncatedBasis) -> np.ndarray:
@@ -342,46 +342,55 @@ def tightness_quotient(s: int, n: int) -> float:
 
 @dataclass
 class BoundChain:
-    """The two-step estimate s*|<v|Av>| <= middle <= 2*sqrt(s-1)."""
+    """The two-step estimate s*|<v|Av>| <= middle <= 2*sqrt(s-1), per row."""
 
-    lhs: float
-    middle: float
+    lhs: float | np.ndarray
+    middle: float | np.ndarray
     rhs: float
 
 
 def first_letter_bound_chain(basis: TruncatedBasis, amps: np.ndarray) -> BoundChain:
-    """Evaluate the norm-bound chain on a unit vector orthogonal to |e>.
+    """Evaluate the norm-bound chain on unit vectors orthogonal to |e>.
 
     Splitting v by first letter into pieces of weight p_y, the s-scaled
     quadratic form of the averaged shift is at most 2*sum_y
-    sqrt(p_y(1-p_y)), which Cauchy-Schwarz caps at 2*sqrt(s-1).  Exact only
-    while v keeps the one-shell buffer, so a vector with any nonzero
-    amplitude on the outermost shell is refused.
+    sqrt(p_y(1-p_y)), which Cauchy-Schwarz caps at 2*sqrt(s-1).  Row y of
+    each shell, read as (s, ·), holds the words that start with y, so p_y
+    sums row sums.  A (D,) vector gives floats, an (n, D) block (n,)
+    arrays, each row checked.  Exact only while v keeps the one-shell
+    buffer, so any nonzero amplitude on the outermost shell is refused.
     """
-    s = basis.params.s
-    if amps.shape != (basis.dimension,):
+    s, offsets = basis.params.s, basis.depth_offsets
+    if amps.ndim not in (1, 2) or amps.shape[-1] != basis.dimension:
         raise ValueError(
-            f"vector has shape {amps.shape}, the basis needs ({basis.dimension},)"
+            f"vector has shape {amps.shape}, the basis needs (..., {basis.dimension})"
         )
     if not np.all(np.isfinite(amps)):
         raise ValueError("vector has a non-finite amplitude")
-    if abs(amps[0]) > 1e-12:
+    overlap = np.max(np.abs(amps[..., 0]), initial=0.0)
+    if overlap > 1e-12:
         raise ValueError(
-            f"vector overlaps the identity by {amps[0]!r}; the chain needs <e|v> = 0"
+            f"vector overlaps the identity by {float(overlap)!r}; "
+            "the chain needs <e|v> = 0"
         )
-    if abs(np.linalg.norm(amps) - 1.0) > 1e-9:
+    if np.any(np.abs(np.linalg.norm(amps, axis=-1) - 1.0) > 1e-9):
         raise ValueError("vector must be normalized")
-    if np.any(amps[basis.depth_offsets[basis.depth] :]):
+    if np.any(amps[..., offsets[basis.depth] :]):
         raise ValueError(
             "vector support must stay one shell below the truncation depth"
         )
-    lhs = s * abs(_average_form(basis, amps))
-    first = basis.first_letters()
-    weights = np.bincount(first, weights=amps * amps, minlength=s + 1)[1:]
+    lhs = s * np.abs(_average_form(basis, amps))
+    weights = sum(
+        np.square(amps[..., offsets[k] : offsets[k + 1]])
+        .reshape(amps.shape[:-1] + (s, (s - 1) ** (k - 1)))
+        .sum(axis=-1)
+        for k in range(1, basis.depth + 1)
+    )
     weights = np.clip(weights, 0.0, 1.0)
-    middle = 2.0 * float(np.sum(np.sqrt(weights * (1.0 - weights))))
-    rhs = 2.0 * math.sqrt(s - 1.0)
-    return BoundChain(lhs=lhs, middle=middle, rhs=rhs)
+    middle = 2.0 * np.sum(np.sqrt(weights * (1.0 - weights)), axis=-1)
+    if amps.ndim == 1:
+        lhs, middle = float(lhs), float(middle)
+    return BoundChain(lhs=lhs, middle=middle, rhs=2.0 * math.sqrt(s - 1.0))
 
 
 @dataclass

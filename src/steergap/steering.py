@@ -381,13 +381,16 @@ def conjugation_identity_check(
     """Max deviation of the unitary that strips Alice out of the correlator.
 
     Conjugating (1/s) sum_y R_y tensor S_y by U = sum_g R_g^{-1} tensor
-    |g><g| must equal (1/s) sum_y 1 tensor S_y on vectors supported two
-    shells below the cut (one shell for U, one for the shift).  The
-    ``observables`` R_1..R_s are checked as ``TensorStrategy.validate``
-    checks them.  Returns the largest 2-norm deviation over random buffered
-    probes; values at machine precision certify that Alice's dimension
-    cannot matter.
+    |g><g| must equal (1/s) sum_y 1 tensor S_y.  On the truncated ball this
+    holds exactly on every vector: U is diagonal in words, R_{g_y w} = R_y
+    R_w for every y, and the compression drops the same g_y w on both
+    sides.  The ``observables`` R_1..R_s are checked as
+    ``TensorStrategy.validate`` checks them.  Returns the largest 2-norm
+    deviation over random probes; values at machine precision certify that
+    Alice's dimension cannot matter.
     """
+    # The identity needs no buffer; the probes keep theirs, and this check,
+    # so that their draws and the figures of criterion 7 stay as they were.
     if basis.depth < 2:
         raise ValueError("depth must be ≥ 2 to leave room for buffered probes")
     s = basis.params.s
@@ -395,16 +398,17 @@ def conjugation_identity_check(
     _check_observables(observables, s, d, 1e-10)
     dim = basis.dimension
     images = basis.left_image_stack
-    # R_g for every basis word by peeling the first letter; the suffix of a
-    # reduced word is reduced and shorter, hence already computed.
-    first, parent = basis.first_letters(), basis.suffixes()
     require_bytes(
         8 * dim * d * d, f"conjugation word operators of {dim} x {d} x {d} float64"
     )
+    # R_w for every word, a shell at a time: row y of shell k holds the
+    # words y w', and g_y maps each to its suffix w' on shell k-1.
+    letters, obs = np.arange(s)[:, None], np.asarray(observables)[:, None]
     word_arr = np.empty((dim, d, d))
     word_arr[0] = np.eye(d)
-    for i in range(1, dim):
-        word_arr[i] = observables[first[i] - 1] @ word_arr[parent[i]]
+    for k in range(1, basis.depth + 1):
+        rows = np.arange(*basis.depth_offsets[k : k + 2]).reshape(s, -1)
+        word_arr[rows] = obs @ word_arr[images[letters, rows]]
 
     def conjugate(mat: np.ndarray, dagger: bool) -> np.ndarray:
         ops = word_arr if dagger else word_arr.transpose(0, 2, 1)

@@ -488,6 +488,16 @@ def test_quick_report_json_is_deterministic_outside_meta(tmp_path, capsys):
     assert first.split('"meta"')[0] == second.split('"meta"')[0]
 
 
+def test_zero_chain_samples_pass_criterion_3(capsys):
+    rc = main(["report", "--quick", "--chain-samples", "0"])
+    out, _ = run_lines(capsys)
+    assert rc == 3
+    assert out[2] == (
+        "[PASS] criterion 3: first-letter bound chain — "
+        "0 samples, 0 violations, minimum slack inf"
+    )
+
+
 def test_zero_tolerance_negative_control(capsys):
     """Collapsing every tolerance to zero must flip several criteria to FAIL,
     which shows the tolerances are actually consulted."""

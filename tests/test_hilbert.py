@@ -75,20 +75,13 @@ def test_basis_shells_and_lookup(basis3):
 
 @pytest.mark.parametrize("s", [2, 3, 4, 5])
 def test_index_arithmetic_matches_brute_order(s):
-    """Mixed-radix indices, suffixes and first letters against brute force."""
+    """Mixed-radix indices against brute force."""
     depth = 9 - s
     basis = build_basis(GroupParams(s), depth)
     words = sorted(brute_words(s, depth), key=lambda t: (len(t), t))
     assert basis.dimension == len(words)
-    position = {t: i for i, t in enumerate(words)}
-    suffixes = basis.suffixes()
-    first = basis.first_letters()
-    assert (suffixes[0], first[0]) == (-1, 0)
     for i, t in enumerate(words):
         assert basis.index_of(Word(t)) == i
-        if t:
-            assert suffixes[i] == position[t[1:]]
-            assert first[i] == t[0]
     with pytest.raises(ValueError):
         basis.index_of(Word((s + 1,)))
 
@@ -169,10 +162,8 @@ def test_image_stack_is_cached_and_read_only(basis3, name, regular):
 
 
 def test_index_arrays_are_cached_and_read_only(basis3):
-    first = basis3.first_letters()
-    assert first is basis3.first_letters()
     assert basis3.parity_indices is basis3.parity_indices
-    for arr in (first, *basis3.parity_indices):
+    for arr in basis3.parity_indices:
         with pytest.raises(ValueError):
             arr[1] = 2
 

@@ -34,7 +34,7 @@ from steergap.spectral import (
 
 from steergap.steering import random_dichotomic
 
-from util import random_buffered_amplitudes
+from util import brute_words, random_buffered_amplitudes
 
 
 def full_average(v, basis):
@@ -433,6 +433,65 @@ def test_bound_chain_near_saturation():
     amps /= np.linalg.norm(amps)
     chain = first_letter_bound_chain(basis, amps)
     assert chain.lhs > 0.85 * chain.rhs
+
+
+def unit_rows_off_identity(basis, rows, max_depth, seed):
+    """``rows`` random unit vectors on words of length 1..max_depth."""
+    rng = np.random.default_rng(seed)
+    keep = basis.prefix_dimension(max_depth)
+    amps = np.zeros((rows, basis.dimension))
+    amps[:, 1:keep] = rng.standard_normal((rows, keep - 1))
+    return amps / np.linalg.norm(amps, axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("s", [2, 3, 4, 5])
+def test_bound_chain_middle_matches_brute_first_letters(s):
+    """The first-letter weights, read off shell rows, against brute-force words."""
+    depth = 9 - s
+    basis = build_basis(GroupParams(s), depth)
+    words = sorted(brute_words(s, depth), key=lambda t: (len(t), t))
+    (amps,) = unit_rows_off_identity(basis, 1, depth - 1, seed=s)
+    weights = np.zeros(s + 1)
+    for t, a in zip(words, amps):
+        weights[t[0] if t else 0] += a * a
+    want = 2.0 * sum(math.sqrt(p * (1.0 - p)) for p in weights[1:])
+    chain = first_letter_bound_chain(basis, amps)
+    assert chain.middle == pytest.approx(want, abs=1e-14)
+
+
+def test_bound_chain_block_matches_row_by_row():
+    basis = build_basis(GroupParams(3), 6)
+    amps = unit_rows_off_identity(basis, 9, 5, seed=31)
+    block = first_letter_bound_chain(basis, amps)
+    assert block.lhs.shape == block.middle.shape == (9,)
+    for i, row in enumerate(amps):
+        chain = first_letter_bound_chain(basis, row)
+        assert isinstance(chain.lhs, float) and isinstance(chain.middle, float)
+        assert abs(block.lhs[i] - chain.lhs) <= 1e-15
+        assert abs(block.middle[i] - chain.middle) <= 1e-15
+        assert chain.rhs == block.rhs
+    empty = first_letter_bound_chain(basis, amps[:0])
+    assert empty.lhs.shape == empty.middle.shape == (0,)
+
+
+def test_bound_chain_block_refuses_any_bad_row():
+    basis = build_basis(GroupParams(3), 5)
+    amps = unit_rows_off_identity(basis, 6, 4, seed=37)
+    leaky = amps.copy()
+    leaky[4, basis.shell(basis.depth).start] = 1e-300
+    with pytest.raises(ValueError, match="shell"):
+        first_letter_bound_chain(basis, leaky)
+    overlapping = amps.copy()
+    overlapping[2, 0] = 0.5
+    overlapping[2] /= np.linalg.norm(overlapping[2])
+    with pytest.raises(ValueError, match="identity"):
+        first_letter_bound_chain(basis, overlapping)
+    unnormalized = amps.copy()
+    unnormalized[5] *= 2.0
+    with pytest.raises(ValueError, match="normalized"):
+        first_letter_bound_chain(basis, unnormalized)
+    with pytest.raises(ValueError, match="shape"):
+        first_letter_bound_chain(basis, amps[None])
 
 
 # --- closed-walk moments ---

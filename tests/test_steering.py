@@ -349,7 +349,11 @@ def test_conjugation_identity_trivial_observables():
 
 
 def test_conjugation_identity_single_step_by_hand():
-    """On alpha tensor |e>, conjugation sends R_y tensor S_y to 1 tensor S_y."""
+    """Conjugation sends R_y tensor S_y to 1 tensor S_y on the whole ball.
+
+    U is diagonal in words and R_{g_y w} = R_y R_w, so no buffer is needed:
+    the full matrices agree, and so does their action on alpha tensor |e>.
+    """
     params = GroupParams(3)
     basis = build_basis(params, 3)
     rng = np.random.default_rng(17)
@@ -378,6 +382,7 @@ def test_conjugation_identity_single_step_by_hand():
     got = lhs @ vec
     want = avg_without @ vec
     assert np.linalg.norm(got - want) < 1e-12
+    assert np.max(np.abs(lhs - avg_without)) < 1e-12
 
 
 def test_conjugation_identity_random_buffered():
