@@ -32,12 +32,15 @@ from .spectral import (
     tightness_vector,
 )
 from .steering import (
+    ProbabilityTable,
+    TensorStrategy,
     commuting_strategy_result,
     conjugation_identity_check,
+    dichotomic_stack,
+    draw_dichotomic,
+    draw_tensor_state,
     probability_table_commuting,
     probability_table_tensor,
-    random_dichotomic,
-    random_tensor_strategy,
     seesaw_tensor_optimize,
 )
 
@@ -197,8 +200,9 @@ def criterion_bound_chain(settings: ReportSettings) -> CriterionResult:
     rng = np.random.default_rng(settings.seed)
     keep = basis.prefix_dimension(CHAIN_DEPTH - 1)
     n = settings.chain_samples
-    # One row per sample; a count below one draws none, as a loop would.
-    amps = np.zeros((max(n, 0), basis.dimension))
+    if n < 0:
+        raise ValueError(f"chain_samples must be ≥ 0, got {n}")
+    amps = np.zeros((n, basis.dimension))  # one row per sample
     amps[:, 1:keep] = rng.standard_normal(amps[:, 1:keep].shape)
     amps /= np.linalg.norm(amps, axis=1, keepdims=True)
     chain = first_letter_bound_chain(basis, amps)
@@ -309,9 +313,10 @@ def criterion_conjugation(settings: ReportSettings) -> CriterionResult:
     params = GroupParams(3)
     basis = build_basis(params, settings.conjugation_depth)
     rng = np.random.default_rng(settings.seed)
+    # Each check seeds its own probes, so every draw can be made up front.
+    frames, signs = draw_dichotomic(rng, 3 * settings.conjugation_draws, 4)
     worst = 0.0
-    for i in range(settings.conjugation_draws):
-        obs = [random_dichotomic(rng, 4) for _ in range(3)]
+    for i, obs in enumerate(dichotomic_stack(frames, signs).reshape(-1, 3, 4, 4)):
         worst = max(
             worst,
             conjugation_identity_check(obs, basis, probes=2, seed=settings.seed + i),
@@ -358,35 +363,50 @@ def criterion_heat_vision(settings: ReportSettings) -> CriterionResult:
 
 
 def criterion_table_sanity(settings: ReportSettings) -> CriterionResult:
-    """9: every emitted probability table is a valid no-signaling distribution."""
+    """9: every emitted probability table is a valid no-signaling distribution.
+
+    Each sample draws its header, observables and state in turn.  Then the
+    observables are built one stack per Alice dimension, the tables one
+    stack per (s, depth, d_A, r), and with the commuting table they are
+    validated one stack per s.
+    """
     scale = settings.tolerance_scale
     tol = 1e-10 * scale
+    if settings.table_samples < 0:
+        raise ValueError(f"table_samples must be ≥ 0, got {settings.table_samples}")
     rng = np.random.default_rng(settings.seed)
-    failures = 0
-    checked = 0
-    cached_bases: dict = {}
-    for i in range(settings.table_samples):
+    bases: dict = {}
+    drawn: dict = {d: [] for d in (1, 2, 3)}  # d_A -> each sample's frames, spectra
+    groups: dict = {}  # (s, depth, d_A, r) -> (each sample's place in drawn, states)
+    for _ in range(settings.table_samples):
         s = int(rng.integers(2, 6))
         d_a = int(rng.integers(1, 4))
         depth = int(rng.integers(2, 4))
         mixed = bool(rng.integers(0, 2))
-        key = (s, depth)
-        if key not in cached_bases:
-            cached_bases[key] = build_basis(GroupParams(s), depth)
-        strat = random_tensor_strategy(cached_bases[key], d_a, rng, mixed=mixed)
-        table = probability_table_tensor(strat)
-        checked += 1
-        try:
-            table.validate(tol)
-        except ValueError:
-            failures += 1
-    for s in (2, 3, 4, 5):
-        table = probability_table_commuting(GroupParams(s))
-        checked += 1
-        try:
-            table.validate(tol)
-        except ValueError:
-            failures += 1
+        if (s, depth) not in bases:
+            bases[s, depth] = build_basis(GroupParams(s), depth)
+        drawn[d_a].append(draw_dichotomic(rng, s, d_a))
+        total = d_a * bases[s, depth].dimension
+        state = np.atleast_2d(draw_tensor_state(rng, total, mixed))
+        places, states = groups.setdefault((s, depth, d_a, len(state)), ([], []))
+        places.append(len(drawn[d_a]) - 1)
+        states.append(state)
+    observables = {}
+    for d, draws in drawn.items():
+        if draws:
+            built = dichotomic_stack(*(np.concatenate(part) for part in zip(*draws)))
+            observables[d] = np.split(built, np.cumsum([len(f) for f, _ in draws])[:-1])
+    stacks = {s: [probability_table_commuting(GroupParams(s)).values[None]]
+              for s in (2, 3, 4, 5)}
+    for (s, depth, d_a, _), (places, states) in groups.items():
+        obs = np.array([observables[d_a][i] for i in places])
+        strategy = TensorStrategy(d_a, obs, bases[s, depth], np.array(states))
+        stacks[s].append(probability_table_tensor(strategy).values)
+    checked = failures = 0
+    for s, parts in stacks.items():
+        tables = ProbabilityTable(s, np.concatenate(parts))
+        checked += len(tables.values)
+        failures += len(tables.faults(tol))
     details = f"{checked} tables validated, {failures} failures"
     return CriterionResult(9, "probability-table sanity", failures == 0, details)
 

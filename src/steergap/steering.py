@@ -24,7 +24,6 @@ s >= 3 certifies that no tensor-product model reproduces it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
 
 import numpy as np
 
@@ -48,7 +47,9 @@ def tensor_bound(s: int) -> float:
 class ProbabilityTable:
     """Joint outcome distribution P(a, b | x, y), outcomes ordered (+1, -1).
 
-    ``values`` has shape (2, 2, s, s) indexed [a, b, x-1, y-1].
+    ``values`` has shape (2, 2, s, s) indexed [a, b, x-1, y-1], or
+    (n, 2, 2, s, s) for a stack of n tables; ``prob`` and ``correlator``
+    read a single table.
     """
 
     s: int
@@ -62,30 +63,55 @@ class ProbabilityTable:
         v = self.values[:, :, x - 1, y - 1]
         return float(v[0, 0] - v[0, 1] - v[1, 0] + v[1, 1])
 
-    def validate(self, tol: float = 1e-10) -> None:
-        """Raise ValueError unless finite, nonnegative, normalized, no-signaling."""
-        if self.values.shape != (2, 2, self.s, self.s):
+    def faults(self, tol: float = 1e-10) -> list[tuple[int, str]]:
+        """(index, reason) of each table in the stack that is not finite,
+        nonnegative, normalized and no-signaling; a single table is index 0.
+
+        Each clause is evaluated for the whole stack at once; the reason is
+        the first clause a table fails, in that order.
+        """
+        s = self.s
+        if self.values.ndim not in (4, 5) or self.values.shape[-4:] != (2, 2, s, s):
             raise ValueError(
                 f"table has shape {self.values.shape}, expected (2, 2, s, s)"
             )
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("table has a non-finite entry")
-        low = float(np.min(self.values))
-        if low < -tol:
-            raise ValueError(f"negative probability {low!r}")
-        sums = np.sum(self.values, axis=(0, 1))
-        worst = float(np.max(np.abs(sums - 1.0)))
-        if worst > tol:
-            raise ValueError(f"setting with total probability off by {worst!r}")
+        v = self.values.reshape(-1, 2, 2, s, s)
+        finite = np.isfinite(v).all(axis=(1, 2, 3, 4))
+        low = v.min(axis=(1, 2, 3, 4))
+        off = np.abs(v.sum(axis=(1, 2)) - 1.0).max(axis=(1, 2))
         # Alice's marginal may not depend on y, Bob's may not depend on x.
-        alice = np.sum(self.values, axis=1)  # (2, s, s) indexed [a, x, y]
-        spread_a = float(np.max(np.abs(alice - alice.mean(axis=2, keepdims=True))))
-        bob = np.sum(self.values, axis=0)  # (2, s, s) indexed [b, x, y]
-        spread_b = float(np.max(np.abs(bob - bob.mean(axis=1, keepdims=True))))
-        if max(spread_a, spread_b) > tol:
-            raise ValueError(
-                f"signaling marginal: spreads {spread_a!r} (Alice), {spread_b!r} (Bob)"
-            )
+        alice = v.sum(axis=2)  # (n, 2, s, s) indexed [a, x, y]
+        spread_a = np.abs(alice - alice.mean(axis=3, keepdims=True)).max(axis=(1, 2, 3))
+        bob = v.sum(axis=1)  # (n, 2, s, s) indexed [b, x, y]
+        spread_b = np.abs(bob - bob.mean(axis=2, keepdims=True)).max(axis=(1, 2, 3))
+        signaling = np.maximum(spread_a, spread_b) > tol
+        found = []
+        for i in np.flatnonzero(~finite | (low < -tol) | (off > tol) | signaling):
+            if not finite[i]:
+                reason = "table has a non-finite entry"
+            elif low[i] < -tol:
+                reason = f"negative probability {float(low[i])!r}"
+            elif off[i] > tol:
+                reason = f"setting with total probability off by {float(off[i])!r}"
+            else:
+                reason = (
+                    f"signaling marginal: spreads {float(spread_a[i])!r} (Alice), "
+                    f"{float(spread_b[i])!r} (Bob)"
+                )
+            found.append((int(i), reason))
+        return found
+
+    def validate(self, tol: float = 1e-10) -> None:
+        """Raise ValueError unless finite, nonnegative, normalized, no-signaling.
+
+        For a stack the message names the first table that fails.
+        """
+        found = self.faults(tol)
+        if found:
+            i, reason = found[0]
+            if self.values.ndim == 5:
+                reason = f"table {i}: {reason}"
+            raise ValueError(reason)
 
     def to_nested_list(self) -> list:
         return self.values.tolist()
@@ -99,21 +125,33 @@ def steering_functional(table: ProbabilityTable) -> float:
 def _table_from_correlators(norm, alice, bob, joint) -> ProbabilityTable:
     """P(a,b|x,y) = (<1> + a<A_x> + b<B_y> + ab<A_x B_y>)/4.
 
-    ``norm`` is the state's own <1>, so ``validate`` rejects an unnormalized state.
+    ``norm`` is the state's own <1>, so ``validate`` rejects an unnormalized
+    state.  Every argument may carry the same leading stack axis.
     """
     a = np.array(OUTCOMES, dtype=float)[:, None, None, None]
     b = a.reshape(1, 2, 1, 1)
-    values = 0.25 * (norm + a * alice[:, None] + b * bob[None, :] + a * b * joint)
-    return ProbabilityTable(s=len(alice), values=values)
+    values = 0.25 * (
+        np.asarray(norm)[..., None, None, None, None]
+        + a * alice[..., None, None, :, None]
+        + b * bob[..., None, None, None, :]
+        + a * b * joint[..., None, None, :, :]
+    )
+    return ProbabilityTable(s=alice.shape[-1], values=values)
 
 
 def _bob_contractions(psi: np.ndarray, images: np.ndarray) -> np.ndarray:
-    """M_y = psi S_y psi^T = Tr_B((1 tensor S_y)|psi><psi|) for every y: (s, d, d).
+    """M_y = psi S_y psi^T = Tr_B((1 tensor S_y) rho) for every y: (n, s, d, d).
 
-    S_y is symmetric with row i holding a single 1 at images[y, i], so
-    column i of psi S_y is column images[y, i] of psi.
+    ``psi`` is an (n, r, d, D) stack of r pure components per state, and
+    M_y sums over them.  S_y is symmetric with row i holding a single 1 at
+    images[y, i], so column i of psi S_y is column images[y, i] of psi.
     """
-    return np.tensordot(gather(psi.T, images), psi, axes=([1], [1]))
+    n, r, d, dim = psi.shape
+    shifted = gather(psi.transpose(3, 0, 1, 2), images)  # [y, k, n, c, i]
+    # A contiguous copy, so each product is the plain BLAS call on unit strides.
+    left = np.ascontiguousarray(shifted.transpose(2, 3, 0, 4, 1))
+    per_component = left.reshape(n, r, -1, dim) @ psi.transpose(0, 1, 3, 2)
+    return per_component.sum(axis=1).reshape(n, len(images), d, d)
 
 
 @dataclass(eq=False)
@@ -221,10 +259,13 @@ class TensorStrategy:
 
     ``state`` is an (r, d_A * D) stack of pure components c_i, the state
     rho = sum_i c_i c_i^T; a unit vector of length d_A * D is the r = 1 case.
+    A stack of n strategies on one basis and d_A has (n, s, d_A, d_A)
+    observables and an (n, r, d_A * D) state; ``validate`` checks a single
+    strategy only.
     """
 
     alice_dim: int
-    observables: list[np.ndarray]
+    observables: list[np.ndarray] | np.ndarray
     basis: TruncatedBasis
     state: np.ndarray
 
@@ -245,32 +286,67 @@ def probability_table_tensor(strategy: TensorStrategy) -> ProbabilityTable:
     The state reduces to G = Tr_B(rho) and K_y = Tr_B((1 tensor S_y) rho) on
     Alice's side: <1> = tr G, <A_x> = <A_x, G>, <B_y> = tr K_y and
     <A_x B_y> = <A_x, K_y>.  Both are sums over the pure components psi
-    (each a d_A x D array) of psi psi^T and psi S_y psi^T.
+    (each a d_A x D array) of psi psi^T and psi S_y psi^T.  A stack of n
+    strategies gives an (n, 2, 2, s, s) table, a single one a (2, 2, s, s)
+    table; both take one pass.
     """
-    basis = strategy.basis
-    images = basis.left_image_stack
-    components = np.reshape(strategy.state, (-1, strategy.alice_dim, basis.dimension))
-    gram = reduce(np.add, (psi @ psi.T for psi in components))
-    bob_side = reduce(np.add, (_bob_contractions(psi, images) for psi in components))
-    alice_obs = np.stack(strategy.observables)
-    return _table_from_correlators(
-        np.trace(gram),
-        np.einsum("xab,ab->x", alice_obs, gram),
-        np.einsum("yaa->y", bob_side),
-        np.einsum("xab,yab->xy", alice_obs, bob_side),
+    d, dim = strategy.alice_dim, strategy.basis.dimension
+    state = np.asarray(strategy.state)
+    stacked = state.ndim == 3
+    psi = state.reshape(len(state) if stacked else 1, -1, d, dim)
+    alice_obs = np.reshape(strategy.observables, (len(psi), -1, d, d))
+    gram = np.sum(psi @ psi.transpose(0, 1, 3, 2), axis=1)
+    bob_side = _bob_contractions(psi, strategy.basis.left_image_stack)
+    table = _table_from_correlators(
+        np.trace(gram, axis1=1, axis2=2),
+        np.einsum("nxab,nab->nx", alice_obs, gram),
+        np.einsum("nyaa->ny", bob_side),
+        np.einsum("nxab,nyab->nxy", alice_obs, bob_side),
     )
+    if not stacked:
+        table.values = table.values[0]
+    return table
+
+
+#: The two eigenvalues of a dichotomic observable, indexed by a 0/1 draw.
+_SIGNS = np.array([-1.0, 1.0])
+
+
+def draw_dichotomic(
+    rng: np.random.Generator, count: int, dim: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gaussian frames (count, d, d) and +/-1 spectra (count, d) for
+    ``dichotomic_stack``, drawn one matrix at a time: frame, then spectrum.
+
+    A spectrum is ``_SIGNS[rng.integers(0, 2, size=d)]``: the same values
+    and generator state as a uniform choice from (-1, +1), at less cost.
+    """
+    frames = np.empty((count, dim, dim))
+    picks = np.empty((count, dim), dtype=np.int64)
+    for i in range(count):
+        rng.standard_normal(out=frames[i])
+        picks[i] = rng.integers(0, 2, size=dim)
+    return frames, _SIGNS[picks]
+
+
+def dichotomic_stack(frames: np.ndarray, signs: np.ndarray) -> np.ndarray:
+    """Symmetric involutions (q * signs) q^T, q the QR frame of each Gaussian.
+
+    One batched QR and one batched product; each matrix comes out
+    bit-identical to building it alone.
+    """
+    q, _ = np.linalg.qr(frames)
+    return (q * signs[..., None, :]) @ np.swapaxes(q, -1, -2)
 
 
 def random_dichotomic(rng: np.random.Generator, dim: int) -> np.ndarray:
     """Random symmetric involution: a random frame with random +/-1 spectrum."""
-    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
-    signs = rng.choice([-1.0, 1.0], size=dim)
-    return (q * signs) @ q.T
+    return dichotomic_stack(*draw_dichotomic(rng, 1, dim))[0]
 
 
 def _sign_observables(psi: np.ndarray, images: np.ndarray) -> np.ndarray:
     """Best observables for a fixed state: the matrix sign of each M_y."""
-    m = _bob_contractions(psi, images)
+    m = _bob_contractions(psi[None, None], images)[0]
     w, u = np.linalg.eigh(0.5 * (m + m.transpose(0, 2, 1)))
     return (u * np.where(w >= 0.0, 1.0, -1.0)[:, None, :]) @ u.transpose(0, 2, 1)
 
@@ -335,7 +411,7 @@ def seesaw_tensor_optimize(
     histories: list[list[float]] = []
     for child in master.spawn(restarts):
         rng = np.random.default_rng(child)
-        obs = np.stack([random_dichotomic(rng, alice_dim) for _ in range(s)])
+        obs = dichotomic_stack(*draw_dichotomic(rng, s, alice_dim))
         history: list[float] = []
         psi = None
         stationary = False
@@ -435,6 +511,22 @@ def conjugation_identity_check(
     return worst
 
 
+def draw_tensor_state(
+    rng: np.random.Generator, total: int, mixed: bool
+) -> np.ndarray:
+    """A random unit state of length ``total``: a vector, or for ``mixed``
+    an (r, total) stack of rank r = min(total, 4).
+
+    The mixed components are the columns of a Gaussian total x r matrix a,
+    scaled by 1/||a||_F for unit trace.
+    """
+    if mixed:
+        a = rng.standard_normal((total, min(total, 4)))
+        return a.T / np.linalg.norm(a)
+    state = rng.standard_normal(total)
+    return state / np.linalg.norm(state)
+
+
 def random_tensor_strategy(
     basis: TruncatedBasis,
     alice_dim: int,
@@ -442,19 +534,10 @@ def random_tensor_strategy(
     *,
     mixed: bool = False,
 ) -> TensorStrategy:
-    """A random valid tensor strategy, for table-validity sweeps.
-
-    A mixed state has rank at most 4: its components are the columns of a
-    Gaussian (d_A * D) x 4 matrix a, scaled by 1/||a||_F for unit trace.
-    """
-    obs = [random_dichotomic(rng, alice_dim) for _ in range(basis.params.s)]
-    total = alice_dim * basis.dimension
-    if mixed:
-        a = rng.standard_normal((total, min(total, 4)))
-        state = a.T / np.linalg.norm(a)
-    else:
-        state = rng.standard_normal(total)
-        state /= np.linalg.norm(state)
+    """A random valid tensor strategy, for table-validity sweeps: s random
+    observables, then a random state from ``draw_tensor_state``."""
+    obs = dichotomic_stack(*draw_dichotomic(rng, basis.params.s, alice_dim))
+    state = draw_tensor_state(rng, alice_dim * basis.dimension, mixed)
     return TensorStrategy(
-        alice_dim=alice_dim, observables=obs, basis=basis, state=state
+        alice_dim=alice_dim, observables=list(obs), basis=basis, state=state
     )

@@ -205,9 +205,12 @@ def test_heatvision_word_cap_exits_2(capsys):
         ["norm", "--s", "3", "--depth-max", "3", "--representation", "radial",
          "--max-iter", "0"],
         ["heatvision", "--s", "3", "--depth", "3", "--steps", "-1"],
+        ["report", "--quick", "--chain-samples", "-1"],
+        ["report", "--quick", "--table-samples", "-1"],
     ],
     ids=["seesaw-restarts", "report-restarts", "seesaw-max-iter", "norm-max-iter",
-         "norm-radial-max-iter", "heatvision-steps"],
+         "norm-radial-max-iter", "heatvision-steps", "report-chain-samples",
+         "report-table-samples"],
 )
 def test_nonpositive_budgets_exit_1(capsys, argv):
     rc = main(argv)

@@ -22,6 +22,8 @@ from steergap.errors import CapacityError
 from steergap.hilbert import gather, left_regular
 from steergap.steering import (
     VIOLATION_TOL,
+    dichotomic_stack,
+    draw_dichotomic,
     random_dichotomic,
     random_tensor_strategy,
 )
@@ -272,6 +274,92 @@ def test_validators_reject_non_finite_entries():
         TensorStrategy(2, bad_obs, basis, good).validate()
     with pytest.raises(ValueError, match="non-finite"):
         conjugation_identity_check(bad_obs, basis)
+
+
+@pytest.mark.parametrize("s", [2, 3, 4, 5])
+@pytest.mark.parametrize("mixed", [False, True])
+def test_stacked_tables_match_one_at_a_time(s, mixed):
+    rng = np.random.default_rng(40 + 2 * s + mixed)
+    for alice_dim in (1, 2, 3):
+        for depth in (2, 3):
+            basis = build_basis(GroupParams(s), depth)
+            strats = [
+                random_tensor_strategy(basis, alice_dim, rng, mixed=mixed)
+                for _ in range(5)
+            ]
+            stack = TensorStrategy(
+                alice_dim,
+                np.stack([np.stack(st.observables) for st in strats]),
+                basis,
+                np.stack([np.atleast_2d(st.state) for st in strats]),
+            )
+            got = probability_table_tensor(stack)
+            assert got.values.shape == (5, 2, 2, s, s)
+            want = np.stack([probability_table_tensor(st).values for st in strats])
+            assert want.shape == (5, 2, 2, s, s)
+            assert np.max(np.abs(got.values - want)) <= 1e-15
+            got.validate(1e-10)
+
+
+def _corrupt(values, kind):
+    """A copy of one (2, 2, s, s) table that fails exactly the named clause."""
+    bad = values.copy()
+    if kind == "non-finite":
+        bad[0, 0, 0, 0] = np.nan
+    elif kind == "negative":
+        bad[0, 1, 0, 0] -= 2.0  # the setting still sums to 1
+        bad[1, 0, 0, 0] += 2.0
+    elif kind == "total probability":
+        bad *= 0.9
+    else:  # move Alice's x=1, y=1 mass only; Bob's marginal and the sum stay
+        shift = 0.5 * bad[1, 0, 0, 0]
+        bad[0, 0, 0, 0] += shift
+        bad[1, 0, 0, 0] -= shift
+    return bad
+
+
+@pytest.mark.parametrize("kind", ["non-finite", "negative", "total probability",
+                                  "signaling"])
+def test_stacked_validate_flags_the_corrupted_table(kind):
+    basis = build_basis(GroupParams(3), 2)
+    rng = np.random.default_rng(31)
+    values = np.stack([
+        probability_table_tensor(random_tensor_strategy(basis, 2, rng)).values
+        for _ in range(6)
+    ])
+    ProbabilityTable(3, values).validate(1e-10)
+    for k in (0, 4):
+        stack = values.copy()
+        stack[k] = _corrupt(values[k], kind)
+        faults = ProbabilityTable(3, stack).faults(1e-10)
+        assert [i for i, _ in faults] == [k]
+        assert kind in faults[0][1]
+        with pytest.raises(ValueError, match=f"^table {k}: .*{kind}"):
+            ProbabilityTable(3, stack).validate(1e-10)
+        with pytest.raises(ValueError, match=f"^[^:]*{kind}"):
+            ProbabilityTable(3, stack[k]).validate(1e-10)
+
+
+@pytest.mark.parametrize("dim", range(1, 9))
+def test_dichotomic_draws_match_one_at_a_time(dim):
+    """Integer-indexed spectra are a uniform +/-1 choice with the same
+    generator state, and the stacked builder is bit-equal to one QR each."""
+    for seed in range(3):
+        picked, chosen = np.random.default_rng(seed), np.random.default_rng(seed)
+        signs = np.array([-1.0, 1.0])[picked.integers(0, 2, size=dim)]
+        assert np.array_equal(signs, chosen.choice([-1.0, 1.0], size=dim))
+        assert picked.bit_generator.state == chosen.bit_generator.state
+    rng, alone = np.random.default_rng(dim), np.random.default_rng(dim)
+    frames, signs = draw_dichotomic(rng, 12, dim)
+    stacked = dichotomic_stack(frames, signs)
+    for frame, sign, got in zip(frames, signs, stacked):
+        assert np.array_equal(frame, alone.standard_normal((dim, dim)))
+        assert np.array_equal(sign, alone.choice([-1.0, 1.0], size=dim))
+        q, _ = np.linalg.qr(frame)
+        assert np.array_equal(got, (q * sign) @ q.T)
+    assert rng.bit_generator.state == alone.bit_generator.state
+    one = random_dichotomic(np.random.default_rng(dim), dim)
+    assert np.array_equal(one, stacked[0])
 
 
 def test_random_tables_are_valid():
