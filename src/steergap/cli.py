@@ -8,6 +8,9 @@ key=value config file that explicit flags override.
 
 Exit codes: 0 success, 1 invalid configuration, 2 resource or convergence
 failure (including running out of memory), 3 report criteria failed.
+
+Each command imports the layers it runs inside its handler, so ``--version``
+loads no numpy and ``heatvision`` loads no spectral, steering or report code.
 """
 
 from __future__ import annotations
@@ -17,12 +20,8 @@ import sys
 
 from . import __version__
 from .errors import BufferExhaustedError, CapacityError, ConvergenceError
-from .freegroup import GroupParams, word_from_str
-from .heatvision import iterate_channel
-from .report import ReportSettings, run_report
+from .freegroup import GroupParams, analytic_norm, word_from_str
 from .serialize import csv_text, json_dumps, run_meta, write_text
-from .spectral import analytic_norm, norm_sweep
-from .steering import commuting_strategy_result, seesaw_tensor_optimize
 
 
 class _UsageError(Exception):
@@ -108,7 +107,7 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     report = sub.add_parser("report", help="run the full reproduction report")
     report.add_argument("--quick", action="store_true", help="smoke-test profile")
     report.add_argument("--tolerance-scale", type=float, default=1.0)
-    report.add_argument("--seed", type=int, default=ReportSettings.seed)
+    report.add_argument("--seed", type=int, default=None)
     report.add_argument("--seesaw-restarts", type=int, default=None)
     report.add_argument("--chain-samples", type=int, default=None)
     report.add_argument("--table-samples", type=int, default=None)
@@ -187,6 +186,8 @@ def _document(args: argparse.Namespace, result: dict, **extra_meta) -> str:
 
 
 def _cmd_norm(args) -> int:
+    from .spectral import norm_sweep
+
     params = GroupParams(args.s)
     sweep = norm_sweep(
         params,
@@ -229,12 +230,16 @@ def _cmd_norm(args) -> int:
 
 
 def _cmd_steer_commuting(args) -> int:
+    from .steering import commuting_strategy_result
+
     result = commuting_strategy_result(GroupParams(args.s), args.depth)
     write_text(_document(args, result.to_json_dict()), args.json)
     return 0
 
 
 def _cmd_steer_seesaw(args) -> int:
+    from .steering import seesaw_tensor_optimize
+
     result = seesaw_tensor_optimize(
         GroupParams(args.s),
         args.alice_dim,
@@ -252,6 +257,8 @@ def _cmd_steer_seesaw(args) -> int:
 
 
 def _cmd_heatvision(args) -> int:
+    from .heatvision import iterate_channel
+
     words = [word_from_str(tok) for tok in args.state.split(",")]
     for w in words:
         if len(w) > args.depth:
@@ -275,13 +282,24 @@ def _cmd_heatvision(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    # Refused before the report layer loads or any criterion runs; the
+    # criteria check again for library callers.
+    for attr in ("chain_samples", "table_samples"):
+        value = getattr(args, attr)
+        if value is not None and value < 0:
+            raise ValueError(f"{attr} must be ≥ 0, got {value}")
+    from .report import ReportSettings, run_report
+
     settings = ReportSettings.quick() if args.quick else ReportSettings()
     settings.tolerance_scale = args.tolerance_scale
-    settings.seed = args.seed
-    for attr in ("seesaw_restarts", "chain_samples", "table_samples", "norm_depth_max"):
+    for attr in (
+        "seed", "seesaw_restarts", "chain_samples", "table_samples", "norm_depth_max"
+    ):
         value = getattr(args, attr)
         if value is not None:
             setattr(settings, attr, value)
+    # The config echo records the seed the run used, given or not.
+    args.seed = settings.seed
     results = run_report(settings)
     for res in results:
         print(res.line())

@@ -8,6 +8,7 @@ ints), safe to hash and share; counts are exact integers.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -34,6 +35,17 @@ class GroupParams:
     def __post_init__(self):
         if self.s < 2:
             raise ValueError("s must be ≥ 2")
+
+
+def analytic_norm(s: int) -> float:
+    """Norm of the averaged shift on the untruncated space: 2*sqrt(s-1)/s.
+
+    It is the tensor bound f*(s), a property of the group alone, so it lives
+    here where every layer can read it without loading the numerics.
+    """
+    if s < 2:
+        raise ValueError("s must be ≥ 2")
+    return 2.0 * math.sqrt(s - 1.0) / s
 
 
 @dataclass(frozen=True)

@@ -30,9 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BufferExhaustedError
-from .freegroup import GroupParams, Word
+from .freegroup import GroupParams, Word, analytic_norm
 from .hilbert import TruncatedBasis, build_basis, gather
-from .spectral import analytic_norm, radial_top_eigenvalue
 
 
 def purity_bound(s: int, steps: int) -> float:
@@ -151,5 +150,8 @@ def superoperator_norm(params: GroupParams, depth: int) -> float:
     plus that of the compressed average, the exact lambda_N of the shell
     tridiagonal.  As the depth grows it climbs toward (1 + 2*sqrt(s-1)/s)/2.
     """
+    # Imported here so that a channel run does not load the spectral layer.
+    from .spectral import radial_top_eigenvalue
+
     return (1.0 + radial_top_eigenvalue(params.s, depth)[0]) / 2.0
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .freegroup import IDENTITY, GroupParams
+from .freegroup import IDENTITY, GroupParams, analytic_norm
 from .heatvision import (
     iterate_channel,
     purity_bound,
@@ -23,7 +23,6 @@ from .heatvision import (
 from .hilbert import build_basis
 from .spectral import (
     _average_form,
-    analytic_norm,
     closed_walk_moment,
     first_letter_bound_chain,
     matvec_walk_count,

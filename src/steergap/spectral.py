@@ -33,7 +33,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import CapacityError, ConvergenceError, require_bytes
-from .freegroup import GroupParams, ball_size
+from .freegroup import GroupParams, analytic_norm, ball_size
 from .hilbert import TruncatedBasis, build_basis, gather, generator_average
 
 #: Above this ball size, representation="auto" leaves Lanczos on the
@@ -45,13 +45,6 @@ RADIAL_THRESHOLD = 200_000
 MAX_WALK_HALF_LENGTH = 64
 
 DEFAULT_KRYLOV = 200
-
-
-def analytic_norm(s: int) -> float:
-    """Norm of the averaged shift on the untruncated space: 2*sqrt(s-1)/s."""
-    if s < 2:
-        raise ValueError("s must be ≥ 2")
-    return 2.0 * math.sqrt(s - 1.0) / s
 
 
 @dataclass

@@ -28,9 +28,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import require_bytes
-from .freegroup import GroupParams
+from .freegroup import GroupParams, analytic_norm
 from .hilbert import TruncatedBasis, build_basis, gather
-from .spectral import _lanczos_extremal, analytic_norm
+from .spectral import _lanczos_extremal
 
 OUTCOMES = (1, -1)
 

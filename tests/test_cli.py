@@ -223,7 +223,7 @@ def test_out_of_memory_exits_2(capsys, monkeypatch):
     def exhausted(*args, **kwargs):
         raise MemoryError("Unable to allocate 1.2 GiB")
 
-    monkeypatch.setattr("steergap.cli.iterate_channel", exhausted)
+    monkeypatch.setattr("steergap.heatvision.iterate_channel", exhausted)
     rc = main(["heatvision", "--s", "3", "--depth", "4", "--steps", "2"])
     _, err = run_lines(capsys)
     assert rc == 2
@@ -562,12 +562,86 @@ def test_no_command_loads_scipy():
     assert probe["scipy"] == []
 
 
+IMPORT_PROBE = """
+import json, sys
+from steergap import cli
+
+try:
+    code = cli.main(sys.argv[1:])
+except SystemExit as exc:  # --version exits through argparse
+    code = exc.code
+print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, code, absent",
+    [
+        (["--version"], 0, ["numpy"]),
+        (
+            ["heatvision", "--s", "3", "--depth", "6", "--steps", "5"],
+            0,
+            ["steergap.report", "steergap.steering", "steergap.spectral", "fractions"],
+        ),
+        (["report", "--chain-samples", "-1"], 1, ["steergap.report", "numpy"]),
+        (["report", "--table-samples", "-1"], 1, ["steergap.report", "numpy"]),
+    ],
+    ids=["version", "heatvision", "report-chain-samples", "report-table-samples"],
+)
+def test_command_imports_only_what_it_runs(argv, code, absent):
+    """Each command loads only its own layers.  A negative report sample
+    count is refused before the report layer is even imported, so no
+    criterion runs first."""
+    proc = run_child("-c", IMPORT_PROBE, *argv)
+    assert proc.returncode == 0, proc.stderr
+    probe = json.loads(proc.stdout.splitlines()[-1])
+    assert probe["code"] == code
+    assert [m for m in absent if m in probe["modules"]] == []
+
+
+ALL_PROBE = """
+import steergap
+
+names = steergap.__all__
+resolved = {name: getattr(steergap, name) for name in names}
+star = {}
+exec("from steergap import *", star)
+from steergap import spectral
+print(sorted(set(names) - set(dir(steergap))))
+print(sorted(n for n in names if star.get(n, star) is not resolved[n]))
+print(spectral is steergap.spectral, hasattr(steergap, "no_such_name"))
+"""
+
+
+def test_every_public_name_resolves_lazily():
+    proc = run_child("-c", ALL_PROBE)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "[]", "True False"]
+
+
 def test_benchmark_tracer_finds_every_function_it_wraps():
     """perfbench's tracer raises TracerError when a function it wraps is gone."""
     proc = run_child(
         "-c", "import tracer; tracer.install('t')", extra_path=[str(REPO / "perfbench")]
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_benchmark_traced_child_runs(tmp_path):
+    """The benchmark's traced child wraps layer functions that the command
+    handlers import only when they run."""
+    record = tmp_path / "rec.json"
+    proc = run_child(
+        str(REPO / "perfbench" / "launch.py"),
+        str(record),
+        "1",
+        "t",
+        *["heatvision", "--s", "3", "--depth", "4", "--steps", "3"],
+        extra_path=[str(REPO / "perfbench")],
+    )
+    assert proc.returncode == 0, proc.stderr
+    spans = json.loads(record.read_text())["trace"]["spans"]
+    assert "heatvision.iterate_channel" in {span[0] for span in spans}
 
 
 @pytest.mark.parametrize(
