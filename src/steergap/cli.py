@@ -10,7 +10,8 @@ Exit codes: 0 success, 1 invalid configuration, 2 resource or convergence
 failure (including running out of memory), 3 report criteria failed.
 
 Each command imports the layers it runs inside its handler, so ``--version``
-loads no numpy and ``heatvision`` loads no spectral, steering or report code.
+loads no numpy and ``heatvision`` loads no spectral, steering or report code,
+nor, from the default state ``e``, numpy or the word basis.
 """
 
 from __future__ import annotations

@@ -12,6 +12,8 @@ import steergap
 from steergap.cli import main
 from steergap.spectral import analytic_norm
 
+from test_heatvision import EXACT_STEPS_S3, lazy_walk_second_moments
+
 CRITERION_LINE = re.compile(r"^\[(PASS|FAIL)\] criterion (\d+): ")
 
 
@@ -188,10 +190,34 @@ def test_buffer_exhaustion_exits_2(capsys):
 
 def test_heatvision_word_cap_exits_2(capsys):
     # The depth-20 ball at s=3 holds 3 145 726 words, over the 2M word cap.
-    rc = main(["heatvision", "--s", "3", "--depth", "20", "--steps", "9", "--state", "e"])
+    # A mixture runs on the word engine; the root state alone would not.
+    rc = main(
+        ["heatvision", "--s", "3", "--depth", "20", "--steps", "9", "--state", "e,g1"]
+    )
     _, err = run_lines(capsys)
     assert rc == 2
     assert "exceeds cap" in err
+
+
+def test_heatvision_from_root_runs_past_the_word_cap(tmp_path):
+    """From |e> the run needs no word basis, so the depth-20 ball is no limit."""
+    csv_path = tmp_path / "deep.csv"
+    rc = main(["heatvision", "--s", "3", "--depth", "20", "--steps", "19",
+               "--state", "e", "--csv", str(csv_path)])
+    assert rc == 0
+    rows = [line.split(",") for line in csv_path.read_text().splitlines()[1:]]
+    assert [int(r[0]) for r in rows] == list(range(20))
+    exact = lazy_walk_second_moments(3, EXACT_STEPS_S3)
+    for row, moment in zip(rows, exact):
+        assert abs(float(row[1]) - float(moment)) <= 1e-15
+
+
+def test_heatvision_envelope_underflow_exits_1(capsys):
+    # At s=10 the envelope ((1+f*)/2)^(2t) is 0.0 in doubles from t = 1670.
+    rc = main(["heatvision", "--s", "10", "--depth", "1700", "--steps", "1700"])
+    _, err = run_lines(capsys)
+    assert rc == 1
+    assert "error:" in err and "underflows to 0.0" in err
 
 
 @pytest.mark.parametrize(
@@ -581,7 +607,14 @@ print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
         (
             ["heatvision", "--s", "3", "--depth", "6", "--steps", "5"],
             0,
-            ["steergap.report", "steergap.steering", "steergap.spectral", "fractions"],
+            [
+                "steergap.report",
+                "steergap.steering",
+                "steergap.spectral",
+                "steergap.hilbert",
+                "numpy",
+                "fractions",
+            ],
         ),
         (["report", "--chain-samples", "-1"], 1, ["steergap.report", "numpy"]),
         (["report", "--table-samples", "-1"], 1, ["steergap.report", "numpy"]),

@@ -1,5 +1,6 @@
 from collections import defaultdict
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -21,8 +22,10 @@ from steergap.hilbert import gather, right_regular
 from util import random_buffered_amplitudes
 
 
-def lazy_walk_second_moment(s: int, steps: int) -> Fraction:
-    """Exact purity of the iterated channel started from the root vector.
+@lru_cache(maxsize=None)
+def lazy_walk_second_moments(s: int, steps: int) -> tuple[Fraction, ...]:
+    """Exact purity of the iterated channel started from the root vector,
+    after 0, 1, ..., ``steps`` steps.
 
     From the root, distinct shifted branches stay orthonormal, so the purity
     is the second moment of the lazy walk that prepends (or cancels) a
@@ -31,6 +34,7 @@ def lazy_walk_second_moment(s: int, steps: int) -> Fraction:
     """
     weights: dict[tuple, Fraction] = {(): Fraction(1)}
     jump = Fraction(1, 2 * s)
+    moments = [Fraction(1)]
     for _ in range(steps):
         nxt: dict[tuple, Fraction] = defaultdict(Fraction)
         for letters, c in weights.items():
@@ -39,7 +43,20 @@ def lazy_walk_second_moment(s: int, steps: int) -> Fraction:
                 image = letters[1:] if letters and letters[0] == x else (x,) + letters
                 nxt[image] += c * jump
         weights = nxt
-    return sum(c * c for c in weights.values())
+        moments.append(sum(c * c for c in weights.values()))
+    return tuple(moments)
+
+
+#: The deepest exact series each test reads at s = 3, shared through the cache.
+EXACT_STEPS_S3 = 13
+
+
+def word_engine_series(s: int, depth: int, steps: int) -> list[float]:
+    """Purity of ``_lazy_walk`` driven directly from |e>, for 0..steps steps."""
+    basis = build_basis(GroupParams(s), depth)
+    weights = np.zeros(basis.dimension)
+    weights[basis.index_of(IDENTITY)] = 1.0
+    return [1.0] + [float(w @ w) for w in _lazy_walk(basis, weights, 0, steps)]
 
 
 def dense_shift(x: int, basis) -> np.ndarray:
@@ -90,7 +107,7 @@ def dense_superoperator_top(params: GroupParams, depth: int) -> float:
 
 def test_step_one_purity_closed_form():
     for s in (2, 3, 5, 10):
-        assert lazy_walk_second_moment(s, 1) == Fraction(s + 1, 4 * s)
+        assert lazy_walk_second_moments(s, 1)[1] == Fraction(s + 1, 4 * s)
         run = iterate_channel(GroupParams(s), 3, 1, [IDENTITY])
         assert run.purity_series[1] == pytest.approx(0.25 + 1.0 / (4 * s), abs=1e-15)
 
@@ -100,8 +117,8 @@ def test_dense_series_matches_exact_walk():
     basis = build_basis(params, 7)
     run = iterate_channel(params, 7, 6, [IDENTITY])
     dense = dense_purity_series(dense_mixture(basis, [IDENTITY]), basis, 6)
-    for t, (p, d) in enumerate(zip(run.purity_series, dense)):
-        exact = float(lazy_walk_second_moment(3, t))
+    exact_series = lazy_walk_second_moments(3, EXACT_STEPS_S3)
+    for p, d, exact in zip(run.purity_series, dense, map(float, exact_series)):
         assert p == pytest.approx(exact, abs=1e-15)
         assert d == pytest.approx(exact, abs=1e-12)
 
@@ -109,8 +126,52 @@ def test_dense_series_matches_exact_walk():
 def test_deep_series_matches_exact_walk():
     """Depth 13 at s = 3 has 24 574 words; a dense state would take 4.8 GB."""
     run = iterate_channel(GroupParams(3), 13, 12, [IDENTITY])
-    for t, p in enumerate(run.purity_series):
-        assert abs(p - float(lazy_walk_second_moment(3, t))) <= 1e-15
+    for p, exact in zip(run.purity_series, lazy_walk_second_moments(3, EXACT_STEPS_S3)):
+        assert abs(p - float(exact)) <= 1e-15
+
+
+def test_word_engine_from_root_matches_exact_walk():
+    """The root state takes the radial route in ``iterate_channel``, so the
+    word engine is driven directly to keep its coverage from |e>."""
+    series = word_engine_series(3, 13, 12)
+    assert len(series) == 13
+    for p, exact in zip(series, lazy_walk_second_moments(3, EXACT_STEPS_S3)):
+        assert abs(p - float(exact)) <= 1e-15
+
+
+#: (s, steps) where the word engine runs from |e> in well under a second;
+#: from the root the series does not depend on the depth once depth ≥ steps.
+#: At (4, 12) the routes differ by 2.02e-15, all of it the word engine's own
+#: rounding against the exact walk.
+BOTH_ROUTES = [(2, 40), (3, 12), (4, 9), (5, 8)]
+
+
+@pytest.mark.parametrize("s, steps", BOTH_ROUTES)
+def test_radial_route_matches_word_engine(s, steps):
+    run = iterate_channel(GroupParams(s), steps, steps, [IDENTITY])
+    words = word_engine_series(s, steps, steps)
+    assert len(run.purity_series) == len(words) == steps + 1
+    for p, w in zip(run.purity_series, words):
+        assert abs(p - w) <= 2e-15
+
+
+@pytest.mark.parametrize("s, steps", [(2, 40), (3, EXACT_STEPS_S3), (4, 8), (5, 7)])
+def test_radial_route_matches_exact_walk(s, steps):
+    run = iterate_channel(GroupParams(s), steps, steps, [IDENTITY])
+    exact_series = lazy_walk_second_moments(s, steps)
+    assert len(run.purity_series) == len(exact_series)
+    for p, exact in zip(run.purity_series, map(float, exact_series)):
+        assert abs(p - exact) <= 2e-15 * exact
+
+
+def test_radial_route_runs_past_the_word_cap():
+    """Depth 1000 at s = 10 is a ball of about 10^954 words; the root state
+    needs only its 1001 shell masses.  From shell 323 on the shell size
+    overflows a float, and from shell 340 on 1/|shell k| underflows to 0."""
+    run = iterate_channel(GroupParams(10), 1000, 1000, [IDENTITY])
+    assert len(run.purity_series) == 1001
+    assert all(b < a for a, b in zip(run.purity_series, run.purity_series[1:]))
+    assert 0.0 < run.purity_series[-1] < run.bound_series[-1]
 
 
 @pytest.mark.parametrize("s", [2, 3, 4, 5])
@@ -155,6 +216,16 @@ def test_purity_bound_function():
     assert purity_bound(2, 7) == 1.0
     assert purity_bound(5, 0) == 1.0
     assert purity_bound(5, 1) == pytest.approx(0.81)
+
+
+@pytest.mark.parametrize("s, first_zero", [(3, 12842), (5, 3537), (10, 1670)])
+def test_run_refused_where_the_envelope_underflows(s, first_zero):
+    """The envelope underflows to 0.0 at these steps, where purity/bound
+    would divide by zero, so such runs are refused before any step."""
+    assert purity_bound(s, first_zero - 1) > 0.0
+    assert purity_bound(s, first_zero) == 0.0
+    with pytest.raises(ValueError, match="underflows to 0.0"):
+        iterate_channel(GroupParams(s), first_zero, first_zero, [IDENTITY])
 
 
 def test_kraus_form_matches_mixing_form():
