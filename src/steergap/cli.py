@@ -11,7 +11,13 @@ failure (including running out of memory), 3 report criteria failed.
 
 Each command imports the layers it runs inside its handler, so ``--version``
 loads no numpy and ``heatvision`` loads no spectral, steering or report code,
-nor, from the default state ``e``, numpy or the word basis.
+nor, from the default state ``e``, numpy or the word basis.  The standard
+library is loaded the same way: ``json`` and ``datetime`` only when a JSON
+document is written, and ``dataclasses``, with the ``inspect`` it imports,
+only in the numeric layers, where numpy imports ``inspect`` anyway.  So
+``--version`` and a CSV-only ``heatvision`` from ``e`` add to what the
+interpreter loads at start-up only this package, argparse with what it
+imports, and csv.
 """
 
 from __future__ import annotations

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 
 from .errors import CapacityError
 
@@ -26,15 +25,52 @@ class InvalidGeneratorError(ValueError):
     """A generator label lies outside the range 1..s."""
 
 
-@dataclass(frozen=True)
-class GroupParams:
+class _Value:
+    """An immutable value with one field, the name in ``__slots__``.
+
+    Equality, hash and repr go by that field, as for a frozen dataclass.
+    It is a plain class because ``dataclasses`` imports ``inspect``, which
+    would cost every command milliseconds of start-up.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, value):
+        object.__setattr__(self, self.__slots__[0], value)
+
+    def _value(self):
+        return getattr(self, self.__slots__[0])
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._value() == other._value()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self._value(),))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.__slots__[0]}={self._value()!r})"
+
+    def __reduce__(self):
+        return type(self), (self._value(),)
+
+
+class GroupParams(_Value):
     """Number of order-2 free factors.  The group is infinite for every s >= 2."""
 
-    s: int
+    __slots__ = ("s",)
 
-    def __post_init__(self):
-        if self.s < 2:
+    def __init__(self, s: int):
+        if s < 2:
             raise ValueError("s must be ≥ 2")
+        super().__init__(s)
 
 
 def analytic_norm(s: int) -> float:
@@ -48,18 +84,18 @@ def analytic_norm(s: int) -> float:
     return 2.0 * math.sqrt(s - 1.0) / s
 
 
-@dataclass(frozen=True)
-class Word:
+class Word(_Value):
     """A reduced word over the generators; the empty tuple is the identity."""
 
-    letters: tuple[int, ...] = ()
+    __slots__ = ("letters",)
 
-    def __post_init__(self):
-        for a, b in zip(self.letters, self.letters[1:]):
+    def __init__(self, letters: tuple[int, ...] = ()):
+        for a, b in zip(letters, letters[1:]):
             if a == b:
-                raise ValueError(f"word {self.letters} is not reduced")
-        if self.letters and min(self.letters) < 1:
+                raise ValueError(f"word {letters} is not reduced")
+        if letters and min(letters) < 1:
             raise ValueError("generator labels are 1-based")
+        super().__init__(letters)
 
     def __len__(self) -> int:
         return len(self.letters)

@@ -26,7 +26,8 @@ matrix.  Two routes run it:
   numpy and the word basis.
 
 Each step consumes one shell of buffer; runs past it raise instead of
-silently returning truncation artifacts.
+silently returning truncation artifacts.  Runs longer than ``MAX_STEPS``
+raise too, since both routes cost O(steps^2).
 
 The truncated channel, as a superoperator, acts as (1/2)I + (1/2s) sum_x
 R_x (x) R_x, and its top eigenvalue is (1 + lambda_N)/2 with lambda_N the
@@ -37,18 +38,23 @@ solve.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import chain
 from operator import mul
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
-from .errors import BufferExhaustedError
+from .errors import BufferExhaustedError, CapacityError
 from .freegroup import GroupParams, Word, analytic_norm
 
 if TYPE_CHECKING:
     import numpy as np
 
     from .hilbert import TruncatedBasis
+
+#: Cap on the steps of one run.  Both routes cost O(steps^2), and at s = 2
+#: the envelope is 1.0 at every step, so nothing else bounds a run there.
+#: At s >= 3 the envelope underflows from step 12 842 on, so every run it
+#: admits fits under the cap.
+MAX_STEPS = 12_841
 
 
 def purity_bound(s: int, steps: int) -> float:
@@ -122,8 +128,7 @@ def _word_series(
         yield float(np.sum(weights)), float(weights @ weights)
 
 
-@dataclass
-class ChannelRun:
+class ChannelRun(NamedTuple):
     """Purity trajectory of an iterated channel, with its analytic envelope.
 
     ``purity_series[t]`` is the purity after t steps (index 0 is the input
@@ -156,7 +161,8 @@ def iterate_channel(
     word counting with its multiplicity.  A mixture of the root word alone
     runs on the shell masses; any other runs on the word engine.  Words are
     checked against the depth-``depth`` basis first, then the run is refused
-    past the truncation buffer and where the envelope underflows to 0.0.
+    past the truncation buffer, where the envelope underflows to 0.0 and
+    past ``MAX_STEPS``.
     The trace is checked every step; the purity envelope is checked as an
     internal consistency invariant and a violation means the truncation
     contract broke, so it raises rather than returning bad data.
@@ -179,6 +185,10 @@ def iterate_channel(
         raise ValueError(
             f"the purity envelope at s={params.s} underflows to 0.0 by step "
             f"{steps}, where the purity/bound ratio is undefined"
+        )
+    if steps > MAX_STEPS:
+        raise CapacityError(
+            f"requested {steps} channel steps; at most {MAX_STEPS} run (step cap)"
         )
     if k0 == 0:
         series = _radial_series(params.s, steps)

@@ -309,11 +309,14 @@ def criterion_seesaw_bound(settings: ReportSettings) -> CriterionResult:
 def criterion_conjugation(settings: ReportSettings) -> CriterionResult:
     """7: stripping Alice by the word unitary is exact on buffered probes."""
     scale = settings.tolerance_scale
+    draws = settings.conjugation_draws
+    if draws < 0:
+        raise ValueError(f"conjugation_draws must be ≥ 0, got {draws}")
     params = GroupParams(3)
     basis = build_basis(params, settings.conjugation_depth)
     rng = np.random.default_rng(settings.seed)
     # Each check seeds its own probes, so every draw can be made up front.
-    frames, signs = draw_dichotomic(rng, 3 * settings.conjugation_draws, 4)
+    frames, signs = draw_dichotomic(rng, 3 * draws, 4)
     worst = 0.0
     for i, obs in enumerate(dichotomic_stack(frames, signs).reshape(-1, 3, 4, 4)):
         worst = max(
@@ -322,7 +325,7 @@ def criterion_conjugation(settings: ReportSettings) -> CriterionResult:
         )
     tol = 1e-9 * scale
     passed = worst <= tol
-    details = f"max deviation {worst:.3g} over {settings.conjugation_draws} draws (allowed {tol:.3g})"
+    details = f"max deviation {worst:.3g} over {draws} draws (allowed {tol:.3g})"
     return CriterionResult(7, "Alice-stripping conjugation identity", passed, details)
 
 

@@ -10,10 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
-import json
-import numbers
 import sys
-from datetime import datetime, timezone
 
 
 def format_float(x: float) -> str:
@@ -22,40 +19,45 @@ def format_float(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _encode(obj, indent: int, level: int) -> str:
-    pad = " " * (indent * level)
-    inner = " " * (indent * (level + 1))
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, numbers.Integral):
-        return str(int(obj))
-    if isinstance(obj, numbers.Real):
-        return format_float(float(obj))
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [
-            f"{inner}{json.dumps(str(k))}: {_encode(v, indent, level + 1)}"
-            for k, v in obj.items()
-        ]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = [f"{inner}{_encode(v, indent, level + 1)}" for v in obj]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
 def json_dumps(obj, *, indent: int = 2) -> str:
-    return _encode(obj, indent, 0) + "\n"
+    # Imported here so that a CSV-only run loads neither module.
+    import json
+    import numbers
+
+    def encode(obj, level: int) -> str:
+        pad = " " * (indent * level)
+        inner = " " * (indent * (level + 1))
+        if obj is None:
+            return "null"
+        if isinstance(obj, bool):
+            return "true" if obj else "false"
+        if isinstance(obj, numbers.Integral):
+            return str(int(obj))
+        if isinstance(obj, numbers.Real):
+            return format_float(float(obj))
+        if isinstance(obj, str):
+            return json.dumps(obj)
+        if isinstance(obj, dict):
+            if not obj:
+                return "{}"
+            items = [
+                f"{inner}{json.dumps(str(k))}: {encode(v, level + 1)}"
+                for k, v in obj.items()
+            ]
+            return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+        if isinstance(obj, (list, tuple)):
+            if not obj:
+                return "[]"
+            items = [f"{inner}{encode(v, level + 1)}" for v in obj]
+            return "[\n" + ",\n".join(items) + "\n" + pad + "]"
+        raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+    return encode(obj, 0) + "\n"
 
 
 def run_meta(version: str) -> dict:
+    from datetime import datetime, timezone
+
     return {
         "artifact": "steergap",
         "version": version,

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -418,7 +417,8 @@ def closed_walk_moment(params: GroupParams, k: int) -> MomentRecord:
             nxt[dist + 1] = nxt.get(dist + 1, 0) + c * out
         counts = nxt
     walks = counts.get(0, 0)
-    moment = float(Fraction(walks, s ** (2 * k)))
+    # Int true division is correctly rounded: the nearest double to the ratio.
+    moment = walks / s ** (2 * k)
     return MomentRecord(s=s, half_length=k, walk_count=walks, moment=moment)
 
 

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -10,6 +11,8 @@ import pytest
 
 import steergap
 from steergap.cli import main
+from steergap.heatvision import MAX_STEPS
+from steergap.report import ReportSettings, criterion_conjugation
 from steergap.spectral import analytic_norm
 
 from test_heatvision import EXACT_STEPS_S3, lazy_walk_second_moments
@@ -218,6 +221,18 @@ def test_heatvision_envelope_underflow_exits_1(capsys):
     _, err = run_lines(capsys)
     assert rc == 1
     assert "error:" in err and "underflows to 0.0" in err
+
+
+def test_heatvision_step_cap_exits_2(capsys):
+    """At s=2 the envelope is 1.0 at every step and the root state needs no
+    word basis, so only the step cap refuses this run, before any step."""
+    start = time.perf_counter()
+    rc = main(["heatvision", "--s", "2", "--depth", "1000000", "--steps", "1000000"])
+    elapsed = time.perf_counter() - start
+    _, err = run_lines(capsys)
+    assert rc == 2
+    assert f"at most {MAX_STEPS} run (step cap)" in err
+    assert elapsed < 1.0
 
 
 @pytest.mark.parametrize(
@@ -527,6 +542,19 @@ def test_zero_chain_samples_pass_criterion_3(capsys):
     )
 
 
+def test_conjugation_draws_refused_below_zero():
+    """Criterion 7 refuses a negative draw count before drawing, as criteria
+    3 and 9 refuse theirs; zero draws check nothing and pass."""
+    settings = ReportSettings.quick()
+    settings.conjugation_draws = -1
+    with pytest.raises(ValueError, match="conjugation_draws must be ≥ 0, got -1"):
+        criterion_conjugation(settings)
+    settings.conjugation_draws = 0
+    result = criterion_conjugation(settings)
+    assert result.passed
+    assert "over 0 draws" in result.details
+
+
 def test_zero_tolerance_negative_control(capsys):
     """Collapsing every tolerance to zero must flip several criteria to FAIL,
     which shows the tolerances are actually consulted."""
@@ -589,21 +617,38 @@ def test_no_command_loads_scipy():
 
 
 IMPORT_PROBE = """
-import json, sys
+import sys
 from steergap import cli
 
 try:
     code = cli.main(sys.argv[1:])
 except SystemExit as exc:  # --version exits through argparse
     code = exc.code
-print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
+modules = sorted(sys.modules)
+import json
+
+print(json.dumps({"code": code, "modules": modules}))
 """
+
+#: Standard-library modules that a CSV-only run of a light command does not
+#: use: json and datetime serve the JSON writer, and no module on that path
+#: needs dataclasses (with the inspect it imports) or fractions.
+IDLE_STDLIB = ["dataclasses", "inspect", "json", "datetime", "fractions"]
+
+
+@pytest.fixture(scope="module")
+def bare_modules():
+    """Modules that a bare interpreter child has loaded before any import,
+    such as what ``site`` and its ``.pth`` files preload."""
+    proc = run_child("-c", "import sys; print(' '.join(sys.modules))")
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
 
 
 @pytest.mark.parametrize(
     "argv, code, absent",
     [
-        (["--version"], 0, ["numpy"]),
+        (["--version"], 0, ["numpy", *IDLE_STDLIB]),
         (
             ["heatvision", "--s", "3", "--depth", "6", "--steps", "5"],
             0,
@@ -613,23 +658,32 @@ print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
                 "steergap.spectral",
                 "steergap.hilbert",
                 "numpy",
-                "fractions",
+                *IDLE_STDLIB,
             ],
         ),
         (["report", "--chain-samples", "-1"], 1, ["steergap.report", "numpy"]),
         (["report", "--table-samples", "-1"], 1, ["steergap.report", "numpy"]),
+        (["report", "--quick"], 3, ["fractions", "decimal"]),
     ],
-    ids=["version", "heatvision", "report-chain-samples", "report-table-samples"],
+    ids=[
+        "version",
+        "heatvision",
+        "report-chain-samples",
+        "report-table-samples",
+        "report-quick",
+    ],
 )
-def test_command_imports_only_what_it_runs(argv, code, absent):
-    """Each command loads only its own layers.  A negative report sample
-    count is refused before the report layer is even imported, so no
-    criterion runs first."""
+def test_command_imports_only_what_it_runs(bare_modules, argv, code, absent):
+    """Each command loads only its own layers and the standard library it
+    uses; a module that the bare interpreter already holds is not counted.
+    A negative report sample count is refused before the report layer is
+    even imported, so no criterion runs first."""
     proc = run_child("-c", IMPORT_PROBE, *argv)
     assert proc.returncode == 0, proc.stderr
     probe = json.loads(proc.stdout.splitlines()[-1])
     assert probe["code"] == code
-    assert [m for m in absent if m in probe["modules"]] == []
+    loaded = set(probe["modules"]) - bare_modules
+    assert [m for m in absent if m in loaded] == []
 
 
 ALL_PROBE = """

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 
 from steergap import (
@@ -30,6 +33,30 @@ def test_word_rejects_unreduced():
         Word((2, 1, 1, 2))
     with pytest.raises(ValueError):
         Word((0, 1))
+
+
+@pytest.mark.parametrize(
+    "make, other, field, text",
+    [
+        (lambda: GroupParams(3), GroupParams(4), "s", "GroupParams(s=3)"),
+        (lambda: Word(letters=(1, 2)), Word((2, 1)), "letters", "Word(letters=(1, 2))"),
+    ],
+    ids=["GroupParams", "Word"],
+)
+def test_values_compare_hash_and_copy_by_field(make, other, field, text):
+    """Equal by value only within one class, hashed by value (the cache keys
+    rely on it), immutable, and copied or pickled intact."""
+    a, b = make(), make()
+    assert a == b and hash(a) == hash(b) and a is not b
+    assert a != other and {a: 1}[b] == 1
+    assert a != (3,) and a != ((1, 2),) and GroupParams(2) != Word((2,))
+    assert repr(a) == text
+    with pytest.raises(AttributeError):
+        setattr(a, field, getattr(other, field))
+    with pytest.raises(AttributeError):
+        delattr(a, field)
+    assert copy.deepcopy(a) == a and pickle.loads(pickle.dumps(a)) == a
+    assert a == b
 
 
 def test_identity_and_len():

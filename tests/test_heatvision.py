@@ -15,8 +15,8 @@ from steergap import (
     tensor_bound,
     word_from_str,
 )
-from steergap.errors import BufferExhaustedError
-from steergap.heatvision import _lazy_walk
+from steergap.errors import BufferExhaustedError, CapacityError
+from steergap.heatvision import MAX_STEPS, _lazy_walk
 from steergap.hilbert import gather, right_regular
 
 from util import random_buffered_amplitudes
@@ -226,6 +226,24 @@ def test_run_refused_where_the_envelope_underflows(s, first_zero):
     assert purity_bound(s, first_zero) == 0.0
     with pytest.raises(ValueError, match="underflows to 0.0"):
         iterate_channel(GroupParams(s), first_zero, first_zero, [IDENTITY])
+
+
+def test_step_cap_admits_every_run_the_envelope_admits():
+    """At s >= 3 the envelope underflows by step MAX_STEPS + 1, so the cap
+    refuses no run that was accepted without it."""
+    assert purity_bound(3, MAX_STEPS) > 0.0
+    for s in range(3, 11):
+        assert purity_bound(s, MAX_STEPS + 1) == 0.0
+
+
+@pytest.mark.parametrize("state", ["e", "g1"], ids=["radial", "word-engine"])
+def test_step_cap_refuses_long_runs_at_s2(state):
+    """At s = 2 the envelope never underflows, so the cap refuses the run on
+    either route, before any basis is built or step is taken."""
+    words = [word_from_str(state)]
+    depth = MAX_STEPS + 1 + len(words[0])
+    with pytest.raises(CapacityError, match=f"at most {MAX_STEPS} run"):
+        iterate_channel(GroupParams(2), depth, MAX_STEPS + 1, words)
 
 
 def test_kraus_form_matches_mixing_form():

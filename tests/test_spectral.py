@@ -26,6 +26,7 @@ from steergap.errors import CapacityError, ConvergenceError
 from steergap.freegroup import ball_size
 from steergap.hilbert import gather, left_regular, right_regular
 from steergap.spectral import (
+    MAX_WALK_HALF_LENGTH,
     _average_form,
     _lanczos_extremal,
     radial_offdiagonal,
@@ -512,6 +513,14 @@ def test_walk_zero_length():
     rec = closed_walk_moment(GroupParams(3), 0)
     assert rec.walk_count == 1
     assert rec.moment == 1.0
+
+
+def test_walk_moment_is_the_rounded_ratio():
+    """The moment is the double nearest walk_count / s^(2k), bit for bit."""
+    for s in range(2, 11):
+        for k in range(MAX_WALK_HALF_LENGTH + 1):
+            rec = closed_walk_moment(GroupParams(s), k)
+            assert rec.moment == float(Fraction(rec.walk_count, s ** (2 * k)))
 
 
 def test_walk_count_s2_is_central_binomial():
