@@ -289,12 +289,15 @@ def _cmd_heatvision(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    # Refused before the report layer loads or any criterion runs; the
-    # criteria check again for library callers.
+    # Refused before the report layer loads or any criterion runs;
+    # ``run_report`` and the criteria check again for library callers.
     for attr in ("chain_samples", "table_samples"):
         value = getattr(args, attr)
         if value is not None and value < 0:
             raise ValueError(f"{attr} must be ≥ 0, got {value}")
+    scale = args.tolerance_scale
+    if not 0.0 <= scale < float("inf"):
+        raise ValueError(f"tolerance_scale must be finite and ≥ 0, got {scale}")
     from .report import ReportSettings, run_report
 
     settings = ReportSettings.quick() if args.quick else ReportSettings()

@@ -21,9 +21,10 @@ matrix.  Two routes run it:
   from the root.  The purity is sum_k m_k^2/|shell k|.  This route runs in
   plain floats, with no word basis and no word cap, at O(steps^2) cost.
 - Any other mixture runs on the word engine, a lazy walk over the D words
-  limited by the word cap.  Each step is one ``hilbert.gather`` over the live
-  prefix, the words that the walk can have reached.  Only this route loads
-  numpy and the word basis.
+  limited by the word cap.  In (length, lex) order a word's right images are
+  its parent and its s - 1 consecutive children, so each step over the live
+  prefix, the words that the walk can have reached, is a reshape-sum and an
+  ``np.repeat``.  Only this route loads numpy and the word basis.
 
 Each step consumes one shell of buffer; runs past it raise instead of
 silently returning truncation artifacts.  Runs longer than ``MAX_STEPS``
@@ -88,27 +89,33 @@ def _lazy_walk(basis: TruncatedBasis, weights: np.ndarray, support: int, steps: 
     """Yield ``weights``, updated in place, after each step of the lazy walk.
 
     Half the weight stays and 1/(2s) goes to each right image.  Each R_x is
-    a symmetric partial permutation, so that is also what each word gathers
-    from its images.  After t steps the weight lies on words of length at
-    most ``support + t``, a prefix of the (length, lex) order, and only that
-    prefix is updated; its images lie one shell further out, so only that
-    longer prefix is gathered from.  A word has an image past the cut exactly
-    when it is on the outermost shell, so weight there means the buffer
-    contract broke and the walk raises.
+    a symmetric partial permutation, so each word gathers as much from its
+    images, its parent and children.  In (length, lex) order the root's
+    children are words 1..s, those of word p >= 1 the s - 1 words from
+    (s-1)p + 2 on.  After t steps the weight lies on words of length at most
+    ``support + t``, a prefix of that order, and only that prefix is
+    updated.  Only the outermost shell has children past the cut, so weight
+    there means the buffer contract broke and the walk raises.
     """
     import numpy as np
 
-    from .hilbert import gather
-
-    images = basis.right_image_stack
-    outer = basis.depth_offsets[-2]
+    s, offsets = basis.params.s, basis.depth_offsets
+    outer = offsets[-2]
     for t in range(1, steps + 1):
-        n = basis.prefix_dimension(min(support + t, basis.depth))
+        top = min(support + t, basis.depth)
+        n = offsets[top + 1]
         if np.any(weights[outer:n]):
             raise RuntimeError(f"weight walked off the ball at step {t}")
-        reach = basis.prefix_dimension(min(support + t + 1, basis.depth))
-        gathered = gather(weights[:reach], images[:, :n]).sum(axis=0)
-        weights[:n] = 0.5 * (weights[:n] + gathered / len(images))
+        fertile = offsets[min(top, basis.depth - 1) + 1]  # words with children
+        images = np.zeros(n)
+        images[0] = weights[1 : s + 1].sum()
+        children = weights[s + 1 : (s - 1) * fertile + 2]
+        images[1:fertile] = children.reshape(-1, s - 1).sum(axis=1)
+        images[1 : s + 1] += weights[0]
+        images[s + 1 :] += np.repeat(weights[1 : offsets[top]], s - 1)
+        images /= s
+        weights[:n] += images
+        weights[:n] *= 0.5
         yield weights
 
 

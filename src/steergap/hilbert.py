@@ -8,20 +8,18 @@ untruncated counterparts on any vector whose support stays at least one
 shell below the cut.  That one-shell buffer is the exactness contract every
 downstream routine leans on.
 
-An operator is never stored as a matrix, so the whole package runs on
-numpy alone.  Every index map is a block gather or scatter of whole shells
-by one cached letter table, ``_others``.  A single shift is a row of the
-basis's image stacks, applied as a gather; ``gather`` is the one place that
-reads index -1 as a zero.  The averaged shift, ``generator_average``,
-gathers the shell blocks directly, so it reads no image stack and never
-meets the cut.  States are plain amplitude arrays over the basis.
+An operator is never stored as a matrix, nor as an index stack, so the
+whole package runs on numpy alone.  Every shift is a block map of whole
+shells by one cached letter table, ``_others``.  The lettered form
+``sum_y C_y (x) S_y`` (``_lettered``) walks those blocks on the parity
+split, and its plain sum scaled by 1/s is the averaged shift,
+``generator_average``.  ``left_regular`` and ``right_regular`` return one
+shift as a function on arrays in basis order, the states' format.
 """
 
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
-from itertools import chain
-from typing import NamedTuple
 
 import numpy as np
 
@@ -33,16 +31,6 @@ from .freegroup import (
     capped_ball_size,
     count_words,
 )
-
-
-class ParitySplit(NamedTuple):
-    """Words by length parity (class 0 even, 1 odd): ``indices[c]`` lists
-    class c's basis indices in order; ``images[c]``, a read-only C-ordered
-    (s, D_c) left-image stack, indexes their images in the other class's list.
-    """
-
-    indices: tuple[np.ndarray, np.ndarray]
-    images: tuple[np.ndarray, np.ndarray]
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -68,10 +56,8 @@ class TruncatedBasis:
     In that order a word's index inside its shell is a mixed-radix number:
     the first letter is a digit of radix s, each later letter a digit of
     radix s-1 among the letters other than the one before it.  The basis
-    stores only its shell offsets.  Every index map is built shell by shell
-    from the one letter table ``_others(s)``, as an int64 array with -1
-    where the image leaves the ball.  Those entries sit on the outermost
-    shell, so a state that keeps the one-shell buffer never meets them.
+    stores only its shell offsets; every shift is built shell by shell from
+    the one letter table ``_others(s)``.
     """
 
     def __init__(self, params: GroupParams, depth: int, *, cap: int = DEFAULT_WORD_CAP):
@@ -108,94 +94,26 @@ class TruncatedBasis:
         """Dimension of the subspace spanned by words of length <= k."""
         return self.depth_offsets[k + 1]
 
-    def _shell_indices(self, k: int) -> np.ndarray:
-        return np.arange(self.depth_offsets[k], self.depth_offsets[k + 1])
-
-    @cached_property
-    def left_image_stack(self) -> np.ndarray:
-        """Index of g_y w for y = 1..s (rows) and every word w: read-only (s, D).
-
-        With the shells read as in ``_others``, g_y pairs row y of shell k+1
-        with shell k at rows ``_others(s)[y]``.
-        """
-        s, others = self.params.s, _others(self.params.s)
-        letters = np.arange(s)[:, None, None]
-
-        def edge(k):
-            words = self._shell_indices(k).reshape(s, -1)[others]
-            return letters, words, self._shell_indices(k + 1).reshape(s, s - 1, -1)
-
-        return self._pairing(map(edge, range(1, self.depth)))
-
     @cached_property
     def parity_indices(self) -> tuple[np.ndarray, np.ndarray]:
         """Basis indices of the even-length words, then of the odd-length ones.
 
         Each class lists its shells end to end, at the class slices by which
-        ``generator_average`` lays out a class part.  Read-only.
+        ``_lettered`` lays out a class part.  Every left shift changes the
+        length by one, so it maps each class to the other.  Read-only.
         """
         sizes, shells, _ = _shell_plan(self.params, self.depth)
         parts = tuple(np.empty(n, dtype=np.int64) for n in sizes)
         for k, part in enumerate(shells):
-            parts[k % 2][part] = self._shell_indices(k)
+            parts[k % 2][part] = np.arange(*self.depth_offsets[k : k + 2])
         return tuple(map(_frozen, parts))
 
     def merge_parity(self, parts) -> np.ndarray:
-        """One (..., D) array from the two class parts of shape (..., D_c)."""
+        """One (..., D) float array from the two class parts of shape (..., D_c)."""
         out = np.empty(parts[0].shape[:-1] + (self.dimension,))
         for idx, part in zip(self.parity_indices, parts):
             out[..., idx] = part
         return out
-
-    @cached_property
-    def parity_split(self) -> ParitySplit:
-        """Every left shift changes the length by one: it swaps the classes."""
-        indices = self.parity_indices
-        local = np.full(self.dimension + 1, -1, dtype=np.int64)
-        for idx in indices:
-            local[idx] = np.arange(len(idx))
-        # take() keeps the (s, D_c) result C-ordered, so a matvec gathers rows.
-        images = tuple(
-            _frozen(local[self.left_image_stack.take(idx, axis=1)]) for idx in indices
-        )
-        return ParitySplit(indices, images)
-
-    @cached_property
-    def right_image_stack(self) -> np.ndarray:
-        """Index of w g_x for x = 1..s (rows) and every word w: read-only (s, D).
-
-        The children w x of a shell-k word w are consecutive in shell k+1,
-        one for each letter x other than w's last, in ``_others(s)[last]``
-        order; raveled, those rows are the last letters of shell k+1.
-        """
-        s, others = self.params.s, _others(self.params.s)
-
-        def edges():
-            last = np.arange(s)
-            for k in range(1, self.depth):
-                letters = others[last]
-                children = self._shell_indices(k + 1).reshape(-1, s - 1)
-                yield letters, self._shell_indices(k)[:, None], children
-                last = letters.ravel()
-
-        return self._pairing(edges())
-
-    def _pairing(self, edges) -> np.ndarray:
-        """The read-only (s, D) image stack of a shift, from its shell edges.
-
-        A shift is an involution pairing each word with a child one shell
-        further out.  ``edges`` yields, for shells 1..depth-1, broadcastable
-        index arrays ``(letters, words, children)``; the identity's edge, the
-        same for both shifts, is added here.  Images past the cut stay -1.
-        """
-        s = self.params.s
-        stack = np.full((s, self.dimension), -1, dtype=np.int64)
-        if self.depth:
-            edges = chain([(np.arange(s), 0, self._shell_indices(1))], edges)
-        for letters, words, children in edges:
-            stack[letters, words] = children
-            stack[letters, children] = words
-        return _frozen(stack)
 
 
 def build_basis(
@@ -204,15 +122,28 @@ def build_basis(
     return TruncatedBasis(params, depth, cap=cap)
 
 
-def gather(v: np.ndarray, images: np.ndarray) -> np.ndarray:
-    """``v`` read at ``images`` along its first (word) axis; index -1 reads 0.
+def _left_pairs(basis: TruncatedBasis):
+    """Yield ``(inner, outer, rows)``, the basis slices of shells k and k+1
+    and the walk's parent table (``_shell_plan``), for each k < depth: g_y
+    swaps row y of shell k+1, read as (s, rows.shape[1], m), with shell k,
+    read as (-1, m), at rows ``rows[y]``."""
+    offsets = basis.depth_offsets
+    for k, _, rows in reversed(_shell_plan(basis.params, basis.depth)[2]):
+        yield slice(*offsets[k : k + 2]), slice(*offsets[k + 1 : k + 3]), rows
 
-    A zero of ``v``'s own dtype is appended along that axis, so an integer
-    ``object`` array stays exact.  An (r, D) ``images`` gives shape
-    (r, D) + v.shape[1:].
-    """
-    pad = np.zeros((1,) + v.shape[1:], dtype=v.dtype)
-    return np.concatenate((v, pad))[images]
+
+def _involution(edges):
+    """``v -> out`` swapping each ``(words, children)`` pair of index arrays;
+    rows of no pair read as a zero of ``v``'s own dtype (``object`` too)."""
+
+    def shift(v: np.ndarray) -> np.ndarray:
+        out = np.zeros_like(v)
+        for words, children in edges:
+            out[words] = v[children]
+            out[children] = v[words]
+        return out
+
+    return shift
 
 
 def _check_generator(g: int, basis: TruncatedBasis) -> None:
@@ -222,30 +153,45 @@ def _check_generator(g: int, basis: TruncatedBasis) -> None:
         )
 
 
-def left_regular(y: int, basis: TruncatedBasis) -> np.ndarray:
+def left_regular(y: int, basis: TruncatedBasis):
     """Compression of left multiplication by generator y: |h> -> |g_y h>.
 
-    Returns the read-only image row ``basis.left_image_stack[y - 1]``;
-    ``gather(v, row)`` applies the shift.  Public only because the benchmark
-    tracer, ``perfbench/tracer.py``, wraps it by name.
+    Returns ``v -> S_y v`` on a (D, ...) array in basis order, built per
+    shell from ``_left_pairs``.  Public only because the benchmark tracer,
+    ``perfbench/tracer.py``, wraps it by name.
     """
     _check_generator(y, basis)
-    return basis.left_image_stack[y - 1]
+    edges = []
+    for inner, outer, rows in _left_pairs(basis):
+        kids = np.arange(outer.start, outer.stop).reshape(len(rows), rows.shape[1], -1)
+        words = np.arange(inner.start, inner.stop).reshape(-1, kids.shape[2])
+        edges.append((words[rows[y - 1]].ravel(), kids[y - 1].ravel()))
+    return _involution(edges)
 
 
-def right_regular(x: int, basis: TruncatedBasis) -> np.ndarray:
+def right_regular(x: int, basis: TruncatedBasis):
     """Compression of right multiplication by generator x: |h> -> |h g_x>.
 
-    Returns the read-only image row ``basis.right_image_stack[x - 1]``, as
-    ``left_regular`` does, and is public for the same reason.
+    Returns ``v -> R_x v`` as ``left_regular`` does, for the same reason.
+    The children w z of a shell-k word w are consecutive in shell k+1, in
+    ``_others(s)[last letter of w]`` order; raveled, those rows are the last
+    letters of shell k+1.
     """
     _check_generator(x, basis)
-    return basis.right_image_stack[x - 1]
+    s, offsets, x = basis.params.s, basis.depth_offsets, x - 1
+    edges = [(0, 1 + x)] if basis.depth else []
+    last = np.arange(s)
+    for k in range(1, basis.depth):
+        words = np.flatnonzero(last != x)
+        children = (s - 1) * words + x - (x > last[words])
+        edges.append((offsets[k] + words, offsets[k + 1] + children))
+        last = _others(s)[last].ravel()
+    return _involution(edges)
 
 
 @lru_cache(maxsize=64)
 def _shell_plan(params: GroupParams, depth: int):
-    """Class sizes, each shell's class slice, and per class the average's steps.
+    """Class sizes, each shell's class slice, and the shell pairs of the walk.
 
     A class part lists its shells end to end, shell k at ``shells[k]`` of
     class k % 2.  With the shells read as in ``_others``, the parents of
@@ -253,32 +199,74 @@ def _shell_plan(params: GroupParams, depth: int):
     k, and the children g_y w, y != a, of row a of shell k are rows
     ``child_rows[a]``, y(s-1) + a - (a > y), of shell k+1 read as
     (s(s-1), (s-1)^(k-1)).  The identity's children are shell 1 read as
-    (s, 1), and it is the parent of each word of shell 1.  The step of
-    output shell k holds ``shells[k]``, then ``shells[k ± 1]`` (None past
-    either end of the ball), each with its row table.
+    (s, 1), and it is the parent of each word of shell 1.  ``pairs`` holds
+    ``(k, child_rows, parent_rows)`` for the shells k and k+1, outermost
+    pair first.
     """
     s = params.s
     letter, parent_rows = np.arange(s)[:, None], _others(s)
     child_rows = _frozen(parent_rows * (s - 1) + letter - (letter > parent_rows))
-    root_rows = _frozen(letter.T)
-    shell1_rows = _frozen(np.zeros((s, 1), dtype=np.int64))
+    root = (_frozen(letter.T), _frozen(np.zeros((s, 1), dtype=np.int64)))
     sizes, shells = [0, 0], []
     for k in range(depth + 1):
         n = count_words(params, k)
         shells.append(slice(sizes[k % 2], sizes[k % 2] + n))
         sizes[k % 2] += n
+    inner = (child_rows, parent_rows)
+    pairs = tuple((k, *(inner if k else root)) for k in reversed(range(depth)))
+    return tuple(sizes), tuple(shells), pairs
 
-    def step(k):
-        return (
-            shells[k],
-            shells[k + 1] if k < depth else None,
-            root_rows if k == 0 else child_rows,
-            shells[k - 1] if k > 0 else None,
-            shell1_rows if k == 1 else parent_rows,
-        )
 
-    steps = tuple(tuple(step(k) for k in range(c, depth + 1, 2)) for c in (0, 1))
-    return tuple(sizes), tuple(shells), steps
+def _lettered(params: GroupParams, depth: int, coefs=None):
+    """``sum_y C_y (x) S_y`` on a ball, as ``(apply, sizes)`` on the parity split.
+
+    Each shift changes the length by one, so ``apply(v, c)`` maps a class-c
+    part (shape (sizes[c], ...)), the class's words in basis order
+    (``TruncatedBasis.parity_indices``), to the other class.  With ``coefs``
+    None every C_y is 1: a plain sum in ``v``'s own dtype, exact on an
+    ``object`` array of ints.  An (s, d, d) ``coefs`` acts on the trailing
+    axis of a (sizes[c], d) part.  A word's image sums its parent and its
+    children, block gathers of the neighbouring shells by two letter tables
+    (``_shell_plan``), C_y weighing the blocks of row y of the outer shell.
+    No index array is read and nothing meets the cut: the outermost shell
+    has no children.  A ball over the word cap raises ``CapacityError``
+    before anything is allocated.
+    """
+    capped_ball_size(params, depth)
+    sizes, shells, pairs = _shell_plan(params, depth)
+    transposed = None if coefs is None else np.swapaxes(coefs, 1, 2)
+
+    def weigh(block):
+        """Row y of a block read as (s, -1, d) times C_y, in that shape."""
+        if transposed is None:
+            return block
+        return block.reshape(len(transposed), -1, block.shape[-1]) @ transposed
+
+    def apply(v, c):
+        tail = v.shape[1:]
+        out = np.zeros((sizes[1 - c],) + tail, dtype=np.result_type(v, float))
+        if not out.size:  # reshape cannot infer a -1 width from size 0
+            return out
+        # Outermost pair first, so each shell's children are written before
+        # its parent is added.
+        for k, child_rows, parent_rows in pairs:
+            inner, outer = shells[k], shells[k + 1]
+            if k % 2 != c:
+                o = out[inner].reshape((len(child_rows), -1) + tail)
+                src = weigh(v[outer]).reshape((-1, o.shape[1]) + tail)
+                np.add.reduce(src.take(child_rows, axis=0), axis=1, out=o)
+                continue
+            o = out[outer].reshape(parent_rows.shape + (-1,) + tail)
+            src = v[inner].reshape((-1, o.shape[2]) + tail)
+            if k + 1 == depth and coefs is None:
+                # The outermost shell has no children.  Every row index is
+                # in range; "clip" only lets take write straight into out.
+                src.take(parent_rows, axis=0, out=o, mode="clip")
+            else:
+                o += weigh(src.take(parent_rows, axis=0)).reshape(o.shape)
+        return out
+
+    return apply, sizes
 
 
 def generator_average(params: GroupParams, depth: int):
@@ -286,40 +274,15 @@ def generator_average(params: GroupParams, depth: int):
 
     Its norm is the quantity being certified: it is the normalized adjacency
     operator of the radius-``depth`` ball of the s-regular tree rooted at the
-    identity.  Each shift changes the length by one, so ``apply(v, c)`` maps
-    a class-c part (length ``sizes[c]``, or shape (sizes[c], ...)) to the
-    other class; a class part lists the class's words in basis order,
-    ``TruncatedBasis.parity_indices``.  A word's image sums its parent and
-    its children, block gathers of the neighbouring shells by two letter
-    tables (``_shell_plan``, built once per (s, depth)), so no index array
-    is read and nothing meets the cut: the outermost shell has no children.
-    A ball over the word cap raises ``CapacityError`` before anything is
-    allocated.  The one form of the averaged shift in the package; its name
-    stays public because the benchmark tracer wraps it.
+    identity.  ``apply(v, c)`` is the plain sum of ``_lettered`` scaled by
+    1/s.  The one form of the averaged shift in the package; its name stays
+    public because the benchmark tracer wraps it.
     """
-    capped_ball_size(params, depth)
-    sizes, _, steps = _shell_plan(params, depth)
+    lettered, sizes = _lettered(params, depth)
     scale = 1.0 / params.s
 
     def apply(v, c):
-        tail = v.shape[1:]
-        out = np.zeros((sizes[1 - c],) + tail)
-        if not out.size:  # reshape cannot infer a -1 width from size 0
-            return out
-        for dst, children, child_rows, parent, parent_rows in steps[1 - c]:
-            if children is not None:
-                o = out[dst].reshape((len(child_rows), -1) + tail)
-                src = v[children].reshape((-1, o.shape[1]) + tail)
-                np.add.reduce(src.take(child_rows, axis=0), axis=1, out=o)
-            if parent is not None:
-                o = out[dst].reshape(parent_rows.shape + (-1,) + tail)
-                src = v[parent].reshape((-1, o.shape[2]) + tail)
-                if children is None:
-                    # Every row index is in range; "clip" only lets take
-                    # write straight into out, unbuffered.
-                    src.take(parent_rows, axis=0, out=o, mode="clip")
-                else:
-                    o += src.take(parent_rows, axis=0)
+        out = lettered(v, c)
         out *= scale
         return out
 

@@ -427,6 +427,10 @@ CRITERIA = [
 
 
 def run_report(settings: ReportSettings | None = None) -> list[CriterionResult]:
+    """Every criterion in order; a NaN or negative ``tolerance_scale`` is refused."""
     if settings is None:
         settings = ReportSettings()
+    scale = settings.tolerance_scale
+    if not 0.0 <= scale < math.inf:
+        raise ValueError(f"tolerance_scale must be finite and ≥ 0, got {scale}")
     return [fn(settings) for fn in CRITERIA]

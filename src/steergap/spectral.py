@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import CapacityError, ConvergenceError, require_bytes
 from .freegroup import GroupParams, analytic_norm, ball_size
-from .hilbert import TruncatedBasis, build_basis, gather, generator_average
+from .hilbert import TruncatedBasis, _lettered, build_basis, generator_average
 
 #: Above this ball size, representation="auto" leaves Lanczos on the
 #: averaged shift for the shell-tridiagonal reduction.
@@ -228,12 +228,14 @@ def estimate_norm(
     ``max_iter``, so it approaches the compressed eigenvalue from below and
     never exceeds the analytic norm; a ball over the word cap raises
     ``CapacityError`` before anything is allocated.  Either route refuses
-    ``max_iter < 1``.
+    ``max_iter < 1`` and a ``tol`` that is negative or not finite.
     """
     if depth < 1:
         raise ValueError("depth must be ≥ 1")
     if max_iter is not None and max_iter < 1:
         raise ValueError(f"Krylov budget must be ≥ 1, got {max_iter}")
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"tol must be finite and ≥ 0, got {tol}")
     rep = _resolve_representation(representation, ball_size(params, depth))
     if rep == "sparse":
         budget = DEFAULT_KRYLOV if max_iter is None else max_iter
@@ -425,8 +427,9 @@ def closed_walk_moment(params: GroupParams, k: int) -> MomentRecord:
 def matvec_walk_count(params: GroupParams, k: int, *, depth: int | None = None) -> int:
     """The same closed-walk count via k applications of the adjacency matrix.
 
-    Sums the gathered left images on a depth-k basis, where the count is
-    exact.  Float64 matvecs are exact integer arithmetic as long as every
+    Applies the plain sum of ``hilbert._lettered`` k times to the identity
+    on a depth-k ball, where the count is exact, and squares the class part
+    reached.  Float64 matvecs are exact integer arithmetic as long as every
     intermediate stays below 2^52; beyond that the same loop runs on an
     object array of Python ints.  That route needs s^(2k) >= 2^52, so for
     s >= 4 it starts at k >= 13, whose ball is over the word cap: only
@@ -438,10 +441,10 @@ def matvec_walk_count(params: GroupParams, k: int, *, depth: int | None = None) 
         depth = max(k, 1)
     if depth < k:
         raise ValueError(f"depth {depth} cannot hold walks of half-length {k}")
-    basis = build_basis(params, depth)
+    apply, sizes = _lettered(params, depth)
     exact_in_float = params.s ** (2 * k) < 2**52
-    vec = np.zeros(basis.dimension, dtype=float if exact_in_float else object)
+    vec = np.zeros(sizes[0], dtype=float if exact_in_float else object)
     vec[0] = 1
-    for _ in range(k):
-        vec = gather(vec, basis.left_image_stack).sum(axis=0)
+    for c in range(k):
+        vec = apply(vec, c % 2)
     return int(round(vec @ vec))

@@ -12,10 +12,11 @@ compared:
   no such strategy can beat 2*sqrt(s-1)/s, and an alternating seesaw
   optimizer saturates the compressed-operator value from below.
 
-Tables are built from the correlators <1>, <A_x>, <B_y>, <A_x B_y>, and
-every shift acts through ``hilbert.gather`` on the basis's image arrays: for
-a tensor state component stored as a d_A x D array psi, psi S_y is a gather
-of the columns of psi.  A mixed state is a stack of such pure components.
+Tables are built from the correlators <1>, <A_x>, <B_y>, <A_x B_y>.  A
+tensor state component is a d_A x D array psi, and a mixed state is a stack
+of them.  Every shift acts on shell blocks of psi's columns: psi S_y psi^T
+pairs the blocks that S_y swaps, and sum_y R_y psi S_y is ``hilbert``'s
+lettered form with C_y = R_y.
 
 A strategy is "violating" when its f exceeds the tensor bound, which for
 s >= 3 certifies that no tensor-product model reproduces it.
@@ -28,8 +29,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import require_bytes
-from .freegroup import GroupParams, analytic_norm
-from .hilbert import TruncatedBasis, build_basis, gather
+from .freegroup import GroupParams, analytic_norm, capped_ball_size
+from .hilbert import (
+    TruncatedBasis, _left_pairs, _lettered, build_basis, left_regular, right_regular
+)
 from .spectral import _lanczos_extremal
 
 OUTCOMES = (1, -1)
@@ -139,19 +142,25 @@ def _table_from_correlators(norm, alice, bob, joint) -> ProbabilityTable:
     return ProbabilityTable(s=alice.shape[-1], values=values)
 
 
-def _bob_contractions(psi: np.ndarray, images: np.ndarray) -> np.ndarray:
+def _bob_contractions(psi: np.ndarray, basis: TruncatedBasis) -> np.ndarray:
     """M_y = psi S_y psi^T = Tr_B((1 tensor S_y) rho) for every y: (n, s, d, d).
 
     ``psi`` is an (n, r, d, D) stack of r pure components per state, and
-    M_y sums over them.  S_y is symmetric with row i holding a single 1 at
-    images[y, i], so column i of psi S_y is column images[y, i] of psi.
+    M_y sums over them.  S_y swaps row y of each shell k+1 with rows of
+    shell k (``hilbert._left_pairs``), so M_y = P_y + P_y^T, where P_y sums
+    the columns of those outer blocks against their inner partners.
     """
-    n, r, d, dim = psi.shape
-    shifted = gather(psi.transpose(3, 0, 1, 2), images)  # [y, k, n, c, i]
-    # A contiguous copy, so each product is the plain BLAS call on unit strides.
-    left = np.ascontiguousarray(shifted.transpose(2, 3, 0, 4, 1))
-    per_component = left.reshape(n, r, -1, dim) @ psi.transpose(0, 1, 3, 2)
-    return per_component.sum(axis=1).reshape(n, len(images), d, d)
+    n, r, d, _ = psi.shape
+    s = basis.params.s
+    outs, ins = [], []  # per shell pair, [n, r, y, c, j] and [n, r, y, j, c]
+    for inner, outer, rows in _left_pairs(basis):
+        out_cols = psi[..., outer].reshape(n, r, d, s, -1)
+        width = out_cols.shape[-1] // rows.shape[1]
+        in_cols = psi[..., inner].reshape(n, r, d, -1, width)[..., rows, :]
+        outs.append(out_cols.transpose(0, 1, 3, 2, 4))
+        ins.append(in_cols.reshape(out_cols.shape).transpose(0, 1, 3, 4, 2))
+    half = (np.concatenate(outs, axis=-1) @ np.concatenate(ins, axis=-2)).sum(axis=1)
+    return half + half.transpose(0, 1, 3, 2)
 
 
 @dataclass(eq=False)
@@ -216,18 +225,21 @@ def probability_table_commuting(
     """P(a,b|x,y) from <e| R_x S_y |e> and the marginals, applied literally.
 
     Alice right-shifts, Bob left-shifts, and the shared state is the
-    identity word: (S_y v)[i] = v[left_image_stack[y-1, i]] and
-    (R_x v)[i] = v[right_image_stack[x-1, i]], both read through ``gather``.
+    identity word.  Each party shifts it once, so by the buffer contract the
+    depth-2 ball is exact for any ``depth`` >= 2, which only meets the cap.
     """
     if depth < 2:
         raise ValueError("depth must be ≥ 2 so one application per party stays exact")
-    basis = build_basis(params, depth)
+    capped_ball_size(params, depth)
+    basis = build_basis(params, 2)
     e = np.zeros(basis.dimension)
     e[0] = 1.0  # the identity word
-    right = basis.right_image_stack
-    bob_shifted = gather(e, basis.left_image_stack)  # row y is S_y e
-    joint = e @ gather(bob_shifted.T, right)  # [x, y] = <e| R_x S_y |e>
-    return _table_from_correlators(e @ e, gather(e, right) @ e, bob_shifted @ e, joint)
+    letters = range(1, params.s + 1)
+    bob_shifted = np.stack([left_regular(y, basis)(e) for y in letters])
+    rights = [right_regular(x, basis) for x in letters]
+    joint = np.array([e @ r(bob_shifted.T) for r in rights])  # <e| R_x S_y |e>
+    alice = np.array([r(e) @ e for r in rights])
+    return _table_from_correlators(e @ e, alice, bob_shifted @ e, joint)
 
 
 def commuting_strategy_result(
@@ -296,7 +308,7 @@ def probability_table_tensor(strategy: TensorStrategy) -> ProbabilityTable:
     psi = state.reshape(len(state) if stacked else 1, -1, d, dim)
     alice_obs = np.reshape(strategy.observables, (len(psi), -1, d, d))
     gram = np.sum(psi @ psi.transpose(0, 1, 3, 2), axis=1)
-    bob_side = _bob_contractions(psi, strategy.basis.left_image_stack)
+    bob_side = _bob_contractions(psi, strategy.basis)
     table = _table_from_correlators(
         np.trace(gram, axis1=1, axis2=2),
         np.einsum("nxab,nab->nx", alice_obs, gram),
@@ -344,11 +356,23 @@ def random_dichotomic(rng: np.random.Generator, dim: int) -> np.ndarray:
     return dichotomic_stack(*draw_dichotomic(rng, 1, dim))[0]
 
 
-def _sign_observables(psi: np.ndarray, images: np.ndarray) -> np.ndarray:
+def _sign_observables(psi: np.ndarray, basis: TruncatedBasis) -> np.ndarray:
     """Best observables for a fixed state: the matrix sign of each M_y."""
-    m = _bob_contractions(psi[None, None], images)[0]
-    w, u = np.linalg.eigh(0.5 * (m + m.transpose(0, 2, 1)))
+    w, u = np.linalg.eigh(_bob_contractions(psi[None, None], basis)[0])
     return (u * np.where(w >= 0.0, 1.0, -1.0)[:, None, :]) @ u.transpose(0, 2, 1)
+
+
+def _seesaw_operator(params: GroupParams, depth: int, obs: np.ndarray):
+    """(1/s) sum_y R_y tensor S_y, R_y = ``obs[y]``, as ``(apply, sizes)`` on
+    the parity split of Bob's words: a class part is a d x D_c state,
+    raveled, and (R_y tensor S_y) psi = R_y psi S_y."""
+    lettered, class_sizes = _lettered(params, depth, obs)
+    d = obs.shape[-1]
+
+    def apply(v, c):
+        return (lettered(v.reshape(d, -1).T, c) / params.s).T.ravel()
+
+    return apply, tuple(d * n for n in class_sizes)
 
 
 def seesaw_tensor_optimize(
@@ -379,8 +403,8 @@ def seesaw_tensor_optimize(
     monotone; the best run over all restarts is returned.  The optimum is the compressed norm lambda_N for every d_A,
     since the conjugation identity strips Alice out.  ``tol`` is both the
     stationarity tolerance on the objective and the Lanczos residual
-    tolerance.  Runs that fail to go stationary within ``max_iter`` are
-    flagged, not failed.
+    tolerance; it must be finite and nonnegative.  Runs that fail to go
+    stationary within ``max_iter`` are flagged, not failed.
     """
     if alice_dim < 1:
         raise ValueError("alice_dim must be ≥ 1")
@@ -390,18 +414,14 @@ def seesaw_tensor_optimize(
         raise ValueError("restarts must be ≥ 1")
     if max_iter < 1:
         raise ValueError("max_iter must be ≥ 1")
+    if not 0.0 <= tol < np.inf:
+        raise ValueError(f"tol must be finite and ≥ 0, got {tol}")
     basis = build_basis(params, bob_depth)
     s = params.s
-    images = basis.left_image_stack
-    split = basis.parity_split
 
     def state_step(obs, rng, psi):
-        def apply(v, c):  # (R_y tensor S_y) psi = R_y psi S_y, class c -> 1 - c
-            shifted = gather(v.reshape(alice_dim, -1).T, split.images[1 - c])
-            return np.tensordot(obs, shifted, axes=([0, 2], [0, 2])).ravel() / s
-
-        sizes = tuple(alice_dim * len(idx) for idx in split.indices)
-        v0 = None if psi is None else [psi[:, idx].ravel() for idx in split.indices]
+        apply, sizes = _seesaw_operator(params, bob_depth, obs)
+        v0 = None if psi is None else [psi[:, i].ravel() for i in basis.parity_indices]
         lam, parts, *_ = _lanczos_extremal(apply, sizes, rng, tol, v0=v0)
         psi = basis.merge_parity([part.reshape(alice_dim, -1) for part in parts])
         return lam, psi / np.linalg.norm(psi)
@@ -418,7 +438,7 @@ def seesaw_tensor_optimize(
         for _ in range(max_iter):
             lam, psi = state_step(obs, rng, psi)
             history.append(lam)
-            obs = _sign_observables(psi, images)
+            obs = _sign_observables(psi, basis)
             if len(history) >= 3 and abs(history[-1] - history[-3]) < tol:
                 stationary = True
                 break
@@ -473,29 +493,28 @@ def conjugation_identity_check(
     d = len(observables[0]) if len(observables) else 0
     _check_observables(observables, s, d, 1e-10)
     dim = basis.dimension
-    images = basis.left_image_stack
     require_bytes(
         8 * dim * d * d, f"conjugation word operators of {dim} x {d} x {d} float64"
     )
-    # R_w for every word, a shell at a time: row y of shell k holds the
-    # words y w', and g_y maps each to its suffix w' on shell k-1.
-    letters, obs = np.arange(s)[:, None], np.asarray(observables)[:, None]
+    # R_w for every word, a shell at a time: row y of shell k+1 holds the
+    # words y w', whose suffixes w' are shell k at rows ``rows[y]``.
+    obs = np.asarray(observables)
     word_arr = np.empty((dim, d, d))
     word_arr[0] = np.eye(d)
-    for k in range(1, basis.depth + 1):
-        rows = np.arange(*basis.depth_offsets[k : k + 2]).reshape(s, -1)
-        word_arr[rows] = obs @ word_arr[images[letters, rows]]
+    for inner, outer, rows in _left_pairs(basis):
+        words = word_arr[outer].reshape((s, rows.shape[1], -1, d, d))
+        suffixes = word_arr[inner].reshape((-1,) + words.shape[2:])[rows]
+        np.matmul(obs[:, None, None], suffixes, out=words)
 
     def conjugate(mat: np.ndarray, dagger: bool) -> np.ndarray:
         ops = word_arr if dagger else word_arr.transpose(0, 2, 1)
         return np.einsum("gij,jg->ig", ops, mat)
 
-    def averaged(mat: np.ndarray, with_alice: bool) -> np.ndarray:
-        acc = np.zeros_like(mat)
-        shifted = gather(mat.T, images).transpose(0, 2, 1)
-        for y, r in enumerate(observables):
-            acc += (r @ shifted[y]) if with_alice else shifted[y]
-        return acc / s
+    def averaged(mat: np.ndarray, coefs: np.ndarray | None = None) -> np.ndarray:
+        """(1/s) sum_y C_y mat S_y on a d x D array, a parity class at a time."""
+        apply, _ = _lettered(basis.params, basis.depth, coefs)
+        parts = [mat.T[idx] for idx in basis.parity_indices]
+        return basis.merge_parity([apply(parts[1 - c], 1 - c).T for c in (0, 1)]) / s
 
     rng = np.random.default_rng(seed)
     keep = basis.prefix_dimension(basis.depth - 2)
@@ -504,9 +523,8 @@ def conjugation_identity_check(
         probe = np.zeros((d, dim))
         probe[:, :keep] = rng.standard_normal((d, keep))
         probe /= np.linalg.norm(probe)
-        lhs = conjugate(averaged(conjugate(probe, dagger=True), with_alice=True),
-                        dagger=False)
-        rhs = averaged(probe, with_alice=False)
+        lhs = conjugate(averaged(conjugate(probe, dagger=True), obs), dagger=False)
+        rhs = averaged(probe)
         worst = max(worst, float(np.linalg.norm(lhs - rhs)))
     return worst
 

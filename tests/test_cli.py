@@ -12,7 +12,8 @@ import pytest
 import steergap
 from steergap.cli import main
 from steergap.heatvision import MAX_STEPS
-from steergap.report import ReportSettings, criterion_conjugation
+from steergap import GroupParams, estimate_norm, seesaw_tensor_optimize
+from steergap.report import ReportSettings, criterion_conjugation, run_report
 from steergap.spectral import analytic_norm
 
 from test_heatvision import EXACT_STEPS_S3, lazy_walk_second_moments
@@ -258,6 +259,46 @@ def test_nonpositive_budgets_exit_1(capsys, argv):
     _, err = run_lines(capsys)
     assert rc == 1
     assert "error:" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["report", "--quick", "--tolerance-scale", "nan"],
+        ["report", "--quick", "--tolerance-scale", "inf"],
+        ["report", "--quick", "--tolerance-scale", "-1"],
+        ["norm", "--s", "3", "--depth-max", "12", "--tol", "nan"],
+        ["norm", "--s", "3", "--depth-max", "12", "--tol", "-1"],
+        ["steer", "seesaw", "--s", "3", "--tol", "nan"],
+        ["steer", "seesaw", "--s", "3", "--tol", "-1"],
+    ],
+    ids=["report-scale-nan", "report-scale-inf", "report-scale-negative",
+         "norm-tol-nan", "norm-tol-negative", "seesaw-tol-nan",
+         "seesaw-tol-negative"],
+)
+def test_bad_tolerances_exit_1(capsys, argv):
+    """A NaN tolerance passes every comparison against it, and a negative one
+    fails them all or runs solvers to their caps, so both are refused up front."""
+    start = time.perf_counter()
+    rc = main(argv)
+    elapsed = time.perf_counter() - start
+    _, err = run_lines(capsys)
+    assert rc == 1
+    assert err.startswith("error: ") and "must be finite and ≥ 0" in err
+    assert elapsed < 1.0
+
+
+def test_library_callers_get_the_same_tolerance_checks():
+    """Zero stays accepted, as the report's negative control and as a solver
+    tolerance; ``run_report`` refuses a NaN scale as the command line does."""
+    settings = ReportSettings.quick()
+    settings.tolerance_scale = 0.0
+    assert [r.number for r in run_report(settings) if not r.passed]
+    assert estimate_norm(GroupParams(3), 3, tol=0.0, representation="radial")
+    seesaw_tensor_optimize(GroupParams(3), 2, 2, restarts=1, max_iter=2, tol=0.0)
+    settings.tolerance_scale = float("nan")
+    with pytest.raises(ValueError, match="tolerance_scale must be finite"):
+        run_report(settings)
 
 
 def test_out_of_memory_exits_2(capsys, monkeypatch):
@@ -663,6 +704,7 @@ def bare_modules():
         ),
         (["report", "--chain-samples", "-1"], 1, ["steergap.report", "numpy"]),
         (["report", "--table-samples", "-1"], 1, ["steergap.report", "numpy"]),
+        (["report", "--tolerance-scale", "nan"], 1, ["steergap.report", "numpy"]),
         (["report", "--quick"], 3, ["fractions", "decimal"]),
     ],
     ids=[
@@ -670,6 +712,7 @@ def bare_modules():
         "heatvision",
         "report-chain-samples",
         "report-table-samples",
+        "report-tolerance-scale",
         "report-quick",
     ],
 )

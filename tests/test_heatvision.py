@@ -17,7 +17,7 @@ from steergap import (
 )
 from steergap.errors import BufferExhaustedError, CapacityError
 from steergap.heatvision import MAX_STEPS, _lazy_walk
-from steergap.hilbert import gather, right_regular
+from steergap.hilbert import right_regular
 
 from util import random_buffered_amplitudes
 
@@ -60,7 +60,7 @@ def word_engine_series(s: int, depth: int, steps: int) -> list[float]:
 
 
 def dense_shift(x: int, basis) -> np.ndarray:
-    return gather(np.eye(basis.dimension), right_regular(x, basis))
+    return right_regular(x, basis)(np.eye(basis.dimension))
 
 
 def dense_step(matrix: np.ndarray, basis) -> np.ndarray:
@@ -313,20 +313,24 @@ def test_lazy_walk_raises_when_weight_reaches_the_cut():
 
 @pytest.mark.parametrize("s, depth, support", [(2, 9, 0), (3, 8, 1), (5, 5, 2)])
 def test_lazy_walk_prefix_gather_is_bit_identical_to_full_gather(s, depth, support):
-    """Gathering from the reachable prefix changes no bit of the weights."""
+    """Gathering from the reachable prefix changes no bit of the weights, and
+    each step is the lazy walk of the single right shifts, up to rounding."""
     basis = build_basis(GroupParams(s), depth)
     rng = np.random.default_rng(s)
     weights = np.zeros(basis.dimension)
     live = basis.prefix_dimension(support)
     weights[:live] = rng.random(live)
     weights /= weights.sum()
-    reference = weights.copy()
-    images = basis.right_image_stack
-    for t, stepped in enumerate(_lazy_walk(basis, weights, support, depth - support), 1):
-        n = basis.prefix_dimension(min(support + t, depth))
-        gathered = gather(reference, images[:, :n]).sum(axis=0)
-        reference[:n] = 0.5 * (reference[:n] + gathered / s)
+    previous = weights.copy()
+    # Claiming support at the cut makes every step update the whole ball.
+    whole = _lazy_walk(basis, weights.copy(), depth, depth - support)
+    shifts = [right_regular(x, basis) for x in range(1, s + 1)]
+    prefix = _lazy_walk(basis, weights, support, depth - support)
+    for t, (stepped, reference) in enumerate(zip(prefix, whole), 1):
         assert np.array_equal(stepped, reference), t
+        want = 0.5 * (previous + sum(shift(previous) for shift in shifts) / s)
+        np.testing.assert_allclose(stepped, want, rtol=1e-15, atol=0)
+        previous = stepped.copy()
 
 
 def test_superoperator_estimates_climb_toward_target():

@@ -13,7 +13,7 @@ from steergap import (
     right_regular,
 )
 from steergap.errors import CapacityError
-from steergap.hilbert import gather
+from steergap.hilbert import _lettered
 
 from util import (
     brute_words,
@@ -29,9 +29,9 @@ def basis3():
     return build_basis(GroupParams(3), 4)
 
 
-def dense(row, basis):
-    """The D x D matrix of the shift whose image row is ``row``."""
-    return gather(np.eye(basis.dimension), row)
+def dense(shift, basis):
+    """The D x D matrix of a single shift, from its action on the identity."""
+    return shift(np.eye(basis.dimension))
 
 
 def basis_vector(basis, word=IDENTITY):
@@ -88,26 +88,57 @@ def test_index_arithmetic_matches_brute_order(s):
 
 @pytest.mark.parametrize("s", [2, 3, 4, 5])
 def test_parity_split_matches_brute_order(s):
-    """Each left image of an even word is odd and the reverse, -1 only past the cut."""
+    """Each left image of an even word is odd and the reverse, zero only past the cut."""
     depth = 9 - s
     basis = build_basis(GroupParams(s), depth)
     words = sorted(brute_words(s, depth), key=lambda t: (len(t), t))
-    split = basis.parity_split
-    assert sorted(np.concatenate(split.indices)) == list(range(len(words)))
+    indices = basis.parity_indices
+    assert sorted(np.concatenate(indices)) == list(range(len(words)))
+    eye = np.eye(basis.dimension)
     for c in (0, 1):
-        idx, other, images = split.indices[c], split.indices[1 - c], split.images[c]
+        idx = indices[c]
         assert all(len(words[i]) % 2 == c for i in idx)
-        assert images.shape == (s, len(idx))
-        assert images.flags.c_contiguous and not images.flags.writeable
-        back = np.where(images >= 0, other[images], -1)
-        assert np.array_equal(back, basis.left_image_stack[:, idx])
         for y in range(1, s + 1):
-            for i, j in zip(idx, images[y - 1]):
+            images = left_regular(y, basis)(eye[:, idx])
+            for i, col in zip(idx, images.T):
                 image = stack_reduce((y,) + words[i])
-                if j < 0:
+                if not col.any():
                     assert len(words[i]) == depth and len(image) == depth + 1
                 else:
-                    assert words[other[j]] == image and len(image) % 2 == 1 - c
+                    (j,) = np.flatnonzero(col)
+                    assert col[j] == 1.0 and words[j] == image
+                    assert j in indices[1 - c]
+
+
+@pytest.mark.parametrize("c", [0, 1])
+@pytest.mark.parametrize("s", [2, 3, 4, 5])
+def test_lettered_form_matches_brute_words(s, c):
+    """sum_y C_y (x) S_y from class c: d x d letters in float, the plain sum
+    exactly on Python ints, both against shifts built from the definition."""
+    depth = 8 - s
+    params = GroupParams(s)
+    basis = build_basis(params, depth)
+    words = brute_basis_words(s, depth)
+    shifts = [dense_left_shift(s, depth, y, words) for y in range(1, s + 1)]
+    idx, other = basis.parity_indices[c], basis.parity_indices[1 - c]
+    rng = np.random.default_rng(10 * s + c)
+    coefs = rng.standard_normal((s, 2, 2))
+    apply, sizes = _lettered(params, depth, coefs)
+    part = rng.standard_normal((sizes[c], 2))
+    state = np.zeros((2, basis.dimension))  # a d x D state, raveled for kron
+    state[:, idx] = part.T
+    want = sum(np.kron(a, b) for a, b in zip(coefs, shifts)) @ state.ravel()
+    want = want.reshape(2, -1)
+    assert not np.any(want[:, idx])
+    assert np.allclose(apply(part, c).T, want[:, other], rtol=0, atol=1e-13)
+
+    apply, _ = _lettered(params, depth)
+    ints = np.zeros(basis.dimension, dtype=object)
+    ints[idx] = [3**40 + i for i in range(sizes[c])]
+    exact = sum(shifts).astype(int).astype(object) @ ints
+    got = apply(ints[idx], c)
+    assert all(type(x) is int for x in got)
+    assert list(got) == list(exact[other])
 
 
 def test_basis_prefix_property():
@@ -146,19 +177,18 @@ def test_right_shift_matches_definition(s, depth):
         assert np.array_equal(got, want)
 
 
-@pytest.mark.parametrize(
-    "name,regular",
-    [("left_image_stack", left_regular), ("right_image_stack", right_regular)],
-    ids=("left", "right"),
-)
-def test_image_stack_is_cached_and_read_only(basis3, name, regular):
-    stack = getattr(basis3, name)
-    assert stack is getattr(basis3, name)
-    assert stack.shape == (3, basis3.dimension) and not stack.flags.writeable
-    assert stack.flags.c_contiguous
+@pytest.mark.parametrize("regular", [left_regular, right_regular], ids=("left", "right"))
+def test_single_shift_acts_columnwise_and_keeps_its_input(basis3, regular):
+    """A (D, ...) array maps to a new one of its shape and dtype, column by column."""
+    block = np.random.default_rng(3).standard_normal((basis3.dimension, 2, 3))
+    before = block.copy()
     for x in range(1, 4):
-        row = regular(x, basis3)
-        assert np.shares_memory(row, stack) and not row.flags.writeable
+        shift = regular(x, basis3)
+        out = shift(block)
+        assert out.shape == block.shape and out.dtype == block.dtype
+        assert not np.shares_memory(out, block)
+        assert np.array_equal(out[:, 1, 2], shift(block[:, 1, 2]))
+    assert np.array_equal(block, before)
 
 
 def test_index_arrays_are_cached_and_read_only(basis3):
@@ -169,20 +199,24 @@ def test_index_arrays_are_cached_and_read_only(basis3):
 
 
 def test_basis_and_stack_memory():
-    """The basis holds only its shell offsets; a stack build at most one more stack."""
+    """The basis holds only its shell offsets, and no (s, D) image stack is
+    built: a single shift, built and applied, peaks below one such stack."""
     tracemalloc.start()
     try:
         build_basis(GroupParams(3), 19)
         basis_peak = tracemalloc.get_traced_memory()[1]
         basis = build_basis(GroupParams(3), 16)
-        tracemalloc.reset_peak()
-        start = tracemalloc.get_traced_memory()[0]
-        basis.right_image_stack
-        stack_peak = tracemalloc.get_traced_memory()[1] - start
+        v = np.ones(basis.dimension)
+        peaks = []
+        for regular in (left_regular, right_regular):
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            regular(2, basis)(v)
+            peaks.append(tracemalloc.get_traced_memory()[1] - start)
     finally:
         tracemalloc.stop()
     assert basis_peak < 2**20
-    assert stack_peak < 2 * 8 * 3 * basis.dimension
+    assert max(peaks) < 8 * 3 * basis.dimension
 
 
 @pytest.mark.parametrize("s", [2, 3, 4, 5])
@@ -190,9 +224,14 @@ def test_basis_and_stack_memory():
 def test_image_past_the_cut_exactly_on_outer_shell(s, depth):
     """The channel's walk-off guard watches the outermost shell alone."""
     basis = build_basis(GroupParams(s), depth)
-    for stack in (basis.left_image_stack, basis.right_image_stack):
-        cut = np.flatnonzero(np.any(stack < 0, axis=0))
-        assert np.array_equal(cut, basis.shell(depth))
+    ones = np.ones(basis.dimension)
+    for regular in (left_regular, right_regular):
+        # Each shift is symmetric, so a zero row sum is a word whose image
+        # leaves the ball.
+        cut = np.zeros(basis.dimension, dtype=bool)
+        for g in range(1, s + 1):
+            cut |= regular(g, basis)(ones) == 0
+        assert np.array_equal(np.flatnonzero(cut), basis.shell(depth))
 
 
 def test_shift_matrices_are_symmetric(basis3):
@@ -219,21 +258,21 @@ def test_invalid_generator_rejected(basis3):
 
 
 def test_apply_examples(basis3):
-    g1 = gather(basis_vector(basis3), left_regular(1, basis3))
+    g1 = left_regular(1, basis3)(basis_vector(basis3))
     assert g1[basis3.index_of(Word((1,)))] == 1.0
     assert np.linalg.norm(g1) == 1.0
     assert np.array_equal(g1, basis_vector(basis3, Word((1,))))
     # right shift appends instead
-    h = gather(g1, right_regular(2, basis3))
+    h = right_regular(2, basis3)(g1)
     assert h[basis3.index_of(Word((1, 2)))] == 1.0
 
 
 def test_left_shift_is_buffered_involution(basis3):
     rng = np.random.default_rng(0)
     for y in range(1, 4):
-        row = left_regular(y, basis3)
+        shift = left_regular(y, basis3)
         amps = random_buffered_amplitudes(rng, basis3, basis3.depth - 1)
-        twice = gather(gather(amps, row), row)
+        twice = shift(shift(amps))
         assert np.allclose(twice, amps, atol=1e-15)
 
 
@@ -243,22 +282,21 @@ def test_left_and_right_shifts_commute(basis3):
     for y in range(1, 4):
         for x in range(1, 4):
             sy, rx = left_regular(y, basis3), right_regular(x, basis3)
-            lr = gather(gather(amps, rx), sy)
-            rl = gather(gather(amps, sy), rx)
+            lr = sy(rx(amps))
+            rl = rx(sy(amps))
             assert np.array_equal(lr, rl)
 
 
-def test_gather_reads_minus_one_as_a_zero_of_the_same_dtype():
-    images = np.array([[2, -1, 0], [-1, 1, 2]])
-    v = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
-    got = gather(v, images)
-    assert got.shape == (2, 3, 2)
-    assert np.array_equal(got[0], [[5, 6], [0, 0], [1, 2]])
-    assert np.array_equal(got[1], [[0, 0], [3, 4], [5, 6]])
-    big = np.array([2**70, 1, 2], dtype=object)
-    summed = gather(big, images).sum(axis=0)
-    assert list(summed) == [2, 1, 2**70 + 2]
-    assert all(type(x) is int for x in summed)
+def test_shift_reads_past_the_cut_as_a_zero_of_the_same_dtype(basis3):
+    """On an object array of big integers each shift moves them exactly, and
+    an image past the cut reads as the int 0."""
+    values = np.array([2**70 + i for i in range(basis3.dimension)], dtype=object)
+    for shift in (left_regular(1, basis3), right_regular(2, basis3)):
+        matrix = dense(shift, basis3)
+        got = shift(values)
+        assert all(type(x) is int for x in got)
+        want = [values[np.argmax(row)] if row.any() else 0 for row in matrix]
+        assert list(got) == want and 0 in want
 
 
 def test_exactness_depth_contract():
@@ -270,8 +308,8 @@ def test_exactness_depth_contract():
     big_amps = np.zeros(big.dimension)
     big_amps[: small.dimension] = amps
     for y in range(1, 4):
-        out_small = gather(amps, left_regular(y, small))
-        out_big = gather(big_amps, left_regular(y, big))
+        out_small = left_regular(y, small)(amps)
+        out_big = left_regular(y, big)(big_amps)
         assert np.array_equal(out_big[: small.dimension], out_small)
         assert np.all(out_big[small.dimension :] == 0.0)
 
@@ -283,7 +321,7 @@ def test_truncation_loses_boundary_weight(basis3):
     y = next(
         g for g in range(1, 4) if g != boundary_word.letters[0]
     )
-    out = gather(v, left_regular(y, basis3))
+    out = left_regular(y, basis3)(v)
     assert np.linalg.norm(out) == 0.0
 
 

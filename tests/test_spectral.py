@@ -24,7 +24,7 @@ from steergap import (
 from steergap import errors, spectral
 from steergap.errors import CapacityError, ConvergenceError
 from steergap.freegroup import ball_size
-from steergap.hilbert import gather, left_regular, right_regular
+from steergap.hilbert import left_regular, right_regular
 from steergap.spectral import (
     MAX_WALK_HALF_LENGTH,
     _average_form,
@@ -33,14 +33,15 @@ from steergap.spectral import (
     tightness_quotient,
 )
 
-from steergap.steering import random_dichotomic
+from steergap.steering import _seesaw_operator, random_dichotomic
 
 from util import brute_words, random_buffered_amplitudes
 
 
 def full_average(v, basis):
-    """The averaged shift through the full left-image stack, not the split."""
-    return gather(v, basis.left_image_stack).sum(axis=0) / basis.params.s
+    """The averaged shift through the single left shifts, not the split."""
+    s = basis.params.s
+    return sum(left_regular(y, basis)(v) for y in range(1, s + 1)) / s
 
 
 def basis_vector(basis, word=IDENTITY):
@@ -75,32 +76,20 @@ def test_radial_reduction_matches_sparse():
         assert abs(sparse.estimated_norm - radial.estimated_norm) < 1e-14, (s, depth)
 
 
-def seesaw_split_operator(basis, obs):
-    """The seesaw state step's operator on the parity split, as the seesaw builds it."""
-    s, alice_dim = basis.params.s, len(obs[0])
-    split = basis.parity_split
-
-    def apply(v, c):
-        shifted = gather(v.reshape(alice_dim, -1).T, split.images[1 - c])
-        return np.tensordot(obs, shifted, axes=([0, 2], [0, 2])).ravel() / s
-
-    return apply, tuple(alice_dim * len(idx) for idx in split.indices)
-
-
 def test_lanczos_odd_start_matches_even_start():
     """The seesaw operator from psi's odd columns alone gives the even-start value."""
     s, alice_dim, depth = 3, 2, 4
     basis = build_basis(GroupParams(s), depth)
     rng = np.random.default_rng(4)
     obs = np.stack([random_dichotomic(rng, alice_dim) for _ in range(s)])
-    apply, sizes = seesaw_split_operator(basis, obs)
+    apply, sizes = _seesaw_operator(basis.params, depth, obs)
     even = (rng.standard_normal(sizes[0]), np.zeros(sizes[1]))
     odd = (np.zeros(sizes[0]), rng.standard_normal(sizes[1]))
     lam_even, _, _, _ = _lanczos_extremal(apply, sizes, None, 1e-12, v0=even)
     lam_odd, parts, _, _ = _lanczos_extremal(apply, sizes, None, 1e-12, v0=odd)
     assert abs(lam_odd - lam_even) < 1e-12
     dense = sum(
-        np.kron(r, gather(np.eye(basis.dimension), left_regular(y + 1, basis)))
+        np.kron(r, left_regular(y + 1, basis)(np.eye(basis.dimension)))
         for y, r in enumerate(obs)
     ) / s
     assert abs(lam_odd - np.linalg.eigvalsh(dense)[-1]) < 1e-12
@@ -267,7 +256,7 @@ def test_byte_guard_estimates_each_lanczos_route(monkeypatch):
 
 
 def test_seesaw_state_step_ritz_vector_true_residual_within_tolerance():
-    """A seesaw state step's vector, checked through the full left-image stack.
+    """A seesaw state step's vector, checked through the single left shifts.
 
     The step starts from a previous state, as every seesaw step after the
     first does; the residual of (1/s) sum_y R_y psi S_y is taken on the
@@ -277,13 +266,12 @@ def test_seesaw_state_step_ritz_vector_true_residual_within_tolerance():
     basis = build_basis(GroupParams(s), depth)
     rng = np.random.default_rng(2)
     obs = np.stack([random_dichotomic(rng, alice_dim) for _ in range(s)])
-    apply, sizes = seesaw_split_operator(basis, obs)
+    apply, sizes = _seesaw_operator(basis.params, depth, obs)
     v0 = [rng.standard_normal(n) for n in sizes]
     value, parts, _, _ = _lanczos_extremal(apply, sizes, None, tol, v0=v0)
     psi = basis.merge_parity([part.reshape(alice_dim, -1) for part in parts])
     psi /= np.linalg.norm(psi)
-    shifted = gather(psi.T, basis.left_image_stack)
-    image = np.einsum("yab,ywb->aw", obs, shifted) / s
+    image = sum(r @ left_regular(y, basis)(psi.T).T for y, r in enumerate(obs, 1)) / s
     assert np.linalg.norm(image - value * psi) <= 10 * tol
 
 
@@ -296,7 +284,7 @@ def test_rayleigh_quotient_right_translation_invariant():
     base = _average_form(basis, amps)
     assert base == pytest.approx(amps @ full_average(amps, basis), abs=1e-15)
     for x in range(1, 4):
-        shifted = gather(amps, right_regular(x, basis))
+        shifted = right_regular(x, basis)(amps)
         assert _average_form(basis, shifted) == pytest.approx(base, abs=1e-12)
 
 

@@ -19,7 +19,7 @@ from steergap import (
     tensor_bound,
 )
 from steergap.errors import CapacityError
-from steergap.hilbert import gather, left_regular
+from steergap.hilbert import left_regular
 from steergap.steering import (
     VIOLATION_TOL,
     dichotomic_stack,
@@ -36,7 +36,7 @@ def dense_bob_effects(basis):
     eye = np.eye(basis.dimension)
     effects = []
     for y in range(1, basis.params.s + 1):
-        shift = gather(eye, left_regular(y, basis))
+        shift = left_regular(y, basis)(eye)
         effects.append([0.5 * (eye + b * shift) for b in (1, -1)])
     return effects
 
@@ -455,7 +455,7 @@ def test_conjugation_identity_single_step_by_hand():
         parent = basis.index_of(Word(w.letters[1:]))
         word_ops.append(obs[w.letters[0] - 1] @ word_ops[parent])
     eye = np.eye(basis.dimension)
-    shifts = [gather(eye, left_regular(y, basis)) for y in range(1, 4)]
+    shifts = [left_regular(y, basis)(eye) for y in range(1, 4)]
     avg_with = np.zeros((3 * basis.dimension, 3 * basis.dimension))
     for r, sh in zip(obs, shifts):
         avg_with += np.kron(r, sh) / 3.0
