@@ -258,12 +258,14 @@ def _lettered(params: GroupParams, depth: int, coefs=None):
                 continue
             o = out[outer].reshape(parent_rows.shape + (-1,) + tail)
             src = v[inner].reshape((-1, o.shape[2]) + tail)
-            if k + 1 == depth and coefs is None:
+            if transposed is not None:
+                o += weigh(src.take(parent_rows, axis=0)).reshape(o.shape)
+            elif k + 1 == depth:
                 # The outermost shell has no children.  Every row index is
                 # in range; "clip" only lets take write straight into out.
                 src.take(parent_rows, axis=0, out=o, mode="clip")
             else:
-                o += weigh(src.take(parent_rows, axis=0)).reshape(o.shape)
+                o += src.take(parent_rows, axis=0)
         return out
 
     return apply, sizes

@@ -506,27 +506,26 @@ def conjugation_identity_check(
         suffixes = word_arr[inner].reshape((-1,) + words.shape[2:])[rows]
         np.matmul(obs[:, None, None], suffixes, out=words)
 
-    def conjugate(mat: np.ndarray, dagger: bool) -> np.ndarray:
+    def conjugate(mats: np.ndarray, dagger: bool) -> np.ndarray:
         ops = word_arr if dagger else word_arr.transpose(0, 2, 1)
-        return np.einsum("gij,jg->ig", ops, mat)
+        return np.einsum("gij,pjg->pig", ops, mats)
 
-    def averaged(mat: np.ndarray, coefs: np.ndarray | None = None) -> np.ndarray:
-        """(1/s) sum_y C_y mat S_y on a d x D array, a parity class at a time."""
+    def averaged(mats: np.ndarray, coefs: np.ndarray | None = None) -> np.ndarray:
+        """(1/s) sum_y C_y mat S_y on each d x D array, a parity class at a time."""
         apply, _ = _lettered(basis.params, basis.depth, coefs)
-        parts = [mat.T[idx] for idx in basis.parity_indices]
-        return basis.merge_parity([apply(parts[1 - c], 1 - c).T for c in (0, 1)]) / s
+        parts = [mats.transpose(2, 0, 1)[idx] for idx in basis.parity_indices]
+        images = [apply(parts[1 - c], 1 - c).transpose(1, 2, 0) for c in (0, 1)]
+        return basis.merge_parity(images) / s
 
+    # Every probe is drawn first, in turn, then all are checked as one stack.
     rng = np.random.default_rng(seed)
     keep = basis.prefix_dimension(basis.depth - 2)
-    worst = 0.0
-    for _ in range(probes):
-        probe = np.zeros((d, dim))
-        probe[:, :keep] = rng.standard_normal((d, keep))
-        probe /= np.linalg.norm(probe)
-        lhs = conjugate(averaged(conjugate(probe, dagger=True), obs), dagger=False)
-        rhs = averaged(probe)
-        worst = max(worst, float(np.linalg.norm(lhs - rhs)))
-    return worst
+    probe = np.zeros((probes, d, dim))
+    for p in probe:
+        p[:, :keep] = rng.standard_normal((d, keep))
+        p /= np.linalg.norm(p)
+    lhs = conjugate(averaged(conjugate(probe, dagger=True), obs), dagger=False)
+    return float(np.linalg.norm(lhs - averaged(probe), axis=(1, 2)).max(initial=0.0))
 
 
 def draw_tensor_state(

@@ -10,9 +10,9 @@ from pathlib import Path
 import pytest
 
 import steergap
+from steergap import GroupParams, estimate_norm, seesaw_tensor_optimize
 from steergap.cli import main
 from steergap.heatvision import MAX_STEPS
-from steergap import GroupParams, estimate_norm, seesaw_tensor_optimize
 from steergap.report import ReportSettings, criterion_conjugation, run_report
 from steergap.spectral import analytic_norm
 
@@ -294,7 +294,8 @@ def test_library_callers_get_the_same_tolerance_checks():
     settings = ReportSettings.quick()
     settings.tolerance_scale = 0.0
     assert [r.number for r in run_report(settings) if not r.passed]
-    assert estimate_norm(GroupParams(3), 3, tol=0.0, representation="radial")
+    for route in ("sparse", "radial"):
+        assert estimate_norm(GroupParams(3), 3, tol=0.0, representation=route).gap > 0
     seesaw_tensor_optimize(GroupParams(3), 2, 2, restarts=1, max_iter=2, tol=0.0)
     settings.tolerance_scale = float("nan")
     with pytest.raises(ValueError, match="tolerance_scale must be finite"):
