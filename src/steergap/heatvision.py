@@ -11,24 +11,17 @@ the factor is 1 and nothing is certified, which is exactly the boundary
 where the tensor/commuting separation closes.
 
 Right shifts permute basis words, so a mixture of basis words stays one,
-and ``iterate_channel`` carries only its probability vector, never a D x D
-matrix.  Two routes run it:
-
-- From the root state |e><e|, every shell stays uniform, so the state is the
-  list of shell masses m_0..m_t.  They follow the lazy birth-death chain
-  that is the radial reduction of the nearest-neighbour walk (Kesten, Trans.
-  AMS 92, 1959): stay 1/2, move in 1/(2s), move out (s-1)/(2s), and out 1/2
-  from the root.  The purity is sum_k m_k^2/|shell k|.  This route runs in
-  plain floats, with no word basis and no word cap, at O(steps^2) cost.
-- Any other mixture runs on the word engine, a lazy walk over the D words
-  limited by the word cap.  In (length, lex) order a word's right images are
-  its parent and its s - 1 consecutive children, so each step over the live
-  prefix, the words that the walk can have reached, is a reshape-sum and an
-  ``np.repeat``.  Only this route loads numpy and the word basis.
+its weights following the lazy walk on the s-regular tree of words.  That
+walk moves weight d away with probability m_t(d)/|shell d| (Kesten, Trans.
+AMS 92, 1959; Woess, Random Walks on Infinite Graphs and Groups, 2000),
+where the shell masses m_t of the run from |e><e| follow its radial
+reduction: stay 1/2, move in 1/(2s), move out (s-1)/(2s), and out 1/2 from
+the root.  ``iterate_channel`` carries them in plain Python floats, with
+no word basis or array, and reads the purity off the hull of the words.
 
 Each step consumes one shell of buffer; runs past it raise instead of
-silently returning truncation artifacts.  Runs longer than ``MAX_STEPS``
-raise too, since both routes cost O(steps^2).
+silently returning truncation artifacts, as do runs past ``MAX_STEPS`` or
+past the list work that it admits from |e><e|.
 
 The truncated channel, as a superoperator, acts as (1/2)I + (1/2s) sum_x
 R_x (x) R_x, and its top eigenvalue is (1 + lambda_N)/2 with lambda_N the
@@ -39,20 +32,17 @@ solve.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from itertools import chain
 from operator import mul
-from typing import TYPE_CHECKING, NamedTuple
+from os.path import commonprefix
+from typing import NamedTuple
 
 from .errors import BufferExhaustedError, CapacityError
 from .freegroup import GroupParams, Word, analytic_norm
 
-if TYPE_CHECKING:
-    import numpy as np
-
-    from .hilbert import TruncatedBasis
-
-#: Cap on the steps of one run.  Both routes cost O(steps^2), and at s = 2
-#: the envelope is 1.0 at every step, so nothing else bounds a run there.
+#: Cap on the steps of one run.  A run costs O(steps^2), and at s = 2 the
+#: envelope is 1.0 at every step, so nothing else bounds a run there.
 #: At s >= 3 the envelope underflows from step 12 842 on, so every run it
 #: admits fits under the cap.
 MAX_STEPS = 12_841
@@ -63,76 +53,79 @@ def purity_bound(s: int, steps: int) -> float:
     return ((1.0 + analytic_norm(s)) / 2.0) ** (2 * steps)
 
 
-def _radial_series(s: int, steps: int):
-    """Yield (trace, purity) of the channel run from |e><e|, from t = 0 on.
+def _shifted(counts: Counter) -> Counter:
+    return Counter({d + 1: n for d, n in counts.items()})
 
-    ``mass[k]`` is the weight on shell k, spread evenly over its words, and
-    ``share[k]`` is 1/|shell k| = (1/s)(s-1)^-(k-1), a float power, so it
-    underflows to 0 at deep k where the integer count would overflow a
-    float.  A step divides by s instead of multiplying by a rounded 1/(2s),
-    so the rounding does not drain the trace at a steady rate.
+
+def _hull_plan(words: list[Word]) -> list[tuple[int, Counter]]:
+    """(hull degree, words at each distance) of each vertex of the words' hull.
+
+    The hull is the subtree that the words span, a trie of their prefixes
+    below the one they all share.  The words below a vertex are counted up
+    it, and the others come down from the vertex's parent.
     """
-    mass, share = [1.0], [1.0]
-    yield 1.0, 1.0
-    for t in range(1, steps + 1):
-        share.append((s - 1.0) ** (1 - t) / s)
-        inward = mass[1:] + [0.0, 0.0]
-        outward = [0.0, s * mass[0]] + [(s - 1) * m for m in mass[1:]]
-        mass = [
-            0.5 * (m + (a + b) / s)
-            for m, a, b in zip(mass + [0.0], inward, outward)
-        ]
-        yield math.fsum(mass), math.fsum(map(mul, map(mul, mass, mass), share))
+    cut = len(commonprefix([w.letters for w in words]))
+    child, ends = {}, Counter()
+    for w in words:
+        u = 0
+        for letter in w.letters[cut:]:
+            u = child.setdefault((u, letter), len(child) + 1)
+        ends[u] += 1
+    parent = [-1] + [u for u, _ in child]
+    below = [Counter({0: ends[u]} if u in ends else {}) for u in range(len(parent))]
+    for u in range(len(parent) - 1, 0, -1):
+        below[parent[u]] += _shifted(below[u])
+    around = below[:1]
+    for u in range(1, len(parent)):
+        around.append(below[u] + _shifted(around[parent[u]] - _shifted(below[u])))
+    degree = Counter(parent[1:])
+    return [(degree[u] + (u > 0), around[u]) for u in range(len(parent))]
 
 
-def _lazy_walk(basis: TruncatedBasis, weights: np.ndarray, support: int, steps: int):
-    """Yield ``weights``, updated in place, after each step of the lazy walk.
+def _hull_series(s: int, plan, reach: int, total: int, steps: int):
+    """Yield (trace, purity) of the run from the plan's ``total`` words, from t = 0.
 
-    Half the weight stays and 1/(2s) goes to each right image.  Each R_x is
-    a symmetric partial permutation, so each word gathers as much from its
-    images, its parent and children.  In (length, lex) order the root's
-    children are words 1..s, those of word p >= 1 the s - 1 words from
-    (s-1)p + 2 on.  After t steps the weight lies on words of length at most
-    ``support + t``, a prefix of that order, and only that prefix is
-    updated.  Only the outermost shell has children past the cut, so weight
-    there means the buffer contract broke and the walk raises.
+    ``mass[k]`` is shell k's weight in the run from |e><e|: a step divides by
+    s rather than multiplying by a rounded 1/(2s), so rounding does not drain
+    the trace, and the list ends in ``reach`` zeros, so each shift is a slice.
+    ``share[k]`` is 1/|shell k|.  Let c_d be the fraction of the words d
+    away from hull vertex u, and a = c_d (s-1)^-d at the nearest d.  Then u
+    holds rho[0] = sum_d c_d share[d] mass[d].  Each of its s - deg u
+    branches has (s-1)^(j-1) words j deep, each holding share[j] a rho[j]
+    with rho[j] = sum_d c_d (s-1)^-d mass[d + j] / a.  So u adds the terms
+    rho[j]^2 weighted[j], where weighted[0] = 1 and weighted[j] = (s - deg u)/s
+    a^2 share[j].  From |e><e|, rho is ``mass`` and weighted is ``share``.
+    Powers (s-1)^-d of far words underflow only where the purity terms that
+    they scale fall below the smallest normal float, as ``share`` does.
     """
-    import numpy as np
-
-    s, offsets = basis.params.s, basis.depth_offsets
-    outer = offsets[-2]
-    for t in range(1, steps + 1):
-        top = min(support + t, basis.depth)
-        n = offsets[top + 1]
-        if np.any(weights[outer:n]):
-            raise RuntimeError(f"weight walked off the ball at step {t}")
-        fertile = offsets[min(top, basis.depth - 1) + 1]  # words with children
-        images = np.zeros(n)
-        images[0] = weights[1 : s + 1].sum()
-        children = weights[s + 1 : (s - 1) * fertile + 2]
-        images[1:fertile] = children.reshape(-1, s - 1).sum(axis=1)
-        images[1 : s + 1] += weights[0]
-        images[s + 1 :] += np.repeat(weights[1 : offsets[top]], s - 1)
-        images /= s
-        weights[:n] += images
-        weights[:n] *= 0.5
-        yield weights
-
-
-def _word_series(
-    params: GroupParams, depth: int, words: list[Word], support: int, steps: int
-):
-    """Yield (trace, purity) of the word engine run from ``words``, from t = 0 on."""
-    # Imported here so that a run from |e><e| loads neither numpy nor the basis.
-    import numpy as np
-
-    from .hilbert import build_basis
-
-    basis = build_basis(params, depth)
-    index = [basis.index_of(w) for w in words]
-    weights = np.bincount(index, minlength=basis.dimension) / len(words)
-    for weights in chain([weights], _lazy_walk(basis, weights, support, steps)):
-        yield float(np.sum(weights)), float(weights @ weights)
+    share = [1.0] + [(s - 1.0) ** (1 - k) / s for k in range(1, max(steps, reach) + 1)]
+    vertices = []
+    for degree, counts in plan:
+        near, *far = sorted(counts)
+        weight = (s - degree) / s * (counts[near] / total * (s - 1.0) ** -near) ** 2
+        weighted = [1.0] + [weight * x for x in share[1 : steps + 1]]
+        ratios = [(d, counts[d] / counts[near] * (s - 1.0) ** (near - d)) for d in far]
+        inside = [(d, n / total * share[d]) for d, n in counts.items()]
+        vertices.append((inside, near, ratios, weighted))
+    mass = [1.0] + [0.0] * reach
+    # Float s and s - 1 round as the ints do, and save converting them per shell.
+    fs, out = float(s), s - 1.0
+    for t in range(steps + 1):
+        if t:
+            inward = mass[1:] + [0.0, 0.0]
+            outward = [0.0, fs * mass[0]] + [out * m for m in mass[1:]]
+            mass = [
+                0.5 * (m + (a + b) / fs)
+                for m, a, b in zip(mass + [0.0], inward, outward)
+            ]
+        squares = []
+        for inside, near, ratios, weighted in vertices:
+            rho = mass[near : near + t + 1]
+            for d, ratio in ratios:
+                rho = [r + ratio * x for r, x in zip(rho, mass[d : d + t + 1])]
+            rho[0] = math.fsum([c * mass[d] for d, c in inside])
+            squares.append(map(mul, map(mul, rho, rho), weighted))
+        yield math.fsum(mass), math.fsum(chain.from_iterable(squares))
 
 
 class ChannelRun(NamedTuple):
@@ -165,11 +158,12 @@ def iterate_channel(
     """Run ``steps`` exact channel applications, tracking purity vs bound.
 
     The input is the uniform mixture of |w><w| over ``words``, a repeated
-    word counting with its multiplicity.  A mixture of the root word alone
-    runs on the shell masses; any other runs on the word engine.  Words are
-    checked against the depth-``depth`` basis first, then the run is refused
-    past the truncation buffer, where the envelope underflows to 0.0 and
-    past ``MAX_STEPS``.
+    word counting with its multiplicity.  Words are checked against the
+    depth-``depth`` basis first, then the run is refused past the truncation
+    buffer, where the envelope underflows to 0.0, past ``MAX_STEPS``, and
+    where its list work exceeds that of ``MAX_STEPS`` steps from |e><e|: the
+    hull's distinct vertex-word distances times t plus the largest distance,
+    summed over the steps.
     The trace is checked every step; the purity envelope is checked as an
     internal consistency invariant and a violation means the truncation
     contract broke, so it raises rather than returning bad data.
@@ -197,12 +191,18 @@ def iterate_channel(
         raise CapacityError(
             f"requested {steps} channel steps; at most {MAX_STEPS} run (step cap)"
         )
-    if k0 == 0:
-        series = _radial_series(params.s, steps)
-    else:
-        series = _word_series(params, depth, words, k0, steps)
+    plan = _hull_plan(words)
+    reach = max(max(counts) for _, counts in plan)
+    pairs = sum(len(counts) for _, counts in plan)
+    work = pairs * (steps * (steps + 1) // 2 + steps * reach)
+    if work > MAX_STEPS * (MAX_STEPS + 1) // 2:
+        raise CapacityError(
+            f"the state words' hull takes {work} list work over {steps} steps, "
+            f"more than {MAX_STEPS} steps from e take"
+        )
     purities: list[float] = []
     bounds: list[float] = []
+    series = _hull_series(params.s, plan, reach, len(words), steps)
     for t, (trace, p) in enumerate(series):
         if abs(trace - 1.0) > 1e-10:
             raise RuntimeError(f"trace drifted to {trace!r} at step {t}")
@@ -239,4 +239,3 @@ def superoperator_norm(params: GroupParams, depth: int) -> float:
     from .spectral import radial_top_eigenvalue
 
     return (1.0 + radial_top_eigenvalue(params.s, depth)[0]) / 2.0
-

@@ -175,7 +175,8 @@ def _lanczos_extremal(
         w = apply(q, c)
         if j > 0:
             w -= betas[-1] * prev
-        beta = float(np.linalg.norm(w))
+        # einsum sums without BLAS, whose threaded ddot can stall a process.
+        beta = math.sqrt(np.einsum("i,i->", w, w))
         ran_out = j == krylov - 1
         breakdown = beta < 1e-14
         if (j + 1) % 5 == 0 or ran_out or breakdown:

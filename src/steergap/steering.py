@@ -31,7 +31,7 @@ import numpy as np
 from .errors import require_bytes
 from .freegroup import GroupParams, analytic_norm, capped_ball_size
 from .hilbert import (
-    TruncatedBasis, _left_pairs, _lettered, build_basis, left_regular, right_regular
+    TruncatedBasis, _left_pairs, _lettered, build_basis, right_regular
 )
 from .spectral import _lanczos_extremal
 
@@ -227,19 +227,18 @@ def probability_table_commuting(
     Alice right-shifts, Bob left-shifts, and the shared state is the
     identity word.  Each party shifts it once, so by the buffer contract the
     depth-2 ball is exact for any ``depth`` >= 2, which only meets the cap.
+    S_y e and R_y e are both the shell-1 word g_y, basis vector y, so only
+    the s right shifts are built, and they act on those vectors.
     """
     if depth < 2:
         raise ValueError("depth must be ≥ 2 so one application per party stays exact")
     capped_ball_size(params, depth)
     basis = build_basis(params, 2)
-    e = np.zeros(basis.dimension)
-    e[0] = 1.0  # the identity word
-    letters = range(1, params.s + 1)
-    bob_shifted = np.stack([left_regular(y, basis)(e) for y in letters])
-    rights = [right_regular(x, basis) for x in letters]
-    joint = np.array([e @ r(bob_shifted.T) for r in rights])  # <e| R_x S_y |e>
-    alice = np.array([r(e) @ e for r in rights])
-    return _table_from_correlators(e @ e, alice, bob_shifted @ e, joint)
+    words = np.eye(basis.dimension)
+    e, shell1 = words[0], words[1 : params.s + 1]
+    rights = [right_regular(x, basis) for x in range(1, params.s + 1)]
+    joint = np.array([e @ r(shell1.T) for r in rights])  # <e| R_x S_y |e>
+    return _table_from_correlators(e @ e, shell1 @ e, shell1 @ e, joint)
 
 
 def commuting_strategy_result(

@@ -16,7 +16,11 @@ from steergap.heatvision import MAX_STEPS
 from steergap.report import ReportSettings, criterion_conjugation, run_report
 from steergap.spectral import analytic_norm
 
-from test_heatvision import EXACT_STEPS_S3, lazy_walk_second_moments
+from test_heatvision import (
+    EXACT_STEPS_S3,
+    exact_mixture_purities,
+    lazy_walk_second_moments,
+)
 
 CRITERION_LINE = re.compile(r"^\[(PASS|FAIL)\] criterion (\d+): ")
 
@@ -192,15 +196,31 @@ def test_buffer_exhaustion_exits_2(capsys):
     assert "max exact steps: 4" in err
 
 
-def test_heatvision_word_cap_exits_2(capsys):
-    # The depth-20 ball at s=3 holds 3 145 726 words, over the 2M word cap.
-    # A mixture runs on the word engine; the root state alone would not.
-    rc = main(
-        ["heatvision", "--s", "3", "--depth", "20", "--steps", "9", "--state", "e,g1"]
-    )
+def test_heatvision_mixture_runs_past_the_word_cap(tmp_path):
+    """The depth-20 ball at s=3 holds 3 145 726 words, over the 2M word cap,
+    but a mixture runs on the shell masses and its words' hull, with no ball."""
+    csv_path = tmp_path / "mix.csv"
+    rc = main(["heatvision", "--s", "3", "--depth", "20", "--steps", "9",
+               "--state", "e,g1", "--csv", str(csv_path)])
+    assert rc == 0
+    rows = [line.split(",") for line in csv_path.read_text().splitlines()[1:]]
+    assert [int(r[0]) for r in rows] == list(range(10))
+    for row, exact in zip(rows, exact_mixture_purities(3, "e,g1", 9)):
+        assert abs(float(row[1]) - float(exact)) <= 1e-15 * float(exact)
+
+
+def test_heatvision_list_work_exits_2(capsys):
+    """The mixture of e and g1 takes 4 (t + 1) list passes at step t, so up
+    to 6419 steps fit in the list work of the root run's 12 841, and 6420
+    are refused with exit 2 before any step."""
+    start = time.perf_counter()
+    rc = main(["heatvision", "--s", "2", "--depth", "6421", "--steps", "6420",
+               "--state", "e,g1"])
+    elapsed = time.perf_counter() - start
     _, err = run_lines(capsys)
     assert rc == 2
-    assert "exceeds cap" in err
+    assert "list work over 6420 steps, more than 12841 steps from e take" in err
+    assert elapsed < 1.0
 
 
 def test_heatvision_from_root_runs_past_the_word_cap(tmp_path):
@@ -703,6 +723,12 @@ def bare_modules():
                 *IDLE_STDLIB,
             ],
         ),
+        (
+            ["heatvision", "--s", "3", "--depth", "6", "--steps", "5", "--state",
+             "e,g1"],
+            0,
+            ["steergap.spectral", "steergap.hilbert", "numpy", *IDLE_STDLIB],
+        ),
         (["report", "--chain-samples", "-1"], 1, ["steergap.report", "numpy"]),
         (["report", "--table-samples", "-1"], 1, ["steergap.report", "numpy"]),
         (["report", "--tolerance-scale", "nan"], 1, ["steergap.report", "numpy"]),
@@ -711,6 +737,7 @@ def bare_modules():
     ids=[
         "version",
         "heatvision",
+        "heatvision-mixture",
         "report-chain-samples",
         "report-table-samples",
         "report-tolerance-scale",

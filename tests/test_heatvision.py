@@ -1,6 +1,7 @@
 from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
 
 import numpy as np
 import pytest
@@ -8,7 +9,9 @@ import pytest
 from steergap import (
     IDENTITY,
     GroupParams,
+    Word,
     build_basis,
+    heatvision,
     iterate_channel,
     purity_bound,
     superoperator_norm,
@@ -16,10 +19,10 @@ from steergap import (
     word_from_str,
 )
 from steergap.errors import BufferExhaustedError, CapacityError
-from steergap.heatvision import MAX_STEPS, _lazy_walk
+from steergap.heatvision import MAX_STEPS
 from steergap.hilbert import right_regular
 
-from util import random_buffered_amplitudes
+from util import random_buffered_amplitudes, stack_reduce
 
 
 @lru_cache(maxsize=None)
@@ -52,11 +55,52 @@ EXACT_STEPS_S3 = 13
 
 
 def word_engine_series(s: int, depth: int, steps: int) -> list[float]:
-    """Purity of ``_lazy_walk`` driven directly from |e>, for 0..steps steps."""
+    """Purity of the lazy walk of the single right shifts over every word of
+    the depth-``depth`` ball, from |e>, for 0..steps steps."""
     basis = build_basis(GroupParams(s), depth)
+    shifts = [right_regular(x, basis) for x in range(1, s + 1)]
     weights = np.zeros(basis.dimension)
     weights[basis.index_of(IDENTITY)] = 1.0
-    return [1.0] + [float(w @ w) for w in _lazy_walk(basis, weights, 0, steps)]
+    series = [1.0]
+    for _ in range(steps):
+        weights = 0.5 * (weights + sum(shift(weights) for shift in shifts) / s)
+        series.append(float(weights @ weights))
+    return series
+
+
+def exact_mixture_purities(s: int, tokens: str, steps: int) -> list[Fraction]:
+    """Exact purity of the channel run from the uniform mixture of the words
+    in ``tokens``, after 0..steps steps: the lazy walk by right
+    multiplication, word by word, in rationals."""
+    words = [word_from_str(tok).letters for tok in tokens.split(",")]
+    weights: dict[tuple, Fraction] = defaultdict(Fraction)
+    for w in words:
+        weights[w] += Fraction(1, len(words))
+    purities = [sum(c * c for c in weights.values())]
+    for _ in range(steps):
+        nxt: dict[tuple, Fraction] = defaultdict(Fraction)
+        for w, c in weights.items():
+            nxt[w] += c / 2
+            for x in range(1, s + 1):
+                nxt[stack_reduce(w + (x,))] += c / (2 * s)
+        weights = nxt
+        purities.append(sum(c * c for c in weights.values()))
+    return purities
+
+
+def closed_walks(s: int, length: int) -> int:
+    """Closed walks of ``length`` steps from the root of the s-regular tree,
+    counted by distance from the root: s ways out of the root, one way in
+    and s - 1 ways out elsewhere."""
+    ways = [1]
+    for _ in range(length):
+        nxt = [0] * (len(ways) + 1)
+        for d, n in enumerate(ways):
+            nxt[d + 1] += n * (s if d == 0 else s - 1)
+            if d:
+                nxt[d - 1] += n
+        ways = nxt
+    return ways[0]
 
 
 def dense_shift(x: int, basis) -> np.ndarray:
@@ -131,18 +175,15 @@ def test_deep_series_matches_exact_walk():
 
 
 def test_word_engine_from_root_matches_exact_walk():
-    """The root state takes the radial route in ``iterate_channel``, so the
-    word engine is driven directly to keep its coverage from |e>."""
+    """The word-level walk that the radial route is checked against below."""
     series = word_engine_series(3, 13, 12)
     assert len(series) == 13
     for p, exact in zip(series, lazy_walk_second_moments(3, EXACT_STEPS_S3)):
         assert abs(p - float(exact)) <= 1e-15
 
 
-#: (s, steps) where the word engine runs from |e> in well under a second;
+#: (s, steps) where the word-level walk runs from |e> in well under a second;
 #: from the root the series does not depend on the depth once depth ≥ steps.
-#: At (4, 12) the routes differ by 2.02e-15, all of it the word engine's own
-#: rounding against the exact walk.
 BOTH_ROUTES = [(2, 40), (3, 12), (4, 9), (5, 8)]
 
 
@@ -153,6 +194,92 @@ def test_radial_route_matches_word_engine(s, steps):
     assert len(run.purity_series) == len(words) == steps + 1
     for p, w in zip(run.purity_series, words):
         assert abs(p - w) <= 2e-15
+
+
+@pytest.mark.parametrize("s", [2, 3, 5, 10])
+def test_root_run_is_the_return_probability_of_the_doubled_walk(s):
+    """From |e>, the purity after t steps is the lazy walk's return
+    probability after 2t: 4^-t sum_k C(2t, 2k) walks(2k) / s^(2k), with
+    walks the exact closed-walk count of criterion 2."""
+    run = iterate_channel(GroupParams(s), 30, 30, [IDENTITY])
+    walks = [closed_walks(s, 2 * k) for k in range(31)]
+    for t, p in enumerate(run.purity_series):
+        exact = sum(
+            Fraction(comb(2 * t, 2 * k) * walks[k], s ** (2 * k)) for k in range(t + 1)
+        ) / 4**t
+        assert abs(p - float(exact)) <= 1e-15 * float(exact)
+
+
+#: Mixtures with repeated words, words that share prefixes and words that
+#: all share one (g1 in the last), each against the exact word-level walk.
+MIXTURES = [
+    (2, "e,g1.g2,g1.g2,g2", 14),
+    (3, "e,g1", 11),
+    (3, "g1.g2.g1,g2.g3,e,e", 9),
+    (3, "g1.g2,g1.g3,g1.g2.g1", 9),
+    (4, "g1,g2.g3", 7),
+    (5, "g1.g2.g3,g1.g2.g4,g3", 5),
+]
+
+
+@pytest.mark.parametrize("s, tokens, steps", MIXTURES)
+def test_hull_route_matches_exact_word_walk(s, tokens, steps):
+    words = [word_from_str(tok) for tok in tokens.split(",")]
+    run = iterate_channel(GroupParams(s), steps + 3, steps, words)
+    exact_series = exact_mixture_purities(s, tokens, steps)
+    assert len(run.purity_series) == len(exact_series)
+    for p, exact in zip(run.purity_series, map(float, exact_series)):
+        assert abs(p - exact) <= 1e-15 * exact
+
+
+def test_one_word_runs_as_the_root():
+    """The hull of one word, repeated or not, is that word alone, so its run
+    is the run from |e>, bit for bit."""
+    root = iterate_channel(GroupParams(3), 20, 12, [IDENTITY]).purity_series
+    for tokens in ("g1", "g2.g3.g1.g2,g2.g3.g1.g2"):
+        words = [word_from_str(tok) for tok in tokens.split(",")]
+        assert iterate_channel(GroupParams(3), 20, 12, words).purity_series == root
+
+
+@pytest.mark.parametrize("s, length", [(10, 400), (10, 700), (3, 1100)])
+def test_far_apart_words_lose_only_subnormal_terms(s, length):
+    """(s-1)^-d underflows from d = 323 at s = 10 (d = 1023 at s = 3), and a
+    hull vertex's squared weight from half that.  Such words are computed,
+    not refused: their walks cannot meet in 5 steps, so the purity is half
+    the root run's, and nothing but terms below the normal floats is lost."""
+    far = Word(tuple(1 + k % 2 for k in range(length)))
+    run = iterate_channel(GroupParams(s), length + 5, 5, [IDENTITY, far])
+    root = iterate_channel(GroupParams(s), 5, 5, [IDENTITY])
+    for p, q in zip(run.purity_series, root.purity_series):
+        assert abs(p - q / 2) <= 1e-15 * q
+
+
+def test_list_work_refusal_admits_the_longest_root_run(monkeypatch):
+    """A run may take at most the list work of MAX_STEPS steps from |e>: a
+    pass over t shells at step t.  The mixture of e and g1 has the hull
+    {e, g1}, each vertex with two distinct distances to the words, the
+    largest 1, so step t takes 4 (t + 1) passes.  Runs that are admitted
+    reach the stepping, stubbed out here; the first refused one does not."""
+
+    class Stepped(Exception):
+        pass
+
+    def stepped(*args):
+        raise Stepped
+
+    limit = MAX_STEPS * (MAX_STEPS + 1) // 2
+    steps = 0
+    while 4 * (steps + 1) * (steps + 2) // 2 + 4 * (steps + 1) <= limit:
+        steps += 1
+    assert steps == 6419
+    words = [IDENTITY, word_from_str("g1")]
+    monkeypatch.setattr(heatvision, "_hull_series", stepped)
+    with pytest.raises(Stepped):
+        iterate_channel(GroupParams(2), MAX_STEPS, MAX_STEPS, [IDENTITY])
+    with pytest.raises(Stepped):
+        iterate_channel(GroupParams(2), steps + 1, steps, words)
+    with pytest.raises(CapacityError, match=r"list work over \d+ steps, more than"):
+        iterate_channel(GroupParams(2), steps + 2, steps + 1, words)
 
 
 @pytest.mark.parametrize("s, steps", [(2, 40), (3, EXACT_STEPS_S3), (4, 8), (5, 7)])
@@ -236,12 +363,12 @@ def test_step_cap_admits_every_run_the_envelope_admits():
         assert purity_bound(s, MAX_STEPS + 1) == 0.0
 
 
-@pytest.mark.parametrize("state", ["e", "g1"], ids=["radial", "word-engine"])
+@pytest.mark.parametrize("state", ["e", "e,g1"], ids=["radial", "mixture"])
 def test_step_cap_refuses_long_runs_at_s2(state):
-    """At s = 2 the envelope never underflows, so the cap refuses the run on
-    either route, before any basis is built or step is taken."""
-    words = [word_from_str(state)]
-    depth = MAX_STEPS + 1 + len(words[0])
+    """At s = 2 the envelope never underflows, so the cap refuses the run,
+    from the root or a mixture, before the hull is planned or a step taken."""
+    words = [word_from_str(tok) for tok in state.split(",")]
+    depth = MAX_STEPS + 1 + max(map(len, words))
     with pytest.raises(CapacityError, match=f"at most {MAX_STEPS} run"):
         iterate_channel(GroupParams(2), depth, MAX_STEPS + 1, words)
 
@@ -301,36 +428,6 @@ def test_run_rows_report_ratio():
     for t, p, env, ratio in rows:
         assert ratio == pytest.approx(p / env)
     assert rows[0][:3] == (0, 1.0, 1.0)
-
-
-def test_lazy_walk_raises_when_weight_reaches_the_cut():
-    basis = build_basis(GroupParams(3), 4)
-    weights = np.zeros(basis.dimension)
-    weights[basis.shell(4)[0]] = 1.0
-    with pytest.raises(RuntimeError, match="weight walked off the ball at step 1"):
-        list(_lazy_walk(basis, weights, 4, 1))
-
-
-@pytest.mark.parametrize("s, depth, support", [(2, 9, 0), (3, 8, 1), (5, 5, 2)])
-def test_lazy_walk_prefix_gather_is_bit_identical_to_full_gather(s, depth, support):
-    """Gathering from the reachable prefix changes no bit of the weights, and
-    each step is the lazy walk of the single right shifts, up to rounding."""
-    basis = build_basis(GroupParams(s), depth)
-    rng = np.random.default_rng(s)
-    weights = np.zeros(basis.dimension)
-    live = basis.prefix_dimension(support)
-    weights[:live] = rng.random(live)
-    weights /= weights.sum()
-    previous = weights.copy()
-    # Claiming support at the cut makes every step update the whole ball.
-    whole = _lazy_walk(basis, weights.copy(), depth, depth - support)
-    shifts = [right_regular(x, basis) for x in range(1, s + 1)]
-    prefix = _lazy_walk(basis, weights, support, depth - support)
-    for t, (stepped, reference) in enumerate(zip(prefix, whole), 1):
-        assert np.array_equal(stepped, reference), t
-        want = 0.5 * (previous + sum(shift(previous) for shift in shifts) / s)
-        np.testing.assert_allclose(stepped, want, rtol=1e-15, atol=0)
-        previous = stepped.copy()
 
 
 def test_superoperator_estimates_climb_toward_target():
