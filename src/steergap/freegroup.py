@@ -133,35 +133,32 @@ def ball_size(params: GroupParams, depth: int) -> int:
     return 1 + s * ((s - 1) ** depth - 1) // (s - 2)
 
 
-def capped_ball_size(
-    params: GroupParams, depth: int, cap: int = DEFAULT_WORD_CAP
-) -> int:
-    """Size of a ball about to be materialized; refuses more than ``cap`` words."""
+def capped_ball_size(params: GroupParams, depth: int) -> int:
+    """Size of a ball about to be materialized; refuses one over the word cap."""
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     size = ball_size(params, depth)
-    if size > cap:
+    if size > DEFAULT_WORD_CAP:
         # Python refuses to print an int of more than 4300 digits, so a huge
         # size is given as a power of two.
         words = str(size) if size < 2**64 else f"at least 2^{size.bit_length() - 1}"
         raise CapacityError(
-            f"depth-{depth} ball at s={params.s}: {words} words exceeds cap {cap}"
+            f"depth-{depth} ball at s={params.s}: {words} words "
+            f"exceeds cap {DEFAULT_WORD_CAP}"
         )
     return size
 
 
-def enumerate_words(
-    params: GroupParams, depth: int, *, cap: int = DEFAULT_WORD_CAP
-) -> list[Word]:
+def enumerate_words(params: GroupParams, depth: int) -> list[Word]:
     """All reduced words of length <= depth, sorted by (length, lexicographic).
 
     The ordering makes each length shell a contiguous block and makes the
-    depth-N list a prefix of the depth-(N+1) list.  Refuses to materialize
-    more than ``cap`` words.  The package indexes words arithmetically
-    instead; this stays public only because the benchmark tracer,
-    ``perfbench/tracer.py``, wraps it by name.
+    depth-N list a prefix of the depth-(N+1) list.  Refuses a ball over
+    the word cap before building any word.  The package indexes words
+    arithmetically instead; this stays public only because the benchmark
+    tracer, ``perfbench/tracer.py``, wraps it by name.
     """
-    capped_ball_size(params, depth, cap)
+    capped_ball_size(params, depth)
     words = [IDENTITY]
     shell = [IDENTITY]
     for _ in range(depth):

@@ -9,7 +9,10 @@ shell below the cut.  That one-shell buffer is the exactness contract every
 downstream routine leans on.
 
 An operator is never stored as a matrix, nor as an index stack, so the
-whole package runs on numpy alone.  Every shift is a block map of whole
+whole package runs on numpy alone.  The ball's one layout is its shell
+offsets and the shell slices of its two parity classes (``_shell_plan``);
+``TruncatedBasis.split_parity`` and ``merge_parity`` copy whole shells
+between basis order and that split.  Every shift is a block map of whole
 shells by one cached letter table, ``_others``.  The lettered form
 ``sum_y C_y (x) S_y`` (``_lettered``) walks those blocks on the parity
 split, and its plain sum scaled by 1/s is the averaged shift,
@@ -19,15 +22,13 @@ shift as a function on arrays in basis order, the states' format.
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
 from .freegroup import (
-    DEFAULT_WORD_CAP,
     GroupParams,
     InvalidGeneratorError,
-    Word,
     capped_ball_size,
     count_words,
 )
@@ -53,21 +54,17 @@ def _others(s: int) -> np.ndarray:
 class TruncatedBasis:
     """Reduced words of length <= depth, in (length, lex) order.
 
-    In that order a word's index inside its shell is a mixed-radix number:
-    the first letter is a digit of radix s, each later letter a digit of
-    radix s-1 among the letters other than the one before it.  The basis
-    stores only its shell offsets; every shift is built shell by shell from
-    the one letter table ``_others(s)``.
+    The basis stores only its shell offsets: shell k is the index slice
+    ``depth_offsets[k:k+2]``, read as ``_others`` describes.  Its parity
+    classes are shell slices too (``split_parity``), and every shift is
+    built shell by shell from the one letter table ``_others(s)``.
     """
 
-    def __init__(self, params: GroupParams, depth: int, *, cap: int = DEFAULT_WORD_CAP):
+    def __init__(self, params: GroupParams, depth: int):
         self.params = params
         self.depth = depth
-        self.dimension = capped_ball_size(params, depth, cap)
-        offsets = [0]
-        for k in range(depth + 1):
-            offsets.append(offsets[-1] + count_words(params, k))
-        self.depth_offsets = tuple(offsets)
+        self.dimension = capped_ball_size(params, depth)
+        self.depth_offsets = _shell_plan(params, depth)[0]
 
     def __repr__(self) -> str:
         return (
@@ -75,51 +72,31 @@ class TruncatedBasis:
             f"dimension={self.dimension})"
         )
 
-    def index_of(self, word: Word) -> int:
-        """Offset of the word's shell plus its mixed-radix rank inside it."""
-        s = self.params.s
-        if len(word) > self.depth or any(a > s for a in word.letters):
-            raise ValueError(f"word {word} is not in the depth-{self.depth} basis")
-        rank, prev = 0, 0
-        for a in word.letters:
-            rank = rank * (s - 1) + a - 1 - (0 < prev < a)
-            prev = a
-        return self.depth_offsets[len(word)] + rank
-
-    def shell(self, k: int) -> range:
-        """Index range of the words of length exactly k."""
-        return range(self.depth_offsets[k], self.depth_offsets[k + 1])
-
     def prefix_dimension(self, k: int) -> int:
         """Dimension of the subspace spanned by words of length <= k."""
         return self.depth_offsets[k + 1]
 
-    @cached_property
-    def parity_indices(self) -> tuple[np.ndarray, np.ndarray]:
-        """Basis indices of the even-length words, then of the odd-length ones.
-
-        Each class lists its shells end to end, at the class slices by which
-        ``_lettered`` lays out a class part.  Every left shift changes the
-        length by one, so it maps each class to the other.  Read-only.
-        """
-        sizes, shells, _ = _shell_plan(self.params, self.depth)
-        parts = tuple(np.empty(n, dtype=np.int64) for n in sizes)
+    def split_parity(self, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The even- and odd-length class parts, (..., D_c), of a (..., D) array:
+        each lists its class's shells end to end, copied by slice, as
+        ``_lettered`` reads a class part.  A left shift maps each to the other."""
+        offsets, sizes, shells, _ = _shell_plan(self.params, self.depth)
+        parts = tuple(np.empty(a.shape[:-1] + (n,), a.dtype) for n in sizes)
         for k, part in enumerate(shells):
-            parts[k % 2][part] = np.arange(*self.depth_offsets[k : k + 2])
-        return tuple(map(_frozen, parts))
+            parts[k % 2][..., part] = a[..., offsets[k] : offsets[k + 1]]
+        return parts
 
     def merge_parity(self, parts) -> np.ndarray:
-        """One (..., D) float array from the two class parts of shape (..., D_c)."""
-        out = np.empty(parts[0].shape[:-1] + (self.dimension,))
-        for idx, part in zip(self.parity_indices, parts):
-            out[..., idx] = part
+        """One (..., D) array from the two class parts; inverse of ``split_parity``."""
+        offsets, _, shells, _ = _shell_plan(self.params, self.depth)
+        out = np.empty(parts[0].shape[:-1] + (self.dimension,), np.result_type(*parts))
+        for k, part in enumerate(shells):
+            out[..., offsets[k] : offsets[k + 1]] = parts[k % 2][..., part]
         return out
 
 
-def build_basis(
-    params: GroupParams, depth: int, *, cap: int = DEFAULT_WORD_CAP
-) -> TruncatedBasis:
-    return TruncatedBasis(params, depth, cap=cap)
+def build_basis(params: GroupParams, depth: int) -> TruncatedBasis:
+    return TruncatedBasis(params, depth)
 
 
 def _left_pairs(basis: TruncatedBasis):
@@ -128,7 +105,7 @@ def _left_pairs(basis: TruncatedBasis):
     swaps row y of shell k+1, read as (s, rows.shape[1], m), with shell k,
     read as (-1, m), at rows ``rows[y]``."""
     offsets = basis.depth_offsets
-    for k, _, rows in reversed(_shell_plan(basis.params, basis.depth)[2]):
+    for k, _, rows in reversed(_shell_plan(basis.params, basis.depth)[3]):
         yield slice(*offsets[k : k + 2]), slice(*offsets[k + 1 : k + 3]), rows
 
 
@@ -191,38 +168,39 @@ def right_regular(x: int, basis: TruncatedBasis):
 
 @lru_cache(maxsize=64)
 def _shell_plan(params: GroupParams, depth: int):
-    """Class sizes, each shell's class slice, and the shell pairs of the walk.
+    """The ball's one layout: shell offsets, class sizes, class slices, walk pairs.
 
-    A class part lists its shells end to end, shell k at ``shells[k]`` of
-    class k % 2.  With the shells read as in ``_others``, the parents of
-    row y of shell k+1 are rows ``parent_rows[y] = _others(s)[y]`` of shell
-    k, and the children g_y w, y != a, of row a of shell k are rows
-    ``child_rows[a]``, y(s-1) + a - (a > y), of shell k+1 read as
-    (s(s-1), (s-1)^(k-1)).  The identity's children are shell 1 read as
-    (s, 1), and it is the parent of each word of shell 1.  ``pairs`` holds
-    ``(k, child_rows, parent_rows)`` for the shells k and k+1, outermost
-    pair first.
+    Shell k is basis slice ``offsets[k:k+2]`` and slice ``shells[k]`` of the
+    part of class k % 2, which lists its shells end to end.  With the
+    shells read as in ``_others``, the parents of row y of shell k+1 are
+    rows ``parent_rows[y] = _others(s)[y]`` of shell k, and the children
+    g_y w, y != a, of row a of shell k are rows ``child_rows[a]``,
+    y(s-1) + a - (a > y), of shell k+1 read as (s(s-1), (s-1)^(k-1)).  The
+    identity's children are shell 1 read as (s, 1), and it is the parent of
+    each word of shell 1.  ``pairs`` holds ``(k, child_rows, parent_rows)``
+    for the shells k and k+1, outermost pair first.
     """
     s = params.s
     letter, parent_rows = np.arange(s)[:, None], _others(s)
     child_rows = _frozen(parent_rows * (s - 1) + letter - (letter > parent_rows))
     root = (_frozen(letter.T), _frozen(np.zeros((s, 1), dtype=np.int64)))
-    sizes, shells = [0, 0], []
+    offsets, sizes, shells = [0], [0, 0], []
     for k in range(depth + 1):
         n = count_words(params, k)
+        offsets.append(offsets[-1] + n)
         shells.append(slice(sizes[k % 2], sizes[k % 2] + n))
         sizes[k % 2] += n
     inner = (child_rows, parent_rows)
     pairs = tuple((k, *(inner if k else root)) for k in reversed(range(depth)))
-    return tuple(sizes), tuple(shells), pairs
+    return tuple(offsets), tuple(sizes), tuple(shells), pairs
 
 
 def _lettered(params: GroupParams, depth: int, coefs=None):
     """``sum_y C_y (x) S_y`` on a ball, as ``(apply, sizes)`` on the parity split.
 
     Each shift changes the length by one, so ``apply(v, c)`` maps a class-c
-    part (shape (sizes[c], ...)), the class's words in basis order
-    (``TruncatedBasis.parity_indices``), to the other class.  With ``coefs``
+    part (shape (sizes[c], ...)), the class's shells end to end as
+    ``TruncatedBasis.split_parity`` lays them out, to the other class.  With ``coefs``
     None every C_y is 1: a plain sum in ``v``'s own dtype, exact on an
     ``object`` array of ints.  An (s, d, d) ``coefs`` acts on the trailing
     axis of a (sizes[c], d) part.  A word's image sums its parent and its
@@ -233,7 +211,7 @@ def _lettered(params: GroupParams, depth: int, coefs=None):
     before anything is allocated.
     """
     capped_ball_size(params, depth)
-    sizes, shells, pairs = _shell_plan(params, depth)
+    _, sizes, shells, pairs = _shell_plan(params, depth)
     transposed = None if coefs is None else np.swapaxes(coefs, 1, 2)
 
     def weigh(block):

@@ -61,6 +61,11 @@ class NormEstimate:
         return self.analytic_bound - self.estimated_norm
 
 
+def _norm(v: np.ndarray) -> float:
+    """2-norm by einsum, not BLAS, whose threaded ddot can stall a process."""
+    return math.sqrt(np.einsum("i,i->", v, v))
+
+
 def radial_offdiagonal(s: int, depth: int) -> np.ndarray:
     """Off-diagonal of the shell-tridiagonal form of the averaged shift.
 
@@ -118,12 +123,36 @@ def radial_top_eigenvalue(s: int, depth: int) -> tuple[float, float]:
     value = analytic_norm(s) * math.cos(theta)
     v = np.sin((depth + 1 - np.arange(depth + 1)) * theta)
     v[0] = math.sqrt(s - 1.0) / s * math.sqrt(s) * math.sin((depth + 1) * theta)
-    v /= np.linalg.norm(v)
+    v /= _norm(v)
     b = radial_offdiagonal(s, depth)
     tv = np.zeros_like(v)
     tv[:-1] = b * v[1:]
     tv[1:] += b * v[:-1]
-    return value, float(np.linalg.norm(tv - value * v))
+    return value, _norm(tv - value * v)
+
+
+def _ritz_top(betas: list[float]) -> tuple[float, np.ndarray]:
+    """Top eigenpair of the zero-diagonal tridiagonal T with off-diagonal ``betas``.
+
+    The value is ``eigvalsh``'s (LAPACK's eigenvector routine can stall a
+    process on threaded BLAS).  The unit vector is inverse iteration from e_r
+    by the twisted factorization of T - theta at its most singular index r
+    (Dhillon and Parlett, Linear Algebra Appl. 387, 2004): entries above r
+    come from the top-down pivots, entries below r from the bottom-up ones,
+    so a tiny last entry keeps its relative accuracy.  Every pivot is <= 0,
+    as T - theta is negative semidefinite, so the vector is positive.
+    """
+    theta = float(np.linalg.eigvalsh(np.diag(betas, 1) + np.diag(betas, -1))[-1])
+    down, up = [-theta], [-theta]
+    for a, b in zip(betas, reversed(betas)):  # x / 0.0 raises: nudge a 0 pivot
+        down.append(-theta - a * a / (down[-1] or -1e-300))
+        up.append(-theta - b * b / (up[-1] or -1e-300))
+    up.reverse()
+    r = min(range(len(down)), key=lambda k: abs(down[k] + up[k] + theta))
+    z = np.ones(len(down))
+    z[:r] = np.cumprod(-np.divide(betas[:r], down[:r])[::-1])[::-1]
+    z[r + 1 :] = np.cumprod(-np.divide(betas[r:], up[r + 1 :]))
+    return theta, z / _norm(z)
 
 
 def _lanczos_extremal(
@@ -164,7 +193,7 @@ def _lanczos_extremal(
     else:
         start = 0 if np.any(v0[0]) else 1
         q = np.asarray(v0[start], dtype=float)
-    q = q / np.linalg.norm(q)
+    q = q / _norm(q)
     if vectors:
         # Vector j lies in class (start + j) % 2, as row j // 2 of that block.
         blocks = [np.zeros((half, n)) for n in sizes]
@@ -175,16 +204,13 @@ def _lanczos_extremal(
         w = apply(q, c)
         if j > 0:
             w -= betas[-1] * prev
-        # einsum sums without BLAS, whose threaded ddot can stall a process.
-        beta = math.sqrt(np.einsum("i,i->", w, w))
+        beta = _norm(w)
         ran_out = j == krylov - 1
         breakdown = beta < 1e-14
         if (j + 1) % 5 == 0 or ran_out or breakdown:
-            # The Ritz tridiagonal is at most krylov x krylov: a dense
-            # symmetric solve of it is cheap.
-            vals, vecs = np.linalg.eigh(np.diag(betas, 1) + np.diag(betas, -1))
+            theta, ritz = _ritz_top(betas)
             # On breakdown the Krylov space is invariant: the Ritz pairs are exact.
-            residual = beta if breakdown else beta * float(abs(vecs[-1, -1]))
+            residual = beta if breakdown else beta * abs(float(ritz[-1]))
             if residual <= tol or breakdown:
                 break
             if ran_out:
@@ -200,9 +226,9 @@ def _lanczos_extremal(
             blocks[1 - c][(j + 1) // 2] = w
     parts = None
     if vectors:
-        coefs = [vecs[(c - start) % 2 :: 2, -1] for c in (0, 1)]
+        coefs = [ritz[(c - start) % 2 :: 2] for c in (0, 1)]
         parts = tuple(a @ block[: len(a)] for a, block in zip(coefs, blocks))
-    return float(vals[-1]), parts, j + 1, residual
+    return theta, parts, j + 1, residual
 
 
 def _resolve_representation(representation: str, dim: int) -> str:
@@ -298,8 +324,8 @@ def _average_form(basis: TruncatedBasis, amps: np.ndarray) -> np.ndarray:
     twice the odd part against the image of the even part.
     """
     apply, _ = generator_average(basis.params, basis.depth)
-    even, odd = (amps.T[idx] for idx in basis.parity_indices)
-    return 2.0 * np.einsum("i...,i...->...", odd, apply(even, 0))
+    even, odd = basis.split_parity(amps)
+    return 2.0 * np.einsum("...i,i...->...", odd, apply(even.T, 0))
 
 
 def tightness_vector(n: int, basis: TruncatedBasis) -> np.ndarray:
@@ -316,11 +342,9 @@ def tightness_vector(n: int, basis: TruncatedBasis) -> np.ndarray:
         raise ValueError(
             f"basis too shallow: depth {basis.depth} but depth ≥ {n + 1} needed"
         )
+    sizes = np.diff(basis.depth_offsets[: n + 2])
     amps = np.zeros(basis.dimension)
-    offsets = basis.depth_offsets
-    for k in range(n + 1):
-        size = offsets[k + 1] - offsets[k]
-        amps[offsets[k] : offsets[k + 1]] = 1.0 / math.sqrt((n + 1) * size)
+    amps[: basis.prefix_dimension(n)] = np.repeat(1.0 / np.sqrt((n + 1) * sizes), sizes)
     return amps
 
 

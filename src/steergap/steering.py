@@ -420,7 +420,7 @@ def seesaw_tensor_optimize(
 
     def state_step(obs, rng, psi):
         apply, sizes = _seesaw_operator(params, bob_depth, obs)
-        v0 = None if psi is None else [psi[:, i].ravel() for i in basis.parity_indices]
+        v0 = None if psi is None else [part.ravel() for part in basis.split_parity(psi)]
         lam, parts, *_ = _lanczos_extremal(apply, sizes, rng, tol, v0=v0)
         psi = basis.merge_parity([part.reshape(alice_dim, -1) for part in parts])
         return lam, psi / np.linalg.norm(psi)
@@ -512,7 +512,7 @@ def conjugation_identity_check(
     def averaged(mats: np.ndarray, coefs: np.ndarray | None = None) -> np.ndarray:
         """(1/s) sum_y C_y mat S_y on each d x D array, a parity class at a time."""
         apply, _ = _lettered(basis.params, basis.depth, coefs)
-        parts = [mats.transpose(2, 0, 1)[idx] for idx in basis.parity_indices]
+        parts = [part.transpose(2, 0, 1) for part in basis.split_parity(mats)]
         images = [apply(parts[1 - c], 1 - c).transpose(1, 2, 0) for c in (0, 1)]
         return basis.merge_parity(images) / s
 

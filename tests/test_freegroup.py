@@ -118,9 +118,10 @@ def test_enumeration_prefix_property():
 
 
 def test_enumeration_cap():
+    """An over-cap ball is refused at the default cap, before any word is built."""
     with pytest.raises(CapacityError) as err:
-        enumerate_words(GroupParams(5), 10, cap=1000)
-    assert str(ball_size(GroupParams(5), 10)) in str(err.value)
+        enumerate_words(GroupParams(5), 12)
+    assert str(ball_size(GroupParams(5), 12)) in str(err.value)
 
 
 def test_ball_size_closed_form():

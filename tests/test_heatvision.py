@@ -22,7 +22,7 @@ from steergap.errors import BufferExhaustedError, CapacityError
 from steergap.heatvision import MAX_STEPS
 from steergap.hilbert import right_regular
 
-from util import random_buffered_amplitudes, stack_reduce
+from util import brute_words, random_buffered_amplitudes, stack_reduce
 
 
 @lru_cache(maxsize=None)
@@ -60,7 +60,7 @@ def word_engine_series(s: int, depth: int, steps: int) -> list[float]:
     basis = build_basis(GroupParams(s), depth)
     shifts = [right_regular(x, basis) for x in range(1, s + 1)]
     weights = np.zeros(basis.dimension)
-    weights[basis.index_of(IDENTITY)] = 1.0
+    weights[0] = 1.0  # the identity is the first word of every ball
     series = [1.0]
     for _ in range(steps):
         weights = 0.5 * (weights + sum(shift(weights) for shift in shifts) / s)
@@ -118,8 +118,11 @@ def dense_step(matrix: np.ndarray, basis) -> np.ndarray:
 
 
 def dense_mixture(basis, words) -> np.ndarray:
-    """The uniform mixture of |w><w| over ``words``, as a dense matrix."""
-    rows = np.eye(basis.dimension)[[basis.index_of(w) for w in words]]
+    """The uniform mixture of |w><w| over ``words``, as a dense matrix, each
+    word placed by its index in the brute-force (length, lex) order."""
+    order = sorted(brute_words(basis.params.s, basis.depth), key=lambda t: (len(t), t))
+    position = {t: i for i, t in enumerate(order)}
+    rows = np.eye(basis.dimension)[[position[w.letters] for w in words]]
     return rows.T @ rows / len(words)
 
 

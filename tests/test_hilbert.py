@@ -34,18 +34,26 @@ def dense(shift, basis):
     return shift(np.eye(basis.dimension))
 
 
+def brute_position(basis, word):
+    """A word's index in the brute-force (length, lex) order of the ball."""
+    return brute_basis_words(basis.params.s, basis.depth).index(word)
+
+
 def basis_vector(basis, word=IDENTITY):
-    return np.eye(basis.dimension)[basis.index_of(word)]
+    return np.eye(basis.dimension)[brute_position(basis, word)]
 
 
 def dense_average(basis):
-    """The D x D matrix of the averaged shift, one parity block at a time."""
-    apply, sizes = generator_average(basis.params, basis.depth)
-    indices = basis.parity_indices
-    mat = np.zeros((basis.dimension, basis.dimension))
-    for c in (0, 1):
-        mat[np.ix_(indices[1 - c], indices[c])] = apply(np.eye(sizes[c]), c)
-    return mat
+    """The D x D matrix of the averaged shift, one parity block at a time:
+    row j is the image of basis vector j, the other class's part of it."""
+    apply, _ = generator_average(basis.params, basis.depth)
+    parts = basis.split_parity(np.eye(basis.dimension))
+    return basis.merge_parity([apply(parts[1 - c].T, 1 - c).T for c in (0, 1)]).T
+
+
+def class_parts(basis):
+    """The basis indices of the even-length words, then of the odd ones."""
+    return basis.split_parity(np.arange(basis.dimension))
 
 
 def brute_basis_words(s: int, depth: int) -> list[Word]:
@@ -61,53 +69,70 @@ def test_basis_dimensions():
 
 
 def test_basis_shells_and_lookup(basis3):
-    assert basis3.shell(0) == range(0, 1)
-    assert basis3.shell(1) == range(1, 4)
-    assert basis3.shell(2) == range(4, 10)
+    """Shell k is the basis slice ``depth_offsets[k:k+2]``: every word of
+    the brute-force order sits in the shell of its length."""
+    offsets = basis3.depth_offsets
+    assert offsets == (0, 1, 4, 10, 22, 46)
     words = brute_basis_words(3, basis3.depth)
     for k in range(basis3.depth + 1):
-        for i in basis3.shell(k):
-            assert len(words[i]) == k
-            assert basis3.index_of(words[i]) == i
-    with pytest.raises(ValueError):
-        basis3.index_of(Word((1, 2, 1, 2, 1)))
+        assert all(len(w) == k for w in words[offsets[k] : offsets[k + 1]])
+        assert basis3.prefix_dimension(k) == offsets[k + 1]
 
 
 @pytest.mark.parametrize("s", [2, 3, 4, 5])
 def test_index_arithmetic_matches_brute_order(s):
-    """Mixed-radix indices against brute force."""
+    """The shell offsets, the basis's only index arithmetic, against brute force."""
     depth = 9 - s
     basis = build_basis(GroupParams(s), depth)
-    words = sorted(brute_words(s, depth), key=lambda t: (len(t), t))
-    assert basis.dimension == len(words)
-    for i, t in enumerate(words):
-        assert basis.index_of(Word(t)) == i
-    with pytest.raises(ValueError):
-        basis.index_of(Word((s + 1,)))
+    lengths = [len(w) for w in brute_basis_words(s, depth)]
+    assert basis.dimension == len(lengths)
+    want = tuple(sum(n < k for n in lengths) for k in range(depth + 2))
+    assert basis.depth_offsets == want
 
 
 @pytest.mark.parametrize("s", [2, 3, 4, 5])
 def test_parity_split_matches_brute_order(s):
-    """Each left image of an even word is odd and the reverse, zero only past the cut."""
+    """Class c lists the words of length parity c in brute order, and each left
+    image of a class-c word lies in the other class, zero only past the cut."""
     depth = 9 - s
     basis = build_basis(GroupParams(s), depth)
-    words = sorted(brute_words(s, depth), key=lambda t: (len(t), t))
-    indices = basis.parity_indices
-    assert sorted(np.concatenate(indices)) == list(range(len(words)))
+    words = [w.letters for w in brute_basis_words(s, depth)]
+    indices = class_parts(basis)
+    for c in (0, 1):
+        assert [words[i] for i in indices[c]] == [w for w in words if len(w) % 2 == c]
     eye = np.eye(basis.dimension)
     for c in (0, 1):
-        idx = indices[c]
-        assert all(len(words[i]) % 2 == c for i in idx)
         for y in range(1, s + 1):
-            images = left_regular(y, basis)(eye[:, idx])
-            for i, col in zip(idx, images.T):
+            images = basis.split_parity(left_regular(y, basis)(eye[:, indices[c]]).T)
+            assert not np.any(images[c])
+            for i, col in zip(indices[c], images[1 - c]):
                 image = stack_reduce((y,) + words[i])
                 if not col.any():
                     assert len(words[i]) == depth and len(image) == depth + 1
                 else:
                     (j,) = np.flatnonzero(col)
-                    assert col[j] == 1.0 and words[j] == image
-                    assert j in indices[1 - c]
+                    assert col[j] == 1.0 and words[indices[1 - c][j]] == image
+
+
+@pytest.mark.parametrize("shape", [(), (4,), (2, 3)], ids=("D", "nD", "pdD"))
+@pytest.mark.parametrize("s,depth", [(2, 0), (2, 5), (3, 4), (5, 3)])
+def test_split_and_merge_parity_round_trip(s, depth, shape):
+    """``merge_parity`` inverts ``split_parity`` on the last axis of an array
+    of any rank, keeping its dtype, with class parts of the lettered sizes."""
+    params = GroupParams(s)
+    basis = build_basis(params, depth)
+    sizes = _lettered(params, depth)[1]
+    rng = np.random.default_rng(depth)
+    for a in (
+        rng.standard_normal(shape + (basis.dimension,)),
+        rng.integers(-9, 9, shape + (basis.dimension,)),
+    ):
+        parts = basis.split_parity(a)
+        assert [p.shape for p in parts] == [shape + (n,) for n in sizes]
+        merged = basis.merge_parity(parts)
+        assert merged.dtype == a.dtype and np.array_equal(merged, a)
+        again = basis.split_parity(merged)
+        assert all(np.array_equal(x, y) for x, y in zip(again, parts))
 
 
 @pytest.mark.parametrize("c", [0, 1])
@@ -120,7 +145,8 @@ def test_lettered_form_matches_brute_words(s, c):
     basis = build_basis(params, depth)
     words = brute_basis_words(s, depth)
     shifts = [dense_left_shift(s, depth, y, words) for y in range(1, s + 1)]
-    idx, other = basis.parity_indices[c], basis.parity_indices[1 - c]
+    parts = class_parts(basis)
+    idx, other = parts[c], parts[1 - c]
     rng = np.random.default_rng(10 * s + c)
     coefs = rng.standard_normal((s, 2, 2))
     apply, sizes = _lettered(params, depth, coefs)
@@ -142,15 +168,19 @@ def test_lettered_form_matches_brute_words(s, c):
 
 
 def test_basis_prefix_property():
+    """The depth-3 ball is a prefix of the depth-4 one, shell by shell and in
+    each parity class."""
     small = build_basis(GroupParams(3), 3)
     big = build_basis(GroupParams(3), 4)
-    for w in brute_basis_words(3, small.depth):
-        assert big.index_of(w) == small.index_of(w) < small.dimension
+    assert big.depth_offsets[: small.depth + 2] == small.depth_offsets
+    for part, big_part in zip(class_parts(small), class_parts(big)):
+        assert np.array_equal(big_part[: len(part)], part)
 
 
 def test_basis_cap():
+    """An over-cap ball is refused at the default cap."""
     with pytest.raises(CapacityError):
-        build_basis(GroupParams(5), 12, cap=10_000)
+        build_basis(GroupParams(5), 12)
 
 
 SHIFT_CASES = [
@@ -191,11 +221,14 @@ def test_single_shift_acts_columnwise_and_keeps_its_input(basis3, regular):
     assert np.array_equal(block, before)
 
 
-def test_index_arrays_are_cached_and_read_only(basis3):
-    assert basis3.parity_indices is basis3.parity_indices
-    for arr in basis3.parity_indices:
-        with pytest.raises(ValueError):
-            arr[1] = 2
+def test_basis_holds_no_index_array(basis3):
+    """After a split and a merge the basis still holds no array: its layout
+    is its shell offsets alone."""
+    a = np.arange(2.0 * basis3.dimension).reshape(2, -1)
+    basis3.merge_parity(basis3.split_parity(a))
+    assert set(vars(basis3)) == {"params", "depth", "dimension", "depth_offsets"}
+    assert not any(isinstance(v, np.ndarray) for v in vars(basis3).values())
+    assert all(type(n) is int for n in basis3.depth_offsets)
 
 
 def test_basis_and_stack_memory():
@@ -231,7 +264,8 @@ def test_image_past_the_cut_exactly_on_outer_shell(s, depth):
         cut = np.zeros(basis.dimension, dtype=bool)
         for g in range(1, s + 1):
             cut |= regular(g, basis)(ones) == 0
-        assert np.array_equal(np.flatnonzero(cut), basis.shell(depth))
+        outer = np.arange(basis.depth_offsets[depth], basis.dimension)
+        assert np.array_equal(np.flatnonzero(cut), outer)
 
 
 def test_shift_matrices_are_symmetric(basis3):
@@ -259,12 +293,12 @@ def test_invalid_generator_rejected(basis3):
 
 def test_apply_examples(basis3):
     g1 = left_regular(1, basis3)(basis_vector(basis3))
-    assert g1[basis3.index_of(Word((1,)))] == 1.0
+    assert g1[brute_position(basis3, Word((1,)))] == 1.0
     assert np.linalg.norm(g1) == 1.0
     assert np.array_equal(g1, basis_vector(basis3, Word((1,))))
     # right shift appends instead
     h = right_regular(2, basis3)(g1)
-    assert h[basis3.index_of(Word((1, 2)))] == 1.0
+    assert h[brute_position(basis3, Word((1, 2)))] == 1.0
 
 
 def test_left_shift_is_buffered_involution(basis3):
@@ -330,7 +364,7 @@ def test_generator_average_entries(basis3):
     oe = dense_average(basis3) @ e
     assert abs(e @ oe) < 1e-16
     for y in range(1, 4):
-        assert oe[basis3.index_of(Word((y,)))] == pytest.approx(1 / 3)
+        assert oe[brute_position(basis3, Word((y,)))] == pytest.approx(1 / 3)
 
 
 @pytest.mark.parametrize(
@@ -359,7 +393,7 @@ def test_generator_average_interior_rows_s2():
     basis = build_basis(GroupParams(2), 6)
     mat = dense_average(basis)
     for k in range(1, 6):
-        for i in basis.shell(k):
+        for i in range(*basis.depth_offsets[k : k + 2]):
             row = mat[i]
             assert np.count_nonzero(row) == 2
             assert np.allclose(row[row != 0], 0.5)
@@ -372,11 +406,12 @@ def test_average_reaches_one_shell_further_per_application(basis3):
     application at depth 4 ends on shell 3.
     """
     apply, sizes = generator_average(basis3.params, basis3.depth)
-    indices = basis3.parity_indices
+    offsets = basis3.depth_offsets
     part, c = np.eye(sizes[0])[0], 0  # the identity is the first even word
     for expected in (1, 2, 3, 4, 3):
         part, c = apply(part, c), 1 - c
-        amps = np.zeros(basis3.dimension)
-        amps[indices[c]] = part
-        reached = [k for k in range(basis3.depth + 1) if np.any(amps[basis3.shell(k)])]
-        assert max(reached) == expected
+        parts = [np.zeros(n) for n in sizes]
+        parts[c] = part
+        amps = basis3.merge_parity(parts)
+        shells = [amps[offsets[k] : offsets[k + 1]] for k in range(basis3.depth + 1)]
+        assert max(k for k, shell in enumerate(shells) if np.any(shell)) == expected

@@ -45,7 +45,10 @@ def full_average(v, basis):
 
 
 def basis_vector(basis, word=IDENTITY):
-    return np.eye(basis.dimension)[basis.index_of(word)]
+    """The unit vector of a word, placed by its index in the brute-force
+    (length, lex) order."""
+    order = sorted(brute_words(basis.params.s, basis.depth), key=lambda t: (len(t), t))
+    return np.eye(basis.dimension)[order.index(word.letters)]
 
 
 def test_analytic_norm_values():
@@ -255,6 +258,47 @@ def test_byte_guard_estimates_each_lanczos_route(monkeypatch):
         extremal_eigenpair(params, 8)
 
 
+def test_sparse_norm_needs_no_lapack_eigenvector_routine(monkeypatch):
+    """The Ritz step takes its vector from a tridiagonal solve, so a sparse
+    norm and a Ritz vector both come out with ``np.linalg.eigh`` refused."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.eigh called")
+
+    params = GroupParams(3)
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    estimate = estimate_norm(params, 8, representation="sparse")
+    assert estimate.estimated_norm == pytest.approx(
+        spectral.radial_top_eigenvalue(3, 8)[0], abs=1e-12
+    )
+    value, vec = extremal_eigenpair(params, 5, seed=3)
+    image = full_average(vec, build_basis(params, 5))
+    assert np.linalg.norm(image - value * vec) < 1e-8
+
+
+def test_ritz_step_keeps_a_tiny_last_entry_accurate():
+    """The last entry of the top Ritz vector, which the stopping test reads,
+    against a 60-digit eigensolve: about 1e-16, to 1e-12 relative.
+
+    Weak couplings past row 6 make the vector decay geometrically toward
+    the end, the shape of a converged Ritz vector.
+    """
+    mp = pytest.importorskip("mpmath")
+    betas = [0.5] * 6 + [0.05] * 12
+    theta, vec = spectral._ritz_top(betas)
+    with mp.workdps(60):
+        tri = mp.zeros(len(betas) + 1)
+        for i, b in enumerate(betas):
+            tri[i, i + 1] = tri[i + 1, i] = b
+        values, vectors = mp.eigsy(tri)
+        top = max(range(len(values)), key=lambda i: values[i])
+        want = abs(vectors[len(betas), top])
+        assert theta == pytest.approx(float(values[top]), rel=1e-15)
+        assert want < 1e-15
+        assert abs((vec[-1] - want) / want) < 1e-12
+    assert np.all(vec > 0) and np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-15)
+
+
 def test_seesaw_state_step_ritz_vector_true_residual_within_tolerance():
     """A seesaw state step's vector, checked through the single left shifts.
 
@@ -373,11 +417,12 @@ def test_bound_chain_buffer_check_is_exact():
     amps = random_buffered_amplitudes(rng, basis, basis.depth - 1)
     amps[0] = 0.0
     amps /= np.linalg.norm(amps)
-    assert np.any(amps[basis.shell(basis.depth - 1)])
+    offsets = basis.depth_offsets
+    assert np.any(amps[offsets[basis.depth - 1] : offsets[basis.depth]])
     chain = first_letter_bound_chain(basis, amps)
     assert chain.lhs <= chain.middle + 1e-12
     leaky = amps.copy()
-    leaky[basis.shell(basis.depth).start] = 1e-300
+    leaky[offsets[basis.depth]] = 1e-300
     with pytest.raises(ValueError, match="shell"):
         first_letter_bound_chain(basis, leaky)
 
@@ -467,7 +512,7 @@ def test_bound_chain_block_refuses_any_bad_row():
     basis = build_basis(GroupParams(3), 5)
     amps = unit_rows_off_identity(basis, 6, 4, seed=37)
     leaky = amps.copy()
-    leaky[4, basis.shell(basis.depth).start] = 1e-300
+    leaky[4, basis.depth_offsets[basis.depth]] = 1e-300
     with pytest.raises(ValueError, match="shell"):
         first_letter_bound_chain(basis, leaky)
     overlapping = amps.copy()

@@ -452,7 +452,7 @@ def test_conjugation_identity_single_step_by_hand():
     word_ops = [np.eye(3)]
     words = [Word(t) for t in sorted(brute_words(3, 3), key=lambda t: (len(t), t))]
     for w in words[1:]:
-        parent = basis.index_of(Word(w.letters[1:]))
+        parent = words.index(Word(w.letters[1:]))
         word_ops.append(obs[w.letters[0] - 1] @ word_ops[parent])
     eye = np.eye(basis.dimension)
     shifts = [left_regular(y, basis)(eye) for y in range(1, 4)]
