@@ -1,9 +1,10 @@
 """Batch command-line front end.
 
 One subcommand per experiment: ``norm`` (depth sweep of the operator-norm
-estimate), ``steer commuting`` / ``steer seesaw`` (strategy evaluation),
-``heatvision`` (channel purity run), and ``report`` (the full reproduction
-pipeline).  Configuration comes from flags, optionally seeded from a
+estimate), ``steer commuting`` (on the depth-2 ball) / ``steer seesaw``
+(strategy evaluation), ``heatvision`` (channel purity run), and ``report``
+(the full reproduction pipeline; its profile, seed and tolerance scale are
+its only options).  Configuration comes from flags, optionally seeded from a
 key=value config file that explicit flags override.
 
 Exit codes: 0 success, 1 invalid configuration, 2 resource or convergence
@@ -72,7 +73,6 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     )
     commuting.add_argument("--s", type=int)
     commuting.required_options = ["--s"]
-    commuting.add_argument("--depth", type=int, default=2)
     commuting.add_argument("--json", default="-")
     commuting.add_argument("--config", default=None)
     commuting.set_defaults(run=_cmd_steer_commuting)
@@ -114,10 +114,6 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     report.add_argument("--quick", action="store_true", help="smoke-test profile")
     report.add_argument("--tolerance-scale", type=float, default=1.0)
     report.add_argument("--seed", type=int, default=None)
-    report.add_argument("--seesaw-restarts", type=int, default=None)
-    report.add_argument("--chain-samples", type=int, default=None)
-    report.add_argument("--table-samples", type=int, default=None)
-    report.add_argument("--norm-depth-max", type=int, default=None)
     report.add_argument("--json", default=None)
     report.add_argument("--config", default=None)
     report.set_defaults(run=_cmd_report)
@@ -238,7 +234,7 @@ def _cmd_norm(args) -> int:
 def _cmd_steer_commuting(args) -> int:
     from .steering import commuting_strategy_result
 
-    result = commuting_strategy_result(GroupParams(args.s), args.depth)
+    result = commuting_strategy_result(GroupParams(args.s))
     write_text(_document(args, result.to_json_dict()), args.json)
     return 0
 
@@ -289,11 +285,7 @@ def _cmd_heatvision(args) -> int:
 
 def _cmd_report(args) -> int:
     # Refused before the report layer loads or any criterion runs;
-    # ``run_report`` and the criteria check again for library callers.
-    for attr in ("chain_samples", "table_samples"):
-        value = getattr(args, attr)
-        if value is not None and value < 0:
-            raise ValueError(f"{attr} must be ≥ 0, got {value}")
+    # ``run_report`` checks again for library callers.
     scale = args.tolerance_scale
     if not 0.0 <= scale < float("inf"):
         raise ValueError(f"tolerance_scale must be finite and ≥ 0, got {scale}")
@@ -301,12 +293,8 @@ def _cmd_report(args) -> int:
 
     settings = ReportSettings.quick() if args.quick else ReportSettings()
     settings.tolerance_scale = args.tolerance_scale
-    for attr in (
-        "seed", "seesaw_restarts", "chain_samples", "table_samples", "norm_depth_max"
-    ):
-        value = getattr(args, attr)
-        if value is not None:
-            setattr(settings, attr, value)
+    if args.seed is not None:
+        settings.seed = args.seed
     # The config echo records the seed the run used, given or not.
     args.seed = settings.seed
     results = run_report(settings)

@@ -23,6 +23,7 @@ from .heatvision import (
 from .hilbert import build_basis
 from .spectral import (
     _average_form,
+    _norm,
     closed_walk_moment,
     first_letter_bound_chain,
     matvec_walk_count,
@@ -224,7 +225,7 @@ def criterion_tightness(settings: ReportSettings) -> CriterionResult:
         basis = build_basis(GroupParams(s), 7)
         for n in range(0, 7):
             v = tightness_vector(n, basis)
-            norm_err = max(norm_err, abs(np.linalg.norm(v) - 1.0))
+            norm_err = max(norm_err, abs(_norm(v) - 1.0))
     if norm_err > 1e-12 * scale:
         problems.append(f"norm deviates from 1 by {norm_err:.3g}")
     params = GroupParams(3)

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import require_bytes
-from .freegroup import GroupParams, analytic_norm, capped_ball_size
+from .freegroup import GroupParams, analytic_norm
 from .hilbert import (
     TruncatedBasis, _left_pairs, _lettered, build_basis, right_regular
 )
@@ -51,15 +51,12 @@ class ProbabilityTable:
     """Joint outcome distribution P(a, b | x, y), outcomes ordered (+1, -1).
 
     ``values`` has shape (2, 2, s, s) indexed [a, b, x-1, y-1], or
-    (n, 2, 2, s, s) for a stack of n tables; ``prob`` and ``correlator``
-    read a single table.
+    (n, 2, 2, s, s) for a stack of n tables; ``correlator`` reads a single
+    table.
     """
 
     s: int
     values: np.ndarray
-
-    def prob(self, a: int, b: int, x: int, y: int) -> float:
-        return float(self.values[OUTCOMES.index(a), OUTCOMES.index(b), x - 1, y - 1])
 
     def correlator(self, x: int, y: int) -> float:
         """<A_x B_y> = sum_ab a*b*P(a,b|x,y)."""
@@ -219,20 +216,15 @@ def _result(
     )
 
 
-def probability_table_commuting(
-    params: GroupParams, depth: int = 2
-) -> ProbabilityTable:
+def probability_table_commuting(params: GroupParams) -> ProbabilityTable:
     """P(a,b|x,y) from <e| R_x S_y |e> and the marginals, applied literally.
 
     Alice right-shifts, Bob left-shifts, and the shared state is the
     identity word.  Each party shifts it once, so by the buffer contract the
-    depth-2 ball is exact for any ``depth`` >= 2, which only meets the cap.
-    S_y e and R_y e are both the shell-1 word g_y, basis vector y, so only
-    the s right shifts are built, and they act on those vectors.
+    depth-2 ball is exact, and a deeper one gives the same table.  S_y e and
+    R_y e are both the shell-1 word g_y, basis vector y, so only the s right
+    shifts are built, and they act on those vectors.
     """
-    if depth < 2:
-        raise ValueError("depth must be ≥ 2 so one application per party stays exact")
-    capped_ball_size(params, depth)
     basis = build_basis(params, 2)
     words = np.eye(basis.dimension)
     e, shell1 = words[0], words[1 : params.s + 1]
@@ -241,11 +233,9 @@ def probability_table_commuting(
     return _table_from_correlators(e @ e, shell1 @ e, shell1 @ e, joint)
 
 
-def commuting_strategy_result(
-    params: GroupParams, depth: int = 2
-) -> StrategyResult:
-    table = probability_table_commuting(params, depth)
-    return _result(params, "commuting", table, depth)
+def commuting_strategy_result(params: GroupParams) -> StrategyResult:
+    """The commuting strategy's result; ``depth`` is 2, the ball it is built on."""
+    return _result(params, "commuting", probability_table_commuting(params), 2)
 
 
 def _check_observables(observables, s: int, d: int, tol: float) -> None:
@@ -348,11 +338,6 @@ def dichotomic_stack(frames: np.ndarray, signs: np.ndarray) -> np.ndarray:
     """
     q, _ = np.linalg.qr(frames)
     return (q * signs[..., None, :]) @ np.swapaxes(q, -1, -2)
-
-
-def random_dichotomic(rng: np.random.Generator, dim: int) -> np.ndarray:
-    """Random symmetric involution: a random frame with random +/-1 spectrum."""
-    return dichotomic_stack(*draw_dichotomic(rng, 1, dim))[0]
 
 
 def _sign_observables(psi: np.ndarray, basis: TruncatedBasis) -> np.ndarray:
@@ -542,18 +527,3 @@ def draw_tensor_state(
     state = rng.standard_normal(total)
     return state / np.linalg.norm(state)
 
-
-def random_tensor_strategy(
-    basis: TruncatedBasis,
-    alice_dim: int,
-    rng: np.random.Generator,
-    *,
-    mixed: bool = False,
-) -> TensorStrategy:
-    """A random valid tensor strategy, for table-validity sweeps: s random
-    observables, then a random state from ``draw_tensor_state``."""
-    obs = dichotomic_stack(*draw_dichotomic(rng, basis.params.s, alice_dim))
-    state = draw_tensor_state(rng, alice_dim * basis.dimension, mixed)
-    return TensorStrategy(
-        alice_dim=alice_dim, observables=list(obs), basis=basis, state=state
-    )

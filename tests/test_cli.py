@@ -13,7 +13,12 @@ import steergap
 from steergap import GroupParams, estimate_norm, seesaw_tensor_optimize
 from steergap.cli import main
 from steergap.heatvision import MAX_STEPS
-from steergap.report import ReportSettings, criterion_conjugation, run_report
+from steergap.report import (
+    ReportSettings,
+    criterion_bound_chain,
+    criterion_conjugation,
+    run_report,
+)
 from steergap.spectral import analytic_norm
 
 from test_heatvision import (
@@ -122,6 +127,16 @@ def test_usage_problems_exit_1(capsys):
     assert main(["norm", "--s", "3", "--depth-max", "3", "--bogus"]) == 1
     assert "unrecognized" in capsys.readouterr().err
     assert main(["frobnicate"]) == 1
+    # Options that no documented run used are gone, not ignored.
+    for argv in (
+        ["report", "--quick", "--seesaw-restarts", "3"],
+        ["report", "--quick", "--chain-samples", "60"],
+        ["report", "--quick", "--table-samples", "60"],
+        ["report", "--quick", "--norm-depth-max", "8"],
+        ["steer", "commuting", "--s", "3", "--depth", "3"],
+    ):
+        assert main(argv) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_capacity_exhaustion_exits_2(capsys):
@@ -260,19 +275,15 @@ def test_heatvision_step_cap_exits_2(capsys):
     "argv",
     [
         ["steer", "seesaw", "--s", "3", "--restarts", "0"],
-        ["report", "--quick", "--seesaw-restarts", "0"],
         ["steer", "seesaw", "--s", "3", "--max-iter", "0"],
         ["norm", "--s", "3", "--depth-max", "3", "--representation", "sparse",
          "--max-iter", "0"],
         ["norm", "--s", "3", "--depth-max", "3", "--representation", "radial",
          "--max-iter", "0"],
         ["heatvision", "--s", "3", "--depth", "3", "--steps", "-1"],
-        ["report", "--quick", "--chain-samples", "-1"],
-        ["report", "--quick", "--table-samples", "-1"],
     ],
-    ids=["seesaw-restarts", "report-restarts", "seesaw-max-iter", "norm-max-iter",
-         "norm-radial-max-iter", "heatvision-steps", "report-chain-samples",
-         "report-table-samples"],
+    ids=["seesaw-restarts", "seesaw-max-iter", "norm-max-iter",
+         "norm-radial-max-iter", "heatvision-steps"],
 )
 def test_nonpositive_budgets_exit_1(capsys, argv):
     rc = main(argv)
@@ -543,6 +554,10 @@ def test_config_file_errors_exit_1(tmp_path, capsys):
     assert main(["norm", "--config", str(bad), "--s", "3",
                  "--depth-max", "2"]) == 1
     assert "unknown config key" in capsys.readouterr().err
+    removed = tmp_path / "removed.cfg"
+    removed.write_text("chain-samples = 60\n")
+    assert main(["report", "--quick", "--config", str(removed)]) == 1
+    assert "unknown config key 'chain_samples'" in capsys.readouterr().err
     malformed = tmp_path / "malformed.cfg"
     malformed.write_text("just some words\n")
     assert main(["norm", "--config", str(malformed), "--s", "3",
@@ -594,11 +609,10 @@ def test_quick_report_json_is_deterministic_outside_meta(tmp_path, capsys):
     assert first.split('"meta"')[0] == second.split('"meta"')[0]
 
 
-def test_zero_chain_samples_pass_criterion_3(capsys):
-    rc = main(["report", "--quick", "--chain-samples", "0"])
-    out, _ = run_lines(capsys)
-    assert rc == 3
-    assert out[2] == (
+def test_zero_chain_samples_pass_criterion_3():
+    settings = ReportSettings.quick()
+    settings.chain_samples = 0
+    assert criterion_bound_chain(settings).line() == (
         "[PASS] criterion 3: first-letter bound chain — "
         "0 samples, 0 violations, minimum slack inf"
     )
@@ -606,7 +620,9 @@ def test_zero_chain_samples_pass_criterion_3(capsys):
 
 def test_conjugation_draws_refused_below_zero():
     """Criterion 7 refuses a negative draw count before drawing, as criteria
-    3 and 9 refuse theirs; zero draws check nothing and pass."""
+    3 and 9 refuse theirs; zero draws check nothing and pass.  A report
+    with a negative sample count or no seesaw restart is refused, not
+    passed."""
     settings = ReportSettings.quick()
     settings.conjugation_draws = -1
     with pytest.raises(ValueError, match="conjugation_draws must be ≥ 0, got -1"):
@@ -615,6 +631,15 @@ def test_conjugation_draws_refused_below_zero():
     result = criterion_conjugation(settings)
     assert result.passed
     assert "over 0 draws" in result.details
+    for field, value, message in [
+        ("chain_samples", -1, "chain_samples must be ≥ 0, got -1"),
+        ("table_samples", -1, "table_samples must be ≥ 0, got -1"),
+        ("seesaw_restarts", 0, "restarts must be ≥ 1"),
+    ]:
+        settings = ReportSettings.quick()
+        setattr(settings, field, value)
+        with pytest.raises(ValueError, match=message):
+            run_report(settings)
 
 
 def test_zero_tolerance_negative_control(capsys):
@@ -729,8 +754,6 @@ def bare_modules():
             0,
             ["steergap.spectral", "steergap.hilbert", "numpy", *IDLE_STDLIB],
         ),
-        (["report", "--chain-samples", "-1"], 1, ["steergap.report", "numpy"]),
-        (["report", "--table-samples", "-1"], 1, ["steergap.report", "numpy"]),
         (["report", "--tolerance-scale", "nan"], 1, ["steergap.report", "numpy"]),
         (["report", "--quick"], 3, ["fractions", "decimal"]),
     ],
@@ -738,8 +761,6 @@ def bare_modules():
         "version",
         "heatvision",
         "heatvision-mixture",
-        "report-chain-samples",
-        "report-table-samples",
         "report-tolerance-scale",
         "report-quick",
     ],
@@ -747,8 +768,8 @@ def bare_modules():
 def test_command_imports_only_what_it_runs(bare_modules, argv, code, absent):
     """Each command loads only its own layers and the standard library it
     uses; a module that the bare interpreter already holds is not counted.
-    A negative report sample count is refused before the report layer is
-    even imported, so no criterion runs first."""
+    A bad report tolerance scale is refused before the report layer is even
+    imported, so no criterion runs first."""
     proc = run_child("-c", IMPORT_PROBE, *argv)
     assert proc.returncode == 0, proc.stderr
     probe = json.loads(proc.stdout.splitlines()[-1])

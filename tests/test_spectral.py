@@ -33,7 +33,7 @@ from steergap.spectral import (
     tightness_quotient,
 )
 
-from steergap.steering import _seesaw_operator, random_dichotomic
+from steergap.steering import _seesaw_operator, dichotomic_stack, draw_dichotomic
 
 from util import brute_words, random_buffered_amplitudes
 
@@ -84,7 +84,7 @@ def test_lanczos_odd_start_matches_even_start():
     s, alice_dim, depth = 3, 2, 4
     basis = build_basis(GroupParams(s), depth)
     rng = np.random.default_rng(4)
-    obs = np.stack([random_dichotomic(rng, alice_dim) for _ in range(s)])
+    obs = dichotomic_stack(*draw_dichotomic(rng, s, alice_dim))
     apply, sizes = _seesaw_operator(basis.params, depth, obs)
     even = (rng.standard_normal(sizes[0]), np.zeros(sizes[1]))
     odd = (np.zeros(sizes[0]), rng.standard_normal(sizes[1]))
@@ -309,7 +309,7 @@ def test_seesaw_state_step_ritz_vector_true_residual_within_tolerance():
     s, alice_dim, depth, tol = 3, 3, 8, 1e-10
     basis = build_basis(GroupParams(s), depth)
     rng = np.random.default_rng(2)
-    obs = np.stack([random_dichotomic(rng, alice_dim) for _ in range(s)])
+    obs = dichotomic_stack(*draw_dichotomic(rng, s, alice_dim))
     apply, sizes = _seesaw_operator(basis.params, depth, obs)
     v0 = [rng.standard_normal(n) for n in sizes]
     value, parts, _, _ = _lanczos_extremal(apply, sizes, None, tol, v0=v0)

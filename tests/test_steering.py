@@ -24,11 +24,18 @@ from steergap.steering import (
     VIOLATION_TOL,
     dichotomic_stack,
     draw_dichotomic,
-    random_dichotomic,
-    random_tensor_strategy,
+    draw_tensor_state,
 )
 
 from util import brute_words
+
+
+def random_strategy(basis, alice_dim, rng, mixed=False):
+    """A random valid tensor strategy: s random observables, then a random
+    state, as criterion 9 draws them."""
+    obs = dichotomic_stack(*draw_dichotomic(rng, basis.params.s, alice_dim))
+    state = draw_tensor_state(rng, alice_dim * basis.dimension, mixed)
+    return TensorStrategy(alice_dim, obs, basis, state)
 
 
 def dense_bob_effects(basis):
@@ -86,12 +93,11 @@ def test_commuting_table_closed_form():
         table.validate(1e-15)
         for x in range(1, s + 1):
             for y in range(1, s + 1):
-                for a in (1, -1):
-                    for b in (1, -1):
+                for ja, a in enumerate((1, -1)):
+                    for jb, b in enumerate((1, -1)):
                         want = (1.0 + a * b * (x == y)) / 4.0
-                        assert table.prob(a, b, x, y) == pytest.approx(
-                            want, abs=1e-15
-                        )
+                        got = table.values[ja, jb, x - 1, y - 1]
+                        assert got == pytest.approx(want, abs=1e-15)
 
 
 def test_commuting_functional_is_exactly_one():
@@ -100,11 +106,6 @@ def test_commuting_functional_is_exactly_one():
         assert res.f_s == 1.0
         assert res.model == "commuting"
         assert res.violates == (s >= 3)
-
-
-def test_commuting_depth_guard():
-    with pytest.raises(ValueError, match="depth"):
-        probability_table_commuting(GroupParams(3), depth=1)
 
 
 def test_commuting_result_serialization_schema():
@@ -162,7 +163,7 @@ def test_tensor_product_state_factorizes():
     params = GroupParams(3)
     basis = build_basis(params, 2)
     rng = np.random.default_rng(11)
-    obs = [random_dichotomic(rng, 2) for _ in range(3)]
+    obs = dichotomic_stack(*draw_dichotomic(rng, 3, 2))
     alice_vec = rng.standard_normal(2)
     alice_vec /= np.linalg.norm(alice_vec)
     bob_vec = np.zeros(basis.dimension)
@@ -180,7 +181,9 @@ def test_tensor_product_state_factorizes():
         pa = float(alice_vec @ ex @ alice_vec)
         for y in range(1, 4):
             pb = float(bob_vec @ bob[y - 1][0] @ bob_vec)
-            assert table.prob(1, 1, x, y) == pytest.approx(pa * pb, abs=1e-12)
+            assert table.values[0, 0, x - 1, y - 1] == pytest.approx(
+                pa * pb, abs=1e-12
+            )
 
 
 def test_tensor_matrix_state_matches_vector_state():
@@ -188,7 +191,7 @@ def test_tensor_matrix_state_matches_vector_state():
     params = GroupParams(3)
     basis = build_basis(params, 2)
     rng = np.random.default_rng(13)
-    obs = [random_dichotomic(rng, 2) for _ in range(3)]
+    obs = dichotomic_stack(*draw_dichotomic(rng, 3, 2))
     vec = rng.standard_normal(2 * basis.dimension)
     vec /= np.linalg.norm(vec)
     comps = rng.standard_normal((3, 2 * basis.dimension))
@@ -212,7 +215,7 @@ def test_tensor_table_matches_literal_oracle(s, alice_dim, mixed):
     rng = np.random.default_rng(100 * s + 10 * alice_dim + mixed)
     for depth in (2, 3):
         basis = build_basis(GroupParams(s), depth)
-        strat = random_tensor_strategy(basis, alice_dim, rng, mixed=mixed)
+        strat = random_strategy(basis, alice_dim, rng, mixed=mixed)
         got = probability_table_tensor(strat).values
         assert np.max(np.abs(got - literal_table(strat))) <= 1e-14
 
@@ -221,9 +224,9 @@ def test_unnormalized_states_fail_validation():
     """The <1> term is the state's own norm, so scaling the state shows."""
     basis = build_basis(GroupParams(3), 2)
     rng = np.random.default_rng(5)
-    pure = random_tensor_strategy(basis, 2, rng)
+    pure = random_strategy(basis, 2, rng)
     pure.state = pure.state * math.sqrt(2.0)
-    mixed = random_tensor_strategy(basis, 2, rng, mixed=True)
+    mixed = random_strategy(basis, 2, rng, mixed=True)
     mixed.state = 2.0 * mixed.state
     for strat in (pure, mixed):
         with pytest.raises(ValueError, match="total probability"):
@@ -234,7 +237,7 @@ def test_tensor_strategy_validation():
     params = GroupParams(2)
     basis = build_basis(params, 2)
     rng = np.random.default_rng(1)
-    obs = [random_dichotomic(rng, 2) for _ in range(2)]
+    obs = dichotomic_stack(*draw_dichotomic(rng, 2, 2))
     good = np.zeros(2 * basis.dimension)
     good[0] = 1.0
     TensorStrategy(2, obs, basis, good).validate()
@@ -250,7 +253,7 @@ def test_density_matrix_state_fails_validation():
     """A (d_A D)^2 density matrix reads as d_A D components of total weight
     Tr(rho^2) < 1, so a mixed one is refused."""
     basis = build_basis(GroupParams(3), 2)
-    strat = random_tensor_strategy(basis, 2, np.random.default_rng(9), mixed=True)
+    strat = random_strategy(basis, 2, np.random.default_rng(9), mixed=True)
     strat.validate()
     strat.state = strat.state.T @ strat.state
     with pytest.raises(ValueError, match="normalized"):
@@ -260,7 +263,7 @@ def test_density_matrix_state_fails_validation():
 def test_validators_reject_non_finite_entries():
     basis = build_basis(GroupParams(3), 2)
     rng = np.random.default_rng(4)
-    obs = [random_dichotomic(rng, 2) for _ in range(3)]
+    obs = dichotomic_stack(*draw_dichotomic(rng, 3, 2))
     nan_state = np.full(2 * basis.dimension, np.nan)
     strat = TensorStrategy(2, obs, basis, nan_state)
     with pytest.raises(ValueError, match="non-finite"):
@@ -284,7 +287,7 @@ def test_stacked_tables_match_one_at_a_time(s, mixed):
         for depth in (2, 3):
             basis = build_basis(GroupParams(s), depth)
             strats = [
-                random_tensor_strategy(basis, alice_dim, rng, mixed=mixed)
+                random_strategy(basis, alice_dim, rng, mixed=mixed)
                 for _ in range(5)
             ]
             stack = TensorStrategy(
@@ -324,7 +327,7 @@ def test_stacked_validate_flags_the_corrupted_table(kind):
     basis = build_basis(GroupParams(3), 2)
     rng = np.random.default_rng(31)
     values = np.stack([
-        probability_table_tensor(random_tensor_strategy(basis, 2, rng)).values
+        probability_table_tensor(random_strategy(basis, 2, rng)).values
         for _ in range(6)
     ])
     ProbabilityTable(3, values).validate(1e-10)
@@ -358,15 +361,15 @@ def test_dichotomic_draws_match_one_at_a_time(dim):
         q, _ = np.linalg.qr(frame)
         assert np.array_equal(got, (q * sign) @ q.T)
     assert rng.bit_generator.state == alone.bit_generator.state
-    one = random_dichotomic(np.random.default_rng(dim), dim)
-    assert np.array_equal(one, stacked[0])
+    one = dichotomic_stack(*draw_dichotomic(np.random.default_rng(dim), 1, dim))
+    assert np.array_equal(one[0], stacked[0])
 
 
 def test_random_tables_are_valid():
     rng = np.random.default_rng(21)
     for _ in range(25):
         s = int(rng.integers(2, 5))
-        strat = random_tensor_strategy(
+        strat = random_strategy(
             build_basis(GroupParams(s), 2), int(rng.integers(1, 4)), rng,
             mixed=bool(rng.integers(0, 2)),
         )
@@ -445,7 +448,7 @@ def test_conjugation_identity_single_step_by_hand():
     params = GroupParams(3)
     basis = build_basis(params, 3)
     rng = np.random.default_rng(17)
-    obs = [random_dichotomic(rng, 3) for _ in range(3)]
+    obs = dichotomic_stack(*draw_dichotomic(rng, 3, 3))
     alpha = rng.standard_normal(3)
     alpha /= np.linalg.norm(alpha)
     # build U explicitly from word operators and compare one application
@@ -478,7 +481,7 @@ def test_conjugation_identity_random_buffered():
     basis = build_basis(params, 5)
     rng = np.random.default_rng(23)
     for trial in range(5):
-        obs = [random_dichotomic(rng, 4) for _ in range(3)]
+        obs = dichotomic_stack(*draw_dichotomic(rng, 3, 4))
         dev = conjugation_identity_check(obs, basis, probes=4, seed=trial)
         assert dev < 1e-9
 
