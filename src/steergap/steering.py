@@ -384,11 +384,13 @@ def seesaw_tensor_optimize(
     has Ritz value ||A psi_e||/||psi_e|| >= <psi, A psi> for unit psi; so
     the step's value is at least the objective the observable step reached.
     Both steps can only increase the objective, so each run's history is
-    monotone; the best run over all restarts is returned.  The optimum is the compressed norm lambda_N for every d_A,
-    since the conjugation identity strips Alice out.  ``tol`` is both the
-    stationarity tolerance on the objective and the Lanczos residual
-    tolerance; it must be finite and nonnegative.  Runs that fail to go
-    stationary within ``max_iter`` are flagged, not failed.
+    monotone.  The optimum is the compressed norm lambda_N for every d_A,
+    since the conjugation identity strips Alice out, so the restarts that
+    reach it tie to rounding: the run returned is the first whose final
+    value is within ``tol`` of the largest, which rounding cannot change.
+    ``tol`` is both the stationarity tolerance on the objective and the
+    Lanczos residual tolerance; it must be finite and nonnegative.  Runs
+    that fail to go stationary within ``max_iter`` are flagged, not failed.
     """
     if alice_dim < 1:
         raise ValueError("alice_dim must be ≥ 1")
@@ -411,8 +413,7 @@ def seesaw_tensor_optimize(
         return lam, psi / np.linalg.norm(psi)
 
     master = np.random.SeedSequence(seed)
-    best: tuple[float, np.ndarray, np.ndarray, list[float], bool] | None = None
-    histories: list[list[float]] = []
+    runs: list[tuple[list[float], np.ndarray, np.ndarray, bool]] = []
     for child in master.spawn(restarts):
         rng = np.random.default_rng(child)
         obs = dichotomic_stack(*draw_dichotomic(rng, s, alice_dim))
@@ -426,11 +427,10 @@ def seesaw_tensor_optimize(
             if len(history) >= 3 and abs(history[-1] - history[-3]) < tol:
                 stationary = True
                 break
-        histories.append(history)
-        if best is None or history[-1] > best[0]:
-            best = (history[-1], obs, psi, history, stationary)
-    assert best is not None
-    _, obs, psi, history, stationary = best
+        runs.append((history, obs, psi, stationary))
+    histories = [run[0] for run in runs]
+    top = max(history[-1] for history in histories)
+    history, obs, psi, stationary = next(run for run in runs if run[0][-1] >= top - tol)
     # One final state step so the reported state matches the reported
     # observables exactly.
     _, psi = state_step(obs, None, psi)

@@ -392,7 +392,27 @@ def test_seesaw_monotone_histories():
     assert res.restart_histories is not None
     for hist in res.restart_histories:
         assert all(b >= a - 1e-12 for a, b in zip(hist, hist[1:]))
-    assert res.objective_history[-1] == max(h[-1] for h in res.restart_histories)
+    top = max(h[-1] for h in res.restart_histories)
+    first = next(h for h in res.restart_histories if h[-1] >= top - 1e-11)
+    assert res.objective_history is first
+
+
+@pytest.mark.parametrize(
+    "s, alice_dim, depth, seed", [(3, 3, 3, 7), (3, 8, 5, 11), (4, 2, 4, 0)]
+)
+def test_seesaw_returns_first_restart_within_tol_of_the_best(s, alice_dim, depth, seed):
+    """The restarts tie to rounding, so the returned run is the first within
+    ``tol`` of the largest final value: cutting the restarts just after it
+    returns the same strategy, bit for bit (``SeedSequence.spawn`` gives
+    the same first children).  ``tol`` is the optimizer's default."""
+    params, tol = GroupParams(s), 1e-11
+    full = seesaw_tensor_optimize(params, alice_dim, depth, restarts=6, seed=seed)
+    top = max(h[-1] for h in full.restart_histories)
+    first = next(i for i, h in enumerate(full.restart_histories) if h[-1] >= top - tol)
+    cut = seesaw_tensor_optimize(params, alice_dim, depth, restarts=first + 1, seed=seed)
+    assert cut.restart_histories == full.restart_histories[: first + 1]
+    assert cut.f_s == full.f_s and cut.stationary == full.stationary
+    assert np.array_equal(cut.table.values, full.table.values)
 
 
 def test_seesaw_deterministic_given_seed():
