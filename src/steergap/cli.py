@@ -262,11 +262,6 @@ def _cmd_heatvision(args) -> int:
     from .heatvision import iterate_channel
 
     words = [word_from_str(tok) for tok in args.state.split(",")]
-    for w in words:
-        if len(w) > args.depth:
-            raise ValueError(
-                f"state word {w} has length {len(w)} beyond depth {args.depth}"
-            )
     run = iterate_channel(GroupParams(args.s), args.depth, args.steps, words)
     if args.csv is not None:
         write_text(csv_text(["t", "purity", "bound", "ratio"], run.rows()), args.csv)

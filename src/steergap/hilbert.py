@@ -15,9 +15,11 @@ offsets and the shell slices of its two parity classes (``_shell_plan``);
 between basis order and that split.  Every shift is a block map of whole
 shells by one cached letter table, ``_others``.  The lettered form
 ``sum_y C_y (x) S_y`` (``_lettered``) walks those blocks on the parity
-split, and its plain sum scaled by 1/s is the averaged shift,
-``generator_average``.  ``left_regular`` and ``right_regular`` return one
-shift as a function on arrays in basis order, the states' format.
+split.  Scaled by 1/s it is ``generator_average``, the one form of the
+operator: the averaged shift with every C_y = 1, the seesaw's operator
+with C_y = R_y; unscaled, it serves the exact walk count alone.
+``left_regular`` and ``right_regular`` return one shift as a function on
+arrays in basis order, the states' format.
 """
 
 from __future__ import annotations
@@ -79,7 +81,8 @@ class TruncatedBasis:
     def split_parity(self, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The even- and odd-length class parts, (..., D_c), of a (..., D) array:
         each lists its class's shells end to end, copied by slice, as
-        ``_lettered`` reads a class part.  A left shift maps each to the other."""
+        ``generator_average`` reads a class part.  A left shift maps each to
+        the other."""
         offsets, sizes, shells, _ = _shell_plan(self.params, self.depth)
         parts = tuple(np.empty(a.shape[:-1] + (n,), a.dtype) for n in sizes)
         for k, part in enumerate(shells):
@@ -249,20 +252,24 @@ def _lettered(params: GroupParams, depth: int, coefs=None):
     return apply, sizes
 
 
-def generator_average(params: GroupParams, depth: int):
-    """The average of the s left shifts on a ball, as ``(apply, sizes)``.
+def generator_average(params: GroupParams, depth: int, coefs=None):
+    """``(1/s) sum_y C_y (x) S_y`` on a ball, ``_lettered`` scaled by 1/s.
 
-    Its norm is the quantity being certified: it is the normalized adjacency
-    operator of the radius-``depth`` ball of the s-regular tree rooted at the
-    identity.  ``apply(v, c)`` is the plain sum of ``_lettered`` scaled by
-    1/s.  The one form of the averaged shift in the package; its name stays
-    public because the benchmark tracer wraps it.
+    With ``coefs`` None it is the averaged shift, whose norm is certified:
+    the normalized adjacency operator of the radius-``depth`` ball of the
+    s-regular tree.  With (s, d, d) ``coefs`` R_y it is the seesaw's
+    operator, psi -> (1/s) sum_y R_y psi S_y on a d x D state.  ``apply(v,
+    c)`` maps a class-c part, words last as ``split_parity`` returns it, to
+    the other class.  Public because the benchmark tracer wraps it.
     """
-    lettered, sizes = _lettered(params, depth)
+    lettered, sizes = _lettered(params, depth, coefs)
     scale = 1.0 / params.s
 
     def apply(v, c):
-        out = lettered(v, c)
+        if v.ndim == 1:
+            out = lettered(v, c)
+        else:
+            out = np.moveaxis(lettered(np.moveaxis(v, -1, 0), c), 0, -1)
         out *= scale
         return out
 

@@ -19,9 +19,10 @@ or index array, which cross-checks the reduction; ``auto`` switches on
 ball size.  Both run on numpy and ``math`` alone.
 The operator maps even-length words to odd-length ones and back, so its
 one form, ``hilbert.generator_average``, acts on that parity split, and so
-does the one Lanczos solver, shared with the seesaw: a plain three-term
-recurrence, where the norm estimates hold two vectors and the callers that
-need the Ritz vector keep them all.
+does the one Lanczos solver: a plain three-term recurrence, where the norm
+estimates hold two vectors.  ``extremal_eigenpair`` and the seesaw's state
+step, whose operator is the same form with d x d coefficients, need the
+Ritz vector, so they keep them all, through one step, ``_top_state``.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ class NormEstimate:
 
 def _norm(v: np.ndarray) -> float:
     """2-norm by einsum, not BLAS, whose threaded ddot can stall a process."""
-    return math.sqrt(np.einsum("i,i->", v, v))
+    return math.sqrt(np.einsum(v, range(v.ndim), v, range(v.ndim), []))
 
 
 def radial_offdiagonal(s: int, depth: int) -> np.ndarray:
@@ -156,19 +157,19 @@ def _ritz_top(betas: list[float]) -> tuple[float, np.ndarray]:
 
 
 def _lanczos_extremal(
-    apply, sizes, rng, tol, krylov=DEFAULT_KRYLOV, v0=None, *, vectors=True
+    apply, sizes, rng, tol, krylov=DEFAULT_KRYLOV, v0=None, *, vectors=True, lead=()
 ):
     """Top eigenpair, by three-term Lanczos, of an operator that swaps two classes.
 
-    ``apply(v, c)`` maps a class-c vector (length ``sizes[c]``) to the other
-    class.  From a start in one class the Lanczos vectors alternate classes
-    and every alpha is 0 (Golub-Kahan bidiagonalization of the class-0 ->
-    class-1 block).  The plain recurrence runs with no reorthogonalization:
-    in floating point the vectors lose orthogonality only along Ritz vectors
-    that have converged, whose extra copies repeat converged Ritz values, and
-    no Ritz value leaves the spectrum by more than rounding (Paige, J. Inst.
-    Math. Appl. 18, 1976).  The Ritz values come in +/- pairs, so the top
-    one is also the largest in magnitude.
+    ``apply(v, c)`` maps a class-c part, of shape ``lead + (sizes[c],)``, to
+    the other class.  From a start in one class the Lanczos vectors
+    alternate classes and every alpha is 0 (Golub-Kahan bidiagonalization
+    of the class-0 -> class-1 block).  The plain recurrence runs with no
+    reorthogonalization: in floating point the vectors lose orthogonality
+    only along Ritz vectors that have converged, whose extra copies repeat
+    converged Ritz values, and no Ritz value leaves the spectrum by more
+    than rounding (Paige, J. Inst. Math. Appl. 18, 1976).  The Ritz values
+    come in +/- pairs, so the top one is also the largest in magnitude.
 
     With ``vectors`` false only the last two Lanczos vectors are held, O(D)
     memory, and only the value is returned; otherwise the vectors are kept
@@ -180,23 +181,21 @@ def _lanczos_extremal(
     the top Ritz value is at least ||A v||/||v|| for that part v, since the
     leading 2 x 2 block of the tridiagonal has that top eigenvalue.
     """
-    if krylov < 1:
-        raise ValueError(f"Krylov budget must be ≥ 1, got {krylov}")
-    dim = sum(sizes)
+    dim = math.prod(lead) * sum(sizes)
     half = (krylov + 1) // 2
     if vectors:
         require_bytes(8 * half * dim, f"Lanczos Krylov basis of {half} x {dim} float64")
     else:
         require_bytes(8 * 3 * dim, f"Lanczos recurrence of 3 x {dim} float64")
     if v0 is None:
-        start, q = 0, rng.standard_normal(sizes[0])
+        start, q = 0, rng.standard_normal(lead + (sizes[0],))
     else:
         start = 0 if np.any(v0[0]) else 1
         q = np.asarray(v0[start], dtype=float)
     q = q / _norm(q)
     if vectors:
         # Vector j lies in class (start + j) % 2, as row j // 2 of that block.
-        blocks = [np.zeros((half, n)) for n in sizes]
+        blocks = [np.zeros((half,) + lead + (n,)) for n in sizes]
         blocks[start][0] = q
     betas: list[float] = []
     for j in range(krylov):
@@ -227,7 +226,7 @@ def _lanczos_extremal(
     parts = None
     if vectors:
         coefs = [ritz[(c - start) % 2 :: 2] for c in (0, 1)]
-        parts = tuple(a @ block[: len(a)] for a, block in zip(coefs, blocks))
+        parts = [np.tensordot(a, b[: len(a)], 1) for a, b in zip(coefs, blocks)]
     return theta, parts, j + 1, residual
 
 
@@ -309,10 +308,18 @@ def extremal_eigenpair(
     Public only because the benchmark tracer, ``perfbench/tracer.py``, wraps
     it by name.
     """
-    basis = build_basis(params, depth)
-    rng = np.random.default_rng(seed)
-    apply, sizes = generator_average(params, depth)
-    value, parts, _, _ = _lanczos_extremal(apply, sizes, rng, tol)
+    return _top_state(build_basis(params, depth), np.random.default_rng(seed), tol)
+
+
+def _top_state(basis: TruncatedBasis, rng, tol, coefs=None, v0=None):
+    """Top eigenpair of ``generator_average(..., coefs)`` on the basis's ball:
+    the value and the unit Ritz vector in basis order, (D,) or, with (s, d, d)
+    ``coefs``, d x D.  The run starts from the class parts of ``v0``, an array
+    of that shape, or at random from ``rng``."""
+    apply, sizes = generator_average(basis.params, basis.depth, coefs)
+    lead = () if coefs is None else coefs.shape[-1:]
+    start = None if v0 is None else basis.split_parity(v0)
+    value, parts, _, _ = _lanczos_extremal(apply, sizes, rng, tol, v0=start, lead=lead)
     vec = basis.merge_parity(parts)
     return value, vec / np.linalg.norm(vec)
 
@@ -325,7 +332,7 @@ def _average_form(basis: TruncatedBasis, amps: np.ndarray) -> np.ndarray:
     """
     apply, _ = generator_average(basis.params, basis.depth)
     even, odd = basis.split_parity(amps)
-    return 2.0 * np.einsum("...i,i...->...", odd, apply(even.T, 0))
+    return 2.0 * np.einsum("...i,...i->...", odd, apply(even, 0))
 
 
 def tightness_vector(n: int, basis: TruncatedBasis) -> np.ndarray:

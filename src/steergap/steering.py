@@ -15,8 +15,9 @@ compared:
 Tables are built from the correlators <1>, <A_x>, <B_y>, <A_x B_y>.  A
 tensor state component is a d_A x D array psi, and a mixed state is a stack
 of them.  Every shift acts on shell blocks of psi's columns: psi S_y psi^T
-pairs the blocks that S_y swaps, and sum_y R_y psi S_y is ``hilbert``'s
-lettered form with C_y = R_y.
+pairs the blocks that S_y swaps, and (1/s) sum_y R_y psi S_y is
+``hilbert.generator_average`` with coefficients R_y, the one operator that
+the seesaw diagonalizes and the conjugation check tests.
 
 A strategy is "violating" when its f exceeds the tensor bound, which for
 s >= 3 certifies that no tensor-product model reproduces it.
@@ -31,9 +32,9 @@ import numpy as np
 from .errors import require_bytes
 from .freegroup import GroupParams, analytic_norm
 from .hilbert import (
-    TruncatedBasis, _left_pairs, _lettered, build_basis, right_regular
+    TruncatedBasis, _left_pairs, build_basis, generator_average, right_regular
 )
-from .spectral import _lanczos_extremal
+from .spectral import _top_state
 
 OUTCOMES = (1, -1)
 
@@ -164,8 +165,9 @@ def _bob_contractions(psi: np.ndarray, basis: TruncatedBasis) -> np.ndarray:
 class StrategyResult:
     """Outcome of evaluating or optimizing one strategy.
 
-    ``objective_history`` and ``restart_histories`` are diagnostics from the
-    seesaw optimizer; they are not part of the serialized ``result``.
+    ``restart_histories``, each restart's objective per iteration, is a
+    diagnostic of the seesaw optimizer; it is not part of the serialized
+    ``result``.
     """
 
     s: int
@@ -178,7 +180,6 @@ class StrategyResult:
     d_A: int | None = None
     seed: int | None = None
     stationary: bool = True
-    objective_history: list[float] | None = None
     restart_histories: list[list[float]] | None = field(default=None, repr=False)
 
     def to_json_dict(self) -> dict:
@@ -346,19 +347,6 @@ def _sign_observables(psi: np.ndarray, basis: TruncatedBasis) -> np.ndarray:
     return (u * np.where(w >= 0.0, 1.0, -1.0)[:, None, :]) @ u.transpose(0, 2, 1)
 
 
-def _seesaw_operator(params: GroupParams, depth: int, obs: np.ndarray):
-    """(1/s) sum_y R_y tensor S_y, R_y = ``obs[y]``, as ``(apply, sizes)`` on
-    the parity split of Bob's words: a class part is a d x D_c state,
-    raveled, and (R_y tensor S_y) psi = R_y psi S_y."""
-    lettered, class_sizes = _lettered(params, depth, obs)
-    d = obs.shape[-1]
-
-    def apply(v, c):
-        return (lettered(v.reshape(d, -1).T, c) / params.s).T.ravel()
-
-    return apply, tuple(d * n for n in class_sizes)
-
-
 def seesaw_tensor_optimize(
     params: GroupParams,
     alice_dim: int,
@@ -376,13 +364,15 @@ def seesaw_tensor_optimize(
     R_y to the matrix sign of its contraction with Bob's shift.  Each
     R_y tensor S_y anticommutes with 1 tensor (-1)^|w|, so the spectrum is
     symmetric about zero and the most positive eigenvalue is the extremal
-    one; no sign flip is needed.  The operator acts matrix-free on the state
-    as a d_A x D array and maps the columns of Bob's even-length words to
-    the odd-length ones and back, so each state step is a parity-split
-    Lanczos run.  It starts from the previous state's even columns psi_e
-    (its odd ones if those are zero), whose two-vector Krylov space already
-    has Ritz value ||A psi_e||/||psi_e|| >= <psi, A psi> for unit psi; so
-    the step's value is at least the objective the observable step reached.
+    one; no sign flip is needed.  The operator, ``generator_average`` with
+    coefficients R_y, acts matrix-free on the state as a d_A x D array and
+    maps the columns of Bob's even-length words to the odd-length ones and
+    back, so each state step is one parity-split Lanczos run,
+    ``spectral._top_state``.  It starts from the previous state's even
+    columns psi_e (its odd ones if those are zero), whose two-vector Krylov
+    space already has Ritz value ||A psi_e||/||psi_e|| >= <psi, A psi> for
+    unit psi; so the step's value is at least the objective the observable
+    step reached.
     Both steps can only increase the objective, so each run's history is
     monotone.  The optimum is the compressed norm lambda_N for every d_A,
     since the conjugation identity strips Alice out, so the restarts that
@@ -403,25 +393,16 @@ def seesaw_tensor_optimize(
     if not 0.0 <= tol < np.inf:
         raise ValueError(f"tol must be finite and ≥ 0, got {tol}")
     basis = build_basis(params, bob_depth)
-    s = params.s
-
-    def state_step(obs, rng, psi):
-        apply, sizes = _seesaw_operator(params, bob_depth, obs)
-        v0 = None if psi is None else [part.ravel() for part in basis.split_parity(psi)]
-        lam, parts, *_ = _lanczos_extremal(apply, sizes, rng, tol, v0=v0)
-        psi = basis.merge_parity([part.reshape(alice_dim, -1) for part in parts])
-        return lam, psi / np.linalg.norm(psi)
-
     master = np.random.SeedSequence(seed)
     runs: list[tuple[list[float], np.ndarray, np.ndarray, bool]] = []
     for child in master.spawn(restarts):
         rng = np.random.default_rng(child)
-        obs = dichotomic_stack(*draw_dichotomic(rng, s, alice_dim))
+        obs = dichotomic_stack(*draw_dichotomic(rng, params.s, alice_dim))
         history: list[float] = []
         psi = None
         stationary = False
         for _ in range(max_iter):
-            lam, psi = state_step(obs, rng, psi)
+            lam, psi = _top_state(basis, rng, tol, obs, psi)
             history.append(lam)
             obs = _sign_observables(psi, basis)
             if len(history) >= 3 and abs(history[-1] - history[-3]) < tol:
@@ -429,11 +410,11 @@ def seesaw_tensor_optimize(
                 break
         runs.append((history, obs, psi, stationary))
     histories = [run[0] for run in runs]
-    top = max(history[-1] for history in histories)
-    history, obs, psi, stationary = next(run for run in runs if run[0][-1] >= top - tol)
+    top = max(h[-1] for h in histories)
+    _, obs, psi, stationary = next(run for run in runs if run[0][-1] >= top - tol)
     # One final state step so the reported state matches the reported
     # observables exactly.
-    _, psi = state_step(obs, None, psi)
+    _, psi = _top_state(basis, None, tol, obs, psi)
     strategy = TensorStrategy(
         alice_dim=alice_dim, observables=list(obs), basis=basis, state=psi.ravel()
     )
@@ -446,7 +427,6 @@ def seesaw_tensor_optimize(
         d_A=alice_dim,
         seed=seed,
         stationary=stationary,
-        objective_history=history,
         restart_histories=histories,
     )
 
@@ -496,10 +476,9 @@ def conjugation_identity_check(
 
     def averaged(mats: np.ndarray, coefs: np.ndarray | None = None) -> np.ndarray:
         """(1/s) sum_y C_y mat S_y on each d x D array, a parity class at a time."""
-        apply, _ = _lettered(basis.params, basis.depth, coefs)
-        parts = [part.transpose(2, 0, 1) for part in basis.split_parity(mats)]
-        images = [apply(parts[1 - c], 1 - c).transpose(1, 2, 0) for c in (0, 1)]
-        return basis.merge_parity(images) / s
+        apply, _ = generator_average(basis.params, basis.depth, coefs)
+        parts = basis.split_parity(mats)
+        return basis.merge_parity([apply(parts[1 - c], 1 - c) for c in (0, 1)])
 
     # Every probe is drawn first, in turn, then all are checked as one stack.
     rng = np.random.default_rng(seed)

@@ -516,7 +516,7 @@ def test_heatvision_rejects_bad_state(capsys):
     assert "error:" in capsys.readouterr().err
     assert main(["heatvision", "--s", "2", "--depth", "3", "--steps", "1",
                  "--state", "g1.g2.g1.g2"]) == 1
-    assert "beyond depth" in capsys.readouterr().err
+    assert "is not in the depth-3 basis" in capsys.readouterr().err
     # letters above s are caught by the basis lookup
     assert main(["heatvision", "--s", "2", "--depth", "3", "--steps", "1",
                  "--state", "g3"]) == 1

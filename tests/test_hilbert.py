@@ -48,7 +48,7 @@ def dense_average(basis):
     row j is the image of basis vector j, the other class's part of it."""
     apply, _ = generator_average(basis.params, basis.depth)
     parts = basis.split_parity(np.eye(basis.dimension))
-    return basis.merge_parity([apply(parts[1 - c].T, 1 - c).T for c in (0, 1)]).T
+    return basis.merge_parity([apply(parts[1 - c], 1 - c) for c in (0, 1)]).T
 
 
 def class_parts(basis):
@@ -138,8 +138,9 @@ def test_split_and_merge_parity_round_trip(s, depth, shape):
 @pytest.mark.parametrize("c", [0, 1])
 @pytest.mark.parametrize("s", [2, 3, 4, 5])
 def test_lettered_form_matches_brute_words(s, c):
-    """sum_y C_y (x) S_y from class c: d x d letters in float, the plain sum
-    exactly on Python ints, both against shifts built from the definition."""
+    """sum_y C_y (x) S_y from class c against shifts built from the
+    definition: d x d letters on a d x D_c part, scaled by 1/s, through
+    ``generator_average``, and the plain sum exactly on Python ints."""
     depth = 8 - s
     params = GroupParams(s)
     basis = build_basis(params, depth)
@@ -149,14 +150,14 @@ def test_lettered_form_matches_brute_words(s, c):
     idx, other = parts[c], parts[1 - c]
     rng = np.random.default_rng(10 * s + c)
     coefs = rng.standard_normal((s, 2, 2))
-    apply, sizes = _lettered(params, depth, coefs)
-    part = rng.standard_normal((sizes[c], 2))
+    apply, sizes = generator_average(params, depth, coefs)
+    part = rng.standard_normal((2, sizes[c]))
     state = np.zeros((2, basis.dimension))  # a d x D state, raveled for kron
-    state[:, idx] = part.T
-    want = sum(np.kron(a, b) for a, b in zip(coefs, shifts)) @ state.ravel()
+    state[:, idx] = part
+    want = sum(np.kron(a, b) for a, b in zip(coefs, shifts)) @ state.ravel() / s
     want = want.reshape(2, -1)
     assert not np.any(want[:, idx])
-    assert np.allclose(apply(part, c).T, want[:, other], rtol=0, atol=1e-13)
+    assert np.allclose(apply(part, c), want[:, other], rtol=0, atol=1e-13)
 
     apply, _ = _lettered(params, depth)
     ints = np.zeros(basis.dimension, dtype=object)
@@ -380,13 +381,27 @@ def test_generator_average_matches_definition(s, depth):
 
 @pytest.mark.parametrize("s,depth", [(2, 5), (3, 4), (5, 3)])
 def test_generator_average_block_input_is_columnwise(s, depth):
-    """A (sizes[c], r) block is mapped as r separate columns."""
+    """A (..., sizes[c]) block, words last, is mapped as separate vectors."""
     apply, sizes = generator_average(GroupParams(s), depth)
     rng = np.random.default_rng(s + depth)
     for c in (0, 1):
-        block = rng.standard_normal((sizes[c], 3))
-        want = np.stack([apply(col, c) for col in block.T], axis=1)
+        block = rng.standard_normal((2, 3, sizes[c]))
+        want = np.array([[apply(row, c) for row in rows] for rows in block])
         assert np.array_equal(apply(block, c), want)
+
+
+@pytest.mark.parametrize("s,depth,d", [(2, 5, 1), (3, 4, 3), (5, 3, 2)])
+def test_generator_average_identity_coefficients_are_the_plain_average(s, depth, d):
+    """With every C_y the d x d identity, each row of a d x D_c part maps
+    to its plain average, bit for bit."""
+    params = GroupParams(s)
+    plain, sizes = generator_average(params, depth)
+    eyes = np.broadcast_to(np.eye(d), (s, d, d))
+    lettered, _ = generator_average(params, depth, eyes)
+    rng = np.random.default_rng(s * depth + d)
+    for c in (0, 1):
+        part = rng.standard_normal((d, sizes[c]))
+        assert np.array_equal(lettered(part, c), [plain(row, c) for row in part])
 
 
 def test_generator_average_interior_rows_s2():

@@ -24,16 +24,17 @@ from steergap import (
 from steergap import errors, spectral
 from steergap.errors import CapacityError, ConvergenceError
 from steergap.freegroup import ball_size
-from steergap.hilbert import left_regular, right_regular
+from steergap.hilbert import generator_average, left_regular, right_regular
 from steergap.spectral import (
     MAX_WALK_HALF_LENGTH,
     _average_form,
     _lanczos_extremal,
+    _top_state,
     radial_offdiagonal,
     tightness_quotient,
 )
 
-from steergap.steering import _seesaw_operator, dichotomic_stack, draw_dichotomic
+from steergap.steering import dichotomic_stack, draw_dichotomic
 
 from util import brute_words, random_buffered_amplitudes
 
@@ -85,19 +86,21 @@ def test_lanczos_odd_start_matches_even_start():
     basis = build_basis(GroupParams(s), depth)
     rng = np.random.default_rng(4)
     obs = dichotomic_stack(*draw_dichotomic(rng, s, alice_dim))
-    apply, sizes = _seesaw_operator(basis.params, depth, obs)
-    even = (rng.standard_normal(sizes[0]), np.zeros(sizes[1]))
-    odd = (np.zeros(sizes[0]), rng.standard_normal(sizes[1]))
-    lam_even, _, _, _ = _lanczos_extremal(apply, sizes, None, 1e-12, v0=even)
-    lam_odd, parts, _, _ = _lanczos_extremal(apply, sizes, None, 1e-12, v0=odd)
+    apply, sizes = generator_average(basis.params, depth, obs)
+    shape = [(alice_dim, n) for n in sizes]
+    even = (rng.standard_normal(shape[0]), np.zeros(shape[1]))
+    odd = (np.zeros(shape[0]), rng.standard_normal(shape[1]))
+    lead = (alice_dim,)
+    lam_even, *_ = _lanczos_extremal(apply, sizes, None, 1e-12, v0=even, lead=lead)
+    lam_odd, parts, *_ = _lanczos_extremal(apply, sizes, None, 1e-12, v0=odd, lead=lead)
     assert abs(lam_odd - lam_even) < 1e-12
     dense = sum(
         np.kron(r, left_regular(y + 1, basis)(np.eye(basis.dimension)))
         for y, r in enumerate(obs)
     ) / s
     assert abs(lam_odd - np.linalg.eigvalsh(dense)[-1]) < 1e-12
-    psi = basis.merge_parity([part.reshape(alice_dim, -1) for part in parts])
-    assert np.linalg.norm(dense @ psi.ravel() - lam_odd * psi.ravel()) < 1e-10
+    psi = basis.merge_parity(parts).ravel()
+    assert np.linalg.norm(dense @ psi - lam_odd * psi) < 1e-10
 
 
 def test_radial_offdiagonal_values():
@@ -310,11 +313,8 @@ def test_seesaw_state_step_ritz_vector_true_residual_within_tolerance():
     basis = build_basis(GroupParams(s), depth)
     rng = np.random.default_rng(2)
     obs = dichotomic_stack(*draw_dichotomic(rng, s, alice_dim))
-    apply, sizes = _seesaw_operator(basis.params, depth, obs)
-    v0 = [rng.standard_normal(n) for n in sizes]
-    value, parts, _, _ = _lanczos_extremal(apply, sizes, None, tol, v0=v0)
-    psi = basis.merge_parity([part.reshape(alice_dim, -1) for part in parts])
-    psi /= np.linalg.norm(psi)
+    v0 = rng.standard_normal((alice_dim, basis.dimension))
+    value, psi = _top_state(basis, None, tol, obs, v0)
     image = sum(r @ left_regular(y, basis)(psi.T).T for y, r in enumerate(obs, 1)) / s
     assert np.linalg.norm(image - value * psi) <= 10 * tol
 
