@@ -15,11 +15,10 @@ offsets and the shell slices of its two parity classes (``_shell_plan``);
 between basis order and that split.  Every shift is a block map of whole
 shells by one cached letter table, ``_others``.  The lettered form
 ``sum_y C_y (x) S_y`` (``_lettered``) walks those blocks on the parity
-split.  Scaled by 1/s it is ``generator_average``, the one form of the
-operator: the averaged shift with every C_y = 1, the seesaw's operator
-with C_y = R_y; unscaled, it serves the exact walk count alone.
-``left_regular`` and ``right_regular`` return one shift as a function on
-arrays in basis order, the states' format.
+split; scaled by 1/s it is ``generator_average``, the averaged shift
+(every C_y = 1) and the seesaw's operator (C_y = R_y).  ``left_regular``
+and ``right_regular`` return one shift as a function on arrays in basis
+order, the states' format.
 """
 
 from __future__ import annotations
@@ -268,8 +267,9 @@ def generator_average(params: GroupParams, depth: int, coefs=None):
     def apply(v, c):
         if v.ndim == 1:
             out = lettered(v, c)
-        else:
-            out = np.moveaxis(lettered(np.moveaxis(v, -1, 0), c), 0, -1)
+        else:  # words first for ``_lettered``, then last again
+            out = lettered(v.transpose(-1, *range(v.ndim - 1)), c)
+            out = out.transpose(*range(1, v.ndim), 0)
         out *= scale
         return out
 

@@ -64,7 +64,8 @@ class NormEstimate:
 
 def _norm(v: np.ndarray) -> float:
     """2-norm by einsum, not BLAS, whose threaded ddot can stall a process."""
-    return math.sqrt(np.einsum(v, range(v.ndim), v, range(v.ndim), []))
+    flat = v.ravel("K")  # a view for a transposed class part too
+    return math.sqrt(np.einsum("i,i->", flat, flat))
 
 
 def radial_offdiagonal(s: int, depth: int) -> np.ndarray:
@@ -173,7 +174,7 @@ def _lanczos_extremal(
 
     With ``vectors`` false only the last two Lanczos vectors are held, O(D)
     memory, and only the value is returned; otherwise the vectors are kept
-    in two parity blocks and the Ritz vector is formed from them at exit.
+    flat in two parity blocks and the Ritz vector is formed from them at exit.
     Returns (value, the class parts of its Ritz vector, or None, iterations,
     residual); the vector is unit up to the lost orthogonality, so callers
     normalize it.  The start is random in class 0, or the class-0 part of
@@ -195,8 +196,8 @@ def _lanczos_extremal(
     q = q / _norm(q)
     if vectors:
         # Vector j lies in class (start + j) % 2, as row j // 2 of that block.
-        blocks = [np.zeros((half,) + lead + (n,)) for n in sizes]
-        blocks[start][0] = q
+        blocks = [np.zeros((half, math.prod(lead) * n)) for n in sizes]
+        blocks[start][0] = q.reshape(-1)
     betas: list[float] = []
     for j in range(krylov):
         c = (start + j) % 2
@@ -222,11 +223,11 @@ def _lanczos_extremal(
         w /= beta
         prev, q = q, w
         if vectors:
-            blocks[1 - c][(j + 1) // 2] = w
+            blocks[1 - c][(j + 1) // 2] = w.reshape(-1)
     parts = None
     if vectors:
         coefs = [ritz[(c - start) % 2 :: 2] for c in (0, 1)]
-        parts = [np.tensordot(a, b[: len(a)], 1) for a, b in zip(coefs, blocks)]
+        parts = [(a @ b[: len(a)]).reshape(*lead, -1) for a, b in zip(coefs, blocks)]
     return theta, parts, j + 1, residual
 
 

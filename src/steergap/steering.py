@@ -409,8 +409,7 @@ def seesaw_tensor_optimize(
                 stationary = True
                 break
         runs.append((history, obs, psi, stationary))
-    histories = [run[0] for run in runs]
-    top = max(h[-1] for h in histories)
+    top = max(run[0][-1] for run in runs)
     _, obs, psi, stationary = next(run for run in runs if run[0][-1] >= top - tol)
     # One final state step so the reported state matches the reported
     # observables exactly.
@@ -427,7 +426,7 @@ def seesaw_tensor_optimize(
         d_A=alice_dim,
         seed=seed,
         stationary=stationary,
-        restart_histories=histories,
+        restart_histories=[run[0] for run in runs],
     )
 
 
