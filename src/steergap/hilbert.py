@@ -265,11 +265,9 @@ def generator_average(params: GroupParams, depth: int, coefs=None):
     scale = 1.0 / params.s
 
     def apply(v, c):
-        if v.ndim == 1:
-            out = lettered(v, c)
-        else:  # words first for ``_lettered``, then last again
-            out = lettered(v.transpose(-1, *range(v.ndim - 1)), c)
-            out = out.transpose(*range(1, v.ndim), 0)
+        # Words first for ``_lettered``, then last again; no-ops on a vector.
+        out = lettered(v.transpose(-1, *range(v.ndim - 1)), c)
+        out = out.transpose(*range(1, v.ndim), 0)
         out *= scale
         return out
 

@@ -393,6 +393,8 @@ def seesaw_tensor_optimize(
     if not 0.0 <= tol < np.inf:
         raise ValueError(f"tol must be finite and ≥ 0, got {tol}")
     basis = build_basis(params, bob_depth)
+    kept = restarts * alice_dim * basis.dimension  # every run's final state
+    require_bytes(8 * kept, f"{restarts} restart states of {kept} float64")
     master = np.random.SeedSequence(seed)
     runs: list[tuple[list[float], np.ndarray, np.ndarray, bool]] = []
     for child in master.spawn(restarts):

@@ -412,6 +412,14 @@ def test_seesaw_returns_first_restart_within_tol_of_the_best(s, alice_dim, depth
     assert np.array_equal(cut.table.values, full.table.values)
 
 
+def test_seesaw_refuses_restart_states_over_budget():
+    """Every restart's final d_A x D state is kept until the last restart
+    sets the maximum, so a restart count whose states exceed the memory
+    budget is refused before any run starts."""
+    with pytest.raises(CapacityError, match="restart states"):
+        seesaw_tensor_optimize(GroupParams(3), 8, 3, restarts=10**9)
+
+
 def test_seesaw_deterministic_given_seed():
     a = seesaw_tensor_optimize(GroupParams(3), 2, 3, restarts=2, seed=5)
     b = seesaw_tensor_optimize(GroupParams(3), 2, 3, restarts=2, seed=5)
