@@ -15,9 +15,9 @@ import argparse
 
 from steergap import (
     GroupParams,
+    analytic_norm,
     commuting_strategy_result,
     seesaw_tensor_optimize,
-    tensor_bound,
 )
 
 
@@ -31,7 +31,7 @@ def main() -> None:
     args = ap.parse_args()
 
     params = GroupParams(args.s)
-    bound = tensor_bound(args.s)
+    bound = analytic_norm(args.s)
     print(f"s = {args.s}")
     print(f"tensor-model bound:        {bound:.12f}")
 

@@ -52,14 +52,12 @@ _EXPORTS = {
     "steering": (
         "ProbabilityTable",
         "StrategyResult",
-        "TensorStrategy",
         "commuting_strategy_result",
         "conjugation_identity_check",
         "probability_table_commuting",
         "probability_table_tensor",
         "seesaw_tensor_optimize",
         "steering_functional",
-        "tensor_bound",
     ),
     "heatvision": (
         "ChannelRun",

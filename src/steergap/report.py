@@ -10,6 +10,7 @@ not the reference configuration.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,14 +34,12 @@ from .spectral import (
 )
 from .steering import (
     ProbabilityTable,
-    TensorStrategy,
     commuting_strategy_result,
     conjugation_identity_check,
-    dichotomic_stack,
-    draw_dichotomic,
     draw_tensor_state,
     probability_table_commuting,
     probability_table_tensor,
+    random_observables,
     seesaw_tensor_optimize,
 )
 
@@ -317,9 +316,8 @@ def criterion_conjugation(settings: ReportSettings) -> CriterionResult:
     basis = build_basis(params, settings.conjugation_depth)
     rng = np.random.default_rng(settings.seed)
     # Each check seeds its own probes, so every draw can be made up front.
-    frames, signs = draw_dichotomic(rng, 3 * draws, 4)
     worst = 0.0
-    for i, obs in enumerate(dichotomic_stack(frames, signs).reshape(-1, 3, 4, 4)):
+    for i, obs in enumerate(random_observables(rng, 3 * draws, 4).reshape(-1, 3, 4, 4)):
         worst = max(
             worst,
             conjugation_identity_check(obs, basis, probes=2, seed=settings.seed + i),
@@ -368,43 +366,31 @@ def criterion_heat_vision(settings: ReportSettings) -> CriterionResult:
 def criterion_table_sanity(settings: ReportSettings) -> CriterionResult:
     """9: every emitted probability table is a valid no-signaling distribution.
 
-    Each sample draws its header, observables and state in turn.  Then the
-    observables are built one stack per Alice dimension, the tables one
-    stack per (s, depth, d_A, r), and with the commuting table they are
-    validated one stack per s.
+    Every sample's header (s, d_A, depth, mixed) is drawn first.  Then each
+    group of equal headers, in sorted order, draws its observables and
+    states and builds its tables as one stack; with the commuting table
+    they are checked one stack per s.
     """
     scale = settings.tolerance_scale
     tol = 1e-10 * scale
     if settings.table_samples < 0:
         raise ValueError(f"table_samples must be ≥ 0, got {settings.table_samples}")
     rng = np.random.default_rng(settings.seed)
-    bases: dict = {}
-    drawn: dict = {d: [] for d in (1, 2, 3)}  # d_A -> each sample's frames, spectra
-    groups: dict = {}  # (s, depth, d_A, r) -> (each sample's place in drawn, states)
-    for _ in range(settings.table_samples):
-        s = int(rng.integers(2, 6))
-        d_a = int(rng.integers(1, 4))
-        depth = int(rng.integers(2, 4))
-        mixed = bool(rng.integers(0, 2))
-        if (s, depth) not in bases:
-            bases[s, depth] = build_basis(GroupParams(s), depth)
-        drawn[d_a].append(draw_dichotomic(rng, s, d_a))
-        total = d_a * bases[s, depth].dimension
-        state = np.atleast_2d(draw_tensor_state(rng, total, mixed))
-        places, states = groups.setdefault((s, depth, d_a, len(state)), ([], []))
-        places.append(len(drawn[d_a]) - 1)
-        states.append(state)
-    observables = {}
-    for d, draws in drawn.items():
-        if draws:
-            built = dichotomic_stack(*(np.concatenate(part) for part in zip(*draws)))
-            observables[d] = np.split(built, np.cumsum([len(f) for f, _ in draws])[:-1])
+    headers = Counter(
+        (int(rng.integers(2, 6)), int(rng.integers(1, 4)), int(rng.integers(2, 4)),
+         bool(rng.integers(0, 2)))
+        for _ in range(settings.table_samples)
+    )
     stacks = {s: [probability_table_commuting(GroupParams(s)).values[None]]
               for s in (2, 3, 4, 5)}
-    for (s, depth, d_a, _), (places, states) in groups.items():
-        obs = np.array([observables[d_a][i] for i in places])
-        strategy = TensorStrategy(d_a, obs, bases[s, depth], np.array(states))
-        stacks[s].append(probability_table_tensor(strategy).values)
+    for (s, d_a, depth, mixed), n in sorted(headers.items()):
+        basis = build_basis(GroupParams(s), depth)
+        obs = random_observables(rng, n * s, d_a).reshape(n, s, d_a, d_a)
+        states = np.array([
+            np.atleast_2d(draw_tensor_state(rng, d_a * basis.dimension, mixed))
+            for _ in range(n)
+        ])
+        stacks[s].append(probability_table_tensor(obs, basis, states).values)
     checked = failures = 0
     for s, parts in stacks.items():
         tables = ProbabilityTable(s, np.concatenate(parts))

@@ -42,11 +42,6 @@ OUTCOMES = (1, -1)
 VIOLATION_TOL = 1e-9
 
 
-def tensor_bound(s: int) -> float:
-    """Largest f any tensor-separated strategy can reach: 2*sqrt(s-1)/s."""
-    return analytic_norm(s)
-
-
 @dataclass(eq=False)
 class ProbabilityTable:
     """Joint outcome distribution P(a, b | x, y), outcomes ordered (+1, -1).
@@ -102,21 +97,6 @@ class ProbabilityTable:
             found.append((int(i), reason))
         return found
 
-    def validate(self, tol: float = 1e-10) -> None:
-        """Raise ValueError unless finite, nonnegative, normalized, no-signaling.
-
-        For a stack the message names the first table that fails.
-        """
-        found = self.faults(tol)
-        if found:
-            i, reason = found[0]
-            if self.values.ndim == 5:
-                reason = f"table {i}: {reason}"
-            raise ValueError(reason)
-
-    def to_nested_list(self) -> list:
-        return self.values.tolist()
-
 
 def steering_functional(table: ProbabilityTable) -> float:
     """Average equal-input correlator (1/s) sum_y <A_y B_y>."""
@@ -126,7 +106,7 @@ def steering_functional(table: ProbabilityTable) -> float:
 def _table_from_correlators(norm, alice, bob, joint) -> ProbabilityTable:
     """P(a,b|x,y) = (<1> + a<A_x> + b<B_y> + ab<A_x B_y>)/4.
 
-    ``norm`` is the state's own <1>, so ``validate`` rejects an unnormalized
+    ``norm`` is the state's own <1>, so ``faults`` flags an unnormalized
     state.  Every argument may carry the same leading stack axis.
     """
     a = np.array(OUTCOMES, dtype=float)[:, None, None, None]
@@ -192,7 +172,7 @@ class StrategyResult:
             "depth": self.depth,
             "d_A": self.d_A,
             "seed": self.seed,
-            "table": self.table.to_nested_list(),
+            "table": self.table.values.tolist(),
         }
 
 
@@ -204,7 +184,7 @@ def _result(
     **extra,
 ) -> StrategyResult:
     f = steering_functional(table)
-    bound = tensor_bound(params.s)
+    bound = analytic_norm(params.s)
     return StrategyResult(
         s=params.s,
         model=model,
@@ -255,50 +235,29 @@ def _check_observables(observables, s: int, d: int, tol: float) -> None:
             raise ValueError(f"observable {i} does not square to identity")
 
 
-@dataclass(eq=False)
-class TensorStrategy:
-    """Alice observables on her own d_A-dimensional space, Bob on a basis.
+def probability_table_tensor(
+    observables: np.ndarray, basis: TruncatedBasis, state: np.ndarray
+) -> ProbabilityTable:
+    """P(a,b|x,y) = <E^a_x tensor F^b_y> for Alice's (s, d_A, d_A)
+    ``observables`` on her own space and Bob's shifts on ``basis``.
 
     ``state`` is an (r, d_A * D) stack of pure components c_i, the state
     rho = sum_i c_i c_i^T; a unit vector of length d_A * D is the r = 1 case.
-    A stack of n strategies on one basis and d_A has (n, s, d_A, d_A)
-    observables and an (n, r, d_A * D) state; ``validate`` checks a single
-    strategy only.
-    """
-
-    alice_dim: int
-    observables: list[np.ndarray] | np.ndarray
-    basis: TruncatedBasis
-    state: np.ndarray
-
-    def validate(self, tol: float = 1e-10) -> None:
-        _check_observables(self.observables, self.basis.params.s, self.alice_dim, tol)
-        total = self.alice_dim * self.basis.dimension
-        if self.state.ndim not in (1, 2) or self.state.shape[-1] != total:
-            raise ValueError(f"state has shape {self.state.shape}, not (r, {total})")
-        if not np.all(np.isfinite(self.state)):
-            raise ValueError("state has a non-finite entry")
-        if abs(np.linalg.norm(self.state) - 1.0) > tol:
-            raise ValueError("state is not normalized")
-
-
-def probability_table_tensor(strategy: TensorStrategy) -> ProbabilityTable:
-    """P(a,b|x,y) = <E^a_x tensor F^b_y> in the strategy's state.
-
-    The state reduces to G = Tr_B(rho) and K_y = Tr_B((1 tensor S_y) rho) on
+    It reduces to G = Tr_B(rho) and K_y = Tr_B((1 tensor S_y) rho) on
     Alice's side: <1> = tr G, <A_x> = <A_x, G>, <B_y> = tr K_y and
     <A_x B_y> = <A_x, K_y>.  Both are sums over the pure components psi
     (each a d_A x D array) of psi psi^T and psi S_y psi^T.  A stack of n
-    strategies gives an (n, 2, 2, s, s) table, a single one a (2, 2, s, s)
-    table; both take one pass.
+    strategies on one basis and d_A, with (n, s, d_A, d_A) observables and
+    an (n, r, d_A * D) state, gives an (n, 2, 2, s, s) table, a single one a
+    (2, 2, s, s) table; both take one pass.
     """
-    d, dim = strategy.alice_dim, strategy.basis.dimension
-    state = np.asarray(strategy.state)
+    d, dim = np.shape(observables)[-1], basis.dimension
+    state = np.asarray(state)
     stacked = state.ndim == 3
     psi = state.reshape(len(state) if stacked else 1, -1, d, dim)
-    alice_obs = np.reshape(strategy.observables, (len(psi), -1, d, d))
+    alice_obs = np.reshape(observables, (len(psi), -1, d, d))
     gram = np.sum(psi @ psi.transpose(0, 1, 3, 2), axis=1)
-    bob_side = _bob_contractions(psi, strategy.basis)
+    bob_side = _bob_contractions(psi, basis)
     table = _table_from_correlators(
         np.trace(gram, axis1=1, axis2=2),
         np.einsum("nxab,nab->nx", alice_obs, gram),
@@ -314,31 +273,23 @@ def probability_table_tensor(strategy: TensorStrategy) -> ProbabilityTable:
 _SIGNS = np.array([-1.0, 1.0])
 
 
-def draw_dichotomic(
-    rng: np.random.Generator, count: int, dim: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Gaussian frames (count, d, d) and +/-1 spectra (count, d) for
-    ``dichotomic_stack``, drawn one matrix at a time: frame, then spectrum.
+def random_observables(rng: np.random.Generator, count: int, d: int) -> np.ndarray:
+    """``count`` random symmetric d x d involutions (q * signs) q^T: q the QR
+    frame of a Gaussian, signs a +/-1 spectrum.
 
-    A spectrum is ``_SIGNS[rng.integers(0, 2, size=d)]``: the same values
-    and generator state as a uniform choice from (-1, +1), at less cost.
+    The draws are made one matrix at a time, frame then spectrum; a spectrum
+    is ``_SIGNS[rng.integers(0, 2, size=d)]``, the same values and generator
+    state as a uniform choice from (-1, +1), at less cost.  Then one batched
+    QR and one batched product build the stack, each matrix bit-identical to
+    building it alone.
     """
-    frames = np.empty((count, dim, dim))
-    picks = np.empty((count, dim), dtype=np.int64)
+    frames = np.empty((count, d, d))
+    picks = np.empty((count, d), dtype=np.int64)
     for i in range(count):
         rng.standard_normal(out=frames[i])
-        picks[i] = rng.integers(0, 2, size=dim)
-    return frames, _SIGNS[picks]
-
-
-def dichotomic_stack(frames: np.ndarray, signs: np.ndarray) -> np.ndarray:
-    """Symmetric involutions (q * signs) q^T, q the QR frame of each Gaussian.
-
-    One batched QR and one batched product; each matrix comes out
-    bit-identical to building it alone.
-    """
+        picks[i] = rng.integers(0, 2, size=d)
     q, _ = np.linalg.qr(frames)
-    return (q * signs[..., None, :]) @ np.swapaxes(q, -1, -2)
+    return (q * _SIGNS[picks][:, None, :]) @ np.swapaxes(q, -1, -2)
 
 
 def _sign_observables(psi: np.ndarray, basis: TruncatedBasis) -> np.ndarray:
@@ -399,7 +350,7 @@ def seesaw_tensor_optimize(
     runs: list[tuple[list[float], np.ndarray, np.ndarray, bool]] = []
     for child in master.spawn(restarts):
         rng = np.random.default_rng(child)
-        obs = dichotomic_stack(*draw_dichotomic(rng, params.s, alice_dim))
+        obs = random_observables(rng, params.s, alice_dim)
         history: list[float] = []
         psi = None
         stationary = False
@@ -416,14 +367,10 @@ def seesaw_tensor_optimize(
     # One final state step so the reported state matches the reported
     # observables exactly.
     _, psi = _top_state(basis, None, tol, obs, psi)
-    strategy = TensorStrategy(
-        alice_dim=alice_dim, observables=list(obs), basis=basis, state=psi.ravel()
-    )
-    table = probability_table_tensor(strategy)
     return _result(
         params,
         "tensor",
-        table,
+        probability_table_tensor(obs, basis, psi.ravel()),
         bob_depth,
         d_A=alice_dim,
         seed=seed,
@@ -445,8 +392,8 @@ def conjugation_identity_check(
     |g><g| must equal (1/s) sum_y 1 tensor S_y.  On the truncated ball this
     holds exactly on every vector: U is diagonal in words, R_{g_y w} = R_y
     R_w for every y, and the compression drops the same g_y w on both
-    sides.  The ``observables`` R_1..R_s are checked as
-    ``TensorStrategy.validate`` checks them.  Returns the largest 2-norm
+    sides.  The ``observables`` R_1..R_s must be finite symmetric
+    involutions of one size.  Returns the largest 2-norm
     deviation over random probes; values at machine precision certify that
     Alice's dimension cannot matter.
     """

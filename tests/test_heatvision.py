@@ -10,12 +10,12 @@ from steergap import (
     IDENTITY,
     GroupParams,
     Word,
+    analytic_norm,
     build_basis,
     heatvision,
     iterate_channel,
     purity_bound,
     superoperator_norm,
-    tensor_bound,
     word_from_str,
 )
 from steergap.errors import BufferExhaustedError, CapacityError
@@ -326,11 +326,11 @@ def test_purity_strictly_decreasing_and_bounded():
     for p, env in zip(run.purity_series, run.bound_series):
         assert p <= env + 1e-9
     assert run.bound_series[0] == 1.0
-    assert run.fstar == tensor_bound(4)
+    assert run.fstar == analytic_norm(4)
 
 
 def test_bound_series_is_geometric():
-    factor = ((1.0 + tensor_bound(3)) / 2.0) ** 2
+    factor = ((1.0 + analytic_norm(3)) / 2.0) ** 2
     run = iterate_channel(GroupParams(3), 5, 4, [IDENTITY])
     for t, env in enumerate(run.bound_series):
         assert env == pytest.approx(factor**t, rel=1e-15)
@@ -435,7 +435,7 @@ def test_run_rows_report_ratio():
 
 def test_superoperator_estimates_climb_toward_target():
     params = GroupParams(3)
-    target = (1.0 + tensor_bound(3)) / 2.0
+    target = (1.0 + analytic_norm(3)) / 2.0
     values = [superoperator_norm(params, depth) for depth in range(1, 4)]
     for a, b in zip(values, values[1:]):
         assert b > a

@@ -34,7 +34,7 @@ from steergap.spectral import (
     tightness_quotient,
 )
 
-from steergap.steering import dichotomic_stack, draw_dichotomic
+from steergap.steering import random_observables
 
 from util import brute_words, random_buffered_amplitudes
 
@@ -85,7 +85,7 @@ def test_lanczos_odd_start_matches_even_start():
     s, alice_dim, depth = 3, 2, 4
     basis = build_basis(GroupParams(s), depth)
     rng = np.random.default_rng(4)
-    obs = dichotomic_stack(*draw_dichotomic(rng, s, alice_dim))
+    obs = random_observables(rng, s, alice_dim)
     apply, sizes = generator_average(basis.params, depth, obs)
     shape = [(alice_dim, n) for n in sizes]
     even = (rng.standard_normal(shape[0]), np.zeros(shape[1]))
@@ -312,7 +312,7 @@ def test_seesaw_state_step_ritz_vector_true_residual_within_tolerance():
     s, alice_dim, depth, tol = 3, 3, 8, 1e-10
     basis = build_basis(GroupParams(s), depth)
     rng = np.random.default_rng(2)
-    obs = dichotomic_stack(*draw_dichotomic(rng, s, alice_dim))
+    obs = random_observables(rng, s, alice_dim)
     v0 = rng.standard_normal((alice_dim, basis.dimension))
     value, psi = _top_state(basis, None, tol, obs, v0)
     image = sum(r @ left_regular(y, basis)(psi.T).T for y, r in enumerate(obs, 1)) / s

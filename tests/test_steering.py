@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from steergap import (
     GroupParams,
     Word,
     ProbabilityTable,
-    TensorStrategy,
+    analytic_norm,
     build_basis,
     commuting_strategy_result,
     conjugation_identity_check,
@@ -16,26 +17,23 @@ from steergap import (
     probability_table_tensor,
     seesaw_tensor_optimize,
     steering_functional,
-    tensor_bound,
 )
 from steergap.errors import CapacityError
 from steergap.hilbert import left_regular
 from steergap.steering import (
     VIOLATION_TOL,
-    dichotomic_stack,
-    draw_dichotomic,
     draw_tensor_state,
+    random_observables,
 )
 
 from util import brute_words
 
 
 def random_strategy(basis, alice_dim, rng, mixed=False):
-    """A random valid tensor strategy: s random observables, then a random
-    state, as criterion 9 draws them."""
-    obs = dichotomic_stack(*draw_dichotomic(rng, basis.params.s, alice_dim))
-    state = draw_tensor_state(rng, alice_dim * basis.dimension, mixed)
-    return TensorStrategy(alice_dim, obs, basis, state)
+    """Observables and state of a random valid tensor strategy: s random
+    observables, then a random state."""
+    obs = random_observables(rng, basis.params.s, alice_dim)
+    return obs, draw_tensor_state(rng, alice_dim * basis.dimension, mixed)
 
 
 def dense_bob_effects(basis):
@@ -48,31 +46,25 @@ def dense_bob_effects(basis):
     return effects
 
 
-def literal_table(strategy):
+def literal_table(observables, basis, state):
     """P(a,b|x,y) = Tr(rho E^a_x ⊗ F^b_y), every effect a dense Kronecker product.
 
     rho = C^T C is formed densely from the state's component rows C.
     """
-    s = strategy.basis.params.s
-    d = strategy.alice_dim
-    bob = dense_bob_effects(strategy.basis)
-    components = np.atleast_2d(strategy.state)
+    s = basis.params.s
+    d = observables.shape[-1]
+    bob = dense_bob_effects(basis)
+    components = np.atleast_2d(state)
     rho = components.T @ components
     values = np.zeros((2, 2, s, s))
     for x in range(1, s + 1):
         for ja, a in enumerate((1, -1)):
-            alice = 0.5 * (np.eye(d) + a * strategy.observables[x - 1])
+            alice = 0.5 * (np.eye(d) + a * observables[x - 1])
             for y in range(1, s + 1):
                 for jb in range(2):
                     op = np.kron(alice, bob[y - 1][jb])
                     values[ja, jb, x - 1, y - 1] = np.sum(op * rho.T)
     return values
-
-
-def test_tensor_bound_values():
-    assert tensor_bound(2) == 1.0
-    assert tensor_bound(5) == pytest.approx(0.8, abs=0)
-    assert tensor_bound(3) == pytest.approx(2.0 * math.sqrt(2.0) / 3.0)
 
 
 def test_bob_effects_are_buffered_projectors():
@@ -90,7 +82,7 @@ def test_commuting_table_closed_form():
     """P(a,b|x,y) = (1 + ab when x == y else 1)/4."""
     for s in (2, 3, 5):
         table = probability_table_commuting(GroupParams(s))
-        table.validate(1e-15)
+        assert table.faults(1e-15) == []
         for x in range(1, s + 1):
             for y in range(1, s + 1):
                 for ja, a in enumerate((1, -1)):
@@ -142,20 +134,20 @@ def test_correlator_and_functional():
 def test_table_validation_rejects_bad_tables():
     good = probability_table_commuting(GroupParams(2))
     bad = ProbabilityTable(2, good.values * 0.9)
-    with pytest.raises(ValueError, match="total probability"):
-        bad.validate()
+    [(_, reason)] = bad.faults()
+    assert "total probability" in reason
     neg = good.values.copy()
     neg[0, 1, 0, 0] -= 0.3  # a zero entry of the perfectly correlated table
     neg[1, 0, 0, 0] += 0.3
-    with pytest.raises(ValueError, match="negative"):
-        ProbabilityTable(2, neg).validate()
+    [(_, reason)] = ProbabilityTable(2, neg).faults()
+    assert reason.startswith("negative")
     signal = good.values.copy()
     # move mass within Bob's b=-1 column so only Alice's marginal shifts,
     # and only for y=1
     signal[0, 1, 0, 0] += 0.1
     signal[1, 1, 0, 0] -= 0.1
-    with pytest.raises(ValueError, match="signaling"):
-        ProbabilityTable(2, signal).validate()
+    [(_, reason)] = ProbabilityTable(2, signal).faults()
+    assert reason.startswith("signaling")
 
 
 def test_tensor_product_state_factorizes():
@@ -163,18 +155,13 @@ def test_tensor_product_state_factorizes():
     params = GroupParams(3)
     basis = build_basis(params, 2)
     rng = np.random.default_rng(11)
-    obs = dichotomic_stack(*draw_dichotomic(rng, 3, 2))
+    obs = random_observables(rng, 3, 2)
     alice_vec = rng.standard_normal(2)
     alice_vec /= np.linalg.norm(alice_vec)
     bob_vec = np.zeros(basis.dimension)
     bob_vec[0] = 1.0
-    state = np.kron(alice_vec, bob_vec)
-    strat = TensorStrategy(
-        alice_dim=2, observables=obs, basis=basis, state=state
-    )
-    strat.validate()
-    table = probability_table_tensor(strat)
-    table.validate(1e-12)
+    table = probability_table_tensor(obs, basis, np.kron(alice_vec, bob_vec))
+    assert table.faults(1e-12) == []
     bob = dense_bob_effects(basis)
     for x in range(1, 4):
         ex = 0.5 * (np.eye(2) + obs[x - 1])
@@ -191,7 +178,7 @@ def test_tensor_matrix_state_matches_vector_state():
     params = GroupParams(3)
     basis = build_basis(params, 2)
     rng = np.random.default_rng(13)
-    obs = dichotomic_stack(*draw_dichotomic(rng, 3, 2))
+    obs = random_observables(rng, 3, 2)
     vec = rng.standard_normal(2 * basis.dimension)
     vec /= np.linalg.norm(vec)
     comps = rng.standard_normal((3, 2 * basis.dimension))
@@ -199,9 +186,7 @@ def test_tensor_matrix_state_matches_vector_state():
     rotation, _ = np.linalg.qr(rng.standard_normal((3, 3)))
 
     def table(state):
-        strat = TensorStrategy(alice_dim=2, observables=obs, basis=basis, state=state)
-        strat.validate()
-        return probability_table_tensor(strat).values
+        return probability_table_tensor(obs, basis, state).values
 
     split = np.stack([vec, vec]) / math.sqrt(2.0)
     assert np.allclose(table(split), table(vec), atol=1e-14, rtol=0)
@@ -215,68 +200,39 @@ def test_tensor_table_matches_literal_oracle(s, alice_dim, mixed):
     rng = np.random.default_rng(100 * s + 10 * alice_dim + mixed)
     for depth in (2, 3):
         basis = build_basis(GroupParams(s), depth)
-        strat = random_strategy(basis, alice_dim, rng, mixed=mixed)
-        got = probability_table_tensor(strat).values
-        assert np.max(np.abs(got - literal_table(strat))) <= 1e-14
+        obs, state = random_strategy(basis, alice_dim, rng, mixed=mixed)
+        got = probability_table_tensor(obs, basis, state).values
+        assert np.max(np.abs(got - literal_table(obs, basis, state))) <= 1e-14
 
 
 def test_unnormalized_states_fail_validation():
     """The <1> term is the state's own norm, so scaling the state shows."""
     basis = build_basis(GroupParams(3), 2)
     rng = np.random.default_rng(5)
-    pure = random_strategy(basis, 2, rng)
-    pure.state = pure.state * math.sqrt(2.0)
-    mixed = random_strategy(basis, 2, rng, mixed=True)
-    mixed.state = 2.0 * mixed.state
-    for strat in (pure, mixed):
-        with pytest.raises(ValueError, match="total probability"):
-            probability_table_tensor(strat).validate()
-
-
-def test_tensor_strategy_validation():
-    params = GroupParams(2)
-    basis = build_basis(params, 2)
-    rng = np.random.default_rng(1)
-    obs = dichotomic_stack(*draw_dichotomic(rng, 2, 2))
-    good = np.zeros(2 * basis.dimension)
-    good[0] = 1.0
-    TensorStrategy(2, obs, basis, good).validate()
-    with pytest.raises(ValueError, match="square to identity"):
-        TensorStrategy(2, [o * 2 for o in obs], basis, good).validate()
-    with pytest.raises(ValueError, match="normalized"):
-        TensorStrategy(2, obs, basis, good * 2).validate()
-    with pytest.raises(ValueError, match="observable"):
-        TensorStrategy(2, obs[:1], basis, good).validate()
+    obs, pure = random_strategy(basis, 2, rng)
+    _, mixed = random_strategy(basis, 2, rng, mixed=True)
+    for state in (pure * math.sqrt(2.0), 2.0 * mixed):
+        [(_, reason)] = probability_table_tensor(obs, basis, state).faults()
+        assert "total probability" in reason
 
 
 def test_density_matrix_state_fails_validation():
     """A (d_A D)^2 density matrix reads as d_A D components of total weight
     Tr(rho^2) < 1, so a mixed one is refused."""
     basis = build_basis(GroupParams(3), 2)
-    strat = random_strategy(basis, 2, np.random.default_rng(9), mixed=True)
-    strat.validate()
-    strat.state = strat.state.T @ strat.state
-    with pytest.raises(ValueError, match="normalized"):
-        strat.validate()
+    obs, state = random_strategy(basis, 2, np.random.default_rng(9), mixed=True)
+    assert probability_table_tensor(obs, basis, state).faults() == []
+    rho = state.T @ state
+    [(_, reason)] = probability_table_tensor(obs, basis, rho).faults()
+    assert "total probability" in reason
 
 
 def test_validators_reject_non_finite_entries():
     basis = build_basis(GroupParams(3), 2)
-    rng = np.random.default_rng(4)
-    obs = dichotomic_stack(*draw_dichotomic(rng, 3, 2))
+    obs = random_observables(np.random.default_rng(4), 3, 2)
     nan_state = np.full(2 * basis.dimension, np.nan)
-    strat = TensorStrategy(2, obs, basis, nan_state)
-    with pytest.raises(ValueError, match="non-finite"):
-        strat.validate()
-    with pytest.raises(ValueError, match="non-finite"):
-        probability_table_tensor(strat).validate()
-    good = np.zeros(2 * basis.dimension)
-    good[0] = 1.0
-    bad_obs = [obs[0], np.full((2, 2), np.nan), obs[2]]
-    with pytest.raises(ValueError, match="observable 2 has a non-finite"):
-        TensorStrategy(2, bad_obs, basis, good).validate()
-    with pytest.raises(ValueError, match="non-finite"):
-        conjugation_identity_check(bad_obs, basis)
+    [(_, reason)] = probability_table_tensor(obs, basis, nan_state).faults()
+    assert "non-finite" in reason
 
 
 @pytest.mark.parametrize("s", [2, 3, 4, 5])
@@ -290,18 +246,19 @@ def test_stacked_tables_match_one_at_a_time(s, mixed):
                 random_strategy(basis, alice_dim, rng, mixed=mixed)
                 for _ in range(5)
             ]
-            stack = TensorStrategy(
-                alice_dim,
-                np.stack([np.stack(st.observables) for st in strats]),
+            got = probability_table_tensor(
+                np.stack([obs for obs, _ in strats]),
                 basis,
-                np.stack([np.atleast_2d(st.state) for st in strats]),
+                np.stack([np.atleast_2d(state) for _, state in strats]),
             )
-            got = probability_table_tensor(stack)
             assert got.values.shape == (5, 2, 2, s, s)
-            want = np.stack([probability_table_tensor(st).values for st in strats])
+            want = np.stack([
+                probability_table_tensor(obs, basis, state).values
+                for obs, state in strats
+            ])
             assert want.shape == (5, 2, 2, s, s)
             assert np.max(np.abs(got.values - want)) <= 1e-15
-            got.validate(1e-10)
+            assert got.faults(1e-10) == []
 
 
 def _corrupt(values, kind):
@@ -326,21 +283,19 @@ def _corrupt(values, kind):
 def test_stacked_validate_flags_the_corrupted_table(kind):
     basis = build_basis(GroupParams(3), 2)
     rng = np.random.default_rng(31)
+    strats = [random_strategy(basis, 2, rng) for _ in range(6)]
     values = np.stack([
-        probability_table_tensor(random_strategy(basis, 2, rng)).values
-        for _ in range(6)
+        probability_table_tensor(obs, basis, state).values for obs, state in strats
     ])
-    ProbabilityTable(3, values).validate(1e-10)
+    assert ProbabilityTable(3, values).faults(1e-10) == []
     for k in (0, 4):
         stack = values.copy()
         stack[k] = _corrupt(values[k], kind)
         faults = ProbabilityTable(3, stack).faults(1e-10)
         assert [i for i, _ in faults] == [k]
         assert kind in faults[0][1]
-        with pytest.raises(ValueError, match=f"^table {k}: .*{kind}"):
-            ProbabilityTable(3, stack).validate(1e-10)
-        with pytest.raises(ValueError, match=f"^[^:]*{kind}"):
-            ProbabilityTable(3, stack[k]).validate(1e-10)
+        [(i, reason)] = ProbabilityTable(3, stack[k]).faults(1e-10)
+        assert i == 0 and re.match(f"[^:]*{kind}", reason)
 
 
 @pytest.mark.parametrize("dim", range(1, 9))
@@ -353,15 +308,13 @@ def test_dichotomic_draws_match_one_at_a_time(dim):
         assert np.array_equal(signs, chosen.choice([-1.0, 1.0], size=dim))
         assert picked.bit_generator.state == chosen.bit_generator.state
     rng, alone = np.random.default_rng(dim), np.random.default_rng(dim)
-    frames, signs = draw_dichotomic(rng, 12, dim)
-    stacked = dichotomic_stack(frames, signs)
-    for frame, sign, got in zip(frames, signs, stacked):
-        assert np.array_equal(frame, alone.standard_normal((dim, dim)))
-        assert np.array_equal(sign, alone.choice([-1.0, 1.0], size=dim))
-        q, _ = np.linalg.qr(frame)
+    stacked = random_observables(rng, 12, dim)
+    for got in stacked:
+        q, _ = np.linalg.qr(alone.standard_normal((dim, dim)))
+        sign = alone.choice([-1.0, 1.0], size=dim)
         assert np.array_equal(got, (q * sign) @ q.T)
     assert rng.bit_generator.state == alone.bit_generator.state
-    one = dichotomic_stack(*draw_dichotomic(np.random.default_rng(dim), 1, dim))
+    one = random_observables(np.random.default_rng(dim), 1, dim)
     assert np.array_equal(one[0], stacked[0])
 
 
@@ -369,12 +322,11 @@ def test_random_tables_are_valid():
     rng = np.random.default_rng(21)
     for _ in range(25):
         s = int(rng.integers(2, 5))
-        strat = random_strategy(
-            build_basis(GroupParams(s), 2), int(rng.integers(1, 4)), rng,
-            mixed=bool(rng.integers(0, 2)),
+        basis = build_basis(GroupParams(s), 2)
+        obs, state = random_strategy(
+            basis, int(rng.integers(1, 4)), rng, mixed=bool(rng.integers(0, 2))
         )
-        strat.validate()
-        probability_table_tensor(strat).validate(1e-10)
+        assert probability_table_tensor(obs, basis, state).faults(1e-10) == []
 
 
 def test_seesaw_reaches_compressed_value():
@@ -382,9 +334,9 @@ def test_seesaw_reaches_compressed_value():
     res = seesaw_tensor_optimize(params, 2, 3, restarts=3, seed=2)
     target = estimate_norm(params, 3).estimated_norm
     assert res.f_s == pytest.approx(target, abs=1e-8)
-    assert res.f_s <= tensor_bound(3) + 1e-9
+    assert res.f_s <= analytic_norm(3) + 1e-9
     assert res.stationary
-    res.table.validate(1e-9)
+    assert res.table.faults(1e-9) == []
 
 
 def test_seesaw_monotone_histories():
@@ -473,7 +425,7 @@ def test_conjugation_identity_single_step_by_hand():
     params = GroupParams(3)
     basis = build_basis(params, 3)
     rng = np.random.default_rng(17)
-    obs = dichotomic_stack(*draw_dichotomic(rng, 3, 3))
+    obs = random_observables(rng, 3, 3)
     alpha = rng.standard_normal(3)
     alpha /= np.linalg.norm(alpha)
     # build U explicitly from word operators and compare one application
@@ -506,7 +458,7 @@ def test_conjugation_identity_random_buffered():
     basis = build_basis(params, 5)
     rng = np.random.default_rng(23)
     for trial in range(5):
-        obs = dichotomic_stack(*draw_dichotomic(rng, 3, 4))
+        obs = random_observables(rng, 3, 4)
         dev = conjugation_identity_check(obs, basis, probes=4, seed=trial)
         assert dev < 1e-9
 
@@ -518,6 +470,30 @@ def test_conjugation_word_operators_over_budget():
     basis = build_basis(params, 13)
     with pytest.raises(CapacityError, match="word operators of 24574 x 200 x 200"):
         conjugation_identity_check([np.eye(200)] * 3, basis)
+
+
+@pytest.mark.parametrize("clause, match", [
+    ("count", "one Alice observable per input"),
+    ("shape", "observable 2 has shape"),
+    ("non-finite", "observable 2 has a non-finite entry"),
+    ("symmetric", "observable 2 is not symmetric"),
+    ("involution", "observable 2 does not square to identity"),
+])
+def test_conjugation_check_refuses_bad_observables(clause, match):
+    """Each clause of the observable check, with the other clauses met where
+    they can be: the non-symmetric matrix still squares to the identity."""
+    basis = build_basis(GroupParams(3), 2)
+    obs = list(random_observables(np.random.default_rng(1), 3, 2))
+    bad = {
+        "count": obs[:2],
+        "shape": [obs[0], np.eye(3), obs[2]],
+        "non-finite": [obs[0], np.full((2, 2), np.nan), obs[2]],
+        "symmetric": [obs[0], np.array([[1.0, 1.0], [0.0, -1.0]]), obs[2]],
+        "involution": [obs[0], 2.0 * obs[1], obs[2]],
+    }[clause]
+    assert conjugation_identity_check(obs, basis, probes=1) < 1e-12
+    with pytest.raises(ValueError, match=match):
+        conjugation_identity_check(bad, basis)
 
 
 def test_conjugation_identity_needs_room():
