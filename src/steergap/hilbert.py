@@ -98,6 +98,8 @@ class TruncatedBasis:
 
 
 def build_basis(params: GroupParams, depth: int) -> TruncatedBasis:
+    """``TruncatedBasis(params, depth)``.  Public only because the benchmark
+    tracer, ``perfbench/tracer.py``, wraps it by name (``hilbert.basis_s``)."""
     return TruncatedBasis(params, depth)
 
 

@@ -322,7 +322,7 @@ def _top_state(basis: TruncatedBasis, rng, tol, coefs=None, v0=None):
     start = None if v0 is None else basis.split_parity(v0)
     value, parts, _, _ = _lanczos_extremal(apply, sizes, rng, tol, v0=start, lead=lead)
     vec = basis.merge_parity(parts)
-    return value, vec / np.linalg.norm(vec)
+    return value, vec / _norm(vec)
 
 
 def _average_form(basis: TruncatedBasis, amps: np.ndarray) -> np.ndarray:
