@@ -366,21 +366,18 @@ def criterion_heat_vision(settings: ReportSettings) -> CriterionResult:
 def criterion_table_sanity(settings: ReportSettings) -> CriterionResult:
     """9: every emitted probability table is a valid no-signaling distribution.
 
-    Every sample's header (s, d_A, depth, mixed) is drawn first.  Then each
-    group of equal headers, in sorted order, draws its observables and
-    states and builds its tables as one stack; with the commuting table
-    they are checked one stack per s.
+    Every sample's header (s, d_A, depth, mixed) is drawn first, in one
+    call, with mixed 0 or 1.  Then each group of equal headers, in sorted
+    order, draws its observables and states and builds its tables as one
+    stack; with the commuting table they are checked one stack per s.
     """
     scale = settings.tolerance_scale
     tol = 1e-10 * scale
     if settings.table_samples < 0:
         raise ValueError(f"table_samples must be ≥ 0, got {settings.table_samples}")
     rng = np.random.default_rng(settings.seed)
-    headers = Counter(
-        (int(rng.integers(2, 6)), int(rng.integers(1, 4)), int(rng.integers(2, 4)),
-         bool(rng.integers(0, 2)))
-        for _ in range(settings.table_samples)
-    )
+    size = (settings.table_samples, 4)
+    headers = Counter(map(tuple, rng.integers((2, 1, 2, 0), (6, 4, 4, 2), size).tolist()))
     stacks = {s: [probability_table_commuting(GroupParams(s)).values[None]]
               for s in (2, 3, 4, 5)}
     for (s, d_a, depth, mixed), n in sorted(headers.items()):
