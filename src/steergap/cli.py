@@ -7,8 +7,9 @@ estimate), ``steer commuting`` (on the depth-2 ball) / ``steer seesaw``
 its only options).  Configuration comes from flags, optionally seeded from a
 key=value config file that explicit flags override.
 
-Exit codes: 0 success, 1 invalid configuration, 2 resource or convergence
-failure (including running out of memory), 3 report criteria failed.
+Exit codes: 0 success, 1 invalid configuration (including a named file
+that cannot be opened), 2 resource or convergence failure (including running
+out of memory), 3 report criteria failed.
 
 Each command imports the layers it runs inside its handler, so ``--version``
 loads no numpy and ``heatvision``, from any state, loads no spectral,
@@ -204,11 +205,10 @@ def _cmd_norm(args) -> int:
         (r.depth, r.estimated_norm, r.analytic_bound, r.gap, r.iterations)
         for r in sweep
     ]
-    if args.csv is not None:
-        write_text(
-            csv_text(["N", "estimate", "analytic_bound", "gap", "iterations"], rows),
-            args.csv,
-        )
+    write_text(
+        csv_text(["N", "estimate", "analytic_bound", "gap", "iterations"], rows),
+        args.csv,
+    )
     if args.json is not None:
         result = {
             "s": args.s,
@@ -263,8 +263,7 @@ def _cmd_heatvision(args) -> int:
 
     words = [word_from_str(tok) for tok in args.state.split(",")]
     run = iterate_channel(GroupParams(args.s), args.depth, args.steps, words)
-    if args.csv is not None:
-        write_text(csv_text(["t", "purity", "bound", "ratio"], run.rows()), args.csv)
+    write_text(csv_text(["t", "purity", "bound", "ratio"], run.rows()), args.csv)
     if args.json is not None:
         result = {
             "s": run.s,
@@ -336,7 +335,7 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         print(str(exc), file=sys.stderr)
         return 1
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (CapacityError, ConvergenceError, BufferExhaustedError) as exc:

@@ -1,8 +1,9 @@
 """Error types shared across the package.
 
 The command-line driver maps these onto exit codes: configuration errors
-(plain ``ValueError``) exit 1, resource and convergence failures exit 2, and
-so does running out of memory (the built-in ``MemoryError``).
+(plain ``ValueError``) and files that cannot be opened (``OSError``) exit 1,
+resource and convergence failures exit 2, and so does running out of memory
+(the built-in ``MemoryError``).
 """
 
 #: Largest single allocation, checked before it is made.  It admits every

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -63,12 +63,16 @@ class CriterionResult:
         return f"[{status}] criterion {self.number}: {self.title} — {self.details}"
 
     def to_json_dict(self) -> dict:
-        return {
-            "number": self.number,
-            "title": self.title,
-            "passed": self.passed,
-            "details": self.details,
-        }
+        return asdict(self)
+
+
+def _verdict(
+    number: int, title: str, details: str, problems: list[str], shown: int | None = None
+) -> CriterionResult:
+    """Pass when there are no problems; the details end with the first ``shown``."""
+    if problems:
+        details += "; " + "; ".join(problems[:shown])
+    return CriterionResult(number, title, not problems, details)
 
 
 @dataclass
@@ -155,9 +159,7 @@ def criterion_norm_sweep(settings: ReportSettings) -> CriterionResult:
         f"worst final gap {worst_gap:.6f} "
         f"(allowed {settings.norm_gap_allowance * scale:.6f})"
     )
-    if problems:
-        details += "; " + "; ".join(problems)
-    return CriterionResult(1, "norm sweep converges from below", not problems, details)
+    return _verdict(1, "norm sweep converges from below", details, problems)
 
 
 def criterion_moment_oracle(settings: ReportSettings) -> CriterionResult:
@@ -186,9 +188,7 @@ def criterion_moment_oracle(settings: ReportSettings) -> CriterionResult:
         f"{checked} exact count comparisons; moment root at k={k12} "
         f"off by {diff:.6f} (allowed {0.06 * scale:.6f})"
     )
-    if problems:
-        details += "; " + "; ".join(problems[:4])
-    return CriterionResult(2, "walk-count oracle equivalence", not problems, details)
+    return _verdict(2, "walk-count oracle equivalence", details, problems, 4)
 
 
 def criterion_bound_chain(settings: ReportSettings) -> CriterionResult:
@@ -248,9 +248,7 @@ def criterion_tightness(settings: ReportSettings) -> CriterionResult:
         f"max norm error {norm_err:.2g}; final quotient gap {final_gap:.6f} "
         f"(allowed {allowed:.6f})"
     )
-    if problems:
-        details += "; " + "; ".join(problems)
-    return CriterionResult(4, "tightness family", not problems, details)
+    return _verdict(4, "tightness family", details, problems)
 
 
 def criterion_commuting_violation(settings: ReportSettings) -> CriterionResult:
@@ -271,9 +269,7 @@ def criterion_commuting_violation(settings: ReportSettings) -> CriterionResult:
     if abs(res2.f_s - 1.0) > 1e-12 * scale:
         problems.append(f"s=2: f = {res2.f_s!r}")
     details = f"max |f - 1| = {worst:.2g}; s=2 violates={res2.violates}"
-    if problems:
-        details += "; " + "; ".join(problems)
-    return CriterionResult(5, "commuting strategy violates", not problems, details)
+    return _verdict(5, "commuting strategy violates", details, problems)
 
 
 def criterion_seesaw_bound(settings: ReportSettings) -> CriterionResult:
@@ -301,9 +297,7 @@ def criterion_seesaw_bound(settings: ReportSettings) -> CriterionResult:
         f"best f = {result.f_s:.10f} vs bound {result.tensor_bound:.10f} "
         f"({settings.seesaw_restarts} restarts, d_A={settings.seesaw_alice_dim})"
     )
-    if problems:
-        details += "; " + "; ".join(problems[:4])
-    return CriterionResult(6, "seesaw stays under tensor bound", not problems, details)
+    return _verdict(6, "seesaw stays under tensor bound", details, problems, 4)
 
 
 def criterion_conjugation(settings: ReportSettings) -> CriterionResult:
@@ -358,9 +352,7 @@ def criterion_heat_vision(settings: ReportSettings) -> CriterionResult:
         f"{run.bound_series[-1]:.6f}; step-1 error {step1_err:.2g}; "
         f"superoperator estimate reaches {sups[-1]:.6f} of {target:.6f}"
     )
-    if problems:
-        details += "; " + "; ".join(problems[:4])
-    return CriterionResult(8, "heat-vision purity decay", not problems, details)
+    return _verdict(8, "heat-vision purity decay", details, problems, 4)
 
 
 def criterion_table_sanity(settings: ReportSettings) -> CriterionResult:

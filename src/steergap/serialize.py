@@ -19,14 +19,14 @@ def format_float(x: float) -> str:
     return f"{x:.17g}"
 
 
-def json_dumps(obj, *, indent: int = 2) -> str:
+def json_dumps(obj) -> str:
     # Imported here so that a CSV-only run loads neither module.
     import json
     import numbers
 
     def encode(obj, level: int) -> str:
-        pad = " " * (indent * level)
-        inner = " " * (indent * (level + 1))
+        pad = "  " * level
+        inner = "  " * (level + 1)
         if obj is None:
             return "null"
         if isinstance(obj, bool):

@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 import time
@@ -11,7 +12,7 @@ import pytest
 
 import steergap
 from steergap import GroupParams, estimate_norm, seesaw_tensor_optimize
-from steergap.cli import main
+from steergap.cli import _build_parser, _leaf_name, main
 from steergap.heatvision import MAX_STEPS
 from steergap.report import (
     ReportSettings,
@@ -565,6 +566,24 @@ def test_config_file_errors_exit_1(tmp_path, capsys):
     assert "key=value" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["norm", "--s", "3", "--depth-max", "2", "--csv", ""],
+        ["steer", "commuting", "--s", "3", "--json", "{tmp}/missing/x.json"],
+        ["norm", "--s", "3", "--depth-max", "2", "--config", "{tmp}/missing.cfg"],
+        ["norm", "--s", "3", "--depth-max", "2", "--config", "{tmp}"],
+    ],
+    ids=["csv-empty-name", "json-missing-dir", "config-missing", "config-directory"],
+)
+def test_unopenable_files_exit_1(tmp_path, capsys, argv):
+    rc = main([a.format(tmp=tmp_path) for a in argv])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 # --- report ---
 
 
@@ -823,17 +842,22 @@ def test_benchmark_traced_child_runs(tmp_path):
     assert "heatvision.iterate_channel" in {span[0] for span in spans}
 
 
-@pytest.mark.parametrize(
-    "script, args",
-    [
-        ("norm_convergence.py", ["--s", "3", "--depth-max", "4", "--out-dir", "{tmp}"]),
-        ("purity_decay.py", ["--s", "3", "--steps", "3"]),
-        ("separation_demo.py",
-         ["--s", "3", "--alice-dim", "2", "--bob-depth", "3", "--restarts", "2"]),
-    ],
-    ids=["norm_convergence", "purity_decay", "separation_demo"],
-)
-def test_script_runs(tmp_path, script, args):
-    args = [a.format(tmp=tmp_path) for a in args]
-    proc = run_child(str(REPO / "scripts" / script), *args)
-    assert proc.returncode == 0, proc.stderr
+# --- README ---
+
+
+def test_readme_commands_parse():
+    """Every steergap line in the README's sh blocks parses and sets its
+    command's required options, so a renamed option cannot leave it stale."""
+    text = (REPO / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```sh\n(.*?)^```", text, re.M | re.S)
+    lines = [ln for b in blocks for ln in b.splitlines() if ln.startswith("steergap ")]
+    assert lines
+    parser, leaves = _build_parser()
+    for line in lines:
+        args = parser.parse_args(shlex.split(line, comments=True)[1:])
+        missing = [
+            opt
+            for opt in getattr(leaves[_leaf_name(args)], "required_options", [])
+            if getattr(args, opt.lstrip("-").replace("-", "_")) is None
+        ]
+        assert not missing, (line, missing)
