@@ -4,8 +4,9 @@ One subcommand per experiment: ``norm`` (depth sweep of the operator-norm
 estimate), ``steer commuting`` (on the depth-2 ball) / ``steer seesaw``
 (strategy evaluation), ``heatvision`` (channel purity run), and ``report``
 (the full reproduction pipeline; its profile, seed and tolerance scale are
-its only options).  Configuration comes from flags, optionally seeded from a
-key=value config file that explicit flags override.
+its only options).  Configuration comes from flags, spelled in full,
+optionally seeded from a key=value config file that explicit flags
+override; argparse converts a file value as it does the flag's.
 
 Exit codes: 0 success, 1 invalid configuration (including a named file
 that cannot be opened), 2 resource or convergence failure (including running
@@ -37,22 +38,28 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse that reports usage problems as exceptions, not sys.exit(2)."""
+    """argparse that reports usage problems as exceptions, not sys.exit(2),
+    and takes options only spelled in full.  A leaf command's parser lists
+    the options that a flag or its config file must supply."""
+
+    required_options: tuple[str, ...] = ()
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
 
     def error(self, message):
         raise _UsageError(f"{self.prog}: {message}")
 
 
-def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
+def _build_parser() -> _Parser:
     parser = _Parser(prog="steergap", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    leaves: dict[str, _Parser] = {}
 
     norm = sub.add_parser("norm", help="depth sweep of the norm estimate")
     norm.add_argument("--s", type=int)
     norm.add_argument("--depth-max", type=int)
-    norm.required_options = ["--s", "--depth-max"]
+    norm.required_options = ("--s", "--depth-max")
     norm.add_argument("--depth-min", type=int, default=1)
     norm.add_argument(
         "--representation", choices=["auto", "sparse", "radial"], default="auto"
@@ -63,8 +70,7 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     norm.add_argument("--csv", default="-", help="CSV path, '-' for stdout")
     norm.add_argument("--json", default=None, help="JSON path, '-' for stdout")
     norm.add_argument("--config", default=None, help="key=value defaults file")
-    norm.set_defaults(run=_cmd_norm)
-    leaves["norm"] = norm
+    norm.set_defaults(run=_cmd_norm, leaf=norm)
 
     steer = sub.add_parser("steer", help="evaluate steering strategies")
     steer_sub = steer.add_subparsers(dest="strategy", required=True)
@@ -73,17 +79,16 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
         "commuting", help="the exact commuting-shift strategy"
     )
     commuting.add_argument("--s", type=int)
-    commuting.required_options = ["--s"]
+    commuting.required_options = ("--s",)
     commuting.add_argument("--json", default="-")
     commuting.add_argument("--config", default=None)
-    commuting.set_defaults(run=_cmd_steer_commuting)
-    leaves["steer commuting"] = commuting
+    commuting.set_defaults(run=_cmd_steer_commuting, leaf=commuting)
 
     seesaw = steer_sub.add_parser(
         "seesaw", help="alternating optimization over tensor strategies"
     )
     seesaw.add_argument("--s", type=int)
-    seesaw.required_options = ["--s"]
+    seesaw.required_options = ("--s",)
     seesaw.add_argument("--alice-dim", type=int, default=8)
     seesaw.add_argument("--bob-depth", type=int, default=5)
     seesaw.add_argument("--restarts", type=int, default=20)
@@ -92,14 +97,13 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     seesaw.add_argument("--seed", type=int, default=0)
     seesaw.add_argument("--json", default="-")
     seesaw.add_argument("--config", default=None)
-    seesaw.set_defaults(run=_cmd_steer_seesaw)
-    leaves["steer seesaw"] = seesaw
+    seesaw.set_defaults(run=_cmd_steer_seesaw, leaf=seesaw)
 
     heat = sub.add_parser("heatvision", help="iterated-channel purity run")
     heat.add_argument("--s", type=int)
     heat.add_argument("--depth", type=int)
     heat.add_argument("--steps", type=int)
-    heat.required_options = ["--s", "--depth", "--steps"]
+    heat.required_options = ("--s", "--depth", "--steps")
     heat.add_argument(
         "--state",
         default="e",
@@ -108,8 +112,7 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     heat.add_argument("--csv", default="-")
     heat.add_argument("--json", default=None)
     heat.add_argument("--config", default=None)
-    heat.set_defaults(run=_cmd_heatvision)
-    leaves["heatvision"] = heat
+    heat.set_defaults(run=_cmd_heatvision, leaf=heat)
 
     report = sub.add_parser("report", help="run the full reproduction report")
     report.add_argument("--quick", action="store_true", help="smoke-test profile")
@@ -117,10 +120,9 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     report.add_argument("--seed", type=int, default=None)
     report.add_argument("--json", default=None)
     report.add_argument("--config", default=None)
-    report.set_defaults(run=_cmd_report)
-    leaves["report"] = report
+    report.set_defaults(run=_cmd_report, leaf=report)
 
-    return parser, leaves
+    return parser
 
 
 def _load_config_file(path: str) -> dict[str, str]:
@@ -148,38 +150,30 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"cannot parse boolean {text!r}")
 
 
-def _apply_config(leaf: _Parser, entries: dict[str, str]) -> None:
-    """Install config-file values as parser defaults; flags still win."""
-    actions = {a.dest: a for a in leaf._actions}
-    converted = {}
+def _apply_config(args: argparse.Namespace, entries: dict[str, str]) -> None:
+    """Install config-file values as defaults of the command's parser.
+
+    Keys must name an option of the command, as the first parse shows them.
+    A store_true value goes through ``_parse_bool``; every other value stays
+    a string, which the second parse converts with the option's own type, as
+    it does a flag.  Explicit flags still win.
+    """
+    options = vars(args).keys() - {"run", "leaf", "command", "strategy"}
+    defaults = {}
     for key, value in entries.items():
-        action = actions.get(key)
-        if action is None:
+        if key not in options:
             raise ValueError(f"unknown config key {key!r}")
-        if isinstance(action, argparse._StoreTrueAction):
-            converted[key] = _parse_bool(value)
-        elif action.type is not None:
-            converted[key] = action.type(value)
-        else:
-            converted[key] = value
-    leaf.set_defaults(**converted)
-
-
-def _leaf_name(args: argparse.Namespace) -> str:
-    if args.command == "steer":
-        return f"steer {args.strategy}"
-    return args.command
+        defaults[key] = (
+            _parse_bool(value) if isinstance(getattr(args, key), bool) else value
+        )
+    args.leaf.set_defaults(**defaults)
 
 
 def _config_echo(args: argparse.Namespace) -> dict:
-    skip = {"run", "config"}
+    skip = {"run", "leaf", "config", "command", "strategy"}
     return {
-        "command": _leaf_name(args),
-        **{
-            k: v
-            for k, v in sorted(vars(args).items())
-            if k not in skip and k not in ("command", "strategy")
-        },
+        "command": args.leaf.prog.split(" ", 1)[1],
+        **{k: v for k, v in sorted(vars(args).items()) if k not in skip},
     }
 
 
@@ -312,23 +306,22 @@ def _cmd_report(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser, leaves = _build_parser()
+    parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        leaf = leaves[_leaf_name(args)]
-        if getattr(args, "config", None):
-            _apply_config(leaf, _load_config_file(args.config))
+        if args.config is not None:
+            _apply_config(args, _load_config_file(args.config))
             args = parser.parse_args(argv)
         # Required options are checked only now so the config file can
         # supply them.
         missing = [
             opt
-            for opt in getattr(leaf, "required_options", [])
+            for opt in args.leaf.required_options
             if getattr(args, opt.lstrip("-").replace("-", "_")) is None
         ]
         if missing:
             raise _UsageError(
-                f"{leaf.prog}: the following arguments are required: "
+                f"{args.leaf.prog}: the following arguments are required: "
                 + ", ".join(missing)
             )
         return args.run(args)

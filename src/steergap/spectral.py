@@ -203,7 +203,10 @@ def _lanczos_extremal(
         c = (start + j) % 2
         w = apply(q, c)
         if j > 0:
-            w -= betas[-1] * prev
+            # prev is this run's own array (the Krylov blocks hold copies),
+            # so it is scaled in place rather than into a temporary.
+            prev *= betas[-1]
+            w -= prev
         beta = _norm(w)
         ran_out = j == krylov - 1
         breakdown = beta < 1e-14

@@ -12,7 +12,7 @@ import pytest
 
 import steergap
 from steergap import GroupParams, estimate_norm, seesaw_tensor_optimize
-from steergap.cli import _build_parser, _leaf_name, main
+from steergap.cli import _apply_config, _build_parser, _load_config_file, main
 from steergap.heatvision import MAX_STEPS
 from steergap.report import (
     ReportSettings,
@@ -567,14 +567,61 @@ def test_config_file_errors_exit_1(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "text, message",
+    [
+        ("s = x\n", "argument --s: invalid int value: 'x'"),
+        ("tol = small\n", "argument --tol: invalid float value: 'small'"),
+        ("leaf = 1\n", "unknown config key 'leaf'"),
+        ("run = 1\n", "unknown config key 'run'"),
+        ("command = 1\n", "unknown config key 'command'"),
+    ],
+    ids=["int", "float", "leaf", "run", "command"],
+)
+def test_config_values_are_checked_as_flags_are(tmp_path, capsys, text, message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    assert main(["norm", "--config", str(cfg), "--depth-max", "2"]) == 1
+    err = capsys.readouterr().err
+    assert message in err and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_config_booleans_parse_and_bad_ones_exit_1(tmp_path, capsys):
+    cfg = tmp_path / "report.cfg"
+    cfg.write_text("quick = maybe\n")
+    assert main(["report", "--config", str(cfg)]) == 1
+    assert "cannot parse boolean 'maybe'" in capsys.readouterr().err
+    cfg.write_text("quick = yes\nseed = 7\n")
+    parser = _build_parser()
+    args = parser.parse_args(["report", "--config", str(cfg)])
+    _apply_config(args, _load_config_file(str(cfg)))
+    args = parser.parse_args(["report", "--config", str(cfg)])
+    assert (args.quick, args.seed) == (True, 7)
+
+
+def test_abbreviated_options_exit_1(capsys):
+    assert main(["steer", "seesaw", "--s", "5", "--restart", "10"]) == 1
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: --restart 10" in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["norm", "--s", "3", "--depth-max", "2", "--csv", ""],
         ["steer", "commuting", "--s", "3", "--json", "{tmp}/missing/x.json"],
         ["norm", "--s", "3", "--depth-max", "2", "--config", "{tmp}/missing.cfg"],
         ["norm", "--s", "3", "--depth-max", "2", "--config", "{tmp}"],
+        ["norm", "--s", "3", "--depth-max", "2", "--config", ""],
     ],
-    ids=["csv-empty-name", "json-missing-dir", "config-missing", "config-directory"],
+    ids=[
+        "csv-empty-name",
+        "json-missing-dir",
+        "config-missing",
+        "config-directory",
+        "config-empty-name",
+    ],
 )
 def test_unopenable_files_exit_1(tmp_path, capsys, argv):
     rc = main([a.format(tmp=tmp_path) for a in argv])
@@ -852,12 +899,12 @@ def test_readme_commands_parse():
     blocks = re.findall(r"^```sh\n(.*?)^```", text, re.M | re.S)
     lines = [ln for b in blocks for ln in b.splitlines() if ln.startswith("steergap ")]
     assert lines
-    parser, leaves = _build_parser()
+    parser = _build_parser()
     for line in lines:
         args = parser.parse_args(shlex.split(line, comments=True)[1:])
         missing = [
             opt
-            for opt in getattr(leaves[_leaf_name(args)], "required_options", [])
+            for opt in args.leaf.required_options
             if getattr(args, opt.lstrip("-").replace("-", "_")) is None
         ]
         assert not missing, (line, missing)

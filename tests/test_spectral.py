@@ -319,6 +319,24 @@ def test_seesaw_state_step_ritz_vector_true_residual_within_tolerance():
     assert np.linalg.norm(image - value * psi) <= 10 * tol
 
 
+def test_state_step_leaves_its_start_unchanged():
+    """The recurrence scales its previous Lanczos vector in place, so the
+    caller's start state, and the class parts made from it, must not be it."""
+    s, alice_dim, depth = 3, 2, 5
+    basis = build_basis(GroupParams(s), depth)
+    rng = np.random.default_rng(3)
+    obs = random_observables(rng, s, alice_dim)
+    psi = rng.standard_normal((alice_dim, basis.dimension))
+    kept = psi.copy()
+    _top_state(basis, None, 1e-10, obs, psi)
+    assert np.array_equal(psi, kept)
+    apply, sizes = generator_average(basis.params, depth, obs)
+    parts = basis.split_parity(psi)
+    kept_parts = [p.copy() for p in parts]
+    _lanczos_extremal(apply, sizes, None, 1e-10, v0=parts, lead=(alice_dim,))
+    assert all(np.array_equal(p, k) for p, k in zip(parts, kept_parts))
+
+
 def test_rayleigh_quotient_right_translation_invariant():
     """Right translations commute with the averaged left shift."""
     params = GroupParams(3)
