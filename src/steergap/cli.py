@@ -28,7 +28,12 @@ import argparse
 import sys
 
 from . import __version__
-from .errors import BufferExhaustedError, CapacityError, ConvergenceError
+from .errors import (
+    BufferExhaustedError,
+    CapacityError,
+    ConvergenceError,
+    require_tolerance,
+)
 from .freegroup import GroupParams, analytic_norm, word_from_str
 from .serialize import csv_text, json_dumps, run_meta, write_text
 
@@ -62,7 +67,7 @@ def _build_parser() -> _Parser:
     norm.required_options = ("--s", "--depth-max")
     norm.add_argument("--depth-min", type=int, default=1)
     norm.add_argument(
-        "--representation", choices=["auto", "sparse", "radial"], default="auto"
+        "--representation", default="auto", help="auto, sparse or radial (default auto)"
     )
     norm.add_argument("--tol", type=float, default=1e-10)
     norm.add_argument("--max-iter", type=int, default=None)
@@ -274,9 +279,7 @@ def _cmd_heatvision(args) -> int:
 def _cmd_report(args) -> int:
     # Refused before the report layer loads or any criterion runs;
     # ``run_report`` checks again for library callers.
-    scale = args.tolerance_scale
-    if not 0.0 <= scale < float("inf"):
-        raise ValueError(f"tolerance_scale must be finite and ≥ 0, got {scale}")
+    require_tolerance("tolerance_scale", args.tolerance_scale)
     from .report import ReportSettings, run_report
 
     settings = ReportSettings.quick() if args.quick else ReportSettings()

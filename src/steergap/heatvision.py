@@ -16,8 +16,10 @@ walk moves weight d away with probability m_t(d)/|shell d| (Kesten, Trans.
 AMS 92, 1959; Woess, Random Walks on Infinite Graphs and Groups, 2000),
 where the shell masses m_t of the run from |e><e| follow its radial
 reduction: stay 1/2, move in 1/(2s), move out (s-1)/(2s), and out 1/2 from
-the root.  ``iterate_channel`` carries them in plain Python floats, with
-no word basis or array, and reads the purity off the hull of the words.
+the root.  The walk is symmetric, so the purity after t steps is the mean
+over ordered pairs of state words of the move probability m_2t(d)/|shell d|
+at their distance d.  ``iterate_channel`` carries the shell masses in plain
+Python floats, with no word basis or array.
 
 Each step consumes one shell of buffer; runs past it raise instead of
 silently returning truncation artifacts, as do runs past ``MAX_STEPS`` or
@@ -33,7 +35,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from itertools import chain
+from itertools import combinations
 from operator import mul
 from os.path import commonprefix
 from typing import NamedTuple
@@ -53,79 +55,46 @@ def purity_bound(s: int, steps: int) -> float:
     return ((1.0 + analytic_norm(s)) / 2.0) ** (2 * steps)
 
 
-def _shifted(counts: Counter) -> Counter:
-    return Counter({d + 1: n for d, n in counts.items()})
+def _pair_series(s: int, pairs: Counter, total: int, steps: int):
+    """Yield (trace, purity) of the run from ``total`` words, from t = 0.
 
-
-def _hull_plan(words: list[Word]) -> list[tuple[int, Counter]]:
-    """(hull degree, words at each distance) of each vertex of the words' hull.
-
-    The hull is the subtree that the words span, a trie of their prefixes
-    below the one they all share.  The words below a vertex are counted up
-    it, and the others come down from the vertex's parent.
+    ``pairs[d]`` counts the ordered word pairs d apart.  The walk is
+    symmetric, so the purity after t steps is the mean over those pairs of
+    the 2t-step move probability m_2t(d) share[d], where ``mass[k]`` is
+    shell k's weight m in the run from |e><e| and ``share[k]`` is
+    1/|shell k|.  Pairs 0 apart read m_2t(0) = sum_k m_t(k)^2 share[k] off
+    step t, so a run from |e><e| stops at step t; other pairs continue the
+    chain to step 2t, past step t keeping only the shells that can still
+    reach the farthest pair.  A step divides by s rather than multiplying
+    by a rounded 1/(2s), so rounding does not drain the trace, and the list
+    starts with zeros out to the farthest pair, so each pair's shell is in it.
     """
-    cut = len(commonprefix([w.letters for w in words]))
-    child, ends = {}, Counter()
-    for w in words:
-        u = 0
-        for letter in w.letters[cut:]:
-            u = child.setdefault((u, letter), len(child) + 1)
-        ends[u] += 1
-    parent = [-1] + [u for u, _ in child]
-    below = [Counter({0: ends[u]} if u in ends else {}) for u in range(len(parent))]
-    for u in range(len(parent) - 1, 0, -1):
-        below[parent[u]] += _shifted(below[u])
-    around = below[:1]
-    for u in range(1, len(parent)):
-        around.append(below[u] + _shifted(around[parent[u]] - _shifted(below[u])))
-    degree = Counter(parent[1:])
-    return [(degree[u] + (u > 0), around[u]) for u in range(len(parent))]
-
-
-def _hull_series(s: int, plan, reach: int, total: int, steps: int):
-    """Yield (trace, purity) of the run from the plan's ``total`` words, from t = 0.
-
-    ``mass[k]`` is shell k's weight in the run from |e><e|: a step divides by
-    s rather than multiplying by a rounded 1/(2s), so rounding does not drain
-    the trace, and the list ends in ``reach`` zeros, so each shift is a slice.
-    ``share[k]`` is 1/|shell k|.  Let c_d be the fraction of the words d
-    away from hull vertex u, and a = c_d (s-1)^-d at the nearest d.  Then u
-    holds rho[0] = sum_d c_d share[d] mass[d].  Each of its s - deg u
-    branches has (s-1)^(j-1) words j deep, each holding share[j] a rho[j]
-    with rho[j] = sum_d c_d (s-1)^-d mass[d + j] / a.  So u adds the terms
-    rho[j]^2 weighted[j], where weighted[0] = 1 and weighted[j] = (s - deg u)/s
-    a^2 share[j].  From |e><e|, rho is ``mass`` and weighted is ``share``.
-    Powers (s-1)^-d of far words underflow only where the purity terms that
-    they scale fall below the smallest normal float, as ``share`` does.
-    """
+    weights = {d: n / total**2 for d, n in pairs.items()}
+    same = weights.pop(0)
+    reach = max(weights, default=0)
+    # The last step reads shells up to ``top``, and step ``end`` is the last.
+    end, top = (2 * steps, reach) if weights else (steps, steps)
     share = [1.0] + [(s - 1.0) ** (1 - k) / s for k in range(1, max(steps, reach) + 1)]
-    vertices = []
-    for degree, counts in plan:
-        near, *far = sorted(counts)
-        weight = (s - degree) / s * (counts[near] / total * (s - 1.0) ** -near) ** 2
-        weighted = [1.0] + [weight * x for x in share[1 : steps + 1]]
-        ratios = [(d, counts[d] / counts[near] * (s - 1.0) ** (near - d)) for d in far]
-        inside = [(d, n / total * share[d]) for d, n in counts.items()]
-        vertices.append((inside, near, ratios, weighted))
     mass = [1.0] + [0.0] * reach
+    traces, returns = [], []
     # Float s and s - 1 round as the ints do, and save converting them per shell.
     fs, out = float(s), s - 1.0
-    for t in range(steps + 1):
-        if t:
+    for step in range(end + 1):
+        if step:
             inward = mass[1:] + [0.0, 0.0]
             outward = [0.0, fs * mass[0]] + [out * m for m in mass[1:]]
             mass = [
                 0.5 * (m + (a + b) / fs)
                 for m, a, b in zip(mass + [0.0], inward, outward)
             ]
-        squares = []
-        for inside, near, ratios, weighted in vertices:
-            rho = mass[near : near + t + 1]
-            for d, ratio in ratios:
-                rho = [r + ratio * x for r, x in zip(rho, mass[d : d + t + 1])]
-            rho[0] = math.fsum([c * mass[d] for d, c in inside])
-            squares.append(map(mul, map(mul, rho, rho), weighted))
-        yield math.fsum(mass), math.fsum(chain.from_iterable(squares))
+            del mass[top + end - step + 1 :]
+        if step <= steps:
+            traces.append(math.fsum(mass))
+            returns.append(math.fsum(map(mul, map(mul, mass, mass), share)))
+        t, odd = divmod(step, 2) if weights else (step, 0)
+        if not odd:
+            far = [c * mass[d] * share[d] for d, c in weights.items()]
+            yield traces[t], math.fsum([same * returns[t], *far])
 
 
 class ChannelRun(NamedTuple):
@@ -162,8 +131,8 @@ def iterate_channel(
     depth-``depth`` basis first, then the run is refused past the truncation
     buffer, where the envelope underflows to 0.0, past ``MAX_STEPS``, and
     where its list work exceeds that of ``MAX_STEPS`` steps from |e><e|: the
-    hull's distinct vertex-word distances times t plus the largest distance,
-    summed over the steps.
+    pairs of distinct words, compared for their distance, plus the shell
+    list entries that the chain's steps read.
     The trace is checked every step; the purity envelope is checked as an
     internal consistency invariant and a violation means the truncation
     contract broke, so it raises rather than returning bad data.
@@ -191,18 +160,31 @@ def iterate_channel(
         raise CapacityError(
             f"requested {steps} channel steps; at most {MAX_STEPS} run (step cap)"
         )
-    plan = _hull_plan(words)
-    reach = max(max(counts) for _, counts in plan)
-    pairs = sum(len(counts) for _, counts in plan)
-    work = pairs * (steps * (steps + 1) // 2 + steps * reach)
-    if work > MAX_STEPS * (MAX_STEPS + 1) // 2:
+    limit = MAX_STEPS * (MAX_STEPS + 1) // 2
+    counts = Counter(w.letters for w in words)
+    work = len(counts) * (len(counts) - 1) // 2
+    if work <= limit:
+        # Ordered pairs by distance; words over 2 * steps apart never meet.
+        pairs = Counter({0: sum(n * n for n in counts.values())})
+        for a, b in combinations(counts, 2):
+            d = len(a) + len(b) - 2 * len(commonprefix([a, b]))
+            if d <= 2 * steps:
+                pairs[d] += 2 * counts[a] * counts[b]
+        reach = max(pairs)
+        # The chain's list lengths: 1 + reach + min(t, 2 steps - t) up to
+        # step 2 steps, or t + 1 up to step ``steps`` from 0 apart alone.
+        if reach:
+            work += steps * steps + 2 * steps * (reach + 1)
+        else:
+            work += steps * (steps + 1) // 2
+    if work > limit:
         raise CapacityError(
-            f"the state words' hull takes {work} list work over {steps} steps, "
+            f"the state words take {work} list work over {steps} steps, "
             f"more than {MAX_STEPS} steps from e take"
         )
     purities: list[float] = []
     bounds: list[float] = []
-    series = _hull_series(params.s, plan, reach, len(words), steps)
+    series = _pair_series(params.s, pairs, len(words), steps)
     for t, (trace, p) in enumerate(series):
         if abs(trace - 1.0) > 1e-10:
             raise RuntimeError(f"trace drifted to {trace!r} at step {t}")

@@ -15,6 +15,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .errors import require_tolerance
 from .freegroup import IDENTITY, GroupParams, analytic_norm
 from .heatvision import (
     iterate_channel,
@@ -406,7 +407,5 @@ def run_report(settings: ReportSettings | None = None) -> list[CriterionResult]:
     """Every criterion in order; a NaN or negative ``tolerance_scale`` is refused."""
     if settings is None:
         settings = ReportSettings()
-    scale = settings.tolerance_scale
-    if not 0.0 <= scale < math.inf:
-        raise ValueError(f"tolerance_scale must be finite and ≥ 0, got {scale}")
+    require_tolerance("tolerance_scale", settings.tolerance_scale)
     return [fn(settings) for fn in CRITERIA]

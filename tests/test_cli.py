@@ -214,7 +214,7 @@ def test_buffer_exhaustion_exits_2(capsys):
 
 def test_heatvision_mixture_runs_past_the_word_cap(tmp_path):
     """The depth-20 ball at s=3 holds 3 145 726 words, over the 2M word cap,
-    but a mixture runs on the shell masses and its words' hull, with no ball."""
+    but a mixture runs on the shell masses and its word pairs, with no ball."""
     csv_path = tmp_path / "mix.csv"
     rc = main(["heatvision", "--s", "3", "--depth", "20", "--steps", "9",
                "--state", "e,g1", "--csv", str(csv_path)])
@@ -226,16 +226,17 @@ def test_heatvision_mixture_runs_past_the_word_cap(tmp_path):
 
 
 def test_heatvision_list_work_exits_2(capsys):
-    """The mixture of e and g1 takes 4 (t + 1) list passes at step t, so up
-    to 6419 steps fit in the list work of the root run's 12 841, and 6420
+    """The mixture of e and g1 is one word pair 1 apart, whose chain runs to
+    step 2 steps and reads 2 + min(t, 2 steps - t) shells at step t + 1.  So
+    up to 9078 steps fit in the list work of the root run's 12 841, and 9079
     are refused with exit 2 before any step."""
     start = time.perf_counter()
-    rc = main(["heatvision", "--s", "2", "--depth", "6421", "--steps", "6420",
+    rc = main(["heatvision", "--s", "2", "--depth", "9080", "--steps", "9079",
                "--state", "e,g1"])
     elapsed = time.perf_counter() - start
     _, err = run_lines(capsys)
     assert rc == 2
-    assert "list work over 6420 steps, more than 12841 steps from e take" in err
+    assert "list work over 9079 steps, more than 12841 steps from e take" in err
     assert elapsed < 1.0
 
 
@@ -584,6 +585,20 @@ def test_config_values_are_checked_as_flags_are(tmp_path, capsys, text, message)
     err = capsys.readouterr().err
     assert message in err and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_unknown_representation_exits_1_alike_from_flag_and_config(tmp_path, capsys):
+    """The norm layer's check is the only one, so a flag and a config file
+    are refused with the same line, before any solve."""
+    cfg = tmp_path / "norm.cfg"
+    cfg.write_text("representation = bogus\n")
+    errs = []
+    for extra in (["--representation", "bogus"], ["--config", str(cfg)]):
+        assert main(["norm", "--s", "3", "--depth-max", "2", *extra]) == 1
+        out, err = run_lines(capsys)
+        assert out == []
+        errs.append(err)
+    assert errs == ["error: unknown representation 'bogus'\n"] * 2
 
 
 def test_config_booleans_parse_and_bad_ones_exit_1(tmp_path, capsys):

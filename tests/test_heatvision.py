@@ -12,6 +12,7 @@ from steergap import (
     Word,
     analytic_norm,
     build_basis,
+    enumerate_words,
     heatvision,
     iterate_channel,
     purity_bound,
@@ -22,7 +23,12 @@ from steergap.errors import BufferExhaustedError, CapacityError
 from steergap.heatvision import MAX_STEPS
 from steergap.hilbert import right_regular
 
-from util import brute_words, random_buffered_amplitudes, stack_reduce
+from util import (
+    brute_words,
+    random_buffered_amplitudes,
+    random_reduced_letters,
+    stack_reduce,
+)
 
 
 @lru_cache(maxsize=None)
@@ -235,9 +241,35 @@ def test_hull_route_matches_exact_word_walk(s, tokens, steps):
         assert abs(p - exact) <= 1e-15 * exact
 
 
+#: Steps of the seeded random mixtures at each s, as deep as MIXTURES go.
+RANDOM_MIXTURE_STEPS = {2: 12, 3: 8, 4: 6, 5: 5}
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_random_mixtures_match_exact_word_walk(seed):
+    """Two seeded mixtures at each s = 2..5: a word taken twice, and three
+    words that reduce a prefix of it followed by up to three random letters,
+    so words repeat, share prefixes and differ in length."""
+    s = 2 + seed % 4
+    rng = np.random.default_rng(seed)
+    stem = random_reduced_letters(rng, s, 3)
+    letters = [stem, stem]
+    for _ in range(3):
+        tail = random_reduced_letters(rng, s, int(rng.integers(0, 4)))
+        letters.append(stack_reduce(stem[: rng.integers(0, 4)] + tail))
+    words = [Word(w) for w in letters]
+    tokens = ",".join(map(str, words))
+    steps = RANDOM_MIXTURE_STEPS[s]
+    run = iterate_channel(GroupParams(s), max(map(len, words)) + steps, steps, words)
+    exact_series = exact_mixture_purities(s, tokens, steps)
+    assert len(run.purity_series) == len(exact_series)
+    for p, exact in zip(run.purity_series, map(float, exact_series)):
+        assert abs(p - exact) <= 1e-15 * exact
+
+
 def test_one_word_runs_as_the_root():
-    """The hull of one word, repeated or not, is that word alone, so its run
-    is the run from |e>, bit for bit."""
+    """Every pair of one word, repeated or not, is 0 apart, so its run is
+    the run from |e>, bit for bit."""
     root = iterate_channel(GroupParams(3), 20, 12, [IDENTITY]).purity_series
     for tokens in ("g1", "g2.g3.g1.g2,g2.g3.g1.g2"):
         words = [word_from_str(tok) for tok in tokens.split(",")]
@@ -246,10 +278,10 @@ def test_one_word_runs_as_the_root():
 
 @pytest.mark.parametrize("s, length", [(10, 400), (10, 700), (3, 1100)])
 def test_far_apart_words_lose_only_subnormal_terms(s, length):
-    """(s-1)^-d underflows from d = 323 at s = 10 (d = 1023 at s = 3), and a
-    hull vertex's squared weight from half that.  Such words are computed,
-    not refused: their walks cannot meet in 5 steps, so the purity is half
-    the root run's, and nothing but terms below the normal floats is lost."""
+    """(s-1)^-d underflows from d = 323 at s = 10 (d = 1023 at s = 3).  Such
+    words are computed, not refused: their walks cannot meet in 5 steps, so
+    the purity is half the root run's, and nothing but terms below the
+    normal floats is lost."""
     far = Word(tuple(1 + k % 2 for k in range(length)))
     run = iterate_channel(GroupParams(s), length + 5, 5, [IDENTITY, far])
     root = iterate_channel(GroupParams(s), 5, 5, [IDENTITY])
@@ -259,10 +291,11 @@ def test_far_apart_words_lose_only_subnormal_terms(s, length):
 
 def test_list_work_refusal_admits_the_longest_root_run(monkeypatch):
     """A run may take at most the list work of MAX_STEPS steps from |e>: a
-    pass over t shells at step t.  The mixture of e and g1 has the hull
-    {e, g1}, each vertex with two distinct distances to the words, the
-    largest 1, so step t takes 4 (t + 1) passes.  Runs that are admitted
-    reach the stepping, stubbed out here; the first refused one does not."""
+    list of t shells read at step t.  The mixture of e and g1 is one pair of
+    distinct words, 1 apart, so its chain runs to step 2 steps and reads
+    2 + min(t, 2 steps - t) shells at step t + 1: 1 + steps^2 + 4 steps in
+    all.  Runs that are admitted reach the stepping, stubbed out here; the
+    first refused one does not."""
 
     class Stepped(Exception):
         pass
@@ -272,17 +305,33 @@ def test_list_work_refusal_admits_the_longest_root_run(monkeypatch):
 
     limit = MAX_STEPS * (MAX_STEPS + 1) // 2
     steps = 0
-    while 4 * (steps + 1) * (steps + 2) // 2 + 4 * (steps + 1) <= limit:
+    while 1 + (steps + 1) ** 2 + 4 * (steps + 1) <= limit:
         steps += 1
-    assert steps == 6419
+    assert steps == 9078
     words = [IDENTITY, word_from_str("g1")]
-    monkeypatch.setattr(heatvision, "_hull_series", stepped)
+    monkeypatch.setattr(heatvision, "_pair_series", stepped)
     with pytest.raises(Stepped):
         iterate_channel(GroupParams(2), MAX_STEPS, MAX_STEPS, [IDENTITY])
     with pytest.raises(Stepped):
         iterate_channel(GroupParams(2), steps + 1, steps, words)
     with pytest.raises(CapacityError, match=r"list work over \d+ steps, more than"):
         iterate_channel(GroupParams(2), steps + 2, steps + 1, words)
+
+
+def test_list_work_refusal_counts_word_pairs_before_comparing_them(monkeypatch):
+    """12 843 distinct words make more pairs than the root run's
+    12 841 * 12 842 / 2 list entries, so even a run of no steps is refused
+    before any pair is compared; repeats of a word add no pair."""
+
+    def compared(*args):
+        raise AssertionError("a word pair was compared")
+
+    words = enumerate_words(GroupParams(3), 13)[: MAX_STEPS + 2]
+    monkeypatch.setattr(heatvision, "commonprefix", compared)
+    with pytest.raises(CapacityError, match="82464903 list work over 0 steps"):
+        iterate_channel(GroupParams(3), 13, 0, words)
+    run = iterate_channel(GroupParams(3), 13, 0, [words[-1]] * (MAX_STEPS + 2))
+    assert run.purity_series == [1.0]
 
 
 @pytest.mark.parametrize("s, steps", [(2, 40), (3, EXACT_STEPS_S3), (4, 8), (5, 7)])
@@ -369,7 +418,7 @@ def test_step_cap_admits_every_run_the_envelope_admits():
 @pytest.mark.parametrize("state", ["e", "e,g1"], ids=["radial", "mixture"])
 def test_step_cap_refuses_long_runs_at_s2(state):
     """At s = 2 the envelope never underflows, so the cap refuses the run,
-    from the root or a mixture, before the hull is planned or a step taken."""
+    from the root or a mixture, before any pair is compared or step taken."""
     words = [word_from_str(tok) for tok in state.split(",")]
     depth = MAX_STEPS + 1 + max(map(len, words))
     with pytest.raises(CapacityError, match=f"at most {MAX_STEPS} run"):
