@@ -28,12 +28,7 @@ import argparse
 import sys
 
 from . import __version__
-from .errors import (
-    BufferExhaustedError,
-    CapacityError,
-    ConvergenceError,
-    require_tolerance,
-)
+from .errors import BufferExhaustedError, CapacityError, ConvergenceError
 from .freegroup import GroupParams, analytic_norm, word_from_str
 from .serialize import csv_text, json_dumps, run_meta, write_text
 
@@ -279,7 +274,9 @@ def _cmd_heatvision(args) -> int:
 def _cmd_report(args) -> int:
     # Refused before the report layer loads or any criterion runs;
     # ``run_report`` checks again for library callers.
-    require_tolerance("tolerance_scale", args.tolerance_scale)
+    scale = args.tolerance_scale
+    if not 0.0 <= scale < float("inf"):
+        raise ValueError(f"tolerance_scale must be finite and ≥ 0, got {scale}")
     from .report import ReportSettings, run_report
 
     settings = ReportSettings.quick() if args.quick else ReportSettings()

@@ -38,11 +38,5 @@ def require_bytes(nbytes: int, what: str) -> None:
         )
 
 
-def require_tolerance(name: str, value: float) -> None:
-    """Refuse a NaN, infinite or negative tolerance with ``ValueError``."""
-    if not 0.0 <= value < float("inf"):
-        raise ValueError(f"{name} must be finite and ≥ 0, got {value}")
-
-
 class BufferExhaustedError(RuntimeError):
     """The truncation buffer is too small for the requested exact evolution."""

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from itertools import combinations
 from operator import mul
 from os.path import commonprefix
 from typing import NamedTuple
@@ -55,19 +54,48 @@ def purity_bound(s: int, steps: int) -> float:
     return ((1.0 + analytic_norm(s)) / 2.0) ** (2 * steps)
 
 
+def _pair_distances(counts: Counter, reach: int, limit: int) -> tuple[Counter, int]:
+    """Ordered pairs of the counted words by distance up to ``reach``, and the work.
+
+    Sorted words visit the trie of their prefixes depth first, so each
+    word's lcp with the one before closes the deeper vertices on a stack,
+    each vertex counting its words by length.  Words of lengths i and j
+    that first meet at a vertex of depth h are i + j - 2h apart.  The work
+    sums the products of the sizes of the counts that meet, at least 1 per
+    word past the first, and the pairing stops once it passes ``limit``.
+    """
+    pairs, work = Counter({0: sum(n * n for n in counts.values())}), 0
+    stack = [(0, Counter())]  # (depth, words per length) of the open vertices
+    ordered = sorted(counts)
+    # The closing () meets every word at the root, closing every vertex.
+    for prev, w in zip([(), *ordered], [*ordered, ()]):
+        h = len(commonprefix([prev, w]))
+        while stack[-1][0] > h:
+            _, above = stack.pop()
+            depth, below = stack.pop() if stack[-1][0] >= h else (h, Counter())
+            work += len(below) * len(above)
+            if work > limit:
+                return pairs, work
+            for i, a in below.items():
+                for j, b in above.items():
+                    if i + j - 2 * depth <= reach:
+                        pairs[i + j - 2 * depth] += 2 * a * b
+            stack.append((depth, below + above))
+        stack.append((len(w), Counter({len(w): counts[w]})))
+    return pairs, work
+
+
 def _pair_series(s: int, pairs: Counter, total: int, steps: int):
     """Yield (trace, purity) of the run from ``total`` words, from t = 0.
 
-    ``pairs[d]`` counts the ordered word pairs d apart.  The walk is
-    symmetric, so the purity after t steps is the mean over those pairs of
-    the 2t-step move probability m_2t(d) share[d], where ``mass[k]`` is
-    shell k's weight m in the run from |e><e| and ``share[k]`` is
-    1/|shell k|.  Pairs 0 apart read m_2t(0) = sum_k m_t(k)^2 share[k] off
-    step t, so a run from |e><e| stops at step t; other pairs continue the
-    chain to step 2t, past step t keeping only the shells that can still
-    reach the farthest pair.  A step divides by s rather than multiplying
-    by a rounded 1/(2s), so rounding does not drain the trace, and the list
-    starts with zeros out to the farthest pair, so each pair's shell is in it.
+    ``pairs[d]`` counts the ordered word pairs d apart, and the purity after
+    t steps is their mean of m_2t(d) share[d], with ``mass[k]`` shell k's
+    weight m in the run from |e><e| and ``share[k]`` 1/|shell k|.  Pairs 0
+    apart read m_2t(0) = sum_k m_t(k)^2 share[k] off step t, where a run
+    from |e><e| stops; others continue the chain to step 2t, past step t
+    keeping only the shells that can still reach the farthest pair.  A step
+    divides by s rather than multiplying by a rounded 1/(2s), so rounding
+    does not drain the trace; the list starts as long as the farthest pair.
     """
     weights = {d: n / total**2 for d, n in pairs.items()}
     same = weights.pop(0)
@@ -100,8 +128,7 @@ def _pair_series(s: int, pairs: Counter, total: int, steps: int):
 class ChannelRun(NamedTuple):
     """Purity trajectory of an iterated channel, with its analytic envelope.
 
-    ``purity_series[t]`` is the purity after t steps (index 0 is the input
-    state).
+    ``purity_series[t]`` is the purity after t steps (t = 0: the input).
     """
 
     s: int
@@ -131,8 +158,8 @@ def iterate_channel(
     depth-``depth`` basis first, then the run is refused past the truncation
     buffer, where the envelope underflows to 0.0, past ``MAX_STEPS``, and
     where its list work exceeds that of ``MAX_STEPS`` steps from |e><e|: the
-    pairs of distinct words, compared for their distance, plus the shell
-    list entries that the chain's steps read.
+    work of pairing the words (``_pair_distances``) plus the shell list
+    entries that the chain's steps read.
     The trace is checked every step; the purity envelope is checked as an
     internal consistency invariant and a violation means the truncation
     contract broke, so it raises rather than returning bad data.
@@ -162,25 +189,15 @@ def iterate_channel(
         )
     limit = MAX_STEPS * (MAX_STEPS + 1) // 2
     counts = Counter(w.letters for w in words)
-    work = len(counts) * (len(counts) - 1) // 2
-    if work <= limit:
-        # Ordered pairs by distance; words over 2 * steps apart never meet.
-        pairs = Counter({0: sum(n * n for n in counts.values())})
-        for a, b in combinations(counts, 2):
-            d = len(a) + len(b) - 2 * len(commonprefix([a, b]))
-            if d <= 2 * steps:
-                pairs[d] += 2 * counts[a] * counts[b]
-        reach = max(pairs)
-        # The chain's list lengths: 1 + reach + min(t, 2 steps - t) up to
-        # step 2 steps, or t + 1 up to step ``steps`` from 0 apart alone.
-        if reach:
-            work += steps * steps + 2 * steps * (reach + 1)
-        else:
-            work += steps * (steps + 1) // 2
+    pairs, work = _pair_distances(counts, 2 * steps, limit)
+    # The chain's lists: 1 + reach + min(t, 2 steps - t) shells to step
+    # 2 steps, or t + 1 to step ``steps`` with no pair apart, summed.
+    reach = max(pairs)
+    work += (steps + 2 * reach + 2) * steps if reach else steps * (steps + 1) // 2
     if work > limit:
         raise CapacityError(
-            f"the state words take {work} list work over {steps} steps, "
-            f"more than {MAX_STEPS} steps from e take"
+            f"the state words take at least {work} list work over {steps} "
+            f"steps, more than {MAX_STEPS} steps from e take"
         )
     purities: list[float] = []
     bounds: list[float] = []

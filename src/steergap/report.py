@@ -15,7 +15,6 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import require_tolerance
 from .freegroup import IDENTITY, GroupParams, analytic_norm
 from .heatvision import (
     iterate_channel,
@@ -407,5 +406,7 @@ def run_report(settings: ReportSettings | None = None) -> list[CriterionResult]:
     """Every criterion in order; a NaN or negative ``tolerance_scale`` is refused."""
     if settings is None:
         settings = ReportSettings()
-    require_tolerance("tolerance_scale", settings.tolerance_scale)
+    scale = settings.tolerance_scale
+    if not 0.0 <= scale < math.inf:
+        raise ValueError(f"tolerance_scale must be finite and ≥ 0, got {scale}")
     return [fn(settings) for fn in CRITERIA]

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, ConvergenceError, require_bytes, require_tolerance
+from .errors import CapacityError, ConvergenceError, require_bytes
 from .freegroup import GroupParams, analytic_norm, ball_size
 from .hilbert import TruncatedBasis, _lettered, build_basis, generator_average
 
@@ -264,7 +264,8 @@ def estimate_norm(
         raise ValueError("depth must be ≥ 1")
     if max_iter is not None and max_iter < 1:
         raise ValueError(f"Krylov budget must be ≥ 1, got {max_iter}")
-    require_tolerance("tol", tol)
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"tol must be finite and ≥ 0, got {tol}")
     rep = _resolve_representation(representation, ball_size(params, depth))
     if rep == "sparse":
         budget = DEFAULT_KRYLOV if max_iter is None else max_iter

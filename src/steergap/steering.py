@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import require_bytes, require_tolerance
+from .errors import require_bytes
 from .freegroup import GroupParams, analytic_norm
 from .hilbert import (
     TruncatedBasis, _left_pairs, build_basis, generator_average, right_regular
@@ -341,7 +341,8 @@ def seesaw_tensor_optimize(
         raise ValueError("restarts must be ≥ 1")
     if max_iter < 1:
         raise ValueError("max_iter must be ≥ 1")
-    require_tolerance("tol", tol)
+    if not 0.0 <= tol < np.inf:
+        raise ValueError(f"tol must be finite and ≥ 0, got {tol}")
     basis = build_basis(params, bob_depth)
     kept = restarts * alice_dim * basis.dimension  # every run's final state
     require_bytes(8 * kept, f"{restarts} restart states of {kept} float64")

@@ -1,3 +1,4 @@
+import time
 from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
@@ -219,8 +220,24 @@ def test_root_run_is_the_return_probability_of_the_doubled_walk(s):
         assert abs(p - float(exact)) <= 1e-15 * float(exact)
 
 
+def random_mixtures(count: int):
+    """(s, tokens, steps) of seeded mixtures at s = 2..5: a word taken twice,
+    and three words that reduce a prefix of it followed by up to three
+    random letters, so words repeat, share prefixes and differ in length."""
+    for seed in range(count):
+        s = 2 + seed % 4
+        rng = np.random.default_rng(seed)
+        stem = random_reduced_letters(rng, s, 3)
+        letters = [stem, stem]
+        for _ in range(3):
+            tail = random_reduced_letters(rng, s, int(rng.integers(0, 4)))
+            letters.append(stack_reduce(stem[: rng.integers(0, 4)] + tail))
+        yield s, ",".join(str(Word(w)) for w in letters), {2: 12, 3: 8, 4: 6, 5: 5}[s]
+
+
 #: Mixtures with repeated words, words that share prefixes and words that
-#: all share one (g1 in the last), each against the exact word-level walk.
+#: all share one (g1 in the last), then eight seeded ones, each against the
+#: exact word-level walk.
 MIXTURES = [
     (2, "e,g1.g2,g1.g2,g2", 14),
     (3, "e,g1", 11),
@@ -228,38 +245,13 @@ MIXTURES = [
     (3, "g1.g2,g1.g3,g1.g2.g1", 9),
     (4, "g1,g2.g3", 7),
     (5, "g1.g2.g3,g1.g2.g4,g3", 5),
+    *random_mixtures(8),
 ]
 
 
 @pytest.mark.parametrize("s, tokens, steps", MIXTURES)
 def test_hull_route_matches_exact_word_walk(s, tokens, steps):
     words = [word_from_str(tok) for tok in tokens.split(",")]
-    run = iterate_channel(GroupParams(s), steps + 3, steps, words)
-    exact_series = exact_mixture_purities(s, tokens, steps)
-    assert len(run.purity_series) == len(exact_series)
-    for p, exact in zip(run.purity_series, map(float, exact_series)):
-        assert abs(p - exact) <= 1e-15 * exact
-
-
-#: Steps of the seeded random mixtures at each s, as deep as MIXTURES go.
-RANDOM_MIXTURE_STEPS = {2: 12, 3: 8, 4: 6, 5: 5}
-
-
-@pytest.mark.parametrize("seed", range(8))
-def test_random_mixtures_match_exact_word_walk(seed):
-    """Two seeded mixtures at each s = 2..5: a word taken twice, and three
-    words that reduce a prefix of it followed by up to three random letters,
-    so words repeat, share prefixes and differ in length."""
-    s = 2 + seed % 4
-    rng = np.random.default_rng(seed)
-    stem = random_reduced_letters(rng, s, 3)
-    letters = [stem, stem]
-    for _ in range(3):
-        tail = random_reduced_letters(rng, s, int(rng.integers(0, 4)))
-        letters.append(stack_reduce(stem[: rng.integers(0, 4)] + tail))
-    words = [Word(w) for w in letters]
-    tokens = ",".join(map(str, words))
-    steps = RANDOM_MIXTURE_STEPS[s]
     run = iterate_channel(GroupParams(s), max(map(len, words)) + steps, steps, words)
     exact_series = exact_mixture_purities(s, tokens, steps)
     assert len(run.purity_series) == len(exact_series)
@@ -291,8 +283,8 @@ def test_far_apart_words_lose_only_subnormal_terms(s, length):
 
 def test_list_work_refusal_admits_the_longest_root_run(monkeypatch):
     """A run may take at most the list work of MAX_STEPS steps from |e>: a
-    list of t shells read at step t.  The mixture of e and g1 is one pair of
-    distinct words, 1 apart, so its chain runs to step 2 steps and reads
+    list of t shells read at step t.  The words e and g1 pair in one join of
+    work 1, 1 apart, so their chain runs to step 2 steps and reads
     2 + min(t, 2 steps - t) shells at step t + 1: 1 + steps^2 + 4 steps in
     all.  Runs that are admitted reach the stepping, stubbed out here; the
     first refused one does not."""
@@ -318,19 +310,32 @@ def test_list_work_refusal_admits_the_longest_root_run(monkeypatch):
         iterate_channel(GroupParams(2), steps + 2, steps + 1, words)
 
 
-def test_list_work_refusal_counts_word_pairs_before_comparing_them(monkeypatch):
-    """12 843 distinct words make more pairs than the root run's
-    12 841 * 12 842 / 2 list entries, so even a run of no steps is refused
-    before any pair is compared; repeats of a word add no pair."""
+def test_many_words_pair_through_their_trie():
+    """12 842 distinct words up to 13 long are paired vertex by vertex of
+    their trie, not pair by pair, so a step runs in well under a second and
+    matches the exact word-level walk."""
+    words = enumerate_words(GroupParams(3), 13)[: MAX_STEPS + 1]
+    start = time.perf_counter()
+    run = iterate_channel(GroupParams(3), 14, 1, words)
+    assert time.perf_counter() - start < 2.0
+    exact_series = exact_mixture_purities(3, ",".join(map(str, words)), 1)
+    for p, exact in zip(run.purity_series, map(float, exact_series)):
+        assert abs(p - exact) <= 1e-15 * exact
 
-    def compared(*args):
-        raise AssertionError("a word pair was compared")
 
-    words = enumerate_words(GroupParams(3), 13)[: MAX_STEPS + 2]
-    monkeypatch.setattr(heatvision, "commonprefix", compared)
-    with pytest.raises(CapacityError, match="82464903 list work over 0 steps"):
-        iterate_channel(GroupParams(3), 13, 0, words)
-    run = iterate_channel(GroupParams(3), 13, 0, [words[-1]] * (MAX_STEPS + 2))
+def test_list_work_refusal_stops_pairing_at_the_limit(monkeypatch):
+    """The prefixes g1, g1.g2, ... of one word close into each other, the
+    k-th joining k lengths to one, so the first n of them and e take
+    n (n + 1) / 2 pairing work: with MAX_STEPS = 40, exactly the limit at
+    n = 40.  Past it the pairing stops at the first join over the limit, and
+    the run is refused before any step; repeats of a word take no work."""
+    monkeypatch.setattr(heatvision, "MAX_STEPS", 40)
+    chain = [Word(tuple(1 + k % 2 for k in range(n))) for n in range(100)]
+    run = iterate_channel(GroupParams(2), 41, 0, chain[:41])
+    assert run.purity_series == [1 / 41]
+    with pytest.raises(CapacityError, match="at least 861 list work over 0 steps"):
+        iterate_channel(GroupParams(2), 100, 0, chain)
+    run = iterate_channel(GroupParams(2), 100, 0, chain[-1:] * 1000)
     assert run.purity_series == [1.0]
 
 
