@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .freegroup import IDENTITY, GroupParams, analytic_norm
+from .freegroup import IDENTITY, GroupParams, analytic_norm, ball_size
 from .heatvision import (
     iterate_channel,
     purity_bound,
@@ -23,12 +23,14 @@ from .heatvision import (
 )
 from .hilbert import build_basis
 from .spectral import (
+    RADIAL_THRESHOLD,
     _average_form,
+    _collatz_wielandt,
     _norm,
     closed_walk_moment,
     first_letter_bound_chain,
     matvec_walk_count,
-    norm_sweep,
+    radial_top_eigenvalue,
     tightness_quotient,
     tightness_vector,
 )
@@ -134,15 +136,42 @@ class ReportSettings:
 
 
 def criterion_norm_sweep(settings: ReportSettings) -> CriterionResult:
-    """1: depth-14 estimates land within 0.03 of 2*sqrt(s-1)/s, from below."""
+    """1: lambda_N climbs to 2*sqrt(s-1)/s from below, certified on the ball.
+
+    Every depth takes lambda_N from the radial solve and checks it above
+    the envelope f* cos(pi/(N+2)).  Where ``auto`` would run Lanczos, a
+    ball of at most ``RADIAL_THRESHOLD`` words, the value must also lie in
+    its Collatz-Wielandt bracket on the ball, and the bracket must close.
+    The final depth's gap must be within ``norm_gap_allowance``.
+    """
     scale = settings.tolerance_scale
+    tol = 1e-12 * scale
+    if settings.norm_depth_max < 1:
+        raise ValueError(f"norm_depth_max must be ≥ 1, got {settings.norm_depth_max}")
     worst_gap = -math.inf
     problems = []
     for s in NORM_S_VALUES:
         params = GroupParams(s)
-        sweep = norm_sweep(params, settings.norm_depth_max, seed=settings.seed)
         bound = analytic_norm(s)
-        estimates = [r.estimated_norm for r in sweep]
+        estimates, uncertified, under = [], [], []
+        for n in range(1, settings.norm_depth_max + 1):
+            if ball_size(params, n) <= RADIAL_THRESHOLD:
+                value, lo, hi = _collatz_wielandt(params, n)
+                if not (lo - tol <= value <= hi + tol and hi - lo <= tol):
+                    uncertified.append(
+                        f"s={s}: N={n} value {value!r} not certified by its "
+                        f"Collatz-Wielandt bracket [{lo!r}, {hi!r}]"
+                    )
+            else:
+                value = radial_top_eigenvalue(s, n)[0]
+            envelope = bound * math.cos(math.pi / (n + 2))
+            if not value > envelope:
+                under.append(
+                    f"s={s}: N={n} value {value!r} not above the envelope "
+                    f"{envelope!r}"
+                )
+            estimates.append(value)
+        problems += uncertified[:1] + under[:1]
         for a, b in zip(estimates, estimates[1:]):
             if b < a:
                 problems.append(f"s={s}: sweep not monotone ({a!r} -> {b!r})")

@@ -16,7 +16,9 @@ representation solves T_N exactly at any depth, by bisection on the scalar
 secular equation of its closed-form eigenvector; ``sparse`` runs Lanczos
 on the shell-block form of the compressed operator, with no word basis
 or index array, which cross-checks the reduction; ``auto`` switches on
-ball size.  Both run on numpy and ``math`` alone.
+ball size.  Both run on numpy and ``math`` alone.  The report's norm sweep
+runs no Lanczos: it brackets the radial value on the word ball from both
+sides, with one operator apply per parity class (``_collatz_wielandt``).
 The operator maps even-length words to odd-length ones and back, so its
 one form, ``hilbert.generator_average``, acts on that parity split, and so
 does the one Lanczos solver: a plain three-term recurrence, where the norm
@@ -34,7 +36,13 @@ import numpy as np
 
 from .errors import CapacityError, ConvergenceError, require_bytes
 from .freegroup import GroupParams, analytic_norm, ball_size
-from .hilbert import TruncatedBasis, _lettered, build_basis, generator_average
+from .hilbert import (
+    TruncatedBasis,
+    _lettered,
+    _shell_plan,
+    build_basis,
+    generator_average,
+)
 
 #: Above this ball size, representation="auto" leaves Lanczos on the
 #: averaged shift for the shell-tridiagonal reduction.
@@ -87,6 +95,28 @@ def radial_secular(s: int, depth: int, theta: float) -> float:
     return head - math.sin(depth * theta)
 
 
+def _radial_root(s: int, depth: int) -> tuple[float, np.ndarray]:
+    """lambda_N = f* cos(theta) and the unnormalized top vector v of T_N, depth >= 1.
+
+    theta is the root of ``radial_secular`` that ``radial_top_eigenvalue``
+    brackets, found by bisection; every entry of v is > 0, since
+    0 < (N+1-k) theta < pi for k = 0..N.
+    """
+    lo, hi = 0.0, math.pi / (depth + 1)
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if radial_secular(s, depth, mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    theta = lo
+    v = np.sin((depth + 1 - np.arange(depth + 1)) * theta)
+    v[0] = math.sqrt(s - 1.0) / s * math.sqrt(s) * math.sin((depth + 1) * theta)
+    return analytic_norm(s) * math.cos(theta), v
+
+
 def radial_top_eigenvalue(s: int, depth: int) -> tuple[float, float]:
     """Top eigenvalue lambda_N of the shell tridiagonal T_N, with its residual.
 
@@ -112,25 +142,34 @@ def radial_top_eigenvalue(s: int, depth: int) -> tuple[float, float]:
     """
     if depth == 0:
         return 0.0, 0.0
-    lo, hi = 0.0, math.pi / (depth + 1)
-    while True:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break
-        if radial_secular(s, depth, mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    theta = lo
-    value = analytic_norm(s) * math.cos(theta)
-    v = np.sin((depth + 1 - np.arange(depth + 1)) * theta)
-    v[0] = math.sqrt(s - 1.0) / s * math.sqrt(s) * math.sin((depth + 1) * theta)
+    value, v = _radial_root(s, depth)
     v /= _norm(v)
     b = radial_offdiagonal(s, depth)
     tv = np.zeros_like(v)
     tv[:-1] = b * v[1:]
     tv[1:] += b * v[:-1]
     return value, _norm(tv - value * v)
+
+
+def _collatz_wielandt(params: GroupParams, depth: int) -> tuple[float, float, float]:
+    """lambda_N of the radial solve, with lo <= ||A_N|| <= hi on the word ball.
+
+    The averaged shift A_N on the depth-N ball is nonnegative, symmetric,
+    irreducible and bipartite, so ||A_N|| = rho(A_N), and for any positive
+    u the Collatz-Wielandt bound min_w (A_N u)_w/u_w <= rho(A_N) <=
+    max_w (A_N u)_w/u_w holds (Horn and Johnson, *Matrix Analysis*, 8.1).
+    u spreads the radial top vector evenly over each shell,
+    u_w = v_k/sqrt(|shell k|), which is positive; it is the top eigenvector
+    of A_N exactly when T_N is A_N's reduction, and then the bracket closes
+    around lambda_N to rounding.  One apply per parity class.
+    """
+    value, v = _radial_root(params.s, depth)
+    apply, sizes = generator_average(params, depth)
+    parts = [np.empty(n) for n in sizes]
+    for k, part in enumerate(_shell_plan(params, depth)[2]):
+        parts[k % 2][part] = v[k] / math.sqrt(part.stop - part.start)
+    ratios = [apply(parts[c], c) / parts[1 - c] for c in (0, 1)]
+    return value, float(min(map(np.min, ratios))), float(max(map(np.max, ratios)))
 
 
 def _ritz_top(betas: list[float]) -> tuple[float, np.ndarray]:

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import shlex
@@ -8,16 +9,24 @@ import time
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import steergap
-from steergap import GroupParams, estimate_norm, seesaw_tensor_optimize
+from steergap import (
+    GroupParams,
+    estimate_norm,
+    report,
+    seesaw_tensor_optimize,
+    spectral,
+)
 from steergap.cli import _apply_config, _build_parser, _load_config_file, main
 from steergap.heatvision import MAX_STEPS
 from steergap.report import (
     ReportSettings,
     criterion_bound_chain,
     criterion_conjugation,
+    criterion_norm_sweep,
     run_report,
 )
 from steergap.spectral import analytic_norm
@@ -721,6 +730,69 @@ def test_conjugation_draws_refused_below_zero():
         setattr(settings, field, value)
         with pytest.raises(ValueError, match=message):
             run_report(settings)
+
+
+def test_norm_sweep_runs_no_lanczos(monkeypatch):
+    """Criterion 1 brackets the radial value instead, at both profiles."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("_lanczos_extremal called")
+
+    monkeypatch.setattr(spectral, "_lanczos_extremal", refuse)
+    for settings, gap in [
+        (ReportSettings.quick(), "worst final gap 0.036011 (allowed 0.060000)"),
+        (ReportSettings(), "worst final gap 0.014858 (allowed 0.030000)"),
+    ]:
+        result = criterion_norm_sweep(settings)
+        assert result.passed and result.details == gap
+
+
+@pytest.mark.parametrize("vector", ["theta off by 1e-6", "uniform"])
+def test_norm_sweep_bracket_catches_a_wrong_vector(monkeypatch, vector):
+    """A vector off the radial eigenvector keeps lambda_N inside its
+    Collatz-Wielandt bracket, which holds for any positive vector, but
+    leaves the bracket wide: only its width shows the fault."""
+    if vector == "uniform":
+        root = spectral._radial_root
+        monkeypatch.setattr(
+            spectral, "_radial_root", lambda s, n: (root(s, n)[0], np.ones(n + 1))
+        )
+    else:
+        secular = spectral.radial_secular
+        monkeypatch.setattr(
+            spectral, "radial_secular", lambda s, n, t: secular(s, n, t / (1 + 1e-6))
+        )
+    result = criterion_norm_sweep(ReportSettings.quick())
+    assert not result.passed
+    assert "not certified by its Collatz-Wielandt bracket" in result.details
+
+
+def test_norm_sweep_checks_the_lower_envelope(monkeypatch):
+    """A value at or below f* cos(pi/(N+2)) fails, even inside its bracket."""
+    settings = ReportSettings.quick()
+    passing = criterion_norm_sweep(settings).details
+    envelope = analytic_norm(3) * math.cos(math.pi / 5)
+    certify = report._collatz_wielandt
+
+    def low_at_3_3(params, n):
+        if (params.s, n) == (3, 3):
+            return envelope, envelope, envelope
+        return certify(params, n)
+
+    monkeypatch.setattr(report, "_collatz_wielandt", low_at_3_3)
+    result = criterion_norm_sweep(settings)
+    assert not result.passed
+    assert result.details == (
+        f"{passing}; s=3: N=3 value {envelope!r} not above the envelope {envelope!r}"
+    )
+
+
+def test_norm_sweep_refuses_a_depth_below_one():
+    settings = ReportSettings.quick()
+    settings.norm_depth_max = 0
+    for run in (criterion_norm_sweep, run_report):
+        with pytest.raises(ValueError, match="norm_depth_max must be ≥ 1, got 0"):
+            run(settings)
 
 
 def test_zero_tolerance_negative_control(capsys):

@@ -28,6 +28,7 @@ from steergap.hilbert import generator_average, left_regular, right_regular
 from steergap.spectral import (
     MAX_WALK_HALF_LENGTH,
     _average_form,
+    _collatz_wielandt,
     _lanczos_extremal,
     _top_state,
     radial_offdiagonal,
@@ -36,7 +37,7 @@ from steergap.spectral import (
 
 from steergap.steering import random_observables
 
-from util import brute_words, random_buffered_amplitudes
+from util import brute_words, dense_left_shift, random_buffered_amplitudes
 
 
 def full_average(v, basis):
@@ -155,6 +156,44 @@ def test_radial_closed_form_matches_tridiagonal_oracle(s):
         # the right end, so the bracket holds exactly one sign change.
         assert spectral.radial_secular(s, n, 1e-9 / (n + 1)) > 0.0
         assert spectral.radial_secular(s, n, math.pi / (n + 1)) < 0.0
+
+
+#: The bracket's ratios are floats, each a few roundings from its exact
+#: value, so the certificate tests allow this much past their inequalities.
+ROUNDING = 1e-15
+
+
+@pytest.mark.parametrize("s", range(2, 7))
+def test_collatz_wielandt_bracket_closes_on_the_radial_value(s):
+    """At every depth where ``auto`` would run Lanczos, up to N = 10."""
+    params = GroupParams(s)
+    cap = spectral.RADIAL_THRESHOLD
+    depths = [n for n in range(1, 11) if ball_size(params, n) <= cap]
+    assert depths[0] == 1 and len(depths) >= 7
+    for n in depths:
+        value, lo, hi = _collatz_wielandt(params, n)
+        assert value == spectral.radial_top_eigenvalue(s, n)[0]
+        assert lo - ROUNDING <= value <= hi + ROUNDING, (s, n)
+        assert hi - lo <= 1e-13, (s, n)
+
+
+@pytest.mark.parametrize("s,depth_max", [(2, 8), (3, 5), (4, 4), (5, 3)])
+def test_collatz_wielandt_bracket_holds_the_dense_top_eigenvalue(s, depth_max):
+    """The bracket against LAPACK on a dense A_N built from the definition."""
+    for n in range(1, depth_max + 1):
+        words = [Word(t) for t in brute_words(s, n)]
+        dense = sum(dense_left_shift(s, n, y, words) for y in range(1, s + 1)) / s
+        top = np.linalg.eigvalsh(dense)[-1]
+        _, lo, hi = _collatz_wielandt(GroupParams(s), n)
+        assert lo - ROUNDING <= top <= hi + ROUNDING, (s, n)
+
+
+def test_sparse_estimate_lies_in_the_bracket_within_its_residual():
+    """A Ritz value is at most rho(A_N) and within its residual of it."""
+    for s, n in [(s, n) for s in (2, 3, 4, 5) for n in range(1, 9)]:
+        est = estimate_norm(GroupParams(s), n, representation="sparse")
+        _, lo, hi = _collatz_wielandt(GroupParams(s), n)
+        assert lo - est.residual - ROUNDING <= est.estimated_norm <= hi + ROUNDING
 
 
 def test_sweep_monotone_and_below_bound():
