@@ -1,10 +1,11 @@
 """Batch command-line front end.
 
-One subcommand per experiment: ``norm`` (depth sweep of the operator-norm
-estimate), ``steer commuting`` (on the depth-2 ball) / ``steer seesaw``
-(strategy evaluation), ``heatvision`` (channel purity run), and ``report``
-(the full reproduction pipeline; its profile, seed and tolerance scale are
-its only options).  Configuration comes from flags, spelled in full,
+One subcommand per experiment: ``norm`` (depth sweep of the compressed
+norm lambda_N, each with its Collatz-Wielandt bracket), ``steer
+commuting`` (on the depth-2 ball) / ``steer seesaw`` (strategy
+evaluation), ``heatvision`` (channel purity run), and ``report`` (the full
+reproduction pipeline; its profile, seed and tolerance scale are its only
+options).  Configuration comes from flags, spelled in full,
 optionally seeded from a key=value config file that explicit flags
 override; argparse converts a file value as it does the flag's.
 
@@ -61,12 +62,6 @@ def _build_parser() -> _Parser:
     norm.add_argument("--depth-max", type=int)
     norm.required_options = ("--s", "--depth-max")
     norm.add_argument("--depth-min", type=int, default=1)
-    norm.add_argument(
-        "--representation", default="auto", help="auto, sparse or radial (default auto)"
-    )
-    norm.add_argument("--tol", type=float, default=1e-10)
-    norm.add_argument("--max-iter", type=int, default=None)
-    norm.add_argument("--seed", type=int, default=0)
     norm.add_argument("--csv", default="-", help="CSV path, '-' for stdout")
     norm.add_argument("--json", default=None, help="JSON path, '-' for stdout")
     norm.add_argument("--config", default=None, help="key=value defaults file")
@@ -185,24 +180,13 @@ def _document(args: argparse.Namespace, result: dict, **extra_meta) -> str:
 def _cmd_norm(args) -> int:
     from .spectral import norm_sweep
 
-    params = GroupParams(args.s)
-    sweep = norm_sweep(
-        params,
-        args.depth_max,
-        depth_min=args.depth_min,
-        tol=args.tol,
-        max_iter=args.max_iter,
-        seed=args.seed,
-        representation=args.representation,
-    )
+    sweep = norm_sweep(GroupParams(args.s), args.depth_max, depth_min=args.depth_min)
     rows = [
-        (r.depth, r.estimated_norm, r.analytic_bound, r.gap, r.iterations)
+        (r.depth, r.estimated_norm, r.analytic_bound, r.gap, r.lower, r.upper)
         for r in sweep
     ]
-    write_text(
-        csv_text(["N", "estimate", "analytic_bound", "gap", "iterations"], rows),
-        args.csv,
-    )
+    header = ["N", "estimate", "analytic_bound", "gap", "lower", "upper"]
+    write_text(csv_text(header, rows), args.csv)
     if args.json is not None:
         result = {
             "s": args.s,
@@ -214,8 +198,8 @@ def _cmd_norm(args) -> int:
                     "depth": r.depth,
                     "estimate": r.estimated_norm,
                     "gap": r.gap,
-                    "iterations": r.iterations,
-                    "residual": r.residual,
+                    "lower": r.lower,
+                    "upper": r.upper,
                     "representation": r.representation,
                 }
                 for r in sweep

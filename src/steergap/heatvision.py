@@ -235,6 +235,6 @@ def superoperator_norm(params: GroupParams, depth: int) -> float:
     tridiagonal.  As the depth grows it climbs toward (1 + 2*sqrt(s-1)/s)/2.
     """
     # Imported here so that a channel run does not load the spectral layer.
-    from .spectral import radial_top_eigenvalue
+    from .spectral import radial_bracket
 
-    return (1.0 + radial_top_eigenvalue(params.s, depth)[0]) / 2.0
+    return (1.0 + radial_bracket(params.s, depth)[0]) / 2.0

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .freegroup import IDENTITY, GroupParams, analytic_norm, ball_size
+from .freegroup import IDENTITY, GroupParams, analytic_norm
 from .heatvision import (
     iterate_channel,
     purity_bound,
@@ -23,14 +23,12 @@ from .heatvision import (
 )
 from .hilbert import build_basis
 from .spectral import (
-    RADIAL_THRESHOLD,
     _average_form,
-    _collatz_wielandt,
+    _certified,
     _norm,
     closed_walk_moment,
     first_letter_bound_chain,
     matvec_walk_count,
-    radial_top_eigenvalue,
     tightness_quotient,
     tightness_vector,
 )
@@ -136,13 +134,14 @@ class ReportSettings:
 
 
 def criterion_norm_sweep(settings: ReportSettings) -> CriterionResult:
-    """1: lambda_N climbs to 2*sqrt(s-1)/s from below, certified on the ball.
+    """1: lambda_N climbs to 2*sqrt(s-1)/s from below, certified at every depth.
 
-    Every depth takes lambda_N from the radial solve and checks it above
-    the envelope f* cos(pi/(N+2)).  Where ``auto`` would run Lanczos, a
-    ball of at most ``RADIAL_THRESHOLD`` words, the value must also lie in
-    its Collatz-Wielandt bracket on the ball, and the bracket must close.
-    The final depth's gap must be within ``norm_gap_allowance``.
+    Every depth takes lambda_N from the radial solve, with the
+    Collatz-Wielandt bracket that ``norm`` reports (on the word ball up to
+    ``spectral.RADIAL_THRESHOLD`` words, on T_N deeper).  The value must lie
+    in its bracket, the bracket must close, and the value must sit above the
+    envelope f* cos(pi/(N+2)).  The final depth's gap must be within
+    ``norm_gap_allowance``.
     """
     scale = settings.tolerance_scale
     tol = 1e-12 * scale
@@ -155,15 +154,12 @@ def criterion_norm_sweep(settings: ReportSettings) -> CriterionResult:
         bound = analytic_norm(s)
         estimates, uncertified, under = [], [], []
         for n in range(1, settings.norm_depth_max + 1):
-            if ball_size(params, n) <= RADIAL_THRESHOLD:
-                value, lo, hi = _collatz_wielandt(params, n)
-                if not (lo - tol <= value <= hi + tol and hi - lo <= tol):
-                    uncertified.append(
-                        f"s={s}: N={n} value {value!r} not certified by its "
-                        f"Collatz-Wielandt bracket [{lo!r}, {hi!r}]"
-                    )
-            else:
-                value = radial_top_eigenvalue(s, n)[0]
+            value, lo, hi, _ = _certified(params, n)
+            if not (lo - tol <= value <= hi + tol and hi - lo <= tol):
+                uncertified.append(
+                    f"s={s}: N={n} value {value!r} not certified by its "
+                    f"Collatz-Wielandt bracket [{lo!r}, {hi!r}]"
+                )
             envelope = bound * math.cos(math.pi / (n + 2))
             if not value > envelope:
                 under.append(

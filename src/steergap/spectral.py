@@ -2,29 +2,29 @@
 
 The target value is 2*sqrt(s-1)/s.  Two independent routes pin it down:
 
-* extremal-eigenvalue estimates of the compressed operator on deeper and
-  deeper truncations (the compressions increase monotonically toward the
-  norm from below), and
+* the compressed operator's top eigenvalue lambda_N on deeper and deeper
+  truncations (the compressions increase monotonically toward the norm
+  from below), and
 * exact integer counts of closed walks on the s-regular tree, whose
   normalized 2k-th moments recover the same norm as a limit of 2k-th roots.
 
 The top eigenvector of the compressed operator is constant on length
 shells (the operator commutes with the root-fixing tree automorphisms and is
 irreducible on nonnegative vectors), and on shell-constant vectors the
-operator acts as the (N+1)-point tridiagonal matrix T_N.  The ``radial``
-representation solves T_N exactly at any depth, by bisection on the scalar
-secular equation of its closed-form eigenvector; ``sparse`` runs Lanczos
-on the shell-block form of the compressed operator, with no word basis
-or index array, which cross-checks the reduction; ``auto`` switches on
-ball size.  Both run on numpy and ``math`` alone.  The report's norm sweep
-runs no Lanczos: it brackets the radial value on the word ball from both
-sides, with one operator apply per parity class (``_collatz_wielandt``).
-The operator maps even-length words to odd-length ones and back, so its
-one form, ``hilbert.generator_average``, acts on that parity split, and so
-does the one Lanczos solver: a plain three-term recurrence, where the norm
-estimates hold two vectors.  ``extremal_eigenpair`` and the seesaw's state
-step, whose operator is the same form with d x d coefficients, need the
-Ritz vector, so they keep them all, through one step, ``_top_state``.
+operator acts as the (N+1)-point tridiagonal matrix T_N.  Every lambda_N
+comes from an exact solve of T_N at any depth, by bisection on the scalar
+secular equation of its closed-form eigenvector, and carries a
+Collatz-Wielandt bracket lo <= lambda_N <= hi from one apply of a
+nonnegative operator to that positive vector: of the averaged shift on the
+word ball (``sparse``, ``_collatz_wielandt``), which cross-checks the
+reduction, on balls of at most ``RADIAL_THRESHOLD`` words, and of T_N
+itself (``radial``, ``radial_bracket``) deeper.  Both run on numpy and
+``math`` alone.  The operator maps even-length words to odd-length ones
+and back, so its one form, ``hilbert.generator_average``, acts on that
+parity split, and so does the one Lanczos solver, a plain three-term
+recurrence that keeps its vectors: ``extremal_eigenpair`` and the
+seesaw's state step, whose operator is the same form with d x d
+coefficients, take the Ritz vector through one step, ``_top_state``.
 """
 
 from __future__ import annotations
@@ -44,8 +44,8 @@ from .hilbert import (
     generator_average,
 )
 
-#: Above this ball size, representation="auto" leaves Lanczos on the
-#: averaged shift for the shell-tridiagonal reduction.
+#: Balls of at most this many words bracket lambda_N on the word ball
+#: itself; above it, on the shell tridiagonal T_N alone.
 RADIAL_THRESHOLD = 200_000
 
 #: Cap on the closed-walk half-length; the integer dynamic program is
@@ -54,6 +54,9 @@ MAX_WALK_HALF_LENGTH = 64
 
 DEFAULT_KRYLOV = 200
 
+#: pi - math.pi, the part of pi below a double's last bit.
+_PI_TAIL = 1.2246467991473532e-16
+
 
 @dataclass
 class NormEstimate:
@@ -61,8 +64,8 @@ class NormEstimate:
     depth: int
     estimated_norm: float
     analytic_bound: float
-    iterations: int
-    residual: float
+    lower: float
+    upper: float
     representation: str
 
     @property
@@ -98,9 +101,12 @@ def radial_secular(s: int, depth: int, theta: float) -> float:
 def _radial_root(s: int, depth: int) -> tuple[float, np.ndarray]:
     """lambda_N = f* cos(theta) and the unnormalized top vector v of T_N, depth >= 1.
 
-    theta is the root of ``radial_secular`` that ``radial_top_eigenvalue``
-    brackets, found by bisection; every entry of v is > 0, since
-    0 < (N+1-k) theta < pi for k = 0..N.
+    theta is the one root of ``radial_secular`` on (0, pi/(N+1)) (see
+    ``radial_bracket``), found by bisection; every entry of v is > 0, since
+    0 < (N+1-k) theta < pi for k = 0..N.  Each entry keeps its relative
+    accuracy: an argument x = (N+1-k) theta past pi/2 is read as
+    sin(pi - x), with pi - x formed from an exact part of x, so the head
+    entries near sin(pi) do not lose N ulps to cancellation.
     """
     lo, hi = 0.0, math.pi / (depth + 1)
     while True:
@@ -112,13 +118,20 @@ def _radial_root(s: int, depth: int) -> tuple[float, np.ndarray]:
         else:
             hi = mid
     theta = lo
-    v = np.sin((depth + 1 - np.arange(depth + 1)) * theta)
-    v[0] = math.sqrt(s - 1.0) / s * math.sqrt(s) * math.sin((depth + 1) * theta)
+    j = np.arange(depth + 1, 0, -1.0)
+    # A 24-bit head of theta times j < 2^29 is exact, and so is pi minus it
+    # (Sterbenz).
+    head = float(np.float32(theta))
+    x, tail = j * head, j * (theta - head)
+    v = np.where(
+        x < math.pi / 2, np.sin(x + tail), np.sin((math.pi - x) + (_PI_TAIL - tail))
+    )
+    v[0] *= math.sqrt(s - 1.0) / s * math.sqrt(s)
     return analytic_norm(s) * math.cos(theta), v
 
 
-def radial_top_eigenvalue(s: int, depth: int) -> tuple[float, float]:
-    """Top eigenvalue lambda_N of the shell tridiagonal T_N, with its residual.
+def radial_bracket(s: int, depth: int) -> tuple[float, float, float]:
+    """Top eigenvalue lambda_N of the shell tridiagonal T_N, and lo <= lambda_N <= hi.
 
     Write lambda = f* cos(theta) with f* = 2 sqrt(s-1)/s.  Rows 1..N of
     T_N v = lambda v are the free recurrence, solved by
@@ -137,18 +150,19 @@ def radial_top_eigenvalue(s: int, depth: int) -> tuple[float, float]:
     2(s-1)(N+1)/s - N > 0.  A larger eigenvalue below f* would need a
     smaller root, so bisection on that bracket, in ``math`` floats down to
     adjacent doubles, gives lambda_N; and theta > 0 means lambda_N < f* at
-    every N.  The O(N) residual ||T_N v - lambda_N v|| of the normalized v
-    is returned alongside.
+    every N.  T_N is nonnegative and irreducible and v is positive, so the
+    min and max of (T_N v)/v bracket lambda_N (Collatz-Wielandt, as in
+    ``_collatz_wielandt``), in O(N).
     """
     if depth == 0:
-        return 0.0, 0.0
+        return 0.0, 0.0, 0.0
     value, v = _radial_root(s, depth)
-    v /= _norm(v)
     b = radial_offdiagonal(s, depth)
     tv = np.zeros_like(v)
     tv[:-1] = b * v[1:]
     tv[1:] += b * v[:-1]
-    return value, _norm(tv - value * v)
+    ratios = tv / v
+    return value, float(ratios.min()), float(ratios.max())
 
 
 def _collatz_wielandt(params: GroupParams, depth: int) -> tuple[float, float, float]:
@@ -197,7 +211,7 @@ def _ritz_top(betas: list[float]) -> tuple[float, np.ndarray]:
 
 
 def _lanczos_extremal(
-    apply, sizes, rng, tol, krylov=DEFAULT_KRYLOV, v0=None, *, vectors=True, lead=()
+    apply, sizes, rng, tol, krylov=DEFAULT_KRYLOV, v0=None, *, lead=()
 ):
     """Top eigenpair, by three-term Lanczos, of an operator that swaps two classes.
 
@@ -211,32 +225,27 @@ def _lanczos_extremal(
     than rounding (Paige, J. Inst. Math. Appl. 18, 1976).  The Ritz values
     come in +/- pairs, so the top one is also the largest in magnitude.
 
-    With ``vectors`` false only the last two Lanczos vectors are held, O(D)
-    memory, and only the value is returned; otherwise the vectors are kept
-    flat in two parity blocks and the Ritz vector is formed from them at exit.
-    Returns (value, the class parts of its Ritz vector, or None, iterations,
-    residual); the vector is unit up to the lost orthogonality, so callers
-    normalize it.  The start is random in class 0, or the class-0 part of
-    the pair ``v0``, or its class-1 part if the class-0 one is zero; then
-    the top Ritz value is at least ||A v||/||v|| for that part v, since the
-    leading 2 x 2 block of the tridiagonal has that top eigenvalue.
+    The vectors are kept flat in two parity blocks and the Ritz vector is
+    formed from them at exit.  Returns (value, the class parts of its Ritz
+    vector, iterations, residual); the vector is unit up to the lost
+    orthogonality, so callers normalize it.  The start is random in class
+    0, or the class-0 part of the pair ``v0``, or its class-1 part if the
+    class-0 one is zero; then the top Ritz value is at least ||A v||/||v||
+    for that part v, since the leading 2 x 2 block of the tridiagonal has
+    that top eigenvalue.
     """
     dim = math.prod(lead) * sum(sizes)
     half = (krylov + 1) // 2
-    if vectors:
-        require_bytes(8 * half * dim, f"Lanczos Krylov basis of {half} x {dim} float64")
-    else:
-        require_bytes(8 * 3 * dim, f"Lanczos recurrence of 3 x {dim} float64")
+    require_bytes(8 * half * dim, f"Lanczos Krylov basis of {half} x {dim} float64")
     if v0 is None:
         start, q = 0, rng.standard_normal(lead + (sizes[0],))
     else:
         start = 0 if np.any(v0[0]) else 1
         q = np.asarray(v0[start], dtype=float)
     q = q / _norm(q)
-    if vectors:
-        # Vector j lies in class (start + j) % 2, as row j // 2 of that block.
-        blocks = [np.zeros((half, math.prod(lead) * n)) for n in sizes]
-        blocks[start][0] = q.reshape(-1)
+    # Vector j lies in class (start + j) % 2, as row j // 2 of that block.
+    blocks = [np.zeros((half, math.prod(lead) * n)) for n in sizes]
+    blocks[start][0] = q.reshape(-1)
     betas: list[float] = []
     for j in range(krylov):
         c = (start + j) % 2
@@ -264,78 +273,50 @@ def _lanczos_extremal(
         betas.append(beta)
         w /= beta
         prev, q = q, w
-        if vectors:
-            blocks[1 - c][(j + 1) // 2] = w.reshape(-1)
-    parts = None
-    if vectors:
-        coefs = [ritz[(c - start) % 2 :: 2] for c in (0, 1)]
-        parts = [(a @ b[: len(a)]).reshape(*lead, -1) for a, b in zip(coefs, blocks)]
+        blocks[1 - c][(j + 1) // 2] = w.reshape(-1)
+    coefs = [ritz[(c - start) % 2 :: 2] for c in (0, 1)]
+    parts = [(a @ b[: len(a)]).reshape(*lead, -1) for a, b in zip(coefs, blocks)]
     return theta, parts, j + 1, residual
 
 
-def _resolve_representation(representation: str, dim: int) -> str:
-    if representation == "auto":
-        return "sparse" if dim <= RADIAL_THRESHOLD else "radial"
-    if representation not in ("sparse", "radial"):
-        raise ValueError(f"unknown representation {representation!r}")
-    return representation
+def _certified(params: GroupParams, depth: int) -> tuple[float, float, float, str]:
+    """(lambda_N, lo, hi, representation), lo <= lambda_N <= hi, depth >= 1.
+
+    The bracket is on the word ball (``sparse``) if it holds at most
+    ``RADIAL_THRESHOLD`` words, and on T_N (``radial``) otherwise.
+    """
+    if ball_size(params, depth) <= RADIAL_THRESHOLD:
+        return (*_collatz_wielandt(params, depth), "sparse")
+    return (*radial_bracket(params.s, depth), "radial")
 
 
-def estimate_norm(
-    params: GroupParams,
-    depth: int,
-    *,
-    tol: float = 1e-10,
-    max_iter: int | None = None,
-    seed: int = 0,
-    representation: str = "auto",
-) -> NormEstimate:
-    """Estimate the norm of the averaged shift compressed to depth ``depth``.
+def estimate_norm(params: GroupParams, depth: int) -> NormEstimate:
+    """The norm of the averaged shift compressed to depth ``depth``: lambda_N.
 
-    Exact on ``radial``, where ``iterations`` is the dimension N+1 of T_N.
-    On ``sparse`` the estimate is a Lanczos Ritz value with Krylov budget
-    ``max_iter``, so it approaches the compressed eigenvalue from below and
-    never exceeds the analytic norm; a ball over the word cap raises
-    ``CapacityError`` before anything is allocated.  Either route refuses
-    ``max_iter < 1`` and a ``tol`` that is negative or not finite.
+    The value is the exact radial solve at every depth, never above the
+    analytic norm, with the Collatz-Wielandt bracket of ``_certified``.
     """
     if depth < 1:
         raise ValueError("depth must be ≥ 1")
-    if max_iter is not None and max_iter < 1:
-        raise ValueError(f"Krylov budget must be ≥ 1, got {max_iter}")
-    if not 0.0 <= tol < math.inf:
-        raise ValueError(f"tol must be finite and ≥ 0, got {tol}")
-    rep = _resolve_representation(representation, ball_size(params, depth))
-    if rep == "sparse":
-        budget = DEFAULT_KRYLOV if max_iter is None else max_iter
-        value, _, iterations, residual = _lanczos_extremal(
-            *generator_average(params, depth),
-            np.random.default_rng(seed),
-            tol,
-            budget,
-            vectors=False,
-        )
-    else:
-        value, residual = radial_top_eigenvalue(params.s, depth)
-        iterations = depth + 1
+    value, lo, hi, rep = _certified(params, depth)
     return NormEstimate(
         s=params.s,
         depth=depth,
         estimated_norm=value,
         analytic_bound=analytic_norm(params.s),
-        iterations=iterations,
-        residual=residual,
+        lower=lo,
+        upper=hi,
         representation=rep,
     )
 
 
 def norm_sweep(
-    params: GroupParams, depth_max: int, *, depth_min: int = 1, **kwargs
+    params: GroupParams, depth_max: int, *, depth_min: int = 1
 ) -> list[NormEstimate]:
     """Norm estimates for every depth in [depth_min, depth_max]."""
     if depth_min < 1 or depth_min > depth_max:
         raise ValueError("need 1 ≤ depth_min ≤ depth_max")
-    return [estimate_norm(params, n, **kwargs) for n in range(depth_min, depth_max + 1)]
+    return [estimate_norm(params, n) for n in range(depth_min, depth_max + 1)]
 
 
 def extremal_eigenpair(

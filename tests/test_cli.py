@@ -68,7 +68,7 @@ def test_norm_writes_csv_and_json(tmp_path):
     raw = csv_path.read_bytes()
     assert b"\r" not in raw
     lines = raw.decode().splitlines()
-    assert lines[0] == "N,estimate,analytic_bound,gap,iterations"
+    assert lines[0] == "N,estimate,analytic_bound,gap,lower,upper"
     assert len(lines) == 5  # header + depths 1..4
     doc = json.loads(json_path.read_text())
     assert list(doc) == ["config", "result", "meta"]
@@ -80,11 +80,16 @@ def test_norm_writes_csv_and_json(tmp_path):
     assert [e["depth"] for e in estimates] == [1, 2, 3, 4]
     # CSV floats are full-precision: text round-trips to the JSON values
     for line, entry in zip(lines[1:], estimates):
-        n, est, bound, gap, iters = line.split(",")
+        n, est, bound, gap, lower, upper = line.split(",")
         assert int(n) == entry["depth"]
         assert float(est) == entry["estimate"]
         assert float(bound) == analytic_norm(3)
         assert float(gap) == entry["gap"]
+        assert (float(lower), float(upper)) == (entry["lower"], entry["upper"])
+        assert entry["representation"] == "sparse"
+        assert list(entry) == [
+            "depth", "estimate", "gap", "lower", "upper", "representation"
+        ]
     assert doc["result"]["final_estimate"] == estimates[-1]["estimate"]
     assert doc["result"]["final_gap"] == estimates[-1]["gap"]
     assert "method" not in doc["result"]
@@ -94,7 +99,7 @@ def test_norm_defaults_to_stdout(capsys):
     rc = main(["norm", "--s", "2", "--depth-max", "2"])
     out, _ = run_lines(capsys)
     assert rc == 0
-    assert out[0] == "N,estimate,analytic_bound,gap,iterations"
+    assert out[0] == "N,estimate,analytic_bound,gap,lower,upper"
     assert len(out) == 3
 
 
@@ -111,14 +116,16 @@ def test_norm_json_is_deterministic_outside_meta(tmp_path):
 
 
 def test_norm_radial_runs_past_the_krylov_budget(capsys):
-    # T_N has N + 1 = 201 points, more than the 200-vector Lanczos budget.
-    rc = main(["norm", "--s", "3", "--depth-min", "200", "--depth-max", "200",
-               "--representation", "radial"])
+    # T_N has N + 1 = 201 points, more than the 200-vector Lanczos budget,
+    # and its bracket costs one apply of T_N.
+    rc = main(["norm", "--s", "3", "--depth-min", "200", "--depth-max", "200"])
     out, _ = run_lines(capsys)
     assert rc == 0
-    n, _, _, gap, iters = out[1].split(",")
-    assert (int(n), int(iters)) == (200, 201)
+    n, est, _, gap, lower, upper = out[1].split(",")
+    assert int(n) == 200
     assert float(gap) > 0.0
+    assert float(lower) - 1e-15 <= float(est) <= float(upper) + 1e-15
+    assert float(upper) - float(lower) <= 1e-12
 
 
 # --- exit codes ---
@@ -150,61 +157,27 @@ def test_usage_problems_exit_1(capsys):
 
 
 def test_capacity_exhaustion_exits_2(capsys):
-    rc = main(
-        [
-            "norm",
-            "--s",
-            "3",
-            "--depth-max",
-            "21",
-            "--depth-min",
-            "21",
-            "--representation",
-            "sparse",
-        ]
-    )
+    rc = main(["steer", "seesaw", "--s", "3", "--bob-depth", "21"])
     _, err = run_lines(capsys)
     assert rc == 2
-    assert "error:" in err
+    assert "error:" in err and "exceeds cap" in err
 
 
 def test_capacity_exhaustion_at_huge_depth_exits_2(capsys):
     # The depth-20000 ball has about 9500 digits, too many to format as an int.
-    rc = main(
-        [
-            "norm",
-            "--s",
-            "3",
-            "--depth-min",
-            "20000",
-            "--depth-max",
-            "20000",
-            "--representation",
-            "sparse",
-        ]
-    )
+    rc = main(["steer", "seesaw", "--s", "3", "--bob-depth", "20000"])
     _, err = run_lines(capsys)
     assert rc == 2
     assert "exceeds cap" in err
+    assert "at least 2^20001 words" in err
 
 
 def test_sparse_norm_over_the_word_cap_exits_2_before_allocating(capsys):
     # The depth-20 ball at s=3 holds 3 145 726 words, over the 2M word cap.
+    # ``norm`` brackets such a ball on T_N alone; the seesaw needs the ball.
     tracemalloc.start()
     try:
-        rc = main(
-            [
-                "norm",
-                "--s",
-                "3",
-                "--depth-min",
-                "20",
-                "--depth-max",
-                "20",
-                "--representation",
-                "sparse",
-            ]
-        )
+        rc = main(["steer", "seesaw", "--s", "3", "--bob-depth", "20"])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -287,14 +260,9 @@ def test_heatvision_step_cap_exits_2(capsys):
     [
         ["steer", "seesaw", "--s", "3", "--restarts", "0"],
         ["steer", "seesaw", "--s", "3", "--max-iter", "0"],
-        ["norm", "--s", "3", "--depth-max", "3", "--representation", "sparse",
-         "--max-iter", "0"],
-        ["norm", "--s", "3", "--depth-max", "3", "--representation", "radial",
-         "--max-iter", "0"],
         ["heatvision", "--s", "3", "--depth", "3", "--steps", "-1"],
     ],
-    ids=["seesaw-restarts", "seesaw-max-iter", "norm-max-iter",
-         "norm-radial-max-iter", "heatvision-steps"],
+    ids=["seesaw-restarts", "seesaw-max-iter", "heatvision-steps"],
 )
 def test_nonpositive_budgets_exit_1(capsys, argv):
     rc = main(argv)
@@ -309,14 +277,11 @@ def test_nonpositive_budgets_exit_1(capsys, argv):
         ["report", "--quick", "--tolerance-scale", "nan"],
         ["report", "--quick", "--tolerance-scale", "inf"],
         ["report", "--quick", "--tolerance-scale", "-1"],
-        ["norm", "--s", "3", "--depth-max", "12", "--tol", "nan"],
-        ["norm", "--s", "3", "--depth-max", "12", "--tol", "-1"],
         ["steer", "seesaw", "--s", "3", "--tol", "nan"],
         ["steer", "seesaw", "--s", "3", "--tol", "-1"],
     ],
     ids=["report-scale-nan", "report-scale-inf", "report-scale-negative",
-         "norm-tol-nan", "norm-tol-negative", "seesaw-tol-nan",
-         "seesaw-tol-negative"],
+         "seesaw-tol-nan", "seesaw-tol-negative"],
 )
 def test_bad_tolerances_exit_1(capsys, argv):
     """A NaN tolerance passes every comparison against it, and a negative one
@@ -332,12 +297,14 @@ def test_bad_tolerances_exit_1(capsys, argv):
 
 def test_library_callers_get_the_same_tolerance_checks():
     """Zero stays accepted, as the report's negative control and as a solver
-    tolerance; ``run_report`` refuses a NaN scale as the command line does."""
+    tolerance; ``run_report`` refuses a NaN scale as the command line does.
+    The norm takes no tolerance: its bracket is what it reports."""
     settings = ReportSettings.quick()
     settings.tolerance_scale = 0.0
     assert [r.number for r in run_report(settings) if not r.passed]
-    for route in ("sparse", "radial"):
-        assert estimate_norm(GroupParams(3), 3, tol=0.0, representation=route).gap > 0
+    with pytest.raises(TypeError, match="tol"):
+        estimate_norm(GroupParams(3), 3, tol=0.0)
+    assert estimate_norm(GroupParams(3), 3).gap > 0
     seesaw_tensor_optimize(GroupParams(3), 2, 2, restarts=1, max_iter=2, tol=0.0)
     settings.tolerance_scale = float("nan")
     with pytest.raises(ValueError, match="tolerance_scale must be finite"):
@@ -538,7 +505,7 @@ def test_heatvision_rejects_bad_state(capsys):
 
 def test_config_file_sets_defaults_and_flags_win(tmp_path, capsys):
     cfg = tmp_path / "norm.cfg"
-    cfg.write_text("s = 4\ndepth-max = 3  # sweep ceiling\n\ntol = 1e-8\n")
+    cfg.write_text("s = 4\ndepth-max = 3  # sweep ceiling\n\ndepth-min = 2\n")
     json_path = tmp_path / "out.json"
     rc = main(
         ["norm", "--config", str(cfg), "--csv", str(tmp_path / "o.csv"),
@@ -548,7 +515,8 @@ def test_config_file_sets_defaults_and_flags_win(tmp_path, capsys):
     doc = json.loads(json_path.read_text())
     assert doc["config"]["s"] == 4
     assert doc["config"]["depth_max"] == 3
-    assert doc["config"]["tol"] == 1e-8
+    assert doc["config"]["depth_min"] == 2
+    assert [e["depth"] for e in doc["result"]["estimates"]] == [2, 3]
     rc = main(
         ["norm", "--config", str(cfg), "--s", "2", "--csv",
          str(tmp_path / "o2.csv"), "--json", str(json_path)]
@@ -576,38 +544,66 @@ def test_config_file_errors_exit_1(tmp_path, capsys):
     assert "key=value" in capsys.readouterr().err
 
 
+NORM_ARGV = ["norm", "--depth-max", "2"]
+
+
 @pytest.mark.parametrize(
-    "text, message",
+    "argv, text, message",
     [
-        ("s = x\n", "argument --s: invalid int value: 'x'"),
-        ("tol = small\n", "argument --tol: invalid float value: 'small'"),
-        ("leaf = 1\n", "unknown config key 'leaf'"),
-        ("run = 1\n", "unknown config key 'run'"),
-        ("command = 1\n", "unknown config key 'command'"),
+        (NORM_ARGV, "s = x\n", "argument --s: invalid int value: 'x'"),
+        (["report"], "tolerance-scale = small\n",
+         "argument --tolerance-scale: invalid float value: 'small'"),
+        (NORM_ARGV, "leaf = 1\n", "unknown config key 'leaf'"),
+        (NORM_ARGV, "run = 1\n", "unknown config key 'run'"),
+        (NORM_ARGV, "command = 1\n", "unknown config key 'command'"),
     ],
     ids=["int", "float", "leaf", "run", "command"],
 )
-def test_config_values_are_checked_as_flags_are(tmp_path, capsys, text, message):
+def test_config_values_are_checked_as_flags_are(tmp_path, capsys, argv, text, message):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(text)
-    assert main(["norm", "--config", str(cfg), "--depth-max", "2"]) == 1
+    assert main([*argv, "--config", str(cfg)]) == 1
     err = capsys.readouterr().err
     assert message in err and err.count("\n") == 1
     assert "Traceback" not in err
 
 
 def test_unknown_representation_exits_1_alike_from_flag_and_config(tmp_path, capsys):
-    """The norm layer's check is the only one, so a flag and a config file
-    are refused with the same line, before any solve."""
+    """``norm`` has one route, so a representation is refused as a flag and
+    as a config key alike, each with one line and before any solve."""
     cfg = tmp_path / "norm.cfg"
-    cfg.write_text("representation = bogus\n")
+    cfg.write_text("representation = sparse\n")
     errs = []
-    for extra in (["--representation", "bogus"], ["--config", str(cfg)]):
+    for extra in (["--representation", "sparse"], ["--config", str(cfg)]):
         assert main(["norm", "--s", "3", "--depth-max", "2", *extra]) == 1
         out, err = run_lines(capsys)
         assert out == []
         errs.append(err)
-    assert errs == ["error: unknown representation 'bogus'\n"] * 2
+    assert errs == [
+        "steergap: unrecognized arguments: --representation sparse\n",
+        "error: unknown config key 'representation'\n",
+    ]
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--tol", "1e-10"), ("--max-iter", "200"), ("--seed", "0")],
+    ids=["tol", "max-iter", "seed"],
+)
+def test_removed_norm_options_exit_1(tmp_path, capsys, flag, value):
+    """The solver options of the deleted Lanczos route are gone from ``norm``,
+    as a flag and as a config key, as ``--representation`` is."""
+    cfg = tmp_path / "norm.cfg"
+    cfg.write_text(f"{flag[2:]} = {value}\n")
+    key = flag[2:].replace("-", "_")
+    for extra, message in [
+        ([flag, value], f"unrecognized arguments: {flag} {value}"),
+        (["--config", str(cfg)], f"unknown config key '{key}'"),
+    ]:
+        assert main(["norm", "--s", "3", "--depth-max", "2", *extra]) == 1
+        out, err = run_lines(capsys)
+        assert out == [] and message in err
+        assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_config_booleans_parse_and_bad_ones_exit_1(tmp_path, capsys):
@@ -767,19 +763,36 @@ def test_norm_sweep_bracket_catches_a_wrong_vector(monkeypatch, vector):
     assert "not certified by its Collatz-Wielandt bracket" in result.details
 
 
+def test_norm_sweep_brackets_the_radial_depths(monkeypatch):
+    """Past ``RADIAL_THRESHOLD`` criterion 1 checks the bracket on T_N: with
+    every ball over the threshold it passes as before, and a vector off the
+    radial eigenvector fails it."""
+    monkeypatch.setattr(spectral, "RADIAL_THRESHOLD", 0)
+    result = criterion_norm_sweep(ReportSettings.quick())
+    assert result.passed
+    assert result.details == "worst final gap 0.036011 (allowed 0.060000)"
+    root = spectral._radial_root
+    monkeypatch.setattr(
+        spectral, "_radial_root", lambda s, n: (root(s, n)[0], np.ones(n + 1))
+    )
+    result = criterion_norm_sweep(ReportSettings.quick())
+    assert not result.passed
+    assert "not certified by its Collatz-Wielandt bracket" in result.details
+
+
 def test_norm_sweep_checks_the_lower_envelope(monkeypatch):
     """A value at or below f* cos(pi/(N+2)) fails, even inside its bracket."""
     settings = ReportSettings.quick()
     passing = criterion_norm_sweep(settings).details
     envelope = analytic_norm(3) * math.cos(math.pi / 5)
-    certify = report._collatz_wielandt
+    certify = report._certified
 
     def low_at_3_3(params, n):
         if (params.s, n) == (3, 3):
-            return envelope, envelope, envelope
+            return envelope, envelope, envelope, "sparse"
         return certify(params, n)
 
-    monkeypatch.setattr(report, "_collatz_wielandt", low_at_3_3)
+    monkeypatch.setattr(report, "_certified", low_at_3_3)
     result = criterion_norm_sweep(settings)
     assert not result.passed
     assert result.details == (
@@ -835,8 +848,8 @@ from steergap import cli
 codes = [
     cli.main(["heatvision", "--s", "3", "--depth", "6", "--steps", "5"]),
     cli.main(["steer", "commuting", "--s", "3"]),
-    cli.main(["norm", "--s", "3", "--depth-max", "3", "--representation", "radial"]),
-    cli.main(["norm", "--s", "3", "--depth-max", "3", "--representation", "sparse"]),
+    cli.main(["norm", "--s", "3", "--depth-max", "3"]),
+    cli.main(["norm", "--s", "3", "--depth-min", "17", "--depth-max", "17"]),
     cli.main(["steer", "seesaw", "--s", "3", "--alice-dim", "2", "--bob-depth", "3"]),
     cli.main(["report", "--quick"]),
 ]

@@ -31,6 +31,7 @@ from steergap.spectral import (
     _collatz_wielandt,
     _lanczos_extremal,
     _top_state,
+    radial_bracket,
     radial_offdiagonal,
     tightness_quotient,
 )
@@ -66,19 +67,20 @@ def test_estimate_matches_dense_eigenvalue():
     basis = build_basis(params, 4)
     dense = full_average(np.eye(basis.dimension), basis)
     top = float(np.max(np.abs(np.linalg.eigvalsh(dense))))
-    est = estimate_norm(params, 4, seed=5)
+    est = estimate_norm(params, 4)
     assert est.estimated_norm == pytest.approx(top, abs=1e-8)
+    assert est.lower - ROUNDING <= top <= est.upper + ROUNDING
     assert est.representation == "sparse"
 
 
 def test_radial_reduction_matches_sparse():
-    # Every (s, N) of the quick report's sweep, and s=3 to its reference depth.
+    """The radial value against Lanczos on the word ball, at every (s, N) of
+    the quick report's sweep, and s=3 to its reference depth."""
     quick = [(s, n) for s in (2, 3, 4, 5) for n in range(1, 9)]
     for s, depth in quick + [(3, n) for n in range(9, 15)]:
-        params = GroupParams(s)
-        sparse = estimate_norm(params, depth, representation="sparse")
-        radial = estimate_norm(params, depth, representation="radial")
-        assert abs(sparse.estimated_norm - radial.estimated_norm) < 1e-14, (s, depth)
+        sparse, _ = extremal_eigenpair(GroupParams(s), depth)
+        radial = estimate_norm(GroupParams(s), depth)
+        assert abs(sparse - radial.estimated_norm) < 1e-14, (s, depth)
 
 
 def test_lanczos_odd_start_matches_even_start():
@@ -111,12 +113,17 @@ def test_radial_offdiagonal_values():
 
 
 def test_auto_representation_switches(monkeypatch):
+    """The bracket is on the ball up to the threshold, on T_N past it, and
+    the value is the radial solve's either way."""
     monkeypatch.setattr(spectral, "RADIAL_THRESHOLD", 10)
     est = estimate_norm(GroupParams(3), 5)
     assert est.representation == "radial"
     monkeypatch.setattr(spectral, "RADIAL_THRESHOLD", 10**6)
     est2 = estimate_norm(GroupParams(3), 5)
     assert est2.representation == "sparse"
+    assert est2.estimated_norm == est.estimated_norm
+    monkeypatch.setattr(spectral, "RADIAL_THRESHOLD", ball_size(GroupParams(3), 5))
+    assert estimate_norm(GroupParams(3), 5).representation == "sparse"
 
 
 def test_radial_route_is_exact_at_any_depth():
@@ -127,20 +134,23 @@ def test_radial_route_is_exact_at_any_depth():
     for depth in (200, 1000, 100_000):
         est = estimate_norm(GroupParams(3), depth)
         assert est.representation == "radial"
-        assert est.iterations == depth + 1
-        assert est.residual < 1e-12
+        assert est.lower - ROUNDING <= est.estimated_norm <= est.upper + ROUNDING
+        assert est.upper - est.lower < 1e-12 * (1 if depth <= 10_000 else 10)
         values.append(est.estimated_norm)
     assert values[0] < values[1] < values[2] < fstar
     n = 100_000
     assert abs(n * n * (fstar - values[2]) - fstar * math.pi**2 / 2) < 1e-2
 
 
-RADIAL_ORACLE_DEPTHS = [*range(1, 301), 1000, 10_000, 100_000]
+#: 9500 and 9997 hold the widest brackets at N <= 10^4 for s = 6, 7 and 8,
+#: past 1e-12 when the head entries of v were the sines of rounded products.
+RADIAL_ORACLE_DEPTHS = [*range(1, 301), 1000, 9500, 9997, 10_000, 100_000]
 
 
 @pytest.mark.parametrize("s", range(2, 26))
 def test_radial_closed_form_matches_tridiagonal_oracle(s):
-    """The bisection root against LAPACK on the same T_N, and its bracket."""
+    """The bisection root against LAPACK on the same T_N, its Collatz-Wielandt
+    bracket around both, and the root's sign-change bracket."""
     from scipy.linalg import eigh_tridiagonal
 
     for n in RADIAL_ORACLE_DEPTHS:
@@ -148,10 +158,12 @@ def test_radial_closed_form_matches_tridiagonal_oracle(s):
         want = eigh_tridiagonal(
             np.zeros(n + 1), b, eigvals_only=True, select="i", select_range=(n, n)
         )[0]
-        value, residual = spectral.radial_top_eigenvalue(s, n)
+        value, lo, hi = radial_bracket(s, n)
         assert abs(value - want) <= 1e-14, (s, n)
         assert value < analytic_norm(s)
-        assert residual < 1e-12
+        for top in (value, want):
+            assert lo - ROUNDING <= top <= hi + ROUNDING, (s, n)
+        assert hi - lo <= 1e-12 * (1 if n <= 10_000 else 10), (s, n)
         # g > 0 just above 0 (g'(0) = 2(s-1)(N+1)/s - N > 0) and g < 0 at
         # the right end, so the bracket holds exactly one sign change.
         assert spectral.radial_secular(s, n, 1e-9 / (n + 1)) > 0.0
@@ -172,7 +184,7 @@ def test_collatz_wielandt_bracket_closes_on_the_radial_value(s):
     assert depths[0] == 1 and len(depths) >= 7
     for n in depths:
         value, lo, hi = _collatz_wielandt(params, n)
-        assert value == spectral.radial_top_eigenvalue(s, n)[0]
+        assert value == radial_bracket(s, n)[0]
         assert lo - ROUNDING <= value <= hi + ROUNDING, (s, n)
         assert hi - lo <= 1e-13, (s, n)
 
@@ -191,9 +203,11 @@ def test_collatz_wielandt_bracket_holds_the_dense_top_eigenvalue(s, depth_max):
 def test_sparse_estimate_lies_in_the_bracket_within_its_residual():
     """A Ritz value is at most rho(A_N) and within its residual of it."""
     for s, n in [(s, n) for s in (2, 3, 4, 5) for n in range(1, 9)]:
-        est = estimate_norm(GroupParams(s), n, representation="sparse")
+        apply, sizes = generator_average(GroupParams(s), n)
+        rng = np.random.default_rng(0)
+        value, _, _, residual = _lanczos_extremal(apply, sizes, rng, 1e-10)
         _, lo, hi = _collatz_wielandt(GroupParams(s), n)
-        assert lo - est.residual - ROUNDING <= est.estimated_norm <= hi + ROUNDING
+        assert lo - residual - ROUNDING <= value <= hi + ROUNDING
 
 
 def test_sweep_monotone_and_below_bound():
@@ -218,17 +232,18 @@ def test_s2_deep_sweep_tight():
 
 
 def test_convergence_error_carries_residual():
+    apply, sizes = generator_average(GroupParams(3), 8)
     with pytest.raises(ConvergenceError) as err:
-        estimate_norm(GroupParams(3), 8, representation="sparse", max_iter=2)
+        _lanczos_extremal(apply, sizes, np.random.default_rng(0), 1e-10, krylov=2)
     assert err.value.residual is not None and err.value.residual > 0.0
 
 
 def test_unknown_method_and_representation():
-    # The radial solve is exact, so there is no method left to choose.
-    with pytest.raises(TypeError):
-        estimate_norm(GroupParams(3), 3, method="lanczos")
-    with pytest.raises(ValueError):
-        estimate_norm(GroupParams(3), 3, representation="dense")
+    """The norm has one route, the radial solve with its bracket, so it takes
+    no method, representation or solver settings."""
+    for option in ("method", "representation", "tol", "max_iter", "seed"):
+        with pytest.raises(TypeError, match=option):
+            estimate_norm(GroupParams(3), 3, **{option: None})
 
 
 def test_extremal_eigenpair_is_eigenvector():
@@ -256,16 +271,17 @@ def test_ritz_vector_true_residual_within_tolerance(s, depth):
 
 
 def test_value_only_lanczos_holds_order_d_memory():
-    """The sparse norm keeps two Lanczos vectors, not 100-row Krylov blocks.
+    """The norm on the word ball holds a few class vectors, not 100-row
+    Krylov blocks.
 
-    The traced peak covers the whole solve; the old parity blocks alone
+    The traced peak covers the whole bracket; the old parity blocks alone
     took 8 * 100 * D bytes.
     """
     params = GroupParams(3)
     dim = ball_size(params, 14)
     tracemalloc.start()
     try:
-        estimate_norm(params, 14, representation="sparse")
+        assert estimate_norm(params, 14).representation == "sparse"
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -273,17 +289,18 @@ def test_value_only_lanczos_holds_order_d_memory():
 
 
 def test_sparse_norm_builds_no_basis_or_index_stack():
-    """The sparse norm holds a few class vectors and no (s, D) index array.
+    """The bracket on the word ball holds a few class vectors and no (s, D)
+    index array.
 
     The int64 left-image stack alone is 8 * 3 * D bytes at s = 3.
     """
     params = GroupParams(3)
     dim = ball_size(params, 14)
     # A first solve imports modules (about 0.7 MB traced in a fresh process).
-    estimate_norm(params, 3, representation="sparse")
+    estimate_norm(params, 3)
     tracemalloc.start()
     try:
-        estimate_norm(params, 14, representation="sparse")
+        assert estimate_norm(params, 14).representation == "sparse"
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -291,28 +308,27 @@ def test_sparse_norm_builds_no_basis_or_index_stack():
 
 
 def test_byte_guard_estimates_each_lanczos_route(monkeypatch):
-    """A budget below the Krylov blocks refuses the vector route only."""
+    """A budget below the Krylov blocks refuses Lanczos, and not the norm's
+    bracket on the same ball, which keeps no Krylov basis."""
     params = GroupParams(3)
     dim = ball_size(params, 8)
     monkeypatch.setattr(errors, "MEMORY_BUDGET", 8 * 10 * dim)
-    estimate_norm(params, 8, representation="sparse")
+    assert estimate_norm(params, 8).representation == "sparse"
     with pytest.raises(CapacityError, match="Krylov basis"):
         extremal_eigenpair(params, 8)
 
 
 def test_sparse_norm_needs_no_lapack_eigenvector_routine(monkeypatch):
-    """The Ritz step takes its vector from a tridiagonal solve, so a sparse
-    norm and a Ritz vector both come out with ``np.linalg.eigh`` refused."""
+    """The Ritz step takes its vector from a tridiagonal solve, so a Lanczos
+    value and a Ritz vector both come out with ``np.linalg.eigh`` refused."""
 
     def refuse(*args, **kwargs):
         raise AssertionError("np.linalg.eigh called")
 
     params = GroupParams(3)
     monkeypatch.setattr(np.linalg, "eigh", refuse)
-    estimate = estimate_norm(params, 8, representation="sparse")
-    assert estimate.estimated_norm == pytest.approx(
-        spectral.radial_top_eigenvalue(3, 8)[0], abs=1e-12
-    )
+    value, _ = extremal_eigenpair(params, 8)
+    assert value == pytest.approx(radial_bracket(3, 8)[0], abs=1e-12)
     value, vec = extremal_eigenpair(params, 5, seed=3)
     image = full_average(vec, build_basis(params, 5))
     assert np.linalg.norm(image - value * vec) < 1e-8

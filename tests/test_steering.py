@@ -386,7 +386,7 @@ def test_seesaw_value_is_compressed_norm(s, alice_dim, depth):
     """Alice's dimension cannot help: the seesaw optimum is lambda_N."""
     params = GroupParams(s)
     res = seesaw_tensor_optimize(params, alice_dim, depth, restarts=3, seed=1)
-    target = estimate_norm(params, depth, representation="sparse").estimated_norm
+    target = estimate_norm(params, depth).estimated_norm
     assert abs(res.f_s - target) <= 1e-9
 
 
