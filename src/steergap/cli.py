@@ -87,8 +87,6 @@ def _build_parser() -> _Parser:
     seesaw.add_argument("--alice-dim", type=int, default=8)
     seesaw.add_argument("--bob-depth", type=int, default=5)
     seesaw.add_argument("--restarts", type=int, default=20)
-    seesaw.add_argument("--max-iter", type=int, default=100)
-    seesaw.add_argument("--tol", type=float, default=1e-11)
     seesaw.add_argument("--seed", type=int, default=0)
     seesaw.add_argument("--json", default="-")
     seesaw.add_argument("--config", default=None)
@@ -225,8 +223,6 @@ def _cmd_steer_seesaw(args) -> int:
         args.alice_dim,
         args.bob_depth,
         restarts=args.restarts,
-        max_iter=args.max_iter,
-        tol=args.tol,
         seed=args.seed,
     )
     restarts = [{"f": h[-1], "iterations": len(h)} for h in result.restart_histories]

@@ -6,10 +6,10 @@ resource and convergence failures exit 2, and so does running out of memory
 (the built-in ``MemoryError``).
 """
 
-#: Largest single allocation, checked before it is made.  It admits every
-#: Lanczos run within the word cap.  A run that keeps its vectors (the seesaw,
-#: ``extremal_eigenpair``) holds 200 Krylov vectors of 2M words as two 100-row
-#: parity blocks, 1.6 GB; a value-only norm solve holds three, 48 MB.
+#: Largest single allocation, checked before it is made.  The one Krylov
+#: basis, ``spectral._top_state``'s, holds 200 vectors as two 100-row parity
+#: blocks: 1.6 GB for a vector on a ball at the 2M-word cap, which it admits,
+#: and d_A times that for a seesaw state of d_A x D, refused above the budget.
 MEMORY_BUDGET = 4 * 2**30
 
 

@@ -21,10 +21,10 @@ reduction, on balls of at most ``RADIAL_THRESHOLD`` words, and of T_N
 itself (``radial``, ``radial_bracket``) deeper.  Both run on numpy and
 ``math`` alone.  The operator maps even-length words to odd-length ones
 and back, so its one form, ``hilbert.generator_average``, acts on that
-parity split, and so does the one Lanczos solver, a plain three-term
-recurrence that keeps its vectors: ``extremal_eigenpair`` and the
-seesaw's state step, whose operator is the same form with d x d
-coefficients, take the Ritz vector through one step, ``_top_state``.
+parity split, and so does the one Lanczos step, ``_top_state``, a plain
+three-term recurrence that keeps its vectors.  It returns the Ritz vector
+to ``extremal_eigenpair`` and to the seesaw's state step, whose operator
+is the same form with d x d coefficients.
 """
 
 from __future__ import annotations
@@ -210,75 +210,6 @@ def _ritz_top(betas: list[float]) -> tuple[float, np.ndarray]:
     return theta, z / _norm(z)
 
 
-def _lanczos_extremal(
-    apply, sizes, rng, tol, krylov=DEFAULT_KRYLOV, v0=None, *, lead=()
-):
-    """Top eigenpair, by three-term Lanczos, of an operator that swaps two classes.
-
-    ``apply(v, c)`` maps a class-c part, of shape ``lead + (sizes[c],)``, to
-    the other class.  From a start in one class the Lanczos vectors
-    alternate classes and every alpha is 0 (Golub-Kahan bidiagonalization
-    of the class-0 -> class-1 block).  The plain recurrence runs with no
-    reorthogonalization: in floating point the vectors lose orthogonality
-    only along Ritz vectors that have converged, whose extra copies repeat
-    converged Ritz values, and no Ritz value leaves the spectrum by more
-    than rounding (Paige, J. Inst. Math. Appl. 18, 1976).  The Ritz values
-    come in +/- pairs, so the top one is also the largest in magnitude.
-
-    The vectors are kept flat in two parity blocks and the Ritz vector is
-    formed from them at exit.  Returns (value, the class parts of its Ritz
-    vector, iterations, residual); the vector is unit up to the lost
-    orthogonality, so callers normalize it.  The start is random in class
-    0, or the class-0 part of the pair ``v0``, or its class-1 part if the
-    class-0 one is zero; then the top Ritz value is at least ||A v||/||v||
-    for that part v, since the leading 2 x 2 block of the tridiagonal has
-    that top eigenvalue.
-    """
-    dim = math.prod(lead) * sum(sizes)
-    half = (krylov + 1) // 2
-    require_bytes(8 * half * dim, f"Lanczos Krylov basis of {half} x {dim} float64")
-    if v0 is None:
-        start, q = 0, rng.standard_normal(lead + (sizes[0],))
-    else:
-        start = 0 if np.any(v0[0]) else 1
-        q = np.asarray(v0[start], dtype=float)
-    q = q / _norm(q)
-    # Vector j lies in class (start + j) % 2, as row j // 2 of that block.
-    blocks = [np.zeros((half, math.prod(lead) * n)) for n in sizes]
-    blocks[start][0] = q.reshape(-1)
-    betas: list[float] = []
-    for j in range(krylov):
-        c = (start + j) % 2
-        w = apply(q, c)
-        if j > 0:
-            # prev is this run's own array (the Krylov blocks hold copies),
-            # so it is scaled in place rather than into a temporary.
-            prev *= betas[-1]
-            w -= prev
-        beta = _norm(w)
-        ran_out = j == krylov - 1
-        breakdown = beta < 1e-14
-        if (j + 1) % 5 == 0 or ran_out or breakdown:
-            theta, ritz = _ritz_top(betas)
-            # On breakdown the Krylov space is invariant: the Ritz pairs are exact.
-            residual = beta if breakdown else beta * abs(float(ritz[-1]))
-            if residual <= tol or breakdown:
-                break
-            if ran_out:
-                raise ConvergenceError(
-                    f"Lanczos did not reach tolerance {tol:g} within Krylov "
-                    f"dimension {krylov} (residual {residual:.3g})",
-                    residual=residual,
-                )
-        betas.append(beta)
-        w /= beta
-        prev, q = q, w
-        blocks[1 - c][(j + 1) // 2] = w.reshape(-1)
-    coefs = [ritz[(c - start) % 2 :: 2] for c in (0, 1)]
-    parts = [(a @ b[: len(a)]).reshape(*lead, -1) for a, b in zip(coefs, blocks)]
-    return theta, parts, j + 1, residual
-
-
 def _certified(params: GroupParams, depth: int) -> tuple[float, float, float, str]:
     """(lambda_N, lo, hi, representation), lo <= lambda_N <= hi, depth >= 1.
 
@@ -336,16 +267,75 @@ def extremal_eigenpair(
 
 
 def _top_state(basis: TruncatedBasis, rng, tol, coefs=None, v0=None):
-    """Top eigenpair of ``generator_average(..., coefs)`` on the basis's ball:
-    the value and the unit Ritz vector in basis order, (D,) or, with (s, d, d)
-    ``coefs``, d x D.  The run starts from the class parts of ``v0``, an array
-    of that shape, or at random from ``rng``."""
+    """Top eigenpair, by three-term Lanczos, of ``generator_average(..., coefs)``
+    on the basis's ball: the value and the unit Ritz vector in basis order,
+    (D,) or, with (s, d, d) ``coefs``, d x D.
+
+    The operator swaps the parity classes of words, so from a start in one
+    class the Lanczos vectors alternate classes and every alpha is 0
+    (Golub-Kahan bidiagonalization of the class-0 -> class-1 block).  The
+    plain recurrence runs with no reorthogonalization: in floating point the
+    vectors lose orthogonality only along Ritz vectors that have converged,
+    whose extra copies repeat converged Ritz values, and no Ritz value
+    leaves the spectrum by more than rounding (Paige, J. Inst. Math. Appl.
+    18, 1976).  The Ritz values come in +/- pairs, so the top one is also
+    the largest in magnitude.  The vectors are kept flat in two parity
+    blocks; the Ritz vector, formed from them at exit, is unit only up to
+    the lost orthogonality, so it is normalized.
+
+    The start is random in class 0, from ``rng``, or the class-0 part of
+    ``v0``, an array of the vector's shape, or its class-1 part if the
+    class-0 one is zero; then the top Ritz value is at least ||A v||/||v||
+    for that part v, since the leading 2 x 2 block of the tridiagonal has
+    that top eigenvalue.
+    """
     apply, sizes = generator_average(basis.params, basis.depth, coefs)
     lead = () if coefs is None else coefs.shape[-1:]
-    start = None if v0 is None else basis.split_parity(v0)
-    value, parts, _, _ = _lanczos_extremal(apply, sizes, rng, tol, v0=start, lead=lead)
+    dim = math.prod(lead) * sum(sizes)
+    half = (DEFAULT_KRYLOV + 1) // 2
+    require_bytes(8 * half * dim, f"Lanczos Krylov basis of {half} x {dim} float64")
+    if v0 is None:
+        start, q = 0, rng.standard_normal(lead + (sizes[0],))
+    else:
+        split = basis.split_parity(v0)
+        start = 0 if np.any(split[0]) else 1
+        q = split[start]
+    q = q / _norm(q)
+    # Vector j lies in class (start + j) % 2, as row j // 2 of that block.
+    blocks = [np.zeros((half, math.prod(lead) * n)) for n in sizes]
+    blocks[start][0] = q.reshape(-1)
+    betas: list[float] = []
+    for j in range(DEFAULT_KRYLOV):
+        c = (start + j) % 2
+        w = apply(q, c)
+        if j > 0:
+            # prev is this run's own array (the Krylov blocks hold copies),
+            # so it is scaled in place rather than into a temporary.
+            prev *= betas[-1]
+            w -= prev
+        beta = _norm(w)
+        ran_out = j == DEFAULT_KRYLOV - 1
+        breakdown = beta < 1e-14
+        if (j + 1) % 5 == 0 or ran_out or breakdown:
+            theta, ritz = _ritz_top(betas)
+            residual = beta * abs(float(ritz[-1]))
+            # On breakdown the Krylov space is invariant: the Ritz pairs are exact.
+            if residual <= tol or breakdown:
+                break
+            if ran_out:
+                raise ConvergenceError(
+                    f"Lanczos did not reach tolerance {tol:g} within Krylov "
+                    f"dimension {DEFAULT_KRYLOV} (residual {residual:.3g})",
+                    residual=residual,
+                )
+        betas.append(beta)
+        w /= beta
+        prev, q = q, w
+        blocks[1 - c][(j + 1) // 2] = w.reshape(-1)
+    halves = [ritz[(c - start) % 2 :: 2] for c in (0, 1)]
+    parts = [(a @ b[: len(a)]).reshape(*lead, -1) for a, b in zip(halves, blocks)]
     vec = basis.merge_parity(parts)
-    return value, vec / _norm(vec)
+    return theta, vec / _norm(vec)
 
 
 def _average_form(basis: TruncatedBasis, amps: np.ndarray) -> np.ndarray:

@@ -41,6 +41,9 @@ OUTCOMES = (1, -1)
 #: A strategy "violates" when f exceeds the tensor bound by more than this.
 VIOLATION_TOL = 1e-9
 
+#: Alternations per seesaw restart; one not stationary by then is flagged.
+SEESAW_ITER_CAP = 100
+
 
 @dataclass(eq=False)
 class ProbabilityTable:
@@ -304,7 +307,6 @@ def seesaw_tensor_optimize(
     bob_depth: int,
     *,
     restarts: int = 20,
-    max_iter: int = 100,
     tol: float = 1e-11,
     seed: int = 0,
 ) -> StrategyResult:
@@ -330,8 +332,10 @@ def seesaw_tensor_optimize(
     reach it tie to rounding: the run returned is the first whose final
     value is within ``tol`` of the largest, which rounding cannot change.
     ``tol`` is both the stationarity tolerance on the objective and the
-    Lanczos residual tolerance; it must be finite and nonnegative.  Runs
-    that fail to go stationary within ``max_iter`` are flagged, not failed.
+    Lanczos residual tolerance; it must be finite and nonnegative.  No
+    command sets it; it stays a keyword because the benchmark tracer,
+    ``perfbench/tracer.py``, reads it to count stationary restarts.  Runs
+    not stationary within ``SEESAW_ITER_CAP`` steps are flagged, not failed.
     """
     if alice_dim < 1:
         raise ValueError("alice_dim must be ≥ 1")
@@ -339,8 +343,6 @@ def seesaw_tensor_optimize(
         raise ValueError("bob_depth must be ≥ 2")
     if restarts < 1:
         raise ValueError("restarts must be ≥ 1")
-    if max_iter < 1:
-        raise ValueError("max_iter must be ≥ 1")
     if not 0.0 <= tol < np.inf:
         raise ValueError(f"tol must be finite and ≥ 0, got {tol}")
     basis = build_basis(params, bob_depth)
@@ -354,7 +356,7 @@ def seesaw_tensor_optimize(
         history: list[float] = []
         psi = None
         stationary = False
-        for _ in range(max_iter):
+        for _ in range(SEESAW_ITER_CAP):
             lam, psi = _top_state(basis, rng, tol, obs, psi)
             history.append(lam)
             obs = _sign_observables(psi, basis)

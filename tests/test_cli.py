@@ -29,7 +29,7 @@ from steergap.report import (
     criterion_norm_sweep,
     run_report,
 )
-from steergap.spectral import analytic_norm
+from steergap.spectral import analytic_norm, radial_bracket
 
 from test_heatvision import (
     EXACT_STEPS_S3,
@@ -259,10 +259,9 @@ def test_heatvision_step_cap_exits_2(capsys):
     "argv",
     [
         ["steer", "seesaw", "--s", "3", "--restarts", "0"],
-        ["steer", "seesaw", "--s", "3", "--max-iter", "0"],
         ["heatvision", "--s", "3", "--depth", "3", "--steps", "-1"],
     ],
-    ids=["seesaw-restarts", "seesaw-max-iter", "heatvision-steps"],
+    ids=["seesaw-restarts", "heatvision-steps"],
 )
 def test_nonpositive_budgets_exit_1(capsys, argv):
     rc = main(argv)
@@ -277,11 +276,8 @@ def test_nonpositive_budgets_exit_1(capsys, argv):
         ["report", "--quick", "--tolerance-scale", "nan"],
         ["report", "--quick", "--tolerance-scale", "inf"],
         ["report", "--quick", "--tolerance-scale", "-1"],
-        ["steer", "seesaw", "--s", "3", "--tol", "nan"],
-        ["steer", "seesaw", "--s", "3", "--tol", "-1"],
     ],
-    ids=["report-scale-nan", "report-scale-inf", "report-scale-negative",
-         "seesaw-tol-nan", "seesaw-tol-negative"],
+    ids=["report-scale-nan", "report-scale-inf", "report-scale-negative"],
 )
 def test_bad_tolerances_exit_1(capsys, argv):
     """A NaN tolerance passes every comparison against it, and a negative one
@@ -298,14 +294,18 @@ def test_bad_tolerances_exit_1(capsys, argv):
 def test_library_callers_get_the_same_tolerance_checks():
     """Zero stays accepted, as the report's negative control and as a solver
     tolerance; ``run_report`` refuses a NaN scale as the command line does.
-    The norm takes no tolerance: its bracket is what it reports."""
+    The norm takes no tolerance: its bracket is what it reports.  The
+    seesaw's tolerance, set by no command, refuses NaN and negative values."""
     settings = ReportSettings.quick()
     settings.tolerance_scale = 0.0
     assert [r.number for r in run_report(settings) if not r.passed]
     with pytest.raises(TypeError, match="tol"):
         estimate_norm(GroupParams(3), 3, tol=0.0)
     assert estimate_norm(GroupParams(3), 3).gap > 0
-    seesaw_tensor_optimize(GroupParams(3), 2, 2, restarts=1, max_iter=2, tol=0.0)
+    seesaw_tensor_optimize(GroupParams(3), 2, 2, restarts=1, tol=0.0)
+    for tol in (float("nan"), -1.0):
+        with pytest.raises(ValueError, match="tol must be finite and ≥ 0"):
+            seesaw_tensor_optimize(GroupParams(3), 2, 2, restarts=1, tol=tol)
     settings.tolerance_scale = float("nan")
     with pytest.raises(ValueError, match="tolerance_scale must be finite"):
         run_report(settings)
@@ -410,7 +410,14 @@ def test_seesaw_readme_example_runs(capsys):
                "--restarts", "20"])
     out, _ = run_lines(capsys)
     assert rc == 0
-    assert json.loads("\n".join(out))["result"]["f_s"] <= 0.8
+    doc = json.loads("\n".join(out))
+    f_s = doc["result"]["f_s"]
+    assert f_s <= 0.8
+    assert abs(f_s - 0.7312853827454472) <= 1e-15
+    assert abs(f_s - radial_bracket(5, 5)[0]) <= 1e-15
+    diagnostics = doc["meta"]["diagnostics"]
+    assert diagnostics["stationary"] is True
+    assert [r["iterations"] for r in diagnostics["restarts"]] == [3] * 20
 
 
 def test_seesaw_dim_cap_exits_2(capsys):
@@ -585,22 +592,34 @@ def test_unknown_representation_exits_1_alike_from_flag_and_config(tmp_path, cap
     ]
 
 
+NORM_ARGV = ["norm", "--s", "3", "--depth-max", "2"]
+SEESAW_ARGV = ["steer", "seesaw", "--s", "3", "--bob-depth", "2", "--restarts", "1"]
+
+
 @pytest.mark.parametrize(
-    "flag, value",
-    [("--tol", "1e-10"), ("--max-iter", "200"), ("--seed", "0")],
-    ids=["tol", "max-iter", "seed"],
+    "argv, flag, value",
+    [
+        (NORM_ARGV, "--tol", "1e-10"),
+        (NORM_ARGV, "--max-iter", "200"),
+        (NORM_ARGV, "--seed", "0"),
+        (SEESAW_ARGV, "--tol", "1e-9"),
+        (SEESAW_ARGV, "--max-iter", "5"),
+    ],
+    ids=["tol", "max-iter", "seed", "seesaw-tol", "seesaw-max-iter"],
 )
-def test_removed_norm_options_exit_1(tmp_path, capsys, flag, value):
+def test_removed_norm_options_exit_1(tmp_path, capsys, argv, flag, value):
     """The solver options of the deleted Lanczos route are gone from ``norm``,
-    as a flag and as a config key, as ``--representation`` is."""
-    cfg = tmp_path / "norm.cfg"
+    and the seesaw's solver settings, now constants, from ``steer seesaw``:
+    each is refused as a flag and as a config key, as ``--representation``
+    is, with one line and before any solve."""
+    cfg = tmp_path / "removed.cfg"
     cfg.write_text(f"{flag[2:]} = {value}\n")
     key = flag[2:].replace("-", "_")
     for extra, message in [
         ([flag, value], f"unrecognized arguments: {flag} {value}"),
         (["--config", str(cfg)], f"unknown config key '{key}'"),
     ]:
-        assert main(["norm", "--s", "3", "--depth-max", "2", *extra]) == 1
+        assert main([*argv, *extra]) == 1
         out, err = run_lines(capsys)
         assert out == [] and message in err
         assert err.count("\n") == 1 and "Traceback" not in err
@@ -732,9 +751,9 @@ def test_norm_sweep_runs_no_lanczos(monkeypatch):
     """Criterion 1 brackets the radial value instead, at both profiles."""
 
     def refuse(*args, **kwargs):
-        raise AssertionError("_lanczos_extremal called")
+        raise AssertionError("_top_state called")
 
-    monkeypatch.setattr(spectral, "_lanczos_extremal", refuse)
+    monkeypatch.setattr(spectral, "_top_state", refuse)
     for settings, gap in [
         (ReportSettings.quick(), "worst final gap 0.036011 (allowed 0.060000)"),
         (ReportSettings(), "worst final gap 0.014858 (allowed 0.030000)"),
@@ -987,6 +1006,26 @@ def test_benchmark_traced_child_runs(tmp_path):
     assert proc.returncode == 0, proc.stderr
     spans = json.loads(record.read_text())["trace"]["spans"]
     assert "heatvision.iterate_channel" in {span[0] for span in spans}
+
+
+def test_benchmark_traced_seesaw_child_runs(tmp_path):
+    """The tracer binds the seesaw's arguments to read ``tol``, so a
+    signature that loses that keyword fails this run, as it would the
+    benchmark's traced report."""
+    record = tmp_path / "rec.json"
+    proc = run_child(
+        str(REPO / "perfbench" / "launch.py"),
+        str(record),
+        "1",
+        "t",
+        *["steer", "seesaw", "--s", "3", "--alice-dim", "2", "--bob-depth", "3",
+          "--restarts", "2", "--json", str(tmp_path / "out.json")],
+        extra_path=[str(REPO / "perfbench")],
+    )
+    assert proc.returncode == 0, proc.stderr
+    trace = json.loads(record.read_text())["trace"]
+    assert "steering.seesaw_tensor_optimize" in {span[0] for span in trace["spans"]}
+    assert trace["counters"]["steering.seesaw_restarts"] == 2
 
 
 # --- README ---

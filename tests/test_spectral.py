@@ -29,7 +29,6 @@ from steergap.spectral import (
     MAX_WALK_HALF_LENGTH,
     _average_form,
     _collatz_wielandt,
-    _lanczos_extremal,
     _top_state,
     radial_bracket,
     radial_offdiagonal,
@@ -89,20 +88,19 @@ def test_lanczos_odd_start_matches_even_start():
     basis = build_basis(GroupParams(s), depth)
     rng = np.random.default_rng(4)
     obs = random_observables(rng, s, alice_dim)
-    apply, sizes = generator_average(basis.params, depth, obs)
+    _, sizes = generator_average(basis.params, depth, obs)
     shape = [(alice_dim, n) for n in sizes]
-    even = (rng.standard_normal(shape[0]), np.zeros(shape[1]))
-    odd = (np.zeros(shape[0]), rng.standard_normal(shape[1]))
-    lead = (alice_dim,)
-    lam_even, *_ = _lanczos_extremal(apply, sizes, None, 1e-12, v0=even, lead=lead)
-    lam_odd, parts, *_ = _lanczos_extremal(apply, sizes, None, 1e-12, v0=odd, lead=lead)
+    even = basis.merge_parity((rng.standard_normal(shape[0]), np.zeros(shape[1])))
+    odd = basis.merge_parity((np.zeros(shape[0]), rng.standard_normal(shape[1])))
+    lam_even, _ = _top_state(basis, None, 1e-12, obs, even)
+    lam_odd, psi = _top_state(basis, None, 1e-12, obs, odd)
     assert abs(lam_odd - lam_even) < 1e-12
     dense = sum(
         np.kron(r, left_regular(y + 1, basis)(np.eye(basis.dimension)))
         for y, r in enumerate(obs)
     ) / s
     assert abs(lam_odd - np.linalg.eigvalsh(dense)[-1]) < 1e-12
-    psi = basis.merge_parity(parts).ravel()
+    psi = psi.ravel()
     assert np.linalg.norm(dense @ psi - lam_odd * psi) < 1e-10
 
 
@@ -201,11 +199,14 @@ def test_collatz_wielandt_bracket_holds_the_dense_top_eigenvalue(s, depth_max):
 
 
 def test_sparse_estimate_lies_in_the_bracket_within_its_residual():
-    """A Ritz value is at most rho(A_N) and within its residual of it."""
+    """A Ritz value is at most rho(A_N) and within its residual of it: for
+    symmetric A and unit v, some eigenvalue lies within ||Av - theta v|| of
+    theta."""
     for s, n in [(s, n) for s in (2, 3, 4, 5) for n in range(1, 9)]:
-        apply, sizes = generator_average(GroupParams(s), n)
+        basis = build_basis(GroupParams(s), n)
         rng = np.random.default_rng(0)
-        value, _, _, residual = _lanczos_extremal(apply, sizes, rng, 1e-10)
+        value, vec = _top_state(basis, rng, 1e-10)
+        residual = np.linalg.norm(full_average(vec, basis) - value * vec)
         _, lo, hi = _collatz_wielandt(GroupParams(s), n)
         assert lo - residual - ROUNDING <= value <= hi + ROUNDING
 
@@ -231,10 +232,11 @@ def test_s2_deep_sweep_tight():
     assert analytic_norm(2) - est.estimated_norm < 2e-3
 
 
-def test_convergence_error_carries_residual():
-    apply, sizes = generator_average(GroupParams(3), 8)
+def test_convergence_error_carries_residual(monkeypatch):
+    monkeypatch.setattr(spectral, "DEFAULT_KRYLOV", 2)
+    basis = build_basis(GroupParams(3), 8)
     with pytest.raises(ConvergenceError) as err:
-        _lanczos_extremal(apply, sizes, np.random.default_rng(0), 1e-10, krylov=2)
+        _top_state(basis, np.random.default_rng(0), 1e-10)
     assert err.value.residual is not None and err.value.residual > 0.0
 
 
@@ -376,7 +378,7 @@ def test_seesaw_state_step_ritz_vector_true_residual_within_tolerance():
 
 def test_state_step_leaves_its_start_unchanged():
     """The recurrence scales its previous Lanczos vector in place, so the
-    caller's start state, and the class parts made from it, must not be it."""
+    caller's start state must not be it."""
     s, alice_dim, depth = 3, 2, 5
     basis = build_basis(GroupParams(s), depth)
     rng = np.random.default_rng(3)
@@ -385,11 +387,6 @@ def test_state_step_leaves_its_start_unchanged():
     kept = psi.copy()
     _top_state(basis, None, 1e-10, obs, psi)
     assert np.array_equal(psi, kept)
-    apply, sizes = generator_average(basis.params, depth, obs)
-    parts = basis.split_parity(psi)
-    kept_parts = [p.copy() for p in parts]
-    _lanczos_extremal(apply, sizes, None, 1e-10, v0=parts, lead=(alice_dim,))
-    assert all(np.array_equal(p, k) for p, k in zip(parts, kept_parts))
 
 
 def test_rayleigh_quotient_right_translation_invariant():
