@@ -188,7 +188,7 @@ def word_to_str(w: Word) -> str:
 def word_from_str(text: str) -> Word:
     """Parse the dot-joined generator format; inverse of :func:`word_to_str`."""
     text = text.strip()
-    if text in ("e", ""):
+    if text == "e":
         return IDENTITY
     letters = []
     for token in text.split("."):

@@ -166,6 +166,8 @@ def iterate_channel(
     """
     if not words:
         raise ValueError("mixture of zero states")
+    if depth < 0:
+        raise ValueError("depth must be ≥ 0")
     if steps < 0:
         raise ValueError("steps must be ≥ 0")
     for w in words:

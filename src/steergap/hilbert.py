@@ -12,7 +12,8 @@ An operator is never stored as a matrix, nor as an index stack, so the
 whole package runs on numpy alone.  The ball's one layout is its shell
 offsets and the shell slices of its two parity classes (``_shell_plan``);
 ``TruncatedBasis.split_parity`` and ``merge_parity`` copy whole shells
-between basis order and that split.  Every shift is a block map of whole
+between basis order and that split, and ``_letter_pairs`` gives the word
+pairs that S_y swaps as index tables.  Every shift is a block map of whole
 shells by one cached letter table, ``_others``.  The lettered form
 ``sum_y C_y (x) S_y`` (``_lettered``) walks those blocks on the parity
 split; scaled by 1/s it is ``generator_average``, the averaged shift
@@ -57,8 +58,9 @@ class TruncatedBasis:
 
     The basis stores only its shell offsets: shell k is the index slice
     ``depth_offsets[k:k+2]``, read as ``_others`` describes.  Its parity
-    classes are shell slices too (``split_parity``), and every shift is
-    built shell by shell from the one letter table ``_others(s)``.
+    classes are shell slices too (``split_parity``), every shift is built
+    shell by shell from the one letter table ``_others(s)``, and the pairs
+    that S_y swaps come as index tables from ``_letter_pairs``.
     """
 
     def __init__(self, params: GroupParams, depth: int):
@@ -103,14 +105,17 @@ def build_basis(params: GroupParams, depth: int) -> TruncatedBasis:
     return TruncatedBasis(params, depth)
 
 
-def _left_pairs(basis: TruncatedBasis):
-    """Yield ``(inner, outer, rows)``, the basis slices of shells k and k+1
-    and the walk's parent table (``_shell_plan``), for each k < depth: g_y
-    swaps row y of shell k+1, read as (s, rows.shape[1], m), with shell k,
-    read as (-1, m), at rows ``rows[y]``."""
+def _letter_pairs(basis: TruncatedBasis):
+    """Yield ``(children, parents)``, two (s, X) tables of basis indices, for
+    each pair of shells k and k+1 <= depth, innermost first: row y of
+    ``children`` holds the shell-(k+1) words g_y w, the words that start
+    with y, and row y of ``parents`` their words w, so S_y swaps the rows.
+    Other modules gather at these tables instead of reading the layout."""
     offsets = basis.depth_offsets
     for k, _, rows in reversed(_shell_plan(basis.params, basis.depth)[3]):
-        yield slice(*offsets[k : k + 2]), slice(*offsets[k + 1 : k + 3]), rows
+        children = np.arange(*offsets[k + 1 : k + 3]).reshape(len(rows), -1)
+        words = np.arange(*offsets[k : k + 2]).reshape(-1, children.size // rows.size)
+        yield children, words[rows].reshape(children.shape)
 
 
 def _involution(edges):
@@ -138,16 +143,13 @@ def left_regular(y: int, basis: TruncatedBasis):
     """Compression of left multiplication by generator y: |h> -> |g_y h>.
 
     Returns ``v -> S_y v`` on a (D, ...) array in basis order, built per
-    shell from ``_left_pairs``.  Public only because the benchmark tracer,
-    ``perfbench/tracer.py``, wraps it by name.
+    shell from row y of ``_letter_pairs``.  Public only because the
+    benchmark tracer, ``perfbench/tracer.py``, wraps it by name.
     """
     _check_generator(y, basis)
-    edges = []
-    for inner, outer, rows in _left_pairs(basis):
-        kids = np.arange(outer.start, outer.stop).reshape(len(rows), rows.shape[1], -1)
-        words = np.arange(inner.start, inner.stop).reshape(-1, kids.shape[2])
-        edges.append((words[rows[y - 1]].ravel(), kids[y - 1].ravel()))
-    return _involution(edges)
+    # Copies, so that the shift does not pin every row of the tables.
+    pairs = [(p[y - 1].copy(), c[y - 1].copy()) for c, p in _letter_pairs(basis)]
+    return _involution(pairs)
 
 
 def right_regular(x: int, basis: TruncatedBasis):

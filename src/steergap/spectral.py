@@ -38,8 +38,8 @@ from .errors import CapacityError, ConvergenceError, require_bytes
 from .freegroup import GroupParams, analytic_norm, ball_size
 from .hilbert import (
     TruncatedBasis,
+    _letter_pairs,
     _lettered,
-    _shell_plan,
     build_basis,
     generator_average,
 )
@@ -178,10 +178,10 @@ def _collatz_wielandt(params: GroupParams, depth: int) -> tuple[float, float, fl
     around lambda_N to rounding.  One apply per parity class.
     """
     value, v = _radial_root(params.s, depth)
-    apply, sizes = generator_average(params, depth)
-    parts = [np.empty(n) for n in sizes]
-    for k, part in enumerate(_shell_plan(params, depth)[2]):
-        parts[k % 2][part] = v[k] / math.sqrt(part.stop - part.start)
+    apply, _ = generator_average(params, depth)
+    basis = build_basis(params, depth)
+    shells = np.diff(basis.depth_offsets)
+    parts = basis.split_parity(np.repeat(v / np.sqrt(shells), shells))
     ratios = [apply(parts[c], c) / parts[1 - c] for c in (0, 1)]
     return value, float(min(map(np.min, ratios))), float(max(map(np.max, ratios)))
 
@@ -395,10 +395,11 @@ def first_letter_bound_chain(basis: TruncatedBasis, amps: np.ndarray) -> BoundCh
     Splitting v by first letter into pieces of weight p_y, the s-scaled
     quadratic form of the averaged shift is at most 2*sum_y
     sqrt(p_y(1-p_y)), which Cauchy-Schwarz caps at 2*sqrt(s-1).  Row y of
-    each shell, read as (s, ·), holds the words that start with y, so p_y
-    sums row sums.  A (D,) vector gives floats, an (n, D) block (n,)
-    arrays, each row checked.  Exact only while v keeps the one-shell
-    buffer, so any nonzero amplitude on the outermost shell is refused.
+    each ``children`` table of ``hilbert._letter_pairs`` holds the words of
+    its shell that start with y, so p_y sums row sums.  A (D,) vector gives
+    floats, an (n, D) block (n,) arrays, each row checked.  Exact only while
+    v keeps the one-shell buffer, so any nonzero amplitude on the outermost
+    shell is refused.
     """
     s, offsets = basis.params.s, basis.depth_offsets
     if amps.ndim not in (1, 2) or amps.shape[-1] != basis.dimension:
@@ -421,10 +422,8 @@ def first_letter_bound_chain(basis: TruncatedBasis, amps: np.ndarray) -> BoundCh
         )
     lhs = s * np.abs(_average_form(basis, amps))
     weights = sum(
-        np.square(amps[..., offsets[k] : offsets[k + 1]])
-        .reshape(amps.shape[:-1] + (s, (s - 1) ** (k - 1)))
-        .sum(axis=-1)
-        for k in range(1, basis.depth + 1)
+        np.square(amps.take(children, axis=-1)).sum(axis=-1)
+        for children, _ in _letter_pairs(basis)
     )
     weights = np.clip(weights, 0.0, 1.0)
     middle = 2.0 * np.sum(np.sqrt(weights * (1.0 - weights)), axis=-1)
@@ -470,7 +469,7 @@ def closed_walk_moment(params: GroupParams, k: int) -> MomentRecord:
     return MomentRecord(s=s, half_length=k, walk_count=walks, moment=moment)
 
 
-def matvec_walk_count(params: GroupParams, k: int, *, depth: int | None = None) -> int:
+def matvec_walk_count(params: GroupParams, k: int) -> int:
     """The same closed-walk count via k applications of the adjacency matrix.
 
     Applies the plain sum of ``hilbert._lettered`` k times to the identity
@@ -483,11 +482,7 @@ def matvec_walk_count(params: GroupParams, k: int, *, depth: int | None = None) 
     """
     if k < 0:
         raise ValueError("half-length must be nonnegative")
-    if depth is None:
-        depth = max(k, 1)
-    if depth < k:
-        raise ValueError(f"depth {depth} cannot hold walks of half-length {k}")
-    apply, sizes = _lettered(params, depth)
+    apply, sizes = _lettered(params, max(k, 1))
     exact_in_float = params.s ** (2 * k) < 2**52
     vec = np.zeros(sizes[0], dtype=float if exact_in_float else object)
     vec[0] = 1

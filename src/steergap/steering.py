@@ -32,7 +32,7 @@ import numpy as np
 from .errors import require_bytes
 from .freegroup import GroupParams, analytic_norm
 from .hilbert import (
-    TruncatedBasis, _left_pairs, build_basis, generator_average, right_regular
+    TruncatedBasis, _letter_pairs, build_basis, generator_average, right_regular
 )
 from .spectral import _top_state
 
@@ -127,20 +127,16 @@ def _bob_contractions(psi: np.ndarray, basis: TruncatedBasis) -> np.ndarray:
     """M_y = psi S_y psi^T = Tr_B((1 tensor S_y) rho) for every y: (n, s, d, d).
 
     ``psi`` is an (n, r, d, D) stack of r pure components per state, and
-    M_y sums over them.  S_y swaps row y of each shell k+1 with rows of
-    shell k (``hilbert._left_pairs``), so M_y = P_y + P_y^T, where P_y sums
-    the columns of those outer blocks against their inner partners.
+    M_y sums over them.  S_y swaps the words g_y w with their words w
+    (``hilbert._letter_pairs``), so M_y = P_y + P_y^T, where P_y sums the
+    columns of psi at the g_y w against those at the w.
     """
-    n, r, d, _ = psi.shape
-    s = basis.params.s
-    outs, ins = [], []  # per shell pair, [n, r, y, c, j] and [n, r, y, j, c]
-    for inner, outer, rows in _left_pairs(basis):
-        out_cols = psi[..., outer].reshape(n, r, d, s, -1)
-        width = out_cols.shape[-1] // rows.shape[1]
-        in_cols = psi[..., inner].reshape(n, r, d, -1, width)[..., rows, :]
-        outs.append(out_cols.transpose(0, 1, 3, 2, 4))
-        ins.append(in_cols.reshape(out_cols.shape).transpose(0, 1, 3, 4, 2))
-    half = (np.concatenate(outs, axis=-1) @ np.concatenate(ins, axis=-2)).sum(axis=1)
+    children, parents = (np.concatenate(t, axis=1) for t in zip(*_letter_pairs(basis)))
+    # [n, r, y, c, j] and [n, r, y, j, c], one gather each; ``take`` returns C
+    # order, so the factors' memory order, and the product's rounding, is fixed.
+    outs = psi.take(children, axis=-1).transpose(0, 1, 3, 2, 4)
+    ins = np.moveaxis(psi, 2, -1).take(parents, axis=2)
+    half = (outs @ ins).sum(axis=1)
     return half + half.transpose(0, 1, 3, 2)
 
 
@@ -410,15 +406,12 @@ def conjugation_identity_check(
     require_bytes(
         8 * dim * d * d, f"conjugation word operators of {dim} x {d} x {d} float64"
     )
-    # R_w for every word, a shell at a time: row y of shell k+1 holds the
-    # words y w', whose suffixes w' are shell k at rows ``rows[y]``.
+    # R_w for every word, a shell at a time: R_{g_y w} = R_y R_w.
     obs = np.asarray(observables)
     word_arr = np.empty((dim, d, d))
     word_arr[0] = np.eye(d)
-    for inner, outer, rows in _left_pairs(basis):
-        words = word_arr[outer].reshape((s, rows.shape[1], -1, d, d))
-        suffixes = word_arr[inner].reshape((-1,) + words.shape[2:])[rows]
-        np.matmul(obs[:, None, None], suffixes, out=words)
+    for children, parents in _letter_pairs(basis):
+        word_arr[children] = obs[:, None] @ word_arr[parents]
 
     def conjugate(mats: np.ndarray, dagger: bool) -> np.ndarray:
         ops = word_arr if dagger else word_arr.transpose(0, 2, 1)

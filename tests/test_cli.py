@@ -507,6 +507,25 @@ def test_heatvision_rejects_bad_state(capsys):
                  "--state", "g3"]) == 1
 
 
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (["--state", "e,g1,"], "cannot parse generator token ''"),
+        (["--state", " , "], "cannot parse generator token ''"),
+        (["--depth", "-1"], "depth must be ≥ 0"),
+    ],
+    ids=["trailing-comma", "blank-tokens", "negative-depth"],
+)
+def test_heatvision_refuses_empty_tokens_and_negative_depth(capsys, extra, message):
+    """An empty ``--state`` token is not read as ``e``, and a negative depth
+    is refused as such, not as a word outside a "depth--1" basis."""
+    argv = ["heatvision", "--s", "3", "--depth", "4", "--steps", "2", *extra]
+    assert main(argv) == 1
+    out, err = run_lines(capsys)
+    assert out == [] and message in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 # --- config files ---
 
 

@@ -154,7 +154,9 @@ def test_word_serialization_examples():
     assert word_from_str(" g10 ") == Word((10,))
 
 
-@pytest.mark.parametrize("bad", ["g0", "g1..g2", "h1", "g1.g1", "g-1", "1", "g"])
+@pytest.mark.parametrize(
+    "bad", ["g0", "g1..g2", "h1", "g1.g1", "g-1", "1", "g", "", " "]
+)
 def test_word_serialization_rejects_garbage(bad):
     with pytest.raises(ValueError):
         word_from_str(bad)

@@ -1,4 +1,6 @@
+import ast
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,8 +14,9 @@ from steergap import (
     left_regular,
     right_regular,
 )
+from steergap import hilbert
 from steergap.errors import CapacityError
-from steergap.hilbert import _lettered
+from steergap.hilbert import _letter_pairs, _lettered
 
 from util import (
     brute_words,
@@ -309,6 +312,55 @@ def test_left_shift_is_buffered_involution(basis3):
         amps = random_buffered_amplitudes(rng, basis3, basis3.depth - 1)
         twice = shift(shift(amps))
         assert np.allclose(twice, amps, atol=1e-15)
+
+
+@pytest.mark.parametrize("s", [2, 3, 4, 5])
+@pytest.mark.parametrize("depth", range(6))
+def test_letter_pairs_match_brute_words(s, depth):
+    """Row y of each ``children`` table is the words of its shell that start
+    with y, in basis order, and row y of ``parents`` those words with the
+    first letter dropped; the children rows tile shells 1..depth."""
+    words = brute_words(s, depth)
+    index = {w: i for i, w in enumerate(words)}
+    tiled = []
+    pairs = list(_letter_pairs(build_basis(GroupParams(s), depth)))
+    assert len(pairs) == depth
+    for k, (children, parents) in enumerate(pairs):
+        assert children.shape == parents.shape and len(children) == s
+        for y, (row, parent_row) in enumerate(zip(children, parents), start=1):
+            want = [i for i, w in enumerate(words) if len(w) == k + 1 and w[0] == y]
+            assert row.tolist() == want
+            assert parent_row.tolist() == [index[words[i][1:]] for i in want]
+        tiled += children.ravel().tolist()
+    assert sorted(tiled) == list(range(1, len(words)))
+
+
+def test_only_hilbert_reads_the_shell_layout():
+    """The word layout is private to ``hilbert``: no other module imports or
+    reads ``_shell_plan``, ``_others`` or the deleted ``_left_pairs``, and
+    neither ``steering`` nor ``spectral`` sizes a shell row by (s - 1) ** n."""
+    private = {"_shell_plan", "_others", "_left_pairs"}
+    assert not hasattr(hilbert, "_left_pairs")
+    modules = {p.stem: p for p in Path(hilbert.__file__).parent.glob("*.py")}
+    assert {"hilbert", "steering", "spectral"} <= set(modules)
+    for stem, path in modules.items():
+        tree = ast.parse(path.read_text())
+        names = {
+            alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            for alias in node.names
+        } | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        if stem != "hilbert":
+            assert not names & private, stem
+        if stem in ("steering", "spectral"):
+            powers = [
+                ast.unparse(node)
+                for node in ast.walk(tree)
+                if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+                and ast.unparse(node.left) == "s - 1"
+            ]
+            assert not powers, (stem, powers)
 
 
 def test_left_and_right_shifts_commute(basis3):

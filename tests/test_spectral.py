@@ -665,15 +665,6 @@ def test_matvec_count_equals_dp(s):
         assert matvec_walk_count(params, k) == closed_walk_moment(params, k).walk_count
 
 
-def test_matvec_count_depth_padding():
-    params = GroupParams(2)
-    direct = matvec_walk_count(params, 5)
-    # extra truncation depth must not change an exact count
-    assert matvec_walk_count(params, 5, depth=7) == direct == math.comb(10, 5)
-    with pytest.raises(ValueError):
-        matvec_walk_count(params, 5, depth=4)
-
-
 def test_matvec_count_bignum_fallback():
     # 2^52 >= 2^52 puts s=2, k=26 on the pure big-integer path; the chain
     # is only 53 sites long so it is still instant, and the answer is a
